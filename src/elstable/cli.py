@@ -16,14 +16,14 @@ from functools import partial
 
 import numpy as np
 
-from .harness import (ExperimentConfig, analyze_series, coverage_experiment,
-                      ingest_csv, pivotal_value, run_table, write_csv)
+from .harness import (_ALPHA_CLIP, ExperimentConfig, analyze_series,
+                      coverage_experiment, ingest_csv, pivotal_value, run_table,
+                      write_csv)
 from .limitlaw import LimitLawConfig, mc_quantile
 from .processes import (normalized_transfer, simulate_linear,
                         simulate_vector_linear, transfer_matrix)
+from .scores import check_alpha
 from .spectral import hill_curve, hill_estimator
-
-_HILL_CLIP = (1.0, 1.99)  # keep estimated exponents inside the supported band
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series CSV (one column, or d columns for vector data)")
     p.add_argument("--level", type=float, help="confidence level in (0, 1)")
     p.add_argument("--alpha", type=float,
-                   help="known stability index in (0, 2]")
+                   help="known stability index in [1, 2)")
     p.add_argument("--hill", action="store_true",
                    help="estimate the stability index from the data")
     p.add_argument("--hill-k", type=int, metavar="K",
@@ -146,13 +146,11 @@ def _resolve_alpha(args, x: np.ndarray) -> float:
     if args.alpha is not None and args.hill:
         raise ValueError("supply either --alpha or --hill, not both")
     if args.alpha is not None:
-        if not 0.0 < args.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {args.alpha}")
-        return args.alpha
+        return check_alpha(args.alpha)
     if args.hill:
         if x.ndim != 1:
             raise ValueError("--hill needs a scalar series")
-        return float(np.clip(hill_estimator(x, args.hill_k), *_HILL_CLIP))
+        return float(np.clip(hill_estimator(x, args.hill_k), *_ALPHA_CLIP))
     raise ValueError("supply --alpha (known index) or --hill (estimate it)")
 
 

@@ -94,12 +94,23 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
                          gamma: float, alpha: float,
                          periodogram: np.ndarray | None = None,
                          level: float = 0.9) -> RegionScan:
-    """Scan the EL statistic over ``grid`` and keep points below ``gamma``.
+    """Keep the grid points whose EL statistic stays below ``gamma``.
 
-    Hull failures enter as ``+inf`` statistics (the point is rejected, the
-    scan continues); solver breakdowns are counted and excluded.  The
-    reported interval is the hull of the accepted grid points, ``None`` when
-    the region is empty.
+    Hull failures enter as ``+inf`` statistics (the point is rejected);
+    solver breakdowns are counted and excluded.  The reported interval is
+    the hull of the accepted grid points, ``None`` when the region is empty.
+
+    For a scalar score whose rows are affine in theta with a one-signed
+    slope, such as the autocorrelation scores, the region is an interval
+    (Owen 1990, Monti 1997), so its first and last grid points are found by
+    bisection over grid indices (:func:`_bisect_region`) and ``thetas``,
+    ``stats`` and ``accepted`` hold only the probed points, always including
+    both grid ends.  ``hull_failures`` still counts the whole grid, while
+    ``solver_failures`` counts only solved points; a probe whose solve does
+    not converge ends the search, so it reads 0 there.  Matrix scores, grids
+    that are not strictly increasing with at least three points, rows that
+    fail the affine check and unconverged probes take the full scan of
+    every grid point.
     """
     if score.q != 1:
         raise ValueError("region scans require a single-parameter score")
@@ -112,22 +123,119 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
         periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
                        else self_normalized_grid(x)).values
     n = periodogram.shape[0]
-    rows = np.empty((grid.size, n))
-    for i, theta in enumerate(grid):
-        rows[i] = builder(x, score, theta, alpha, periodogram=periodogram)[:, 0]
-    batch = solve_lagrange_batch(rows)
-    stats = -2.0 * x_n(n, alpha) ** 2 / n * batch.log_ratio
+    scale = -2.0 * x_n(n, alpha) ** 2 / n
+
+    def row_at(theta):
+        return builder(x, score, theta, alpha, periodogram=periodogram)[:, 0]
+
+    search = None
+    if not score.is_matrix and grid.size >= 3 and np.all(np.diff(grid) > 0.0):
+        search = _bisect_region(grid, gamma, row_at, scale)
+    if search is None:
+        batch = solve_lagrange_batch(np.array([row_at(theta) for theta in grid]))
+        thetas, stats = grid, scale * batch.log_ratio
+        solver_failures = int(np.sum(~batch.converged & batch.hull_ok))
+        hull_failures = int(np.sum(~batch.hull_ok))
+    else:
+        probed, stats, hull_failures = search
+        thetas, solver_failures = grid[probed], 0
     accepted = stats < gamma  # nan (unconverged) and +inf (hull) both excluded
-    solver_failures = int(np.sum(~batch.converged & batch.hull_ok))
-    hull_failures = int(np.sum(~batch.hull_ok))
     if accepted.any():
-        inside = grid[accepted]
+        inside = thetas[accepted]
         interval = ConfidenceInterval("el", level, float(inside[0]), float(inside[-1]))
     else:
         interval = None
-    return RegionScan(thetas=grid, stats=stats, gamma=float(gamma), level=level,
+    return RegionScan(thetas=thetas, stats=stats, gamma=float(gamma), level=level,
                       accepted=accepted, interval=interval,
                       hull_failures=hull_failures, solver_failures=solver_failures)
+
+
+def _hull_ok(rows: np.ndarray) -> np.ndarray:
+    """Zero inside the hull of each row's values (the batch solver's test)."""
+    return ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
+
+
+class _FullScan(Exception):
+    """Ends the region search; the caller scans the whole grid instead."""
+
+
+def _bisect_region(grid: np.ndarray, gamma: float, row_at: Callable,
+                   scale: float):
+    """Accepted grid interval of an affine one-signed score by bisection.
+
+    The statistic is zero at the root ``theta_hat`` of the summed rows and
+    its sublevel sets are intervals, so the smallest grid statistic sits on
+    one of the two grid neighbours of ``theta_hat``: when neither is
+    accepted the region is empty, otherwise each region end is bisected
+    between an accepted and a rejected index.  The probes of each round go
+    to the solver as one batch.  Zero lies inside the hull of the rows
+    ``a + theta b`` exactly on the open interval between the smallest and
+    the largest root ``-a_t / b_t``, which counts the hull failures over the
+    whole grid once the grid points next to its ends confirm it.
+
+    Returns ``(probed indices, their statistics, hull failures)``, or None
+    when the rows are not affine with a one-signed slope, a probe's solve
+    did not converge, or the hull count is not confirmed.
+    """
+    last = grid.size - 1
+    rows = {0: row_at(grid[0]), last: row_at(grid[last])}
+    slope = (rows[last] - rows[0]) / (grid[last] - grid[0])
+    intercept = rows[0] - grid[0] * slope
+    if not slope.any() or not (np.all(slope >= 0.0) or np.all(slope <= 0.0)):
+        return None
+    tol = 1e-9 * np.max(np.abs([rows[0], rows[last]]))
+    stats = {}
+
+    def row(i):
+        if i not in rows:
+            rows[i] = row_at(grid[i])
+            if np.max(np.abs(rows[i] - (intercept + grid[i] * slope))) > tol:
+                raise _FullScan
+        return rows[i]
+
+    def probe(indices):
+        new = [i for i in sorted(indices) if i not in stats]
+        if not new:
+            return
+        batch = solve_lagrange_batch(np.array([row(i) for i in new]))
+        if np.any(~batch.converged & batch.hull_ok):
+            raise _FullScan
+        stats.update(zip(new, scale * batch.log_ratio))
+
+    def accepted(i):
+        return bool(stats[i] < gamma)
+
+    try:
+        theta_hat = -intercept.sum() / slope.sum()
+        k = int(np.searchsorted(grid, theta_hat))
+        nearest = {min(max(i, 0), last) for i in (k - 1, k)}
+        probe(nearest | {0, last})
+        seeds = [i for i in sorted(nearest) if accepted(i)]
+        if seeds:
+            # (rejected, accepted) index pairs; an accepted grid end closes its pair
+            pairs = [[0, seeds[0]], [last, seeds[-1]]]
+            for pair in pairs:
+                if accepted(pair[0]):
+                    pair[1] = pair[0]
+            while any(abs(out - inside) > 1 for out, inside in pairs):
+                probe({(out + inside) // 2 for out, inside in pairs
+                       if abs(out - inside) > 1})
+                for pair in pairs:
+                    if abs(pair[0] - pair[1]) > 1:
+                        mid = (pair[0] + pair[1]) // 2
+                        pair[accepted(mid)] = mid
+        roots = -intercept[slope != 0.0] / slope[slope != 0.0]
+        first = int(np.searchsorted(grid, roots.min(), side="right"))
+        stop = int(np.searchsorted(grid, roots.max(), side="left"))
+        edges = [i for i in (first - 1, first, stop - 1, stop) if 0 <= i <= last]
+        inside = [first <= i < stop for i in edges]
+        if np.any(_hull_ok(np.array([row(i) for i in edges])) != inside):
+            return None
+    except _FullScan:
+        return None
+    probed = np.array(sorted(stats))
+    return (probed, np.array([stats[i] for i in probed]),
+            grid.size - max(0, stop - first))
 
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,

@@ -80,6 +80,28 @@ def _trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return h * (values[..., :].sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
+def _trapezoid_checked(integrand: Callable, quad_points: int) -> np.ndarray:
+    """Trapezoid rule of ``integrand(grid)`` over the periodic grid.
+
+    The result is cross-checked at half resolution.  For an even number of
+    points the coarse grid is the even-indexed subgrid (``linspace`` makes
+    them equal bit for bit), so the integrand is evaluated only once.
+    """
+    grid = _uniform_grid(quad_points)
+    values = integrand(grid)
+    coarse_grid = _uniform_grid(quad_points // 2)
+    if np.array_equal(coarse_grid, grid[::2]):
+        coarse = values[..., ::2]
+    else:
+        coarse = integrand(coarse_grid)
+    total = _trapezoid(values, grid)
+    scale = np.max(np.abs(total)) + 1e-300
+    if np.max(np.abs(total - _trapezoid(coarse, coarse_grid))) > 1e-6 * scale:
+        warnings.warn("quadrature for W not converged at the requested grid; "
+                      "increase quad_points", RuntimeWarning, stacklevel=3)
+    return total
+
+
 def compute_W(score: ScoreFunction, theta0, transfer: Callable,
               quad_points: int = 4096) -> np.ndarray:
     """Scalar-process curvature matrix ``W`` at ``theta0``.
@@ -90,19 +112,12 @@ def compute_W(score: ScoreFunction, theta0, transfer: Callable,
     """
     theta0 = score.check_theta(theta0)
 
-    def evaluate(points):
-        grid = _uniform_grid(points)
+    def integrand(grid):
         grad = np.asarray(score.grad_inv(grid, theta0))
         weight = 2.0 * np.asarray(transfer(grid)) ** 2
-        integrand = grad[:, None, :] * grad[None, :, :] * weight
-        return _trapezoid(integrand, grid) / (2.0 * np.pi)
+        return grad[:, None, :] * grad[None, :, :] * weight
 
-    w = evaluate(quad_points)
-    w_coarse = evaluate(quad_points // 2)
-    scale = np.max(np.abs(w)) + 1e-300
-    if np.max(np.abs(w - w_coarse)) > 1e-6 * scale:
-        warnings.warn("quadrature for W not converged at the requested grid; "
-                      "increase quad_points", RuntimeWarning, stacklevel=2)
+    w = _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi)
     return 0.5 * (w + w.T)
 
 
@@ -118,22 +133,15 @@ def compute_W_mv(score: ScoreFunction, theta0, transfer_matrix: Callable,
     theta0 = score.check_theta(theta0)
     d = score.dim
 
-    def evaluate(points):
-        grid = _uniform_grid(points)
+    def integrand(grid):
         grad = np.asarray(score.grad_inv(grid, theta0))    # (q, N, d, d)
         g = np.asarray(transfer_matrix(grid))              # (N, d, d)
         gg = np.einsum("tab,qtbc->qtac", g, grad)          # g @ G_k per frequency
         traces = np.einsum("qtaa->qt", gg)
         pair = np.einsum("qtab,rtba->qrt", gg, gg) + traces[:, None, :] * traces[None, :, :]
-        w = _trapezoid(pair.real, grid) / (2.0 * np.pi * d * d)
-        return w
+        return pair.real
 
-    w = evaluate(quad_points)
-    w_coarse = evaluate(quad_points // 2)
-    scale = np.max(np.abs(w)) + 1e-300
-    if np.max(np.abs(w - w_coarse)) > 1e-6 * scale:
-        warnings.warn("quadrature for W not converged at the requested grid; "
-                      "increase quad_points", RuntimeWarning, stacklevel=2)
+    w = _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi * d * d)
     return 0.5 * (w + w.T)
 
 
@@ -166,11 +174,17 @@ def compute_V_coeffs(score: ScoreFunction, theta0, transfer: Callable,
     """
     theta0 = score.check_theta(theta0)
     grid = _uniform_grid(quad_points)
-    grad = np.asarray(score.grad_inv(grid, theta0))        # (q, N)
-    weight = grad * np.asarray(transfer(grid))             # (q, N)
+    grad = np.asarray(score.grad_inv(grid, theta0))        # (q, N + 1)
+    weight = grad * np.asarray(transfer(grid))             # (q, N + 1)
+    # Trapezoid rule as a DFT: with omega_j = -pi + 2 pi j / N and equal
+    # cosines at both ends, sum_j w_j cos(t omega_j) = (-1)**t Re fft(w)[t],
+    # where the first sample carries the mean of the two endpoint weights.
+    periodic = weight[:, :-1].copy()
+    periodic[:, 0] = 0.5 * (weight[:, 0] + weight[:, -1])
     lags = np.arange(1, truncation + 1)
-    cosines = np.cos(np.outer(lags, grid))                 # (T, N)
-    coeffs = _trapezoid(cosines[:, None, :] * weight[None, :, :], grid) / np.pi
+    sums = np.fft.fft(periodic, axis=-1).real[:, lags % quad_points]
+    sums[:, lags % 2 == 1] *= -1.0
+    coeffs = (grid[1] - grid[0]) * sums.T / np.pi
     _check_tail_decay(np.abs(coeffs).max(axis=1), "limit-series", alpha)
     return coeffs
 

@@ -209,7 +209,8 @@ def score_from_config(config: dict) -> ScoreFunction:
     raise ValueError(f"unknown score name: {name!r}")
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """The stability index as a float; inference is defined for [1, 2)."""
     alpha = float(alpha)
     if not 1.0 <= alpha < 2.0:
         raise ValueError(f"inference requires alpha in [1, 2), got {alpha}")
@@ -224,7 +225,7 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
     self-normalized periodogram values on the full frequency grid, so that
     grid scans over theta pay for the FFT once.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if score.is_matrix:
         raise ValueError("matrix score passed to the scalar estimating function")
     theta = score.check_theta(theta)
@@ -242,7 +243,7 @@ def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: fl
     Returns an (n, q) array of real values; a non-negligible imaginary part
     indicates a non-Hermitian score or periodogram and raises.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     theta = score.check_theta(theta)
     if periodogram is None:
         periodogram = periodogram_matrix_grid(np.asarray(x, dtype=float), alpha).values

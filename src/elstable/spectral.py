@@ -171,6 +171,10 @@ class SmoothedTransfer:
     evaluated here for arbitrary ``omega``.  ``spacing="fourier"`` uses the
     grid step ``2 pi / n``; ``spacing="reciprocal"`` uses the literal step
     ``1 / n``.
+
+    On the quadrature grid ``linspace(-pi, pi, N + 1)`` the series is one
+    length-N FFT: ``cos(h omega_j) = (-1)**h cos(2 pi h j / N)``, so the
+    signed coefficients fold modulo N and both endpoints get the same value.
     """
 
     def __init__(self, x: np.ndarray, bandwidth: int | None = None,
@@ -195,7 +199,14 @@ class SmoothedTransfer:
         scalar = np.isscalar(omega) or np.ndim(omega) == 0
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         h = np.arange(1, self.n)
-        values = 1.0 + 2.0 * (np.cos(np.outer(omega, h)) @ self.coeffs[1:])
+        points = omega.size - 1
+        if points >= 1 and np.array_equal(omega, np.linspace(-np.pi, np.pi, points + 1)):
+            signed = np.where(h % 2 == 1, -self.coeffs[1:], self.coeffs[1:])
+            folded = np.bincount(h % points, weights=signed, minlength=points)
+            cosine_sums = np.fft.fft(folded).real
+            values = 1.0 + 2.0 * cosine_sums[np.arange(points + 1) % points]
+        else:
+            values = 1.0 + 2.0 * (np.cos(np.outer(omega, h)) @ self.coeffs[1:])
         return float(values[0]) if scalar else values
 
 

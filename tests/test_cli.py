@@ -59,6 +59,13 @@ def test_ci_requires_exactly_one_alpha_source(series_csv, capsys):
     assert run_cli("ci", "--input", series_csv, "--alpha", 1.5, "--hill") == 2
 
 
+@pytest.mark.parametrize("alpha", [2.0, 0.5])
+def test_ci_rejects_alpha_outside_inference_range(series_csv, capsys, alpha):
+    assert run_cli("ci", "--input", series_csv, "--alpha", alpha) == 2
+    assert capsys.readouterr().err == (
+        f"error: inference requires alpha in [1, 2), got {alpha}\n")
+
+
 def test_ci_hill_estimates_the_index(series_csv, tmp_path):
     out = tmp_path / "hill_ci.csv"
     code = run_cli("ci", "--input", series_csv, "--hill", "--seed", 1,

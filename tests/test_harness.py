@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               ExperimentConfig, analyze_series, coverage_experiment,
@@ -12,11 +14,13 @@ from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               pivotal_value, read_records_csv, render_csv, run_table,
                               sac_confidence_interval, theta_grid, whittle_point,
                               write_csv)
-from elstable.emplik import log_el_ratio, x_n
+from elstable.emplik import log_el_ratio, solve_lagrange_batch, x_n
 from elstable.limitlaw import sample_stable_ratio
 from elstable.processes import (LinearProcessSpec, StableParams, ma_polynomial_spec,
-                                theoretical_acf)
-from elstable.scores import acf_score
+                                simulate_linear, simulate_vector_linear,
+                                theoretical_acf, vma_table_spec)
+from elstable.scores import (acf_score, coupling_var1_score, estimating_function,
+                             estimating_function_mv)
 from elstable.spectral import sample_acf
 
 PROC_HALF = {"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}}
@@ -63,6 +67,82 @@ def test_region_scan_empty_when_threshold_is_zero(series_half):
     grid = theta_grid(score, step=0.05, lo=-0.4, hi=0.6)
     scan = el_confidence_region(series_half, score, grid, 0.0, 1.5)
     assert scan.is_empty and scan.interval is None
+
+
+def full_scan(x, score, grid, gamma, alpha):
+    """Oracle: the batch statistic on every grid point.
+
+    Returns ``(interval, hull failures, solver failures)`` with the interval
+    as the first and last accepted grid point, or the exception type when
+    those are out of order (a descending grid).
+    """
+    builder = estimating_function_mv if score.is_matrix else estimating_function
+    rows = np.array([builder(x, score, theta, alpha)[:, 0] for theta in grid])
+    batch = solve_lagrange_batch(rows)
+    stats = -2.0 * x_n(rows.shape[1], alpha) ** 2 / rows.shape[1] * batch.log_ratio
+    inside = grid[stats < gamma]
+    if inside.size and inside[0] > inside[-1]:
+        return ValueError
+    interval = (float(inside[0]), float(inside[-1])) if inside.size else None
+    return (interval, int(np.sum(~batch.hull_ok)),
+            int(np.sum(~batch.converged & batch.hull_ok)))
+
+
+def searched(x, score, grid, gamma, alpha):
+    """``el_confidence_region`` in the oracle's form, plus its probe count."""
+    try:
+        scan = el_confidence_region(x, score, grid, gamma, alpha)
+    except ValueError:
+        return ValueError, grid.size
+    interval = None if scan.interval is None else (scan.interval.lower,
+                                                   scan.interval.upper)
+    assert scan.thetas[0] == grid[0] and scan.thetas[-1] == grid[-1]
+    return (interval, scan.hull_failures, scan.solver_failures), scan.thetas.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 120, 300]),
+       lag=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6]),
+       step=st.sampled_from([0.001, 0.0137, 0.2]))
+def test_region_search_matches_full_scan(seed, n, lag, gamma, step):
+    # gamma = 0 gives the empty region and 1e6 reaches both grid ends; at
+    # n = 50 the grid runs past the extreme roots, so hull failures occur.
+    x = simulate_linear(ma_polynomial_spec(0.5), n, np.random.default_rng(seed))
+    score = acf_score(lag)
+    grid = theta_grid(score, step=step)
+    result, probes = searched(x, score, grid, gamma, 1.5)
+    assert result == full_scan(x, score, grid, gamma, 1.5)
+    if grid.size > 100:
+        assert probes < 60
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 50.0),
+       lo=st.floats(-0.99, 0.98), width=st.floats(1e-3, 0.5),
+       size=st.integers(1, 40), descending=st.booleans())
+def test_region_search_on_narrow_and_short_grids(seed, gamma, lo, width, size,
+                                                 descending):
+    # Narrow grids often leave the plug-in point outside; grids of fewer than
+    # three points and descending grids take the full scan.
+    x = simulate_linear(ma_polynomial_spec(0.5), 120, np.random.default_rng(seed))
+    score = acf_score(2)
+    grid = np.linspace(lo, min(lo + width, 0.99), size)
+    if descending:
+        grid = grid[::-1]
+    result, probes = searched(x, score, grid, gamma, 1.5)
+    assert result == full_scan(x, score, grid, gamma, 1.5)
+    if descending or size < 3:
+        assert probes == size
+
+
+def test_region_of_matrix_score_takes_the_full_scan():
+    spec = vma_table_spec(0.3)
+    x = simulate_vector_linear(spec, 120, np.random.default_rng(5))
+    score = coupling_var1_score()
+    grid = theta_grid(score, step=0.05, lo=-0.5, hi=0.5)
+    result, probes = searched(x, score, grid, 3.0, 1.5)
+    assert probes == grid.size
+    assert result == full_scan(x, score, grid, 3.0, 1.5)
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +208,25 @@ def test_analyze_series_consistency(series_half, rng):
         assert log_el_ratio(series_half, acf_score(2), theta, 1.5).statistic \
             < result.gamma
     assert result.sac.method == "sac"
+
+
+# the plug-in autocorrelations of a short series decay slowly, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-30, 30),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_analyze_series_invariant_under_exact_rescaling(seed, power, sign):
+    # The periodogram and the sample autocorrelations are self-normalized,
+    # and x -> +/- 2**k x is exact in floating point, so nothing may move.
+    x = simulate_linear(ma_polynomial_spec(0.5), 300, np.random.default_rng(seed))
+
+    def intervals(series):
+        result = analyze_series(series, acf_score(2), 1.5, 0.9,
+                                rng=np.random.default_rng(seed), sac_lag=2,
+                                sac_rho="plugin", limit_reps=2000)
+        return result.el.interval, result.sac, result.theta_ref, result.gamma
+
+    assert intervals(sign * 2.0 ** power * x) == intervals(x)
 
 
 def test_analyze_series_argument_validation(series_half, rng):
@@ -224,14 +323,17 @@ def test_coverage_exact_error_with_forced_thresholds():
 # the deliberately short limit series of the small design warns, by design
 @pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
 def test_coverage_records_are_worker_count_invariant(tmp_path):
-    configs = [ExperimentConfig(workers=w, seed=31, **SMALL) for w in (1, 2)]
-    texts = []
-    for cfg in configs:
-        result = coverage_experiment(cfg)
-        path = tmp_path / f"w{cfg.workers}.csv"
-        result.write_csv(path)
-        texts.append(path.read_bytes())
-    assert texts[0] == texts[1]
+    # the small design and the default n = 300 design on the 0.001 grid
+    for name, design in (("small", SMALL), ("default", dict(process=PROC_HALF,
+                                                              replicates=100))):
+        texts = []
+        for workers in (1, 2):
+            result = coverage_experiment(ExperimentConfig(workers=workers, seed=31,
+                                                          **design))
+            path = tmp_path / f"{name}-w{workers}.csv"
+            result.write_csv(path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
 
 
 def test_coverage_rejects_tiny_runs():

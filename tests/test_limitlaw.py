@@ -1,6 +1,7 @@
 """Curvature matrices, limit-series coefficients, and threshold sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from elstable.limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                                sac_series_constant, sample_limit_stat,
                                sample_limit_stat_simplified, sample_stable_ratio,
                                scale_multipliers, tail_constant)
-from elstable.processes import (normalized_transfer, transfer_matrix,
-                                vma_table_spec)
+from elstable.processes import (normalized_transfer, simulate_linear,
+                                transfer_matrix, vma_table_spec)
 from elstable.scores import acf_score, coupling_var1_score, var1_score
+from elstable.spectral import SmoothedTransfer
 
 
 def flat_transfer(omega):
@@ -71,6 +73,43 @@ def test_closure_constant_flat_transfer():
     prepared = prepare_limit(config)
     assert abs(prepared["closure"] - 2.0) < 1e-8
     assert abs(prepared["w_inv"][0, 0] - 0.25) < 1e-8
+
+
+def dense_series_coefficients(score, theta0, transfer, truncation, quad_points):
+    """Oracle: the (T x N) cosine-matrix trapezoid rule."""
+    grid = np.linspace(-np.pi, np.pi, quad_points + 1)
+    weight = np.asarray(score.grad_inv(grid, np.atleast_1d(theta0))) * transfer(grid)
+    cosines = np.cos(np.outer(np.arange(1, truncation + 1), grid))
+    values = cosines[:, None, :] * weight[None, :, :]
+    ends = 0.5 * (values[..., 0] + values[..., -1])
+    return (grid[1] - grid[0]) * (values.sum(axis=-1) - ends) / np.pi
+
+
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@pytest.mark.parametrize("truncation, quad_points", [(200, 4096), (100, 64)])
+def test_series_coefficients_fft_matches_dense_trapezoid(spec_half, truncation,
+                                                         quad_points):
+    # The second case has more lags than grid points, so the lags alias.
+    x = simulate_linear(spec_half, 300, np.random.default_rng(8))
+    transfers = [SmoothedTransfer(x), lambda w: normalized_transfer(spec_half, w)]
+    for transfer in transfers:
+        for theta in (0.1168, -0.6):
+            fast = compute_V_coeffs(acf_score(2), theta, transfer,
+                                    truncation=truncation, quad_points=quad_points)
+            dense = dense_series_coefficients(acf_score(2), theta, transfer,
+                                              truncation, quad_points)
+            np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-13)
+
+
+def test_curvature_quadrature_check_with_smoothed_transfer(spec_half):
+    # A smoothed transfer of n = 10 000 has cosine terms up to lag 9999,
+    # which the 4096-point grid aliases; at n = 300 the rule converges.
+    for n, warns in ((300, False), (10_000, True)):
+        x = simulate_linear(spec_half, n, np.random.default_rng(n))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compute_W(acf_score(2), 0.1168, SmoothedTransfer(x))
+        assert any("quadrature for W" in str(w.message) for w in caught) == warns
 
 
 def test_curvature_matches_half_resolution(spec_half):

@@ -142,6 +142,20 @@ def test_smoothed_default_bandwidth_is_sqrt_n(x):
         SmoothedTransfer(x, spacing="nearest")
 
 
+@pytest.mark.parametrize("n, points", [(64, 256), (300, 64)])
+@pytest.mark.parametrize("spacing", ["fourier", "reciprocal"])
+def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points, spacing):
+    # On linspace(-pi, pi, N + 1) the series is evaluated by one FFT; with
+    # n > N the lags fold modulo N.  The dense cosine sum is the oracle.
+    smoother = SmoothedTransfer(rng.standard_t(df=3, size=n), spacing=spacing)
+    omega = np.linspace(-np.pi, np.pi, points + 1)
+    direct = 1.0 + 2.0 * (np.cos(np.outer(omega, np.arange(1, n)))
+                          @ smoother.coeffs[1:])
+    values = smoother(omega)
+    np.testing.assert_allclose(values, direct, rtol=0.0, atol=1e-13)
+    assert values[0] == values[-1]
+
+
 def test_smoothed_helper_matches_class(x):
     omega = np.array([0.2, 0.9])
     np.testing.assert_allclose(
