@@ -16,7 +16,7 @@ from .harness import (DEFAULT_SEED, SCHEMA_VERSION, AnalysisResult,
                       ConfidenceInterval, CoverageResult, ExperimentConfig,
                       RegionScan, TableResult, analyze_series,
                       coverage_experiment, coverage_summary,
-                      el_confidence_region, ingest_csv, pivotal_value,
+                      el_confidence_region, ingest_csv, limit_law, pivotal_value,
                       read_records_csv, render_csv, run_table,
                       sac_confidence_interval, theta_grid, whittle_point,
                       write_csv)

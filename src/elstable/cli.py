@@ -1,10 +1,13 @@
 """Command-line interface: simulation, intervals, thresholds, and tables.
 
-Every subcommand reads an optional JSON experiment config (the keys of
-``ExperimentConfig``) and applies flag overrides on top; outputs are CSV
-files with the schema-version header, written to ``--output`` (``-`` is
-stdout).  Exit codes: 0 on success, 2 for validation problems (bad flags,
-malformed input, out-of-domain settings), 3 for numerical failures.
+Every subcommand but ``hill-plot`` reads an optional JSON experiment config
+(the fields of ``ExperimentConfig``), lets the flags named after its fields
+override it, and passes the one config on to the harness; ``table`` takes
+the seed and the analysis settings from it, while its built-in designs fix
+the process, score and series length.  Outputs are CSV files with the
+schema-version header, written to ``--output`` (``-`` is stdout).  Exit
+codes: 0 on success, 2 for validation problems (bad flags, malformed input,
+out-of-domain settings), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -12,26 +15,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 import numpy as np
 
 from .harness import (_ALPHA_CLIP, ExperimentConfig, analyze_series,
-                      coverage_experiment, ingest_csv, pivotal_value, run_table,
-                      write_csv)
-from .limitlaw import LimitLawConfig, mc_quantile
-from .processes import (normalized_transfer, simulate_linear,
-                        simulate_vector_linear, transfer_matrix)
+                      coverage_experiment, ingest_csv, interval_cells, limit_law,
+                      pivotal_value, run_table, write_csv)
+from .limitlaw import mc_quantile
+from .processes import simulate_linear, simulate_vector_linear
 from .scores import check_alpha
 from .spectral import hill_curve, hill_estimator
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--output", "-o", default="-", metavar="FILE",
+                        help="output CSV path (default: stdout)")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="JSON experiment config; flags override its fields")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--output", "-o", default="-", metavar="FILE",
-                        help="output CSV path (default: stdout)")
+    _add_output(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,9 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimate the stability index from the data")
     p.add_argument("--hill-k", type=int, metavar="K",
                    help="tail order statistics for --hill (default n^0.6)")
-    p.add_argument("--lag", type=int,
+    def lag(text: str) -> dict:  # argparse names the type in its messages
+        return {"name": "acf_lag", "lag": int(text)}
+
+    p.add_argument("--lag", type=lag, dest="score", metavar="LAG",
                    help="autocorrelation lag of the default score")
-    p.add_argument("--methods", metavar="LIST",
+    p.add_argument("--methods", type=lambda text: text.split(","), metavar="LIST",
                    help="comma list among el,sac (default el,sac)")
     p.add_argument("--grid-step", type=float, help="scan resolution")
     p.add_argument("--limit-reps", type=int,
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help="parallel worker processes")
 
     p = sub.add_parser("hill-plot", help="tail-index estimates over a k range")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--input", "-i", required=True, metavar="FILE",
                    help="series CSV (one column)")
     p.add_argument("--kmin", type=int, default=5, help="smallest k (default 5)")
@@ -101,11 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, overrides: dict | None = None) -> tuple[ExperimentConfig, bool]:
-    """Experiment config from the JSON file plus flag overrides.
+def _load_config(args) -> tuple[ExperimentConfig, bool]:
+    """Experiment config from the JSON file, overridden by the flags that are
+    named after its fields.
 
     Returns the config and whether the file supplied a process spec (some
-    commands fall back to the built-in study design when it did not).
+    commands fall back to the config's default study design when it did not).
     """
     raw = {}
     if args.config:
@@ -114,19 +123,14 @@ def _load_config(args, overrides: dict | None = None) -> tuple[ExperimentConfig,
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
     process_given = "process" in raw
-    if not process_given:
-        raw["process"] = {"kind": "ma", "alpha": 1.5,
-                          "psi": {"kind": "exp_over_j", "b": 0.5}}
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
+    for name, value in vars(args).items():
+        if name in ExperimentConfig.__dataclass_fields__ and value is not None:
+            raw[name] = value
     return ExperimentConfig.from_dict(raw), process_given
 
 
 def _cmd_simulate(args) -> int:
-    config, _ = _load_config(args, {"n": args.n})
+    config, _ = _load_config(args)
     spec = config.build_process()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     if getattr(spec, "dim", 1) > 1:
@@ -142,7 +146,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve_alpha(args, x: np.ndarray) -> float:
+def _resolve_alpha(args, config: ExperimentConfig, x: np.ndarray) -> float:
     if args.alpha is not None and args.hill:
         raise ValueError("supply either --alpha or --hill, not both")
     if args.alpha is not None:
@@ -150,50 +154,31 @@ def _resolve_alpha(args, x: np.ndarray) -> float:
     if args.hill:
         if x.ndim != 1:
             raise ValueError("--hill needs a scalar series")
-        return float(np.clip(hill_estimator(x, args.hill_k), *_ALPHA_CLIP))
+        return float(np.clip(hill_estimator(x, config.hill_k), *_ALPHA_CLIP))
     raise ValueError("supply --alpha (known index) or --hill (estimate it)")
 
 
 def _cmd_ci(args) -> int:
-    overrides = {"level": args.level, "grid_step": args.grid_step,
-                 "limit_reps": args.limit_reps}
-    if args.lag is not None:
-        overrides["score"] = {"name": "acf_lag", "lag": args.lag}
-    if args.methods is not None:
-        overrides["methods"] = tuple(args.methods.split(","))
-    config, process_given = _load_config(args, overrides)
+    config, process_given = _load_config(args)
     x = ingest_csv(args.input)
     score = config.build_score()
-    if score.is_matrix != (x.ndim == 2):
-        raise ValueError("score dimensionality does not match the input columns")
     if score.is_matrix and not process_given:
         raise ValueError("vector data needs a process spec in the config "
                          "(the transfer matrix cannot be smoothed)")
-    alpha = _resolve_alpha(args, x)
-    methods = ("el",) if score.is_matrix else config.methods
-    sac_lag = config.score.get("lag") if "sac" in methods else None
+    alpha = _resolve_alpha(args, config, x)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+    # The process of a scalar data series is unknown: its transfer is
+    # smoothed from the data and the SAC interval uses sample autocorrelations.
     result = analyze_series(
-        x, score, alpha, config.level, rng=rng,
-        process=config.build_process() if score.is_matrix else None,
-        transfer_mode="exact" if score.is_matrix else "smoothed",
-        smoothing_bandwidth=config.smoothing_bandwidth,
-        smoothing_spacing=config.smoothing_spacing,
-        methods=methods, sac_lag=sac_lag, sac_rho="plugin",
-        grid_step=config.grid_step, limit_reps=config.limit_reps,
-        truncation=config.truncation, quad_points=config.quad_points,
-        scale_convention=config.scale_convention, dependence=config.dependence)
+        x, score, alpha, config, rng=rng,
+        process=config.build_process() if score.is_matrix else None)
     rows = []
     if result.el is not None:
-        interval = result.el.interval
         rows.append({"method": "el", "level": config.level,
-                     "lower": float("nan") if interval is None else interval.lower,
-                     "upper": float("nan") if interval is None else interval.upper,
-                     "length": float("nan") if interval is None else interval.length})
+                     **interval_cells(result.el.interval)})
     if result.sac is not None:
         rows.append({"method": "sac", "level": config.level,
-                     "lower": result.sac.lower, "upper": result.sac.upper,
-                     "length": result.sac.length})
+                     **interval_cells(result.sac)})
     meta = {"kind": "ci", "n": x.shape[0], "alpha": f"{result.alpha:.10g}",
             "theta_ref": f"{result.theta_ref:.10g}",
             "gamma": f"{result.gamma:.10g}"}
@@ -203,31 +188,16 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    config, _ = _load_config(args, {"limit_reps": args.limit_reps})
+    config, _ = _load_config(args)
     levels = [float(part) for part in args.levels.split(",") if part]
     if not levels:
         raise ValueError("--levels must name at least one level")
     spec = config.build_process()
     score = config.build_score()
-    theta = args.theta if args.theta is not None else pivotal_value(spec, score)
+    theta = (args.theta if args.theta is not None
+             else pivotal_value(spec, score, config.quad_points))
     alpha = spec.noise.alpha
-    if score.is_matrix:
-        law = LimitLawConfig(score=score, theta0=np.atleast_1d(theta),
-                             alpha=alpha,
-                             psi_matrix=partial(transfer_matrix, spec),
-                             truncation=config.truncation,
-                             quad_points=config.quad_points,
-                             reps=config.limit_reps,
-                             scale_convention=config.scale_convention,
-                             dependence=config.dependence)
-    else:
-        law = LimitLawConfig(score=score, theta0=np.atleast_1d(theta),
-                             alpha=alpha,
-                             transfer=partial(normalized_transfer, spec),
-                             truncation=config.truncation,
-                             quad_points=config.quad_points,
-                             reps=config.limit_reps,
-                             scale_convention=config.scale_convention)
+    law = limit_law(config, score, theta, alpha, spec)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     rows = []
     for level in levels:
@@ -241,23 +211,14 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    kwargs = {}
-    if args.level is not None:
-        kwargs["level"] = args.level
-    if args.grid_step is not None:
-        kwargs["grid_step"] = args.grid_step
-    if args.limit_reps is not None:
-        kwargs["limit_reps"] = args.limit_reps
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = run_table(args.table_id, **kwargs)
+    config, _ = _load_config(args)
+    result = run_table(args.table_id, **config.to_dict())
     result.write_csv(args.output)
     return 0
 
 
 def _cmd_coverage(args) -> int:
-    config, _ = _load_config(args, {"replicates": args.replicates,
-                                    "n": args.n, "workers": args.workers})
+    config, _ = _load_config(args)
     result = coverage_experiment(config)
     result.write_csv(args.output)
     summary = json.dumps(result.summary, indent=1, sort_keys=True)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .scores import ScoreFunction, estimating_function, estimating_function_mv
+from .scores import (ScoreFunction, check_alpha, estimating_function,
+                     estimating_function_mv)
 
 _FEASIBILITY_LIMIT = 60  # step halvings before declaring the direction dead
 
@@ -30,8 +31,7 @@ def x_n(n: int, alpha: float) -> float:
     n = int(n)
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError(f"alpha must lie in [1, 2), got {alpha}")
+    alpha = check_alpha(alpha)
     return float((n / np.log(n)) ** (1.0 / alpha))
 
 

@@ -108,15 +108,14 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     both grid ends.  ``hull_failures`` still counts the whole grid, while
     ``solver_failures`` counts only solved points; a probe whose solve does
     not converge ends the search, so it reads 0 there.  Matrix scores, grids
-    that are not strictly increasing with at least three points, rows that
-    fail the affine check and unconverged probes take the full scan of
-    every grid point.
+    of fewer than three points, rows that fail the affine check and
+    unconverged probes take the full scan of every grid point.
     """
     if score.q != 1:
         raise ValueError("region scans require a single-parameter score")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0.0):
+        raise ValueError("grid must be a non-empty, strictly increasing 1-d array")
     builder = estimating_function_mv if score.is_matrix else estimating_function
     if periodogram is None:
         x = np.asarray(x, dtype=float)
@@ -129,7 +128,7 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
         return builder(x, score, theta, alpha, periodogram=periodogram)[:, 0]
 
     search = None
-    if not score.is_matrix and grid.size >= 3 and np.all(np.diff(grid) > 0.0):
+    if not score.is_matrix and grid.size >= 3:
         search = _bisect_region(grid, gamma, row_at, scale)
     if search is None:
         batch = solve_lagrange_batch(np.array([row_at(theta) for theta in grid]))
@@ -375,14 +374,25 @@ def sac_confidence_interval(x: np.ndarray, lag: int, rho, level: float,
     explicit array/callable.
     """
     x = np.asarray(x, dtype=float)
-    center = float(sample_acf(x, int(lag)))
-    k_ratio = sac_series_constant(_resolve_rho(rho, x), int(lag), alpha, truncation)
+    rho = _resolve_rho(rho, x)
     if ratio_draws is None:
         if rng is None:
             raise ValueError("either ratio_draws or rng must be supplied")
         ratio_draws = sample_stable_ratio(alpha, reps, rng, scale_convention)
-    halfwidth = float(np.quantile(np.abs(ratio_draws), level)) * k_ratio
-    halfwidth /= x_n(x.size, alpha)
+    halfwidth = _sac_halfwidth(ratio_draws, rho, lag, level, alpha, x.size, truncation)
+    return _sac_interval(x, lag, level, halfwidth)
+
+
+def _sac_halfwidth(draws: np.ndarray, rho, lag: int, level: float, alpha: float,
+                   n: int, truncation: int) -> float:
+    """SAC half-width ``q_level(|S_1 / S_0|) K / x_n`` (Davis & Resnick 1986)."""
+    k_ratio = sac_series_constant(rho, int(lag), alpha, truncation)
+    return float(np.quantile(np.abs(draws), level)) * k_ratio / x_n(n, alpha)
+
+
+def _sac_interval(x: np.ndarray, lag: int, level: float,
+                  halfwidth: float) -> ConfidenceInterval:
+    center = float(sample_acf(x, int(lag)))
     return ConfidenceInterval("sac", level, center - halfwidth, center + halfwidth)
 
 
@@ -398,31 +408,53 @@ class AnalysisResult:
     sac: ConfidenceInterval | None
 
 
+def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta: float,
+              alpha: float, transfer) -> LimitLawConfig:
+    """The limit law of ``score`` at ``theta`` with the tuning of ``config``.
+
+    ``transfer`` is a process spec, whose exact transfer enters the law, or
+    for a scalar score a normalized power-transfer callable such as a
+    :class:`SmoothedTransfer` estimated from the data.
+    """
+    psi = None
+    if score.is_matrix:
+        transfer, psi = None, partial(transfer_matrix, transfer)
+    elif isinstance(transfer, LinearProcessSpec):
+        transfer = partial(normalized_transfer, transfer)
+    return LimitLawConfig(score=score, theta0=np.atleast_1d(theta), alpha=alpha,
+                          transfer=transfer, psi_matrix=psi,
+                          truncation=config.truncation,
+                          quad_points=config.quad_points, reps=config.limit_reps,
+                          scale_convention=config.scale_convention,
+                          dependence=config.dependence)
+
+
+def _methods(config: "ExperimentConfig", score: ScoreFunction) -> tuple:
+    """The methods run on ``score``: the SAC interval needs a scalar series."""
+    return ("el",) if score.is_matrix else config.methods
+
+
 def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
-                   level: float, *, rng: np.random.Generator | None = None,
-                   process=None, transfer_mode: str = "smoothed",
-                   smoothing_bandwidth: int | None = None,
-                   smoothing_spacing: str = "fourier",
-                   methods=("el", "sac"), sac_lag: int | None = None,
-                   sac_rho=None, theta_ref: float | None = None,
-                   grid: np.ndarray | None = None, grid_step: float = 0.001,
-                   limit_reps: int = 100_000, truncation: int = 200,
-                   quad_points: int = 4096, scale_convention="davis-resnick",
-                   dependence: str = "independent",
-                   ratio_draws: np.ndarray | None = None,
+                   config: "ExperimentConfig", *,
+                   rng: np.random.Generator | None = None, process=None,
+                   theta_ref: float | None = None,
                    ratio_sq_quantile: float | None = None,
                    sac_halfwidth: float | None = None,
                    gamma_override: float | None = None) -> AnalysisResult:
     """Confidence intervals for one series by the EL and/or SAC methods.
 
-    The EL threshold is the level-quantile of the limit law evaluated at
-    ``theta_ref`` (default: the plug-in point from the estimating equation)
-    with the transfer function either smoothed from the data or taken
-    exactly from ``process``.  Because every single-parameter limit draw is
-    the stable ratio times a series-specific constant, replicated callers
-    may share the ratio law across series: pass either the draws
-    (``ratio_draws``) or precomputed quantiles (``ratio_sq_quantile`` for
-    the EL threshold, ``sac_halfwidth`` for the whole SAC half-width).
+    ``config`` supplies the level, the methods, the theta grid and the
+    limit-law, smoother and transfer settings; its ``process``, ``score``,
+    ``n`` and replication fields are not read.  The EL threshold is the
+    level-quantile of the limit law evaluated at ``theta_ref`` (default: the
+    plug-in point from the estimating equation) with the transfer function
+    either smoothed from the data or taken exactly from ``process``; the SAC
+    interval targets the lag the score records, with the autocorrelations
+    of ``process`` when it is known and the sample ones otherwise.  Because
+    every single-parameter limit draw is the stable ratio times a
+    series-specific constant, replicated callers may share the ratio law
+    across series by passing precomputed quantiles (``ratio_sq_quantile``
+    for the EL threshold, ``sac_halfwidth`` for the whole SAC half-width).
     """
     x = np.asarray(x, dtype=float)
     mv = score.is_matrix
@@ -430,72 +462,53 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
         raise ValueError(f"score expects a series with {score.dim} columns")
     if not mv and x.ndim != 1:
         raise ValueError("scalar score expects a one-dimensional series")
+    methods = _methods(config, score)
+    if "sac" in methods and score.lag is None:
+        raise ValueError("the SAC method needs an autocorrelation score")
     pgram = (periodogram_matrix_grid(x, alpha) if mv else self_normalized_grid(x)).values
 
     if theta_ref is None:
         theta_ref = whittle_point(x, score, alpha, periodogram=pgram)
     theta_ref = float(theta_ref)
 
-    transfer = psi = None
-    if mv:
+    if mv or config.transfer_mode == "exact":
         if process is None:
-            raise ValueError("matrix scores need the process spec for the exact "
-                             "transfer (no multivariate smoother is provided)")
-        psi = partial(transfer_matrix, process)
-    elif transfer_mode == "smoothed":
-        transfer = SmoothedTransfer(x, bandwidth=smoothing_bandwidth,
-                                    spacing=smoothing_spacing)
-    elif transfer_mode == "exact":
-        if process is None:
-            raise ValueError("exact transfer mode needs the process spec")
-        transfer = partial(normalized_transfer, process)
+            raise ValueError("the exact transfer (matrix scores, transfer_mode "
+                             "'exact') needs the process spec")
+        transfer = process
     else:
-        raise ValueError(f"unknown transfer mode {transfer_mode!r}")
+        transfer = SmoothedTransfer(x, bandwidth=config.smoothing_bandwidth,
+                                    spacing=config.smoothing_spacing)
 
-    need_draws = (gamma_override is None and ratio_sq_quantile is None) or \
-        ("sac" in methods and sac_halfwidth is None)
-    if ratio_draws is None and need_draws:
+    draws = None
+    if (gamma_override is None and ratio_sq_quantile is None) or \
+            ("sac" in methods and sac_halfwidth is None):
         if rng is None:
-            raise ValueError("supply rng, ratio_draws, or precomputed quantiles")
-        ratio_draws = sample_stable_ratio(alpha, limit_reps, rng, scale_convention)
+            raise ValueError("supply rng or precomputed quantiles")
+        draws = sample_stable_ratio(alpha, config.limit_reps, rng,
+                                    config.scale_convention)
 
     if gamma_override is not None:
         gamma = float(gamma_override)
     else:
-        limit = LimitLawConfig(score=score, theta0=np.atleast_1d(theta_ref),
-                               alpha=alpha, transfer=transfer, psi_matrix=psi,
-                               truncation=truncation, quad_points=quad_points,
-                               reps=limit_reps, scale_convention=scale_convention,
-                               dependence=dependence)
-        prepared = prepare_limit(limit)
+        prepared = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
         if ratio_sq_quantile is None:
-            ratio_sq_quantile = float(np.quantile(ratio_draws ** 2, level))
+            ratio_sq_quantile = float(np.quantile(draws ** 2, config.level))
         gamma = ratio_sq_quantile * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
 
     scan = None
     if "el" in methods:
-        if grid is None:
-            grid = theta_grid(score, step=grid_step)
+        grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
         scan = el_confidence_region(x, score, grid, gamma, alpha,
-                                    periodogram=pgram, level=level)
+                                    periodogram=pgram, level=config.level)
 
     sac = None
     if "sac" in methods:
-        if mv:
-            raise ValueError("the SAC method is defined for scalar series only")
-        if sac_lag is None:
-            raise ValueError("the SAC method needs the autocorrelation lag")
-        if sac_halfwidth is not None:
-            center = float(sample_acf(x, int(sac_lag)))
-            sac = ConfidenceInterval("sac", level, center - sac_halfwidth,
-                                     center + sac_halfwidth)
-        else:
-            if sac_rho is None:
-                sac_rho = process if process is not None else "plugin"
-            sac = sac_confidence_interval(x, sac_lag, sac_rho, level, alpha,
-                                          ratio_draws=ratio_draws,
-                                          truncation=truncation,
-                                          scale_convention=scale_convention)
+        if sac_halfwidth is None:
+            rho = _resolve_rho(process if process is not None else "plugin", x)
+            sac_halfwidth = _sac_halfwidth(draws, rho, score.lag, config.level,
+                                           alpha, x.size, config.truncation)
+        sac = _sac_interval(x, score.lag, config.level, sac_halfwidth)
     return AnalysisResult(alpha=alpha, theta_ref=theta_ref, gamma=gamma,
                           el=scan, sac=sac)
 
@@ -512,11 +525,17 @@ _ALLOWED = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Serializable description of a replicated interval experiment."""
+    """Serializable settings of an analysis: the one carrier of tuning values.
 
-    process: dict
+    Every layer (``analyze_series``, coverage runs, tables, the CLI) reads
+    its settings from here.  The default process is the ``b = 0.5``,
+    ``alpha = 1.5`` moving-average design of the studies.
+    """
+
+    process: dict = field(default_factory=lambda: {
+        "kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}})
     score: dict = field(default_factory=lambda: {"name": "acf_lag", "lag": 2})
     n: int = 300
     level: float = 0.9
@@ -554,12 +573,12 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {sorted(allowed)}, "
                                  f"got {getattr(self, name)!r}")
-        self.methods = tuple(self.methods)
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods or not set(self.methods) <= {"el", "sac"}:
             raise ValueError(f"methods must be a subset of ('el', 'sac'), "
                              f"got {self.methods}")
         if isinstance(self.scale_convention, list):
-            self.scale_convention = tuple(self.scale_convention)
+            object.__setattr__(self, "scale_convention", tuple(self.scale_convention))
 
     def to_dict(self) -> dict:
         out = {}
@@ -612,13 +631,8 @@ class _CoverageContext:
         self.ratio_sq_q = data["ratio_sq_q"]
         self.sac_halfwidth = data["sac_halfwidth"]
         self.gamma_override = data["gamma_override"]
-        cfg = self.config
-        self.spec = cfg.build_process()
-        self.score = cfg.build_score()
-        self.mv = self.score.is_matrix
-        self.grid = theta_grid(self.score, step=cfg.grid_step,
-                               lo=cfg.grid_min, hi=cfg.grid_max)
-        self.sac_lag = cfg.score.get("lag") if "sac" in cfg.methods else None
+        self.spec = self.config.build_process()
+        self.score = self.config.build_score()
 
     def replicate(self, index: int) -> dict:
         cfg = self.config
@@ -628,7 +642,7 @@ class _CoverageContext:
                       el_hull_failures=0, el_solver_failures=0)
         try:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1 + index)))
-            simulate = simulate_vector_linear if self.mv else simulate_linear
+            simulate = simulate_vector_linear if self.score.is_matrix else simulate_linear
             x = simulate(self.spec, cfg.n, rng)
             if cfg.alpha_mode == "known":
                 alpha = self.spec.noise.alpha
@@ -637,17 +651,9 @@ class _CoverageContext:
             record["alpha"] = alpha
 
             result = analyze_series(
-                x, self.score, alpha, cfg.level, rng=rng, process=self.spec,
-                transfer_mode=cfg.transfer_mode,
-                smoothing_bandwidth=cfg.smoothing_bandwidth,
-                smoothing_spacing=cfg.smoothing_spacing, methods=cfg.methods,
-                sac_lag=self.sac_lag, sac_rho=self.spec,
+                x, self.score, alpha, cfg, rng=rng, process=self.spec,
                 theta_ref=self.theta0 if cfg.theta_ref_mode == "exact" else None,
-                grid=self.grid, limit_reps=cfg.limit_reps,
-                truncation=cfg.truncation, quad_points=cfg.quad_points,
-                scale_convention=cfg.scale_convention, dependence=cfg.dependence,
-                ratio_sq_quantile=self.ratio_sq_q,
-                sac_halfwidth=self.sac_halfwidth,
+                ratio_sq_quantile=self.ratio_sq_q, sac_halfwidth=self.sac_halfwidth,
                 gamma_override=self.gamma_override)
             record["theta_ref"] = result.theta_ref
             record["gamma"] = result.gamma
@@ -655,17 +661,13 @@ class _CoverageContext:
                 scan = result.el
                 record["el_hull_failures"] = scan.hull_failures
                 record["el_solver_failures"] = scan.solver_failures
+                record.update(interval_cells(scan.interval, "el_"))
                 if scan.interval is None:
                     record["el_empty"] = 1
                 else:
-                    record["el_lower"] = scan.interval.lower
-                    record["el_upper"] = scan.interval.upper
-                    record["el_length"] = scan.interval.length
                     record["el_covered"] = int(scan.interval.covers(self.theta0))
             if result.sac is not None:
-                record["sac_lower"] = result.sac.lower
-                record["sac_upper"] = result.sac.upper
-                record["sac_length"] = result.sac.length
+                record.update(interval_cells(result.sac, "sac_"))
                 record["sac_covered"] = int(result.sac.covers(self.theta0))
         except (ValueError, RuntimeError) as exc:
             record["status"] = f"error: {type(exc).__name__}: {exc}"
@@ -742,8 +744,7 @@ def coverage_experiment(config: ExperimentConfig, *,
         raise ValueError("coverage experiments need at least 100 replicates")
     score = config.build_score()
     spec = config.build_process()
-    if score.is_matrix and "sac" in config.methods:
-        config = replace(config, methods=("el",))
+    config = replace(config, methods=_methods(config, score))
     if config.alpha_mode == "hill" and score.is_matrix:
         raise ValueError("tail-index estimation is defined for scalar series")
 
@@ -756,11 +757,9 @@ def coverage_experiment(config: ExperimentConfig, *,
                                     config.scale_convention)
         ratio_sq_q = float(np.quantile(draws ** 2, config.level))
         if "sac" in config.methods:
-            lag = int(config.score.get("lag", 2))
-            k_ratio = sac_series_constant(lambda k: theoretical_acf(spec, k),
-                                          lag, alpha, config.truncation)
-            sac_halfwidth = (float(np.quantile(np.abs(draws), config.level))
-                             * k_ratio / x_n(config.n, alpha))
+            sac_halfwidth = _sac_halfwidth(draws, _resolve_rho(spec, None), score.lag,
+                                           config.level, alpha, config.n,
+                                           config.truncation)
 
     payload = json.dumps({
         "config": config.to_dict(), "theta0": theta0, "ratio_sq_q": ratio_sq_q,
@@ -816,21 +815,21 @@ class TableResult:
         write_csv(path, self.fieldnames, self.rows, meta)
 
 
-def run_table(table_id: int, *, seed: int = DEFAULT_SEED, level: float = 0.9,
-              grid_step: float = 0.001, limit_reps: int = 100_000,
-              truncation: int = 200, quad_points: int = 4096,
-              scale_convention="davis-resnick",
-              smoothing_bandwidth: int | None = None) -> TableResult:
+def run_table(table_id: int, **fields) -> TableResult:
     """One-realization interval tables for the built-in study designs.
 
     Tables 1-3 vary the moving-average weight, the stability index, and the
     sample size of the scalar design (lag-2 autocorrelation, EL and SAC
     columns); table 5 is the two-dimensional coupling design (EL only).
-    Each case consumes its own pair of rng substreams, so any single case is
-    reproducible in isolation.
+    ``fields`` are :class:`ExperimentConfig` fields: the seed and the
+    analysis settings apply, while each design fixes its own process, score
+    and series length.  Each case consumes its own pair of rng substreams,
+    so any single case is reproducible in isolation.
     """
     if table_id not in _TABLES:
         raise ValueError(f"table id must be one of {sorted(_TABLES)}, got {table_id}")
+    config = ExperimentConfig.from_dict(fields)
+    seed = config.seed
     param, cases, mv = _TABLES[table_id]
     rows = []
     for case_index, (label, value) in enumerate(cases):
@@ -843,29 +842,16 @@ def run_table(table_id: int, *, seed: int = DEFAULT_SEED, level: float = 0.9,
             spec = vma_table_spec(b, alpha=alpha)
             score = coupling_var1_score()
             x = simulate_vector_linear(spec, n, rng_sim)
-            methods = ("el",)
         else:
             spec = ma_polynomial_spec(b, alpha=alpha)
             score = acf_score(2)
             x = simulate_linear(spec, n, rng_sim)
-            methods = ("el", "sac")
-        theta0 = pivotal_value(spec, score, quad_points)
-        result = analyze_series(
-            x, score, alpha, level, rng=rng_lim, process=spec,
-            transfer_mode="smoothed", smoothing_bandwidth=smoothing_bandwidth,
-            methods=methods, sac_lag=2, sac_rho=spec if not mv else None,
-            grid_step=grid_step, limit_reps=limit_reps, truncation=truncation,
-            quad_points=quad_points, scale_convention=scale_convention)
-        row = {"case": label, param: value, "theta0": theta0}
-        scan = result.el
-        if scan.interval is None:
-            row.update(el_lower=math.nan, el_upper=math.nan, el_length=math.nan)
-        else:
-            row.update(el_lower=scan.interval.lower, el_upper=scan.interval.upper,
-                       el_length=scan.interval.length)
+        theta0 = pivotal_value(spec, score, config.quad_points)
+        result = analyze_series(x, score, alpha, config, rng=rng_lim, process=spec)
+        row = {"case": label, param: value, "theta0": theta0,
+               **interval_cells(result.el and result.el.interval, "el_")}
         if not mv:
-            row.update(sac_lower=result.sac.lower, sac_upper=result.sac.upper,
-                       sac_length=result.sac.length)
+            row.update(interval_cells(result.sac, "sac_"))
         rows.append(row)
     return TableResult(table_id=table_id, seed=seed, param_name=param,
                        multivariate=mv, rows=rows)
@@ -873,6 +859,13 @@ def run_table(table_id: int, *, seed: int = DEFAULT_SEED, level: float = 0.9,
 
 # --------------------------------------------------------------------------
 # CSV plumbing
+
+def interval_cells(interval: ConfidenceInterval | None, prefix: str = "") -> dict:
+    """CSV cells ``lower``, ``upper`` and ``length`` of an interval, nan if absent."""
+    values = ((math.nan,) * 3 if interval is None
+              else (interval.lower, interval.upper, interval.length))
+    return dict(zip((f"{prefix}lower", f"{prefix}upper", f"{prefix}length"), values))
+
 
 def _format_cell(value) -> str:
     if isinstance(value, float):

@@ -35,7 +35,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import TruncationWarning
 from .processes import StableParams, sample_positive_stable, sample_sas
-from .scores import ScoreFunction
+from .scores import ScoreFunction, check_alpha
 
 _SAMPLE_BLOCK = 20_000  # stable draws are generated in blocks of this many reps
 
@@ -248,8 +248,7 @@ class LimitLawConfig:
     _prepared: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1.0 <= self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in [1, 2), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.score.is_matrix:
             if self.psi_matrix is None:
                 raise ValueError("matrix scores need psi_matrix in the limit config")

@@ -33,6 +33,9 @@ class ScoreFunction:
     shape (N,) (scalar kind) or (N, d, d) complex Hermitian (matrix kind).
     ``grad_inv(omega, theta)`` returns the derivative of ``1/f`` (or of the
     matrix inverse) with a leading parameter axis: (q, N) or (q, N, d, d).
+    ``lag`` is the autocorrelation lag an autocorrelation score targets, so
+    the competing sample-autocorrelation interval can read it; None for
+    other scores.
     """
 
     name: str
@@ -41,6 +44,7 @@ class ScoreFunction:
     domain: tuple
     f: Callable = field(repr=False)
     grad_inv: Callable = field(repr=False)
+    lag: int | None = None
 
     @property
     def is_matrix(self) -> bool:
@@ -109,7 +113,7 @@ def acf_score(lag: int) -> ScoreFunction:
         return (-2.0 * np.cos(lag * np.asarray(omega)) + 2.0 * th)[None, :]
 
     score = ScoreFunction(name=f"acf_lag{lag}", q=1, dim=1,
-                          domain=((-1.0, 1.0),), f=f, grad_inv=grad_inv)
+                          domain=((-1.0, 1.0),), f=f, grad_inv=grad_inv, lag=lag)
     check_gradient(score)
     return score
 

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from elstable.cli import build_parser, main
+from elstable.emplik import x_n
 from elstable.harness import read_records_csv
+from elstable.limitlaw import LimitLawConfig
+from elstable.scores import acf_score, estimating_function
 
 
 def run_cli(*args):
@@ -61,9 +64,18 @@ def test_ci_requires_exactly_one_alpha_source(series_csv, capsys):
 
 @pytest.mark.parametrize("alpha", [2.0, 0.5])
 def test_ci_rejects_alpha_outside_inference_range(series_csv, capsys, alpha):
+    message = f"inference requires alpha in [1, 2), got {alpha}"
     assert run_cli("ci", "--input", series_csv, "--alpha", alpha) == 2
-    assert capsys.readouterr().err == (
-        f"error: inference requires alpha in [1, 2), got {alpha}\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the library entry points share the one message
+    score = acf_score(2)
+    for call in (lambda: x_n(300, alpha),
+                 lambda: LimitLawConfig(score=score, theta0=np.zeros(1),
+                                        alpha=alpha, transfer=np.ones_like),
+                 lambda: estimating_function(np.arange(8.0), score, 0.1, alpha)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_ci_hill_estimates_the_index(series_csv, tmp_path):
@@ -108,6 +120,49 @@ def test_table_smoke(tmp_path):
     assert [r["case"] for r in records] == ["case-6", "case-7"]
 
 
+def test_table_reads_its_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "level": 0.8, "grid_step": 0.01,
+                                  "limit_reps": 2000}))
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert run_cli("table", "--id", 3, "--config", config, "--output", from_file) == 0
+    assert run_cli("table", "--id", 3, "--seed", 1, "--level", 0.8,
+                   "--grid-step", 0.01, "--limit-reps", 2000,
+                   "--output", from_flags) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    assert "# seed=1\n" in from_file.read_text()
+
+
+def test_ci_reads_grid_bounds_from_config(series_csv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid_min": 0.0, "grid_max": 0.05}))
+    out = tmp_path / "ci.csv"
+    assert run_cli("ci", "--input", series_csv, "--alpha", 1.5, "--config", config,
+                   "--limit-reps", 2000, "--methods", "el", "--output", out) == 0
+    (el,) = read_records_csv(out)
+    assert 0.0 <= el["lower"] <= el["upper"] <= 0.05
+
+
+def test_ci_hill_reads_k_from_config(series_csv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hill_k": 140}))
+    common = ["ci", "--input", series_csv, "--hill", "--methods", "el",
+              "--limit-reps", 2000, "--grid-step", 0.01]
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert run_cli(*common, "--config", config, "--output", from_file) == 0
+    assert run_cli(*common, "--hill-k", 140, "--output", from_flag) == 0
+    assert from_file.read_bytes() == from_flag.read_bytes()
+
+
+def test_ci_exact_transfer_needs_a_process(series_csv, tmp_path, capsys):
+    # the process behind a data series is unknown, so there is no exact transfer
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"transfer_mode": "exact"}))
+    assert run_cli("ci", "--input", series_csv, "--alpha", 1.5,
+                   "--config", config) == 2
+    assert "process spec" in capsys.readouterr().err
+
+
 def test_table_rejects_unknown_id(capsys):
     # argparse enforces the valid table ids directly
     with pytest.raises(SystemExit) as info:
@@ -136,6 +191,13 @@ def test_hill_plot_smoke(series_csv, tmp_path):
     records = read_records_csv(out)
     assert len(records) == 10
     assert all(r["alpha_hat"] > 0 for r in records)
+
+
+def test_hill_plot_takes_no_config_or_seed(series_csv):
+    for flag in (["--seed", 1], ["--config", "config.json"]):
+        with pytest.raises(SystemExit) as info:
+            run_cli("hill-plot", "--input", series_csv, *flag)
+        assert info.value.code == 2
 
 
 def test_parser_covers_all_subcommands():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -73,16 +74,13 @@ def full_scan(x, score, grid, gamma, alpha):
     """Oracle: the batch statistic on every grid point.
 
     Returns ``(interval, hull failures, solver failures)`` with the interval
-    as the first and last accepted grid point, or the exception type when
-    those are out of order (a descending grid).
+    as the first and last accepted grid point.
     """
     builder = estimating_function_mv if score.is_matrix else estimating_function
     rows = np.array([builder(x, score, theta, alpha)[:, 0] for theta in grid])
     batch = solve_lagrange_batch(rows)
     stats = -2.0 * x_n(rows.shape[1], alpha) ** 2 / rows.shape[1] * batch.log_ratio
     inside = grid[stats < gamma]
-    if inside.size and inside[0] > inside[-1]:
-        return ValueError
     interval = (float(inside[0]), float(inside[-1])) if inside.size else None
     return (interval, int(np.sum(~batch.hull_ok)),
             int(np.sum(~batch.converged & batch.hull_ok)))
@@ -90,10 +88,7 @@ def full_scan(x, score, grid, gamma, alpha):
 
 def searched(x, score, grid, gamma, alpha):
     """``el_confidence_region`` in the oracle's form, plus its probe count."""
-    try:
-        scan = el_confidence_region(x, score, grid, gamma, alpha)
-    except ValueError:
-        return ValueError, grid.size
+    scan = el_confidence_region(x, score, grid, gamma, alpha)
     interval = None if scan.interval is None else (scan.interval.lower,
                                                    scan.interval.upper)
     assert scan.thetas[0] == grid[0] and scan.thetas[-1] == grid[-1]
@@ -123,15 +118,18 @@ def test_region_search_matches_full_scan(seed, n, lag, gamma, step):
 def test_region_search_on_narrow_and_short_grids(seed, gamma, lo, width, size,
                                                  descending):
     # Narrow grids often leave the plug-in point outside; grids of fewer than
-    # three points and descending grids take the full scan.
+    # three points take the full scan, and grids that do not increase are
+    # rejected before any point is solved.
     x = simulate_linear(ma_polynomial_spec(0.5), 120, np.random.default_rng(seed))
     score = acf_score(2)
     grid = np.linspace(lo, min(lo + width, 0.99), size)
-    if descending:
-        grid = grid[::-1]
+    if descending and size > 1:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            el_confidence_region(x, score, grid[::-1], gamma, 1.5)
+        return
     result, probes = searched(x, score, grid, gamma, 1.5)
     assert result == full_scan(x, score, grid, gamma, 1.5)
-    if descending or size < 3:
+    if size < 3:
         assert probes == size
 
 
@@ -198,9 +196,8 @@ def test_sac_interval_rho_sources(series_half, rng):
 # one-shot analysis
 
 def test_analyze_series_consistency(series_half, rng):
-    result = analyze_series(series_half, acf_score(2), 1.5, 0.9, rng=rng,
-                            sac_lag=2, sac_rho="plugin", grid_step=0.01,
-                            limit_reps=5000)
+    config = ExperimentConfig(grid_step=0.01, limit_reps=5000)
+    result = analyze_series(series_half, acf_score(2), 1.5, config, rng=rng)
     assert result.el.interval is not None
     assert result.el.interval.lower <= result.theta_ref <= result.el.interval.upper
     # re-evaluating the statistic at the interval bounds stays below gamma
@@ -221,37 +218,46 @@ def test_analyze_series_invariant_under_exact_rescaling(seed, power, sign):
     x = simulate_linear(ma_polynomial_spec(0.5), 300, np.random.default_rng(seed))
 
     def intervals(series):
-        result = analyze_series(series, acf_score(2), 1.5, 0.9,
-                                rng=np.random.default_rng(seed), sac_lag=2,
-                                sac_rho="plugin", limit_reps=2000)
+        result = analyze_series(series, acf_score(2), 1.5,
+                                ExperimentConfig(limit_reps=2000),
+                                rng=np.random.default_rng(seed))
         return result.el.interval, result.sac, result.theta_ref, result.gamma
 
     assert intervals(sign * 2.0 ** power * x) == intervals(x)
 
 
 def test_analyze_series_argument_validation(series_half, rng):
-    with pytest.raises(ValueError):
-        analyze_series(series_half, acf_score(2), 1.5, 0.9, rng=rng,
-                       transfer_mode="exact")  # exact transfer needs a process
-    with pytest.raises(ValueError):
-        analyze_series(series_half, acf_score(2), 1.5, 0.9, rng=rng,
-                       transfer_mode="kernel")
-    with pytest.raises(ValueError):
-        analyze_series(series_half, acf_score(2), 1.5, 0.9, rng=rng,
-                       methods=("sac",))  # sac needs the lag
-    with pytest.raises(ValueError):
-        analyze_series(series_half, acf_score(2), 1.5, 0.9,
-                       methods=("el",))  # no rng and no precomputed quantiles
+    with pytest.raises(ValueError, match="process spec"):
+        analyze_series(series_half, acf_score(2), 1.5,
+                       ExperimentConfig(transfer_mode="exact"), rng=rng)
+    with pytest.raises(ValueError, match="autocorrelation score"):
+        analyze_series(series_half, replace(acf_score(2), lag=None), 1.5,
+                       ExperimentConfig(methods=("sac",)), rng=rng)
+    with pytest.raises(ValueError, match="rng"):
+        analyze_series(series_half, acf_score(2), 1.5,
+                       ExperimentConfig(methods=("el",)))
 
 
 def test_analyze_series_gamma_override_skips_sampling(series_half):
     # With a fixed threshold and a precomputed SAC half-width no generator
     # is needed at all; the scan is fully deterministic.
-    result = analyze_series(series_half, acf_score(2), 1.5, 0.9,
-                            gamma_override=2.6, sac_lag=2, sac_halfwidth=0.13,
-                            grid_step=0.01)
+    result = analyze_series(series_half, acf_score(2), 1.5,
+                            ExperimentConfig(grid_step=0.01),
+                            gamma_override=2.6, sac_halfwidth=0.13)
     assert result.gamma == 2.6
     assert result.sac.length == pytest.approx(0.26)
+
+
+def test_analyze_series_runs_el_only_on_matrix_scores():
+    # The SAC interval is defined for scalar series, so a matrix score drops
+    # it from the configured methods instead of failing.
+    spec = vma_table_spec(0.3)
+    x = simulate_vector_linear(spec, 120, np.random.default_rng(5))
+    config = ExperimentConfig(grid_step=0.05, grid_min=-0.5, grid_max=0.5)
+    result = analyze_series(x, coupling_var1_score(), 1.5, config, process=spec,
+                            theta_ref=0.0, gamma_override=3.0)
+    assert result.sac is None
+    assert result.el.interval.lower >= -0.5 and result.el.interval.upper <= 0.5
 
 
 # --------------------------------------------------------------------------
@@ -263,6 +269,8 @@ def test_experiment_config_roundtrip():
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     assert back.scale_convention == (2.0, 3.0)
+    with pytest.raises(FrozenInstanceError):
+        back.level = 0.5
 
 
 def test_experiment_config_validation():
@@ -359,6 +367,8 @@ def test_white_noise_sac_coverage(rng):
 def test_table_validation_and_shape():
     with pytest.raises(ValueError):
         run_table(4)
+    with pytest.raises(ValueError, match="unknown config fields"):
+        run_table(3, budget=3)
     result = run_table(3, seed=1, grid_step=0.01, limit_reps=2000, truncation=60)
     assert [row["case"] for row in result.rows] == ["case-6", "case-7"]
     assert result.param_name == "n" and not result.multivariate
