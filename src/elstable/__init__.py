@@ -22,10 +22,9 @@ from .harness import (DEFAULT_SEED, SCHEMA_VERSION, AnalysisResult,
                       write_csv)
 from .limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                        compute_V_coeffs_mv, compute_W, compute_W_mv,
-                       mc_quantile, prepare_limit, sac_limit_quantile,
-                       sac_series_constant, sample_limit_stat,
-                       sample_limit_stat_simplified, sample_stable_ratio,
-                       scale_multipliers, tail_constant)
+                       mc_quantile, prepare_limit, sac_series_constant,
+                       sample_limit_stat, sample_limit_stat_simplified,
+                       sample_stable_ratio, scale_multipliers, tail_constant)
 from .processes import (LinearProcessSpec, StableParams, VectorProcessSpec,
                         ma_polynomial_spec, normalized_transfer,
                         power_transfer_matrix, sample_positive_stable,

@@ -24,10 +24,9 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .emplik import solve_lagrange_batch, x_n
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .limitlaw import (LimitLawConfig, prepare_limit, sac_series_constant,
                        sample_stable_ratio)
 from .processes import (LinearProcessSpec, ma_polynomial_spec, normalized_transfer,
@@ -99,39 +98,29 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     Hull failures enter as ``+inf`` statistics (the point is rejected);
     solver breakdowns are counted and excluded.  The reported interval is
     the hull of the accepted grid points, ``None`` when the region is empty.
+    The rows at every grid point come from the affine decomposition
+    ``a + theta b`` of the score (:func:`_affine_rows`), so a score that is
+    not affine in theta raises :class:`NumericalError`.
 
-    For a scalar score whose rows are affine in theta with a one-signed
-    slope, such as the autocorrelation scores, the region is an interval
-    (Owen 1990, Monti 1997), so its first and last grid points are found by
-    bisection over grid indices (:func:`_bisect_region`) and ``thetas``,
-    ``stats`` and ``accepted`` hold only the probed points, always including
-    both grid ends.  ``hull_failures`` still counts the whole grid, while
+    For a scalar score whose slope ``b`` is one-signed, such as the
+    autocorrelation scores, the region is an interval (Owen 1990, Monti
+    1997), so its first and last grid points are found by bisection over
+    grid indices (:func:`_bisect_region`) and ``thetas``, ``stats`` and
+    ``accepted`` hold only the probed points, always including both grid
+    ends.  ``hull_failures`` still counts the whole grid, while
     ``solver_failures`` counts only solved points; a probe whose solve does
-    not converge ends the search, so it reads 0 there.  Matrix scores, grids
-    of fewer than three points, rows that fail the affine check and
-    unconverged probes take the full scan of every grid point.
+    not converge ends the search, so it reads 0 there.  Matrix scores,
+    slopes of both signs and unconverged probes take the full scan: one
+    batch solve of the rows at every grid point.
     """
-    if score.q != 1:
-        raise ValueError("region scans require a single-parameter score")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be a non-empty, strictly increasing 1-d array")
-    builder = estimating_function_mv if score.is_matrix else estimating_function
-    if periodogram is None:
-        x = np.asarray(x, dtype=float)
-        periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
-                       else self_normalized_grid(x)).values
-    n = periodogram.shape[0]
-    scale = -2.0 * x_n(n, alpha) ** 2 / n
-
-    def row_at(theta):
-        return builder(x, score, theta, alpha, periodogram=periodogram)[:, 0]
-
-    search = None
-    if not score.is_matrix and grid.size >= 3:
-        search = _bisect_region(grid, gamma, row_at, scale)
+    a, b = _affine_rows(x, score, alpha, periodogram)
+    scale = -2.0 * x_n(a.size, alpha) ** 2 / a.size
+    search = None if score.is_matrix else _bisect_region(grid, gamma, a, b, scale)
     if search is None:
-        batch = solve_lagrange_batch(np.array([row_at(theta) for theta in grid]))
+        batch = solve_lagrange_batch(a + grid[:, None] * b)
         thetas, stats = grid, scale * batch.log_ratio
         solver_failures = int(np.sum(~batch.converged & batch.hull_ok))
         hull_failures = int(np.sum(~batch.hull_ok))
@@ -154,83 +143,68 @@ def _hull_ok(rows: np.ndarray) -> np.ndarray:
     return ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
 
 
-class _FullScan(Exception):
-    """Ends the region search; the caller scans the whole grid instead."""
-
-
-def _bisect_region(grid: np.ndarray, gamma: float, row_at: Callable,
+def _bisect_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
                    scale: float):
-    """Accepted grid interval of an affine one-signed score by bisection.
+    """Accepted grid interval of the rows ``a + theta b`` by bisection.
 
-    The statistic is zero at the root ``theta_hat`` of the summed rows and
-    its sublevel sets are intervals, so the smallest grid statistic sits on
-    one of the two grid neighbours of ``theta_hat``: when neither is
-    accepted the region is empty, otherwise each region end is bisected
-    between an accepted and a rejected index.  The probes of each round go
-    to the solver as one batch.  Zero lies inside the hull of the rows
-    ``a + theta b`` exactly on the open interval between the smallest and
-    the largest root ``-a_t / b_t``, which counts the hull failures over the
-    whole grid once the grid points next to its ends confirm it.
+    With a one-signed slope ``b`` the statistic is zero at the root
+    ``theta_hat = -sum(a) / sum(b)`` and its sublevel sets are intervals, so
+    the smallest grid statistic sits on one of the two grid neighbours of
+    ``theta_hat``: when neither is accepted the region is empty, otherwise
+    each region end is bisected between an accepted and a rejected index.
+    The probes of each round go to the solver as one batch.  Zero lies
+    inside the hull of the rows exactly on the open interval between the
+    smallest and the largest root ``-a_t / b_t``, which counts the hull
+    failures over the whole grid once the grid points next to its ends
+    confirm it.
 
     Returns ``(probed indices, their statistics, hull failures)``, or None
-    when the rows are not affine with a one-signed slope, a probe's solve
-    did not converge, or the hull count is not confirmed.
+    when the slope is zero or takes both signs, a probe's solve did not
+    converge, or the hull count is not confirmed.
     """
-    last = grid.size - 1
-    rows = {0: row_at(grid[0]), last: row_at(grid[last])}
-    slope = (rows[last] - rows[0]) / (grid[last] - grid[0])
-    intercept = rows[0] - grid[0] * slope
-    if not slope.any() or not (np.all(slope >= 0.0) or np.all(slope <= 0.0)):
+    if not b.any() or not (np.all(b >= 0.0) or np.all(b <= 0.0)):
         return None
-    tol = 1e-9 * np.max(np.abs([rows[0], rows[last]]))
+    last = grid.size - 1
     stats = {}
 
-    def row(i):
-        if i not in rows:
-            rows[i] = row_at(grid[i])
-            if np.max(np.abs(rows[i] - (intercept + grid[i] * slope))) > tol:
-                raise _FullScan
-        return rows[i]
-
-    def probe(indices):
-        new = [i for i in sorted(indices) if i not in stats]
-        if not new:
-            return
-        batch = solve_lagrange_batch(np.array([row(i) for i in new]))
-        if np.any(~batch.converged & batch.hull_ok):
-            raise _FullScan
-        stats.update(zip(new, scale * batch.log_ratio))
+    def probe(indices) -> bool:
+        """Solve the unprobed ``indices``; False when a solve did not converge."""
+        new = sorted(set(indices) - stats.keys())
+        if new:
+            batch = solve_lagrange_batch(a + grid[new][:, None] * b)
+            if np.any(~batch.converged & batch.hull_ok):
+                return False
+            stats.update(zip(new, scale * batch.log_ratio))
+        return True
 
     def accepted(i):
         return bool(stats[i] < gamma)
 
-    try:
-        theta_hat = -intercept.sum() / slope.sum()
-        k = int(np.searchsorted(grid, theta_hat))
-        nearest = {min(max(i, 0), last) for i in (k - 1, k)}
-        probe(nearest | {0, last})
-        seeds = [i for i in sorted(nearest) if accepted(i)]
-        if seeds:
-            # (rejected, accepted) index pairs; an accepted grid end closes its pair
-            pairs = [[0, seeds[0]], [last, seeds[-1]]]
+    k = int(np.searchsorted(grid, -a.sum() / b.sum()))
+    nearest = {min(max(i, 0), last) for i in (k - 1, k)}
+    if not probe(nearest | {0, last}):
+        return None
+    seeds = [i for i in sorted(nearest) if accepted(i)]
+    if seeds:
+        # (rejected, accepted) index pairs; an accepted grid end closes its pair
+        pairs = [[0, seeds[0]], [last, seeds[-1]]]
+        for pair in pairs:
+            if accepted(pair[0]):
+                pair[1] = pair[0]
+        while any(abs(out - inside) > 1 for out, inside in pairs):
+            if not probe({(out + inside) // 2 for out, inside in pairs
+                          if abs(out - inside) > 1}):
+                return None
             for pair in pairs:
-                if accepted(pair[0]):
-                    pair[1] = pair[0]
-            while any(abs(out - inside) > 1 for out, inside in pairs):
-                probe({(out + inside) // 2 for out, inside in pairs
-                       if abs(out - inside) > 1})
-                for pair in pairs:
-                    if abs(pair[0] - pair[1]) > 1:
-                        mid = (pair[0] + pair[1]) // 2
-                        pair[accepted(mid)] = mid
-        roots = -intercept[slope != 0.0] / slope[slope != 0.0]
-        first = int(np.searchsorted(grid, roots.min(), side="right"))
-        stop = int(np.searchsorted(grid, roots.max(), side="left"))
-        edges = [i for i in (first - 1, first, stop - 1, stop) if 0 <= i <= last]
-        inside = [first <= i < stop for i in edges]
-        if np.any(_hull_ok(np.array([row(i) for i in edges])) != inside):
-            return None
-    except _FullScan:
+                if abs(pair[0] - pair[1]) > 1:
+                    mid = (pair[0] + pair[1]) // 2
+                    pair[accepted(mid)] = mid
+    roots = -a[b != 0.0] / b[b != 0.0]
+    first = int(np.searchsorted(grid, roots.min(), side="right"))
+    stop = int(np.searchsorted(grid, roots.max(), side="left"))
+    edges = [i for i in (first - 1, first, stop - 1, stop) if 0 <= i <= last]
+    inside = [first <= i < stop for i in edges]
+    if np.any(_hull_ok(a + grid[edges][:, None] * b) != inside):
         return None
     probed = np.array(sorted(stats))
     return (probed, np.array([stats[i] for i in probed]),
@@ -253,42 +227,67 @@ def theta_grid(score: ScoreFunction, step: float = 0.001,
 
 
 # --------------------------------------------------------------------------
-# pivotal values and plug-in evaluation points
+# affine scores: rows, plug-in points and pivotal values in closed form
 
-def _root_scan(fun: Callable, lo: float, hi: float, samples: int = 65) -> float:
-    """Root of a monotone-in-practice function by scan plus Brent refinement.
+def _affine(fun: Callable, score: ScoreFunction):
+    """Intercept and slope ``(a, b)`` of ``fun(theta) = a + theta b``.
 
-    Points where ``fun`` raises :class:`DomainError` (for example a coupling
-    matrix leaving the stability region) are skipped; the first sign change
-    between valid neighbours is refined.
+    ``fun`` is evaluated at the midpoint and the upper quarter point of the
+    score domain (clipped to +/-8) and checked at the lower quarter point.
+    A residual above 1e-9 of the evaluated values raises
+    :class:`NumericalError`: the closed forms built on ``(a, b)`` would be
+    wrong for a score that is not affine in theta.
     """
-    candidates = np.linspace(lo, hi, samples)
-    points, values = [], []
-    for theta in candidates:
-        try:
-            value = fun(theta)
-        except DomainError:
-            continue
-        if np.isfinite(value):
-            points.append(theta)
-            values.append(value)
-    for left, right, fl, fr in zip(points, points[1:], values, values[1:]):
-        if fl == 0.0:
-            return float(left)
-        if fl * fr < 0.0:
-            return float(brentq(fun, left, right, xtol=1e-13, rtol=8.9e-16))
-    if values and values[-1] == 0.0:
-        return float(points[-1])
-    raise NumericalError("no sign change found for the pivotal equation; "
-                         "widen the search range or check the score")
+    if score.q != 1:
+        raise ValueError("affine closed forms require a single-parameter score")
+    lo, hi = np.clip(score.domain[0], -8.0, 8.0)
+    mid, upper, lower = lo + (hi - lo) * np.array([0.5, 0.75, 0.25])
+    at_mid, at_upper = np.asarray(fun(mid)), np.asarray(fun(upper))
+    b = (at_upper - at_mid) / (upper - mid)
+    a = at_mid - mid * b
+    residual = np.max(np.abs(fun(lower) - (a + lower * b)))
+    if residual > 1e-9 * np.max(np.abs([at_mid, at_upper])):
+        raise NumericalError(f"score {score.name!r} is not affine in theta: "
+                             f"residual {residual:.3e} at theta={lower:g}")
+    return a, b
 
 
-def _search_range(score: ScoreFunction, margin: float = 1e-4) -> tuple[float, float]:
+def _affine_root(a: float, b: float, score: ScoreFunction, what: str) -> float:
+    """Root ``-a / b`` of ``a + theta b``, which must lie in the score domain."""
     lo, hi = score.domain[0]
-    lo = max(lo, -8.0)
-    hi = min(hi, 8.0)
-    pad = margin * (hi - lo)
-    return lo + pad, hi - pad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = float(-a / b) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if not lo < root < hi:
+        raise NumericalError(f"the {what} {root:.6g} of score {score.name!r} is "
+                             f"not in its domain ({lo}, {hi})")
+    return root
+
+
+def _periodogram(x: np.ndarray, score: ScoreFunction, alpha: float) -> np.ndarray:
+    """Periodogram values on the full frequency grid that the rows use."""
+    x = np.asarray(x, dtype=float)
+    return (periodogram_matrix_grid(x, alpha) if score.is_matrix
+            else self_normalized_grid(x)).values
+
+
+def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float,
+                 periodogram: np.ndarray | None = None):
+    """Estimating-function rows ``m_t(theta) = a_t + theta b_t`` as ``(a, b)``.
+
+    Both shipped scores are affine in theta: the autocorrelation rows are
+    ``(-2 cos(l lambda_t) + 2 theta) I_t`` and the coupling matrix
+    ``B(theta)`` of the var1 score enters ``grad_inv`` linearly.  This is the
+    one place that picks the row builder; ``periodogram`` may carry the
+    values of :func:`_periodogram`.
+    """
+    if periodogram is None:
+        periodogram = _periodogram(x, score, alpha)
+    builder = estimating_function_mv if score.is_matrix else estimating_function
+
+    def rows(theta):
+        return builder(x, score, theta, alpha, periodogram=periodogram)[:, 0]
+
+    return _affine(rows, score)
 
 
 def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
@@ -296,10 +295,11 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
 
     Solves ``integral  tr{ d(1/f)/d theta (omega; theta) g(omega) } d omega = 0``
     for theta, with ``g`` the exact power transfer of ``spec``; for the
-    autocorrelation score this is the lag-l autocorrelation itself.
+    autocorrelation score this is the lag-l autocorrelation itself.  The
+    trapezoid rule of the integral is affine in theta, ``A + theta B``, like
+    the rows, so the value is ``-A / B``; :class:`NumericalError` when the
+    score is not affine or the value falls outside the score domain.
     """
-    if score.q != 1:
-        raise ValueError("pivotal-value solver requires a single-parameter score")
     grid = np.linspace(-np.pi, np.pi, quad_points + 1)
     h = grid[1] - grid[0]
 
@@ -318,7 +318,7 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
             integrand = grad * g
             return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
 
-    return _root_scan(disparity, *_search_range(score))
+    return _affine_root(*_affine(disparity, score), score, "pivotal value")
 
 
 def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float,
@@ -327,21 +327,12 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float,
 
     This is the frequency-domain analogue of the point estimate the EL
     region contracts to; for the autocorrelation score it is within O(1/n)
-    of the sample autocorrelation.
+    of the sample autocorrelation.  With the rows ``a + theta b`` of
+    :func:`_affine_rows` it is ``-sum(a) / sum(b)``; :class:`NumericalError`
+    when the score is not affine or the root falls outside the score domain.
     """
-    if score.q != 1:
-        raise ValueError("plug-in point solver requires a single-parameter score")
-    builder = estimating_function_mv if score.is_matrix else estimating_function
-    if periodogram is None:
-        x = np.asarray(x, dtype=float)
-        periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
-                       else self_normalized_grid(x)).values
-
-    def total(theta):
-        return float(builder(x, score, theta, alpha,
-                             periodogram=periodogram)[:, 0].sum())
-
-    return _root_scan(total, *_search_range(score))
+    a, b = _affine_rows(x, score, alpha, periodogram)
+    return _affine_root(a.sum(), b.sum(), score, "plug-in point")
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +456,7 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     methods = _methods(config, score)
     if "sac" in methods and score.lag is None:
         raise ValueError("the SAC method needs an autocorrelation score")
-    pgram = (periodogram_matrix_grid(x, alpha) if mv else self_normalized_grid(x)).values
+    pgram = _periodogram(x, score, alpha)
 
     if theta_ref is None:
         theta_ref = whittle_point(x, score, alpha, periodogram=pgram)

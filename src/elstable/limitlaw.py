@@ -404,16 +404,3 @@ def sac_series_constant(rho: Callable | np.ndarray, l: int, alpha: float,
     _check_tail_decay(np.abs(terms), "sample-autocorrelation")
     return float(np.sum(np.abs(terms) ** alpha) ** (1.0 / alpha))
 
-
-def sac_limit_quantile(rho: Callable | np.ndarray, l: int, p: float, alpha: float,
-                       rng: np.random.Generator, truncation: int = 200,
-                       reps: int = 100_000,
-                       scale_convention="davis-resnick") -> Quantile:
-    """Two-sided quantile of the sample-autocorrelation limit ``|S_1/S_0| K``."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    k = sac_series_constant(rho, l, alpha, truncation)
-    draws = np.sort(np.abs(sample_stable_ratio(alpha, reps, rng, scale_convention)) * k)
-    value = float(np.quantile(draws, p))
-    stderr = _bootstrap_quantile_stderr(draws, p, rng)
-    return Quantile(p=p, value=value, reps=reps, stderr=stderr)

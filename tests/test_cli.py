@@ -9,6 +9,7 @@ from elstable.cli import build_parser, main
 from elstable.emplik import x_n
 from elstable.harness import read_records_csv
 from elstable.limitlaw import LimitLawConfig
+from elstable.processes import simulate_vector_linear, vma_table_spec
 from elstable.scores import acf_score, estimating_function
 
 
@@ -208,3 +209,18 @@ def test_parser_covers_all_subcommands():
             else ["--id", "1"] if command == "table"
             else ["--input", "x.csv"] if command == "hill-plot"
             else [])).command == command
+
+
+def test_ci_plugin_point_outside_the_domain_exits_3(tmp_path, capsys):
+    # On this series the summed coupling rows vanish at theta = 6.307, outside
+    # the domain (-1, 1) of the coupling score, so no plug-in point exists.
+    x = simulate_vector_linear(vma_table_spec(0.3), 120, np.random.default_rng(5))
+    series = tmp_path / "vec.csv"
+    np.savetxt(series, x, delimiter=",")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "process": {"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}},
+        "score": {"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]}}))
+    assert run_cli("ci", "--input", series, "--config", config, "--alpha", 1.5) == 3
+    err = capsys.readouterr().err
+    assert "plug-in point 6.307" in err and "(-1.0, 1.0)" in err

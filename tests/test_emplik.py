@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elstable.emplik import (ELResult, LagrangeSolution, log_el_ratio,
                              solve_lagrange, solve_lagrange_batch, x_n)
 from elstable.errors import SolverError
+from elstable.processes import ma_polynomial_spec, simulate_linear
 from elstable.scores import acf_score
 
 
@@ -134,14 +137,22 @@ def test_el_ratio_scale_invariance(series_half):
     assert abs(a.log_ratio - b.log_ratio) < 1e-9
 
 
-def test_el_ratio_vanishes_at_the_plugin_root(series_half):
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 120, 300]),
+       lag=st.integers(1, 3),
+       theta=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_el_ratio_vanishes_at_the_plugin_root(seed, n, lag, theta):
+    # The statistic is nonnegative on the whole domain and zero at the root
+    # of the summed rows, where the weights are uniform.
     from elstable.harness import whittle_point
 
-    score = acf_score(2)
-    root = whittle_point(series_half, score, 1.5)
-    result = log_el_ratio(series_half, score, root, 1.5)
+    x = simulate_linear(ma_polynomial_spec(0.5), n, np.random.default_rng(seed))
+    score = acf_score(lag)
+    root = whittle_point(x, score, 1.5)
+    result = log_el_ratio(x, score, root, 1.5)
     assert result.statistic < 1e-10
     assert np.max(np.abs(result.phi)) < 1e-6
+    assert log_el_ratio(x, score, theta, 1.5).statistic >= 0.0
 
 
 def test_el_ratio_far_theta_is_rejected(series_half):

@@ -14,14 +14,15 @@ from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               coverage_summary, el_confidence_region, ingest_csv,
                               pivotal_value, read_records_csv, render_csv, run_table,
                               sac_confidence_interval, theta_grid, whittle_point,
-                              write_csv)
+                              write_csv, _format_cell)
 from elstable.emplik import log_el_ratio, solve_lagrange_batch, x_n
+from elstable.errors import NumericalError
 from elstable.limitlaw import sample_stable_ratio
 from elstable.processes import (LinearProcessSpec, StableParams, ma_polynomial_spec,
                                 simulate_linear, simulate_vector_linear,
                                 theoretical_acf, vma_table_spec)
-from elstable.scores import (acf_score, coupling_var1_score, estimating_function,
-                             estimating_function_mv)
+from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score,
+                             estimating_function, estimating_function_mv)
 from elstable.spectral import sample_acf
 
 PROC_HALF = {"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}}
@@ -117,8 +118,8 @@ def test_region_search_matches_full_scan(seed, n, lag, gamma, step):
        size=st.integers(1, 40), descending=st.booleans())
 def test_region_search_on_narrow_and_short_grids(seed, gamma, lo, width, size,
                                                  descending):
-    # Narrow grids often leave the plug-in point outside; grids of fewer than
-    # three points take the full scan, and grids that do not increase are
+    # Narrow grids often leave the plug-in point outside; grids of one or two
+    # points are solved at both ends, and grids that do not increase are
     # rejected before any point is solved.
     x = simulate_linear(ma_polynomial_spec(0.5), 120, np.random.default_rng(seed))
     score = acf_score(2)
@@ -161,7 +162,32 @@ def test_whittle_point_closed_form(series_half):
     for lag in (1, 2):
         root = whittle_point(series_half, acf_score(lag), 1.5)
         expect = sample_acf(series_half, lag) + sample_acf(series_half, n - lag)
-        assert abs(root - expect) < 1e-8
+        assert abs(root - expect) < 1e-12
+
+
+def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
+    # -sum(a)/sum(b), -A/B and the rows a + theta b would all be wrong for a
+    # gradient that is quadratic in theta, so it is refused, not solved.
+    def grad_inv(omega, theta):
+        th = float(np.atleast_1d(theta)[0])
+        return (-2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * th + th * th)[None, :]
+
+    score = ScoreFunction(name="quadratic", q=1, dim=1, domain=((-1.0, 1.0),),
+                          f=lambda omega, theta: np.ones_like(omega),
+                          grad_inv=grad_inv)
+    with pytest.raises(NumericalError, match="not affine"):
+        whittle_point(series_half, score, 1.5)
+    with pytest.raises(NumericalError, match="not affine"):
+        el_confidence_region(series_half, score, theta_grid(score, 0.01), 2.0, 1.5)
+    with pytest.raises(NumericalError, match="not affine"):
+        pivotal_value(spec_half, score)
+
+
+def test_pivotal_value_zero_is_not_negative_zero():
+    # The zero coupling design's disparity has intercept 0, and -0 / B would
+    # print as "-0" in table 5.
+    value = pivotal_value(vma_table_spec(0.0), coupling_var1_score())
+    assert _format_cell(value) == "0"
 
 
 # --------------------------------------------------------------------------

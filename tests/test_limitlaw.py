@@ -10,10 +10,9 @@ from scipy.stats import ks_2samp
 
 from elstable.limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                                compute_V_coeffs_mv, compute_W, compute_W_mv,
-                               mc_quantile, prepare_limit, sac_limit_quantile,
-                               sac_series_constant, sample_limit_stat,
-                               sample_limit_stat_simplified, sample_stable_ratio,
-                               scale_multipliers, tail_constant)
+                               mc_quantile, prepare_limit, sac_series_constant,
+                               sample_limit_stat, sample_limit_stat_simplified,
+                               sample_stable_ratio, scale_multipliers, tail_constant)
 from elstable.processes import (normalized_transfer, simulate_linear,
                                 transfer_matrix, vma_table_spec)
 from elstable.scores import acf_score, coupling_var1_score, var1_score
@@ -265,10 +264,3 @@ def test_sac_constant_accepts_array_and_matches_direct_sum(spec_half):
                  for j in range(1, 201)) ** (1.0 / 1.5)
     assert abs(by_array - direct) < 1e-12
 
-
-def test_sac_quantile_composes_ratio_and_constant():
-    rho = lambda k: 1.0 if k == 0 else 0.0
-    q = sac_limit_quantile(rho, 2, 0.9, 1.5, np.random.default_rng(8), reps=20_000)
-    draws = np.abs(sample_stable_ratio(1.5, 20_000, np.random.default_rng(8)))
-    assert abs(q.value - np.quantile(draws, 0.9)) < 1e-12
-    assert q.stderr > 0.0
