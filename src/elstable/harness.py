@@ -104,10 +104,12 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
 
     For a scalar score whose slope ``b`` is one-signed, such as the
     autocorrelation scores, the region is an interval (Owen 1990, Monti
-    1997), so its first and last grid points are found by bisection over
-    grid indices (:func:`_bisect_region`) and ``thetas``, ``stats`` and
-    ``accepted`` hold only the probed points, always including both grid
-    ends.  ``hull_failures`` still counts the whole grid, while
+    1997), so its first and last grid points are found by a secant search
+    on the square root of the statistic, safeguarded by bisection over grid
+    indices (:func:`_search_region`): about 3 batch solves of about 11 grid
+    points in all, each with the decision a full scan makes there.  ``thetas``,
+    ``stats`` and ``accepted`` hold only the probed points, always including
+    both grid ends.  ``hull_failures`` still counts the whole grid, while
     ``solver_failures`` counts only solved points; a probe whose solve does
     not converge ends the search, so it reads 0 there.  Matrix scores,
     slopes of both signs and unconverged probes take the full scan: one
@@ -118,7 +120,7 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
         raise ValueError("grid must be a non-empty, strictly increasing 1-d array")
     a, b = _affine_rows(x, score, alpha, periodogram)
     scale = -2.0 * x_n(a.size, alpha) ** 2 / a.size
-    search = None if score.is_matrix else _bisect_region(grid, gamma, a, b, scale)
+    search = None if score.is_matrix else _search_region(grid, gamma, a, b, scale)
     if search is None:
         batch = solve_lagrange_batch(a + grid[:, None] * b)
         thetas, stats = grid, scale * batch.log_ratio
@@ -143,24 +145,34 @@ def _hull_ok(rows: np.ndarray) -> np.ndarray:
     return ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
 
 
-def _bisect_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
+def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
                    scale: float):
-    """Accepted grid interval of the rows ``a + theta b`` by bisection.
+    """Accepted grid interval of the rows ``a + theta b`` by a safeguarded secant.
 
     With a one-signed slope ``b`` the statistic is zero at the root
     ``theta_hat = -sum(a) / sum(b)`` and its sublevel sets are intervals, so
     the smallest grid statistic sits on one of the two grid neighbours of
-    ``theta_hat``: when neither is accepted the region is empty, otherwise
-    each region end is bisected between an accepted and a rejected index.
-    The probes of each round go to the solver as one batch.  Zero lies
-    inside the hull of the rows exactly on the open interval between the
-    smallest and the largest root ``-a_t / b_t``, which counts the hull
-    failures over the whole grid once the grid points next to its ends
-    confirm it.
+    ``theta_hat``: the first round solves them and both grid ends, and when
+    neither neighbour is accepted the region is empty.  Otherwise each region
+    end lies in a bracket of grid indices, one rejected and one accepted; an
+    accepted grid end closes its bracket.  Away from ``theta_hat`` the square
+    root of the statistic grows close to linearly, so every later round
+    solves the two grid points around the secant estimate of
+    ``sqrt(stat) = sqrt(gamma)`` in each open bracket (:func:`_secant_probes`).
+    As a safeguard, a bracket wider than bisection would have left it after
+    as many rounds also gets its midpoint, so the search takes at most one
+    round more than bisection (Brent 1973, ch. 4).  The probes of each round
+    go to the solver as one batch, each solved on its own, so every
+    accept/reject decision is the one a full scan makes at that grid point.
+    Zero lies inside the hull of the rows exactly on the open interval
+    between the smallest and the largest root ``-a_t / b_t``, which counts
+    the hull failures over the whole grid once the grid points next to its
+    ends confirm it.
 
-    Returns ``(probed indices, their statistics, hull failures)``, or None
-    when the slope is zero or takes both signs, a probe's solve did not
-    converge, or the hull count is not confirmed.
+    Returns ``(probed indices, their statistics, hull failures)``; the probed
+    indices always include both grid ends.  None when the slope is zero or
+    takes both signs, a probe's solve did not converge, or the hull count is
+    not confirmed.
     """
     if not b.any() or not (np.all(b >= 0.0) or np.all(b <= 0.0)):
         return None
@@ -180,25 +192,32 @@ def _bisect_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     def accepted(i):
         return bool(stats[i] < gamma)
 
-    k = int(np.searchsorted(grid, -a.sum() / b.sum()))
+    root = -a.sum() / b.sum()
+    k = int(np.searchsorted(grid, root))
     nearest = {min(max(i, 0), last) for i in (k - 1, k)}
     if not probe(nearest | {0, last}):
         return None
     seeds = [i for i in sorted(nearest) if accepted(i)]
     if seeds:
-        # (rejected, accepted) index pairs; an accepted grid end closes its pair
-        pairs = [[0, seeds[0]], [last, seeds[-1]]]
-        for pair in pairs:
-            if accepted(pair[0]):
-                pair[1] = pair[0]
-        while any(abs(out - inside) > 1 for out, inside in pairs):
-            if not probe({(out + inside) // 2 for out, inside in pairs
-                          if abs(out - inside) > 1}):
+        # [rejected, accepted, width a bisection would have left by now]
+        brackets = [[0, seeds[0]], [last, seeds[-1]]]
+        for bracket in brackets:
+            if accepted(bracket[0]):
+                bracket[1] = bracket[0]
+            bracket.append(abs(bracket[0] - bracket[1]))
+        while active := [br for br in brackets if abs(br[0] - br[1]) > 1]:
+            indices = set()
+            for out, inside, budget in active:
+                indices |= _secant_probes(grid, stats, root, gamma, out, inside)
+                if abs(out - inside) > budget:
+                    indices.add((out + inside) // 2)
+            if not probe(indices):
                 return None
-            for pair in pairs:
-                if abs(pair[0] - pair[1]) > 1:
-                    mid = (pair[0] + pair[1]) // 2
-                    pair[accepted(mid)] = mid
+            for bracket in active:
+                for i in sorted(indices):
+                    if min(bracket[:2]) < i < max(bracket[:2]):
+                        bracket[accepted(i)] = i
+                bracket[2] = (bracket[2] + 1) // 2
     roots = -a[b != 0.0] / b[b != 0.0]
     first = int(np.searchsorted(grid, roots.min(), side="right"))
     stop = int(np.searchsorted(grid, roots.max(), side="left"))
@@ -209,6 +228,32 @@ def _bisect_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     probed = np.array(sorted(stats))
     return (probed, np.array([stats[i] for i in probed]),
             grid.size - max(0, stop - first))
+
+
+def _secant_probes(grid: np.ndarray, stats: dict, root: float, gamma: float,
+                   out: int, inside: int) -> set:
+    """Grid indices around the secant estimate of a region end.
+
+    The known points on the bracket's side of ``root`` are ``(root, 0)`` and
+    ``(theta_j, sqrt(stat_j))`` for every probed ``j`` with a finite
+    statistic; the two whose ``sqrt(stat)`` is nearest ``sqrt(gamma)`` give
+    the secant.  The two grid indices around its crossing are clipped
+    strictly inside the bracket; without a usable secant the midpoint is
+    returned instead.
+    """
+    lo, hi = min(out, inside), max(out, inside)
+    side = 1.0 if out > inside else -1.0
+    points = [(root, 0.0)] + [(grid[j], math.sqrt(max(s, 0.0)))
+                              for j, s in stats.items()
+                              if math.isfinite(s) and side * (grid[j] - root) > 0.0]
+    target = math.sqrt(max(gamma, 0.0))
+    nearest = sorted(points, key=lambda point: abs(point[1] - target))[:2]
+    if len(nearest) < 2 or nearest[0][1] == nearest[1][1]:
+        return {(lo + hi) // 2}
+    (t1, r1), (t2, r2) = nearest
+    theta = t1 + (target - r1) * (t2 - t1) / (r2 - r1)
+    j = int(np.searchsorted(grid, theta))
+    return {min(max(i, lo + 1), hi - 1) for i in (j - 1, j)}
 
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,

@@ -81,15 +81,33 @@ def test_newton_path_two_parameters(rng):
     assert np.max(np.abs(kkt)) < 1e-10
 
 
-def test_batch_agrees_with_single_solves(rng):
-    rows = rng.standard_normal((12, 30))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8),
+       n=st.sampled_from([30, 300, 1001]))
+def test_batch_agrees_with_single_solves(seed, size, n):
+    # Shifted normal rows give hulls that hold and hulls that fail; one row
+    # is all positive but for a single -1e-8 entry, so its hull nearly
+    # degenerates.  Each row is solved on its own inside the batch: the EL
+    # region search relies on a row's solution not depending on the rows
+    # batched with it.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((size, n)) + rng.uniform(-3.0, 3.0, (size, 1))
+    near = rng.integers(size)
+    rows[near] = np.abs(rows[near]) + 0.1
+    rows[near, rng.integers(n)] = -1e-8
     batch = solve_lagrange_batch(rows)
-    for b in range(12):
+    for b in range(size):
         single = solve_lagrange(rows[b][:, None])
         assert batch.converged[b] == single.converged
+        assert batch.hull_ok[b] == single.hull_ok
         assert abs(batch.phi[b] - single.phi[0]) < 1e-9
-        y = 1.0 + single.phi[0] * rows[b]
-        assert abs(batch.log_ratio[b] - (-np.sum(np.log(y)))) < 1e-8
+        if single.converged:
+            y = 1.0 + single.phi[0] * rows[b]
+            assert abs(batch.log_ratio[b] - (-np.sum(np.log(y)))) < 1e-8
+        alone = solve_lagrange_batch(rows[b:b + 1])
+        for name in ("phi", "log_ratio", "iterations"):
+            assert getattr(batch, name)[b:b + 1].tobytes() == \
+                getattr(alone, name).tobytes(), name
 
 
 def test_batch_flags_hull_failures():

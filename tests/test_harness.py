@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elstable import harness
 from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               ExperimentConfig, analyze_series, coverage_experiment,
                               coverage_summary, el_confidence_region, ingest_csv,
@@ -88,28 +89,58 @@ def full_scan(x, score, grid, gamma, alpha):
 
 
 def searched(x, score, grid, gamma, alpha):
-    """``el_confidence_region`` in the oracle's form, plus its probe count."""
-    scan = el_confidence_region(x, score, grid, gamma, alpha)
+    """``el_confidence_region`` in the oracle's form, plus its probe count and
+    its number of batch-solver calls."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return solve_lagrange_batch(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "solve_lagrange_batch", counted)
+        scan = el_confidence_region(x, score, grid, gamma, alpha)
     interval = None if scan.interval is None else (scan.interval.lower,
                                                    scan.interval.upper)
     assert scan.thetas[0] == grid[0] and scan.thetas[-1] == grid[-1]
-    return (interval, scan.hull_failures, scan.solver_failures), scan.thetas.size
+    return ((interval, scan.hull_failures, scan.solver_failures),
+            scan.thetas.size, len(calls))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 120, 300]),
-       lag=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6]),
+       lag=st.integers(1, 3),
+       gamma=st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6]) | st.floats(0.0, 50.0),
        step=st.sampled_from([0.001, 0.0137, 0.2]))
 def test_region_search_matches_full_scan(seed, n, lag, gamma, step):
     # gamma = 0 gives the empty region and 1e6 reaches both grid ends; at
     # n = 50 the grid runs past the extreme roots, so hull failures occur.
+    # The midpoint safeguard keeps the search within one round of bisection.
     x = simulate_linear(ma_polynomial_spec(0.5), n, np.random.default_rng(seed))
     score = acf_score(lag)
     grid = theta_grid(score, step=step)
-    result, probes = searched(x, score, grid, gamma, 1.5)
+    result, probes, calls = searched(x, score, grid, gamma, 1.5)
     assert result == full_scan(x, score, grid, gamma, 1.5)
+    assert calls <= math.ceil(math.log2(grid.size)) + 2
     if grid.size > 100:
         assert probes < 60
+
+
+def test_region_search_takes_few_solver_rounds_on_the_study_design():
+    # The square root of the statistic is close to linear on each side of
+    # the plug-in point, so the secant search needs about 3 batch solves per
+    # series at the study's thresholds, where bisection over 1999 points
+    # needs 11.
+    score, spec = acf_score(2), ma_polynomial_spec(0.5)
+    grid = theta_grid(score)
+    calls = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = simulate_linear(spec, 300, rng)
+        gamma = analyze_series(x, score, 1.5, ExperimentConfig(), rng=rng,
+                               process=spec).gamma
+        calls.append(searched(x, score, grid, gamma, 1.5)[2])
+    assert np.mean(calls) <= 4.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,7 +159,7 @@ def test_region_search_on_narrow_and_short_grids(seed, gamma, lo, width, size,
         with pytest.raises(ValueError, match="strictly increasing"):
             el_confidence_region(x, score, grid[::-1], gamma, 1.5)
         return
-    result, probes = searched(x, score, grid, gamma, 1.5)
+    result, probes, _ = searched(x, score, grid, gamma, 1.5)
     assert result == full_scan(x, score, grid, gamma, 1.5)
     if size < 3:
         assert probes == size
@@ -139,8 +170,8 @@ def test_region_of_matrix_score_takes_the_full_scan():
     x = simulate_vector_linear(spec, 120, np.random.default_rng(5))
     score = coupling_var1_score()
     grid = theta_grid(score, step=0.05, lo=-0.5, hi=0.5)
-    result, probes = searched(x, score, grid, 3.0, 1.5)
-    assert probes == grid.size
+    result, probes, calls = searched(x, score, grid, 3.0, 1.5)
+    assert probes == grid.size and calls == 1
     assert result == full_scan(x, score, grid, 3.0, 1.5)
 
 
@@ -202,6 +233,23 @@ def test_sac_interval_white_noise_composition(rng):
     halfwidth = np.quantile(np.abs(draws), 0.9) / x_n(200, 1.5)
     assert ci.lower == pytest.approx(center - halfwidth, abs=1e-12)
     assert ci.upper == pytest.approx(center + halfwidth, abs=1e-12)
+
+
+# the plug-in autocorrelations of a short series decay slowly, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 300]),
+       lag=st.integers(1, 3), plugin=st.booleans())
+def test_sac_interval_is_centred_on_the_sample_acf(seed, n, lag, plugin):
+    # The SAC interval is rho_hat(l) +/- q K / x_n (Davis & Resnick 1986),
+    # whichever autocorrelations set the limit scale K.
+    rng = np.random.default_rng(seed)
+    spec = ma_polynomial_spec(0.5)
+    x = simulate_linear(spec, n, rng)
+    draws = sample_stable_ratio(1.5, 2000, rng)
+    ci = sac_confidence_interval(x, lag, "plugin" if plugin else spec, 0.9, 1.5,
+                                 ratio_draws=draws)
+    assert abs(0.5 * (ci.lower + ci.upper) - sample_acf(x, lag)) < 1e-12
 
 
 def test_sac_interval_rho_sources(series_half, rng):
