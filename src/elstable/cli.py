@@ -154,7 +154,12 @@ def _resolve_alpha(args, config: ExperimentConfig, x: np.ndarray) -> float:
     if args.hill:
         if x.ndim != 1:
             raise ValueError("--hill needs a scalar series")
-        return float(np.clip(hill_estimator(x, config.hill_k), *_ALPHA_CLIP))
+        estimate = hill_estimator(x, config.hill_k)
+        alpha = float(np.clip(estimate, *_ALPHA_CLIP))
+        if alpha != estimate:
+            print(f"note: Hill estimate {estimate:.2f} clipped to {alpha:g}",
+                  file=sys.stderr)
+        return alpha
     raise ValueError("supply --alpha (known index) or --hill (estimate it)")
 
 

@@ -113,14 +113,54 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     ``solver_failures`` counts only solved points; a probe whose solve does
     not converge ends the search, so it reads 0 there.  Matrix scores,
     slopes of both signs and unconverged probes take the full scan: one
-    batch solve of the rows at every grid point.
+    batch solve of the rows at every grid point, never joined with other
+    series.  This is the one-series case of :func:`_lockstep`, which runs
+    the searches of a chunk of series together.
     """
+    a, b = _affine_rows(x, score, alpha, periodogram)
+    return _lockstep([_region_steps(a, b, grid, gamma, alpha, score.is_matrix,
+                                    level)])[0]
+
+
+def _lockstep(steps: list) -> list:
+    """Run step generators together and return what each one returns.
+
+    A step generator yields the ``(k, n)`` probe rows of one search round
+    and is sent back their :class:`BatchSolution`.  Each round joins the
+    rows of every pending generator, all of the same length ``n``, into one
+    ``solve_lagrange_batch`` call; each row is solved on its own with no
+    warm start, so its solution does not depend on the rows beside it.
+    """
+    results, pending = [None] * len(steps), {}
+
+    def advance(i, solution):
+        try:
+            pending[i] = steps[i].send(solution)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        rounds, pending = pending, {}
+        batch = solve_lagrange_batch(np.concatenate(list(rounds.values())))
+        start = 0
+        for i, rows in rounds.items():
+            part = slice(start, start + len(rows))
+            advance(i, type(batch)(**{k: v[part] for k, v in vars(batch).items()}))
+            start = part.stop
+    return results
+
+
+def _region_steps(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: float,
+                  alpha: float, matrix: bool, level: float):
+    """:func:`el_confidence_region` of the rows ``a + theta b`` as a step
+    generator for :func:`_lockstep`; returns the :class:`RegionScan`."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be a non-empty, strictly increasing 1-d array")
-    a, b = _affine_rows(x, score, alpha, periodogram)
     scale = -2.0 * x_n(a.size, alpha) ** 2 / a.size
-    search = None if score.is_matrix else _search_region(grid, gamma, a, b, scale)
+    search = None if matrix else (yield from _search_region(grid, gamma, a, b, scale))
     if search is None:
         batch = solve_lagrange_batch(a + grid[:, None] * b)
         thetas, stats = grid, scale * batch.log_ratio
@@ -161,9 +201,10 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     ``sqrt(stat) = sqrt(gamma)`` in each open bracket (:func:`_secant_probes`).
     As a safeguard, a bracket wider than bisection would have left it after
     as many rounds also gets its midpoint, so the search takes at most one
-    round more than bisection (Brent 1973, ch. 4).  The probes of each round
-    go to the solver as one batch, each solved on its own, so every
-    accept/reject decision is the one a full scan makes at that grid point.
+    round more than bisection (Brent 1973, ch. 4).  Each round's probe rows
+    are yielded and their solutions sent back (:func:`_lockstep`); each probe
+    is solved on its own, so every accept/reject decision is the one a full
+    scan makes at that grid point.
     Zero lies inside the hull of the rows exactly on the open interval
     between the smallest and the largest root ``-a_t / b_t``, which counts
     the hull failures over the whole grid once the grid points next to its
@@ -179,11 +220,11 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     last = grid.size - 1
     stats = {}
 
-    def probe(indices) -> bool:
+    def probe(indices):
         """Solve the unprobed ``indices``; False when a solve did not converge."""
         new = sorted(set(indices) - stats.keys())
         if new:
-            batch = solve_lagrange_batch(a + grid[new][:, None] * b)
+            batch = yield a + grid[new][:, None] * b
             if np.any(~batch.converged & batch.hull_ok):
                 return False
             stats.update(zip(new, scale * batch.log_ratio))
@@ -195,7 +236,7 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     root = -a.sum() / b.sum()
     k = int(np.searchsorted(grid, root))
     nearest = {min(max(i, 0), last) for i in (k - 1, k)}
-    if not probe(nearest | {0, last}):
+    if not (yield from probe(nearest | {0, last})):
         return None
     seeds = [i for i in sorted(nearest) if accepted(i)]
     if seeds:
@@ -211,7 +252,7 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
                 indices |= _secant_probes(grid, stats, root, gamma, out, inside)
                 if abs(out - inside) > budget:
                     indices.add((out + inside) // 2)
-            if not probe(indices):
+            if not (yield from probe(indices)):
                 return None
             for bracket in active:
                 for i in sorted(indices):
@@ -308,13 +349,6 @@ def _affine_root(a: float, b: float, score: ScoreFunction, what: str) -> float:
     return root
 
 
-def _periodogram(x: np.ndarray, score: ScoreFunction, alpha: float) -> np.ndarray:
-    """Periodogram values on the full frequency grid that the rows use."""
-    x = np.asarray(x, dtype=float)
-    return (periodogram_matrix_grid(x, alpha) if score.is_matrix
-            else self_normalized_grid(x)).values
-
-
 def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float,
                  periodogram: np.ndarray | None = None):
     """Estimating-function rows ``m_t(theta) = a_t + theta b_t`` as ``(a, b)``.
@@ -322,11 +356,13 @@ def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float,
     Both shipped scores are affine in theta: the autocorrelation rows are
     ``(-2 cos(l lambda_t) + 2 theta) I_t`` and the coupling matrix
     ``B(theta)`` of the var1 score enters ``grad_inv`` linearly.  This is the
-    one place that picks the row builder; ``periodogram`` may carry the
-    values of :func:`_periodogram`.
+    one place that picks the row builder; ``periodogram`` may carry its
+    values on the full frequency grid.
     """
     if periodogram is None:
-        periodogram = _periodogram(x, score, alpha)
+        x = np.asarray(x, dtype=float)
+        periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
+                       else self_normalized_grid(x)).values
     builder = estimating_function_mv if score.is_matrix else estimating_function
 
     def rows(theta):
@@ -491,6 +527,29 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     series-specific constant, replicated callers may share the ratio law
     across series by passing precomputed quantiles (``ratio_sq_quantile``
     for the EL threshold, ``sac_halfwidth`` for the whole SAC half-width).
+    This is the one-series case of :func:`_lockstep`.
+    """
+    return _lockstep([_analysis_steps(
+        x, score, alpha, config, rng=rng, process=process, theta_ref=theta_ref,
+        ratio_sq_quantile=ratio_sq_quantile, sac_halfwidth=sac_halfwidth,
+        gamma_override=gamma_override)])[0]
+
+
+def _analysis_steps(x, score, alpha, config, **options):
+    """:func:`analyze_series` as a step generator for :func:`_lockstep`."""
+    theta_ref, gamma, sac, region = _analysis_setup(x, score, alpha, config, **options)
+    scan = None if region is None else (yield from region)
+    return AnalysisResult(alpha=alpha, theta_ref=theta_ref, gamma=gamma,
+                          el=scan, sac=sac)
+
+
+def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref,
+                    ratio_sq_quantile, sac_halfwidth, gamma_override):
+    """``(theta_ref, gamma, SAC interval, region steps)`` of :func:`analyze_series`.
+
+    The rows ``a + theta b`` are built once, for the plug-in point and the
+    region.  Only they and the grid outlive this call, so a chunk of
+    replicates in lock-step holds no series, transfer or ratio draws.
     """
     x = np.asarray(x, dtype=float)
     mv = score.is_matrix
@@ -501,10 +560,10 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     methods = _methods(config, score)
     if "sac" in methods and score.lag is None:
         raise ValueError("the SAC method needs an autocorrelation score")
-    pgram = _periodogram(x, score, alpha)
-
+    if theta_ref is None or "el" in methods:
+        a, b = _affine_rows(x, score, alpha)
     if theta_ref is None:
-        theta_ref = whittle_point(x, score, alpha, periodogram=pgram)
+        theta_ref = _affine_root(a.sum(), b.sum(), score, "plug-in point")
     theta_ref = float(theta_ref)
 
     if mv or config.transfer_mode == "exact":
@@ -532,12 +591,6 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
             ratio_sq_quantile = float(np.quantile(draws ** 2, config.level))
         gamma = ratio_sq_quantile * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
 
-    scan = None
-    if "el" in methods:
-        grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
-        scan = el_confidence_region(x, score, grid, gamma, alpha,
-                                    periodogram=pgram, level=config.level)
-
     sac = None
     if "sac" in methods:
         if sac_halfwidth is None:
@@ -545,8 +598,12 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
             sac_halfwidth = _sac_halfwidth(draws, rho, score.lag, config.level,
                                            alpha, x.size, config.truncation)
         sac = _sac_interval(x, score.lag, config.level, sac_halfwidth)
-    return AnalysisResult(alpha=alpha, theta_ref=theta_ref, gamma=gamma,
-                          el=scan, sac=sac)
+
+    region = None
+    if "el" in methods:
+        grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
+        region = _region_steps(a, b, grid, gamma, alpha, mv, config.level)
+    return theta_ref, gamma, sac, region
 
 
 # --------------------------------------------------------------------------
@@ -658,7 +715,7 @@ _COVERAGE_FIELDS = [
 
 
 class _CoverageContext:
-    """Per-process state for coverage replicates (built once per worker)."""
+    """Shared state of coverage replicates (built once per chunk)."""
 
     def __init__(self, payload: str):
         data = json.loads(payload)
@@ -670,7 +727,8 @@ class _CoverageContext:
         self.spec = self.config.build_process()
         self.score = self.config.build_score()
 
-    def replicate(self, index: int) -> dict:
+    def replicate(self, index: int):
+        """Replicate ``index``'s record, as a step generator (:func:`_lockstep`)."""
         cfg = self.config
         record = {name: math.nan for name in _COVERAGE_FIELDS}
         record.update(replicate=index, status="ok",
@@ -686,7 +744,7 @@ class _CoverageContext:
                 alpha = float(np.clip(hill_estimator(x, cfg.hill_k), *_ALPHA_CLIP))
             record["alpha"] = alpha
 
-            result = analyze_series(
+            result = yield from _analysis_steps(
                 x, self.score, alpha, cfg, rng=rng, process=self.spec,
                 theta_ref=self.theta0 if cfg.theta_ref_mode == "exact" else None,
                 ratio_sq_quantile=self.ratio_sq_q, sac_halfwidth=self.sac_halfwidth,
@@ -710,15 +768,10 @@ class _CoverageContext:
         return record
 
 
-_WORKER_CTX: dict = {}
-
-
-def _coverage_init(payload: str) -> None:
-    _WORKER_CTX["ctx"] = _CoverageContext(payload)
-
-
-def _coverage_task(index: int) -> dict:
-    return _WORKER_CTX["ctx"].replicate(index)
+def _coverage_chunk(payload: str, indices: range) -> list[dict]:
+    """The records of a contiguous chunk of replicates, run in lock-step."""
+    context = _CoverageContext(payload)
+    return _lockstep([context.replicate(i) for i in indices])
 
 
 def coverage_summary(records: list[dict], level: float) -> dict:
@@ -774,7 +827,10 @@ def coverage_experiment(config: ExperimentConfig, *,
     One rng substream per replicate keeps the records independent of the
     worker count; with known ``alpha`` the stable-ratio quantile is drawn
     once (stream 0) and shared across replicates, which is exact because the
-    per-replicate thresholds are deterministic multiples of it.
+    per-replicate thresholds are deterministic multiples of it.  Contiguous
+    chunks of ``ceil(replicates / workers)`` replicates, at most 100, run in
+    lock-step (:func:`_lockstep`): one batch solve per search round for the
+    chunk, with the decision of one replicate at a time.
     """
     if config.replicates < 100:
         raise ValueError("coverage experiments need at least 100 replicates")
@@ -801,18 +857,22 @@ def coverage_experiment(config: ExperimentConfig, *,
         "config": config.to_dict(), "theta0": theta0, "ratio_sq_q": ratio_sq_q,
         "sac_halfwidth": sac_halfwidth, "gamma_override": gamma_override,
     })
-    indices = range(config.replicates)
     workers = config.workers
     if workers is None:
         workers = max(1, min(8, os.cpu_count() or 1))
+    # At most 100 replicates per chunk: their first search round solves about
+    # 4 rows each, a fifth of a full scan of the default grid, so peak memory
+    # stays put while the solver's per-call cost is already spread thin.
+    size = min(-(-config.replicates // max(1, workers)), 100)
+    chunks = [range(start, min(start + size, config.replicates))
+              for start in range(0, config.replicates, size)]
+    run = partial(_coverage_chunk, payload)
     if workers <= 1:
-        _coverage_init(payload)
-        records = [_coverage_task(i) for i in indices]
+        parts = map(run, chunks)
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_coverage_init,
-                                 initargs=(payload,)) as pool:
-            chunk = max(1, config.replicates // (workers * 8))
-            records = list(pool.map(_coverage_task, indices, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, chunks))
+    records = [record for part in parts for record in part]
     summary = coverage_summary(records, config.level)
     return CoverageResult(config=config, records=records, summary=summary)
 
@@ -904,13 +964,8 @@ def interval_cells(interval: ConfidenceInterval | None, prefix: str = "") -> dic
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".10g")
-    return str(value)
+    # ".10g" writes every nan as "nan" and the infinities as "inf"/"-inf"
+    return format(value, ".10g") if isinstance(value, float) else str(value)
 
 
 def render_csv(fieldnames: list[str], rows: list[dict], meta: dict) -> str:

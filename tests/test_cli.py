@@ -89,6 +89,21 @@ def test_ci_hill_estimates_the_index(series_csv, tmp_path):
     assert 1.0 <= float(meta["alpha"]) <= 1.99
 
 
+def test_ci_hill_reports_a_clipped_estimate(series_csv, tmp_path, capsys):
+    # The demo series' Hill estimate is 2.59, past the largest index the
+    # inference admits: it is clipped to 1.99 as before, and now says so.
+    hill, known = tmp_path / "hill.csv", tmp_path / "known.csv"
+    common = ["ci", "--input", series_csv, "--limit-reps", 2000,
+              "--grid-step", 0.01]
+    assert run_cli(*common, "--hill", "--output", hill) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("note:")]
+    assert notes == ["note: Hill estimate 2.59 clipped to 1.99"]
+    assert run_cli(*common, "--alpha", 1.99, "--output", known) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert hill.read_bytes() == known.read_bytes()
+
+
 def test_ci_missing_file_is_a_usage_error(capsys):
     assert run_cli("ci", "--input", "/nonexistent.csv", "--alpha", 1.5) == 2
     assert "error:" in capsys.readouterr().err

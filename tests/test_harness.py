@@ -175,6 +175,69 @@ def test_region_of_matrix_score_takes_the_full_scan():
     assert result == full_scan(x, score, grid, 3.0, 1.5)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 120, 300]),
+       lags=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       gammas=st.lists(st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6])
+                       | st.floats(0.0, 50.0), min_size=5, max_size=5),
+       step=st.sampled_from([0.001, 0.0137, 0.2]))
+def test_lockstep_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step):
+    # A chunk of series shares one batch solve per search round; each probe
+    # is still solved on its own row, so every scan is bitwise the one its
+    # series gets alone, and an unconverged probe sends only its own series
+    # to the full scan.
+    rng = np.random.default_rng(seed)
+    spec = ma_polynomial_spec(0.5)
+    series = [(simulate_linear(spec, n, rng), acf_score(lag), gamma)
+              for lag, gamma in zip(lags, gammas)]
+    grid = theta_grid(acf_score(1), step=step)
+    rows = [harness._affine_rows(x, score, 1.5) for x, score, _ in series]
+
+    def chunk(solver):
+        steps = [harness._region_steps(a, b, grid, gamma, 1.5, False, 0.9)
+                 for (a, b), (_, _, gamma) in zip(rows, series)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "solve_lagrange_batch", solver)
+            return harness._lockstep(steps)
+
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return solve_lagrange_batch(m)
+
+    def same(scan, other):
+        return (scan.thetas.tobytes() == other.thetas.tobytes()
+                and scan.stats.tobytes() == other.stats.tobytes()
+                and scan.interval == other.interval
+                and scan.hull_failures == other.hull_failures
+                and scan.solver_failures == other.solver_failures)
+
+    together = chunk(counted)
+    alone = [el_confidence_region(x, score, grid, gamma, 1.5)
+             for x, score, gamma in series]
+    assert all(same(*pair) for pair in zip(together, alone))
+    assert len(calls) <= math.ceil(math.log2(grid.size)) + 2
+
+    def flaky(m):
+        # the first row of the first round is the first probe of series 0
+        batch = solve_lagrange_batch(m)
+        if not calls:
+            calls.append(len(m))
+            batch = replace(batch, converged=np.r_[False, batch.converged[1:]],
+                            hull_ok=np.r_[True, batch.hull_ok[1:]])
+        return batch
+
+    calls.clear()
+    fallback, *rest = chunk(flaky)
+    a, b = rows[0]
+    full = solve_lagrange_batch(a + grid[:, None] * b)
+    assert fallback.thetas.tobytes() == grid.tobytes()
+    assert fallback.stats.tobytes() == (-2.0 * x_n(n, 1.5) ** 2 / n
+                                        * full.log_ratio).tobytes()
+    assert all(same(*pair) for pair in zip(rest, alone[1:]))
+
+
 # --------------------------------------------------------------------------
 # pivotal and plug-in points
 
@@ -416,6 +479,56 @@ def test_coverage_records_are_worker_count_invariant(tmp_path):
             result.write_csv(path)
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+
+def _record_lines(records):
+    return render_csv(harness._COVERAGE_FIELDS, records, {}).splitlines()
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stage", ["simulation", "search"])
+def test_a_failing_replicate_leaves_the_rest_of_its_chunk_alone(workers, stage):
+    # Replicate 57 raises either before its first probe or in the middle of
+    # its region search, while the rest of its chunk keeps going in
+    # lock-step around it.
+    cfg = ExperimentConfig(workers=workers, seed=23, **SMALL)
+    clean = coverage_experiment(cfg).records
+    bad = 57
+    with pytest.MonkeyPatch.context() as patch:
+        if stage == "simulation":
+            def failing(spec, n, rng):
+                if rng.bit_generator.seed_seq.entropy == (cfg.seed, 1 + bad):
+                    raise ValueError("boom")
+                return simulate_linear(spec, n, rng)
+
+            patch.setattr(harness, "simulate_linear", failing)
+        else:
+            probes, root = harness._secant_probes, clean[bad]["theta_ref"]
+
+            def failing(grid, stats, at, *args):
+                if at == root:
+                    raise RuntimeError("boom")
+                return probes(grid, stats, at, *args)
+
+            patch.setattr(harness, "_secant_probes", failing)
+        records = coverage_experiment(cfg).records
+    assert records[bad]["status"].startswith("error: ")
+    assert records[bad]["status"].endswith(": boom")
+    assert (_record_lines(records[:bad] + records[bad + 1:])
+            == _record_lines(clean[:bad] + clean[bad + 1:]))
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_coverage_records_do_not_depend_on_uneven_chunks():
+    # 101 replicates split into chunks of 100 + 1, 51 + 50 and 34 + 34 + 33.
+    design = dict(SMALL, replicates=101)
+    texts = {tuple(_record_lines(coverage_experiment(
+        ExperimentConfig(workers=workers, seed=29, **design)).records))
+        for workers in (1, 2, 3)}
+    assert len(texts) == 1
 
 
 def test_coverage_rejects_tiny_runs():
