@@ -29,14 +29,14 @@ from .emplik import solve_lagrange_batch, x_n
 from .errors import NumericalError
 from .limitlaw import (LimitLawConfig, prepare_limit, sac_series_constant,
                        sample_stable_ratio)
-from .processes import (LinearProcessSpec, ma_polynomial_spec, normalized_transfer,
-                        power_transfer_matrix, simulate_linear,
-                        simulate_vector_linear, spec_from_dict, theoretical_acf,
+from .processes import (LinearProcessSpec, ma_polynomial_spec, power_transfer_matrix,
+                        simulate_linear, simulate_vector_linear, spec_from_dict, theoretical_acf,
                         transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv, score_from_config)
-from .spectral import (SmoothedTransfer, acf_sequence, hill_estimator,
-                       periodogram_matrix_grid, sample_acf, self_normalized_grid)
+from .spectral import (SmoothedTransfer, acf_sequence, folded_cosine_coeffs,
+                       hill_estimator, periodogram_matrix_grid, sample_acf,
+                       self_normalized_grid)
 
 SCHEMA_VERSION = "elstable-csv 1"
 DEFAULT_SEED = 20140214
@@ -143,7 +143,8 @@ def _lockstep(steps: list) -> list:
         advance(i, None)
     while pending:
         rounds, pending = pending, {}
-        batch = solve_lagrange_batch(np.concatenate(list(rounds.values())))
+        parts = list(rounds.values())  # a lone series' rows go in uncopied
+        batch = solve_lagrange_batch(parts[0] if len(parts) == 1 else np.concatenate(parts))
         start = 0
         for i, rows in rounds.items():
             part = slice(start, start + len(rows))
@@ -375,8 +376,10 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
     """Parameter value targeted by the score under a known process.
 
     Solves ``integral  tr{ d(1/f)/d theta (omega; theta) g(omega) } d omega = 0``
-    for theta, with ``g`` the exact power transfer of ``spec``; for the
-    autocorrelation score this is the lag-l autocorrelation itself.  The
+    for theta, with ``g`` the exact power transfer of ``spec`` (for a scalar
+    process its cosine series in the model autocorrelations, put on the
+    grid by one FFT); for the autocorrelation score this is the lag-l
+    autocorrelation itself.  The
     trapezoid rule of the integral is affine in theta, ``A + theta B``, like
     the rows, so the value is ``-A / B``; :class:`NumericalError` when the
     score is not affine or the value falls outside the score domain.
@@ -392,7 +395,9 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
             integrand = np.einsum("tab,tba->t", grad, g).real
             return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
     else:
-        g = normalized_transfer(spec, grid)
+        # the normalized transfer is the cosine series of the model acf
+        g = np.fft.fft(folded_cosine_coeffs(_model_acf(spec), quad_points)).real
+        g = g[np.arange(quad_points + 1) % quad_points]
 
         def disparity(theta):
             grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta)))[0]
@@ -400,6 +405,12 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
             return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
 
     return _affine_root(*_affine(disparity, score), score, "pivotal value")
+
+
+def _model_acf(spec: LinearProcessSpec) -> np.ndarray:
+    """Autocorrelations ``rho(0..order)`` of ``spec``: the cosine
+    coefficients of its normalized power transfer."""
+    return np.array([theoretical_acf(spec, h) for h in range(spec.order + 1)])
 
 
 def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float,
@@ -484,15 +495,16 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta: float,
               alpha: float, transfer) -> LimitLawConfig:
     """The limit law of ``score`` at ``theta`` with the tuning of ``config``.
 
-    ``transfer`` is a process spec, whose exact transfer enters the law, or
-    for a scalar score a normalized power-transfer callable such as a
-    :class:`SmoothedTransfer` estimated from the data.
+    ``transfer`` is a process spec, whose exact transfer enters the law
+    (for a scalar score as its cosine coefficients, the model
+    autocorrelations), or for a scalar score a normalized power transfer
+    such as a :class:`SmoothedTransfer` estimated from the data.
     """
     psi = None
     if score.is_matrix:
         transfer, psi = None, partial(transfer_matrix, transfer)
     elif isinstance(transfer, LinearProcessSpec):
-        transfer = partial(normalized_transfer, transfer)
+        transfer = _model_acf(transfer)
     return LimitLawConfig(score=score, theta0=np.atleast_1d(theta), alpha=alpha,
                           transfer=transfer, psi_matrix=psi,
                           truncation=config.truncation,

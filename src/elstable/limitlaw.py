@@ -14,6 +14,29 @@ by lag and innovation coordinates, with ``F_k = Psi* (d(1/f)/d theta_k) Psi``:
 
     c[t, i, j, k] = (1/pi) * integral Re{ F_k(omega)_(ij) e^(i t omega) } d omega.
 
+Scalar law in closed form.  For the autocorrelation score at lag ``l``,
+``d(1/f)/d theta = 2 theta - 2 cos(l omega)``, and the normalized transfer
+is a cosine series ``g = sum_k r_|k| e^(i k omega)`` with ``r_0 = 1``, so
+both integrands are trigonometric polynomials and the trapezoid rule on the
+periodic ``N = quad_points`` grid starting at ``-pi`` is a finite sum of
+cosine coefficients (Parseval).  With
+
+    u_k = 2 theta r_|k| - r_|k-l| - r_|k+l|,    k in Z,
+
+folded modulo N with the sign ``(-1)**k`` of the shifted grid into the
+periodic sequence ``u~_m = sum_{k = m mod N} (-1)**k u_k``,
+
+    W = 2 sum_{m<N} u~_m**2,    c_t = 2 (-1)**t u~_(t mod N),
+
+and the half-resolution check is the same sum folded modulo N/2.
+:func:`prepare_limit` computes these sums directly: ``O(n + N)`` work with
+no grid, equal to the N-point rule in exact arithmetic (:func:`compute_W`
+and :func:`compute_V_coeffs` keep the grid rules).  The fold keeps the
+rule's aliasing: a smoothed transfer of ``n`` observations has lags up to
+``n - 1``, which wrap once ``n`` exceeds about N/2, and the check then
+warns.  Removing that aliasing changes the thresholds of long series, so
+it is left to a change that moves those outputs.
+
 Scale convention.  The limit theory fixes only the stability indices of
 ``S_t`` and ``S_0``; their scales are pinned here by matching the classical
 sample-autocorrelation limit for i.i.d. stable noise: ``S_t`` is SaS with
@@ -26,16 +49,18 @@ ratio, and both multipliers are exposed as knobs (``scale_convention``).
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import TruncationWarning
 from .processes import StableParams, sample_positive_stable, sample_sas
 from .scores import ScoreFunction, check_alpha
+from .spectral import folded_cosine_coeffs
 
 _SAMPLE_BLOCK = 20_000  # stable draws are generated in blocks of this many reps
 
@@ -46,7 +71,7 @@ def tail_constant(alpha: float) -> float:
         raise ValueError(f"tail constant defined for alpha in (0, 2), got {alpha}")
     if alpha == 1.0:
         return 2.0 / np.pi
-    return (1.0 - alpha) / (gamma_fn(2.0 - alpha) * np.cos(np.pi * alpha / 2.0))
+    return (1.0 - alpha) / (math.gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0))
 
 
 def scale_multipliers(alpha: float, convention="davis-resnick") -> tuple[float, float]:
@@ -59,7 +84,7 @@ def scale_multipliers(alpha: float, convention="davis-resnick") -> tuple[float, 
     if isinstance(convention, str):
         if convention == "davis-resnick":
             return (tail_constant(alpha) ** (-1.0 / alpha),
-                    gamma_fn(1.0 - alpha / 2.0) ** (2.0 / alpha))
+                    math.gamma(1.0 - alpha / 2.0) ** (2.0 / alpha))
         if convention == "unit":
             return 1.0, 1.0
         raise ValueError(f"unknown scale convention {convention!r}")
@@ -73,6 +98,12 @@ def _uniform_grid(quad_points: int) -> np.ndarray:
     if quad_points < 16:
         raise ValueError("quad_points too small")
     return np.linspace(-np.pi, np.pi, quad_points + 1)
+
+
+@functools.lru_cache
+def _grid_step(quad_points: int) -> float:
+    grid = _uniform_grid(quad_points)
+    return float(grid[1] - grid[0])
 
 
 def _trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -214,6 +245,57 @@ def compute_V_coeffs_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
     return coeffs
 
 
+def _folded_u(score: ScoreFunction, theta: float, transfer, points: int) -> np.ndarray:
+    """``u~``: the cosine coefficients of ``d(1/f)/d theta * g`` folded
+    modulo ``points`` (module docstring, :func:`folded_cosine_coeffs`).
+
+    ``transfer`` is an array of coefficients ``r_0..r_H``, an object that
+    carries them as ``coeffs`` (:class:`SmoothedTransfer`), or a bare
+    callable, whose product with the score gradient on the grid gives them
+    by one FFT.
+    """
+    if callable(transfer) and not hasattr(transfer, "coeffs"):
+        grid = _uniform_grid(points)[:-1]
+        samples = np.asarray(score.grad_inv(grid, [theta]))[0] * transfer(grid)
+        return np.fft.fft(samples).real / points
+    coeffs = np.asarray(getattr(transfer, "coeffs", transfer), dtype=float)
+    lag, k = score.lag, np.arange(coeffs.size + score.lag)
+    r = np.zeros(coeffs.size + 2 * lag)          # r_k for k = 0..H + 2 lag
+    r[0] = 1.0                                   # the transfer is normalized
+    r[1:coeffs.size] = coeffs[1:]
+    u = 2.0 * theta * r[k] - r[np.abs(k - lag)] - r[k + lag]
+    return folded_cosine_coeffs(u, points)
+
+
+def _acf_limit(score: ScoreFunction, theta0, transfer, quad_points: int,
+               truncation: int, alpha: float):
+    """``W`` and ``c_t`` of an autocorrelation score by the finite sums of
+    the module docstring: the N-point rule of :func:`compute_W` and
+    :func:`compute_V_coeffs`, with its half-resolution check, without a grid.
+    """
+    if score.lag is None:
+        raise ValueError(f"the scalar limit law needs an autocorrelation score, "
+                         f"got {score.name!r}")
+    if quad_points < 32:
+        raise ValueError("quad_points too small")
+    theta, half = score.check_theta(theta0)[0], quad_points // 2
+    u = _folded_u(score, theta, transfer, quad_points)
+    coarse = (u[:half] + u[half:] if quad_points % 2 == 0
+              else _folded_u(score, theta, transfer, half))
+    if abs(u @ u - coarse @ coarse) > 1e-6 * (u @ u):
+        warnings.warn("quadrature for W not converged at the requested grid; "
+                      "increase quad_points", RuntimeWarning, stacklevel=2)
+    # The rule's step, linspace's grid[1] - grid[0], is 2 pi / N only to
+    # about 1e-13 relative; scaling by the ratio keeps W and c_t, and so
+    # every threshold, equal to the rule's to rounding.
+    scale = 2.0 * _grid_step(quad_points) * quad_points / (2.0 * np.pi)
+    lags = np.arange(1, truncation + 1)
+    sign = np.where(lags % 2 == 1, -scale, scale)
+    coeffs = (sign * u[lags % quad_points])[:, None]
+    _check_tail_decay(np.abs(coeffs[:, 0]), "limit-series", alpha)
+    return np.array([[scale * (u @ u)]]), coeffs
+
+
 @dataclass(frozen=True)
 class Quantile:
     """A Monte-Carlo quantile with its bootstrap standard error."""
@@ -228,17 +310,20 @@ class Quantile:
 class LimitLawConfig:
     """Everything needed to sample the limit statistic ``V' W^-1 V``.
 
-    ``transfer`` is the scalar normalized-power-transfer callable; for
-    vector processes supply ``psi_matrix`` instead (``transfer`` is then
-    derived as ``Psi Psi*``).  ``dependence`` picks the joint law of the
-    matrix-series entries: ``"independent"`` (default) draws one SaS
-    variable per (lag, i, j), ``"common"`` shares a single variable per lag.
+    ``transfer`` is the scalar normalized power transfer: its cosine
+    coefficients ``r_0..r_H`` as an array, an object carrying them as
+    ``coeffs`` (:class:`SmoothedTransfer`), or a bare callable of the
+    frequency; for vector processes supply ``psi_matrix`` instead
+    (``transfer`` is then derived as ``Psi Psi*``).  ``dependence`` picks
+    the joint law of the matrix-series entries: ``"independent"`` (default)
+    draws one SaS variable per (lag, i, j), ``"common"`` shares a single
+    variable per lag.
     """
 
     score: ScoreFunction
     theta0: np.ndarray
     alpha: float
-    transfer: Callable | None = None
+    transfer: Callable | np.ndarray | None = None
     psi_matrix: Callable | None = None
     truncation: int = 200
     quad_points: int = 4096
@@ -263,7 +348,9 @@ def prepare_limit(config: LimitLawConfig) -> dict:
 
     Results are cached on the config; keys: ``w``, ``w_inv``, ``coeffs``,
     ``mixing``, and ``closure`` (the l^alpha norm of the mixing weights, the
-    exact SaS scale of the series part of V when q = 1, else None).
+    exact SaS scale of the series part of V when q = 1, else None).  A
+    scalar score must be an autocorrelation score, whose law is computed in
+    closed form (module docstring); others raise ``ValueError``.
     """
     if config._prepared is not None:
         return config._prepared
@@ -282,18 +369,20 @@ def prepare_limit(config: LimitLawConfig) -> dict:
             flat = flat.sum(axis=1, keepdims=True)
         mixing = flat.reshape(-1, score.q)                     # one row per SaS draw
     else:
-        w = compute_W(score, config.theta0, config.transfer, config.quad_points)
-        coeffs = compute_V_coeffs(score, config.theta0, config.transfer,
-                                  config.truncation, config.quad_points,
-                                  config.alpha)
+        w, coeffs = _acf_limit(score, config.theta0, config.transfer,
+                               config.quad_points, config.truncation, config.alpha)
         mixing = coeffs
-    cond = np.linalg.cond(w)
+    # A 1 x 1 W (every single-parameter score) has condition number 1 unless
+    # it is 0, and LAPACK's inverse of it is 1 / w; the LAPACK calls cost
+    # more than the closed-form law itself.
+    single = w.shape == (1, 1)
+    cond = (1.0 if w[0, 0] else np.inf) if single else np.linalg.cond(w)
     if cond > 1e12:
         warnings.warn(f"W matrix is ill-conditioned (cond {cond:.2e}); using a "
                       "pseudo-inverse", RuntimeWarning, stacklevel=3)
         w_inv = np.linalg.pinv(w)
     else:
-        w_inv = np.linalg.inv(w)
+        w_inv = 1.0 / w if single else np.linalg.inv(w)
     closure = float(np.sum(np.abs(mixing) ** config.alpha, axis=0)[0]
                     ** (1.0 / config.alpha)) if score.q == 1 else None
     prepared = {"w": w, "w_inv": w_inv, "coeffs": coeffs, "mixing": mixing,

@@ -210,6 +210,24 @@ class SmoothedTransfer:
         return float(values[0]) if scalar else values
 
 
+def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
+    """The cosine series ``coeffs[0] + 2 sum_{h>=1} coeffs[h] cos(h omega)``
+    folded onto the periodic grid ``omega_j = -pi + 2 pi j / points``.
+
+    ``e^(i h omega_j) = (-1)**h e^(2 pi i h j / points)``, so lags ``+h`` and
+    ``-h`` land in slots ``+h`` and ``-h mod points`` with sign ``(-1)**h``,
+    and the series takes the values ``fft(folded).real`` on the grid.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    h = np.arange(1, coeffs.size)
+    signed = np.where(h % 2 == 1, -coeffs[1:], coeffs[1:])
+    one_sided = np.bincount(h % points, weights=signed, minlength=points)
+    folded = one_sided.copy()
+    folded[1:] += one_sided[:0:-1]
+    folded[0] = coeffs[0] + 2.0 * one_sided[0]
+    return folded
+
+
 def smoothed_self_normalized(x: np.ndarray, omega, bandwidth: int | None = None,
                              spacing: str = "fourier") -> np.ndarray:
     """Smoothed self-normalized periodogram values at ``omega``."""

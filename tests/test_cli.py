@@ -1,10 +1,15 @@
 """End-to-end command-line workflows and exit-code contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elstable
 from elstable.cli import build_parser, main
 from elstable.emplik import x_n
 from elstable.harness import read_records_csv
@@ -239,3 +244,13 @@ def test_ci_plugin_point_outside_the_domain_exits_3(tmp_path, capsys):
     assert run_cli("ci", "--input", series, "--config", config, "--alpha", 1.5) == 3
     err = capsys.readouterr().err
     assert "plug-in point 6.307" in err and "(-1.0, 1.0)" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # Every CLI call pays its import time; scipy is loaded lazily, only by
+    # the rarely taken hull-interior LP of the dual solver.
+    src = str(Path(elstable.__file__).resolve().parents[1])
+    code = "import sys, elstable.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

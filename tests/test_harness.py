@@ -238,6 +238,26 @@ def test_lockstep_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step
     assert all(same(*pair) for pair in zip(rest, alone[1:]))
 
 
+def test_lockstep_hands_a_lone_series_its_rows_uncopied(monkeypatch):
+    # One pending series needs no join: its rows reach the solver as they are.
+    rows = np.vstack([np.linspace(-1.0, 1.0, 40), np.linspace(-0.5, 2.0, 40)])
+    seen = []
+
+    def steps(rows):
+        yield rows
+        solution = yield rows[:1]
+        return solution
+
+    def solver(m):
+        seen.append(m)
+        return solve_lagrange_batch(m)
+
+    monkeypatch.setattr(harness, "solve_lagrange_batch", solver)
+    solution, = harness._lockstep([steps(rows)])
+    assert seen[0] is rows and len(seen) == 2
+    assert solution.log_ratio.tobytes() == solve_lagrange_batch(rows[:1]).log_ratio.tobytes()
+
+
 # --------------------------------------------------------------------------
 # pivotal and plug-in points
 

@@ -5,17 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
+
+from elstable.harness import ExperimentConfig, limit_law
 
 from elstable.limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                                compute_V_coeffs_mv, compute_W, compute_W_mv,
                                mc_quantile, prepare_limit, sac_series_constant,
                                sample_limit_stat, sample_limit_stat_simplified,
                                sample_stable_ratio, scale_multipliers, tail_constant)
-from elstable.processes import (normalized_transfer, simulate_linear,
-                                transfer_matrix, vma_table_spec)
-from elstable.scores import acf_score, coupling_var1_score, var1_score
+from elstable.processes import (ma_polynomial_spec, normalized_transfer,
+                                simulate_linear, theoretical_acf, transfer_matrix,
+                                vma_table_spec)
+from elstable.scores import ScoreFunction, acf_score, coupling_var1_score, var1_score
 from elstable.spectral import SmoothedTransfer
 
 
@@ -109,6 +114,100 @@ def test_curvature_quadrature_check_with_smoothed_transfer(spec_half):
             warnings.simplefilter("always")
             compute_W(acf_score(2), 0.1168, SmoothedTransfer(x))
         assert any("quadrature for W" in str(w.message) for w in caught) == warns
+
+
+def _closed_form_cases(spec_half):
+    """(name, transfer handed to the law, grid oracle of it, truncation, N)."""
+    short = SmoothedTransfer(simulate_linear(spec_half, 300, np.random.default_rng(300)))
+    long = SmoothedTransfer(simulate_linear(spec_half, 10_000,
+                                            np.random.default_rng(10_000)))
+    acf = np.array([theoretical_acf(spec_half, h) for h in range(spec_half.order + 1)])
+    exact = lambda w: normalized_transfer(spec_half, w)
+    return [("smoothed n=300", short, short, 200, 4096),
+            ("smoothed n=10000, aliased", long, long, 200, 4096),
+            ("exact MA(100) coefficients", acf, exact, 200, 4096),
+            ("exact MA(100) callable", exact, exact, 200, 4096),
+            ("flat callable", flat_transfer, flat_transfer, 200, 4096),
+            ("np.ones_like", np.ones_like, np.ones_like, 200, 4096),
+            ("T=100 > N=64, lags alias", short, short, 100, 64),
+            ("odd N, grids not nested", short, short, 200, 4095)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_closed_form_limit_law_matches_the_grid_rule(spec_half):
+    # prepare_limit sums cosine coefficients; compute_W and compute_V_coeffs
+    # run the trapezoid rule on the grid.  They are the same sums.
+    for name, transfer, oracle, truncation, points in _closed_form_cases(spec_half):
+        for lag, theta in ((2, 0.1168), (2, -0.6), (1, 0.36), (3, 0.9)):
+            score = acf_score(lag)
+            prepared = prepare_limit(LimitLawConfig(
+                score=score, theta0=np.array([theta]), alpha=1.5, transfer=transfer,
+                truncation=truncation, quad_points=points))
+            w = compute_W(score, theta, oracle, points)
+            coeffs = compute_V_coeffs(score, theta, oracle, truncation, points)
+            assert abs(prepared["w"][0, 0] - w[0, 0]) <= 1e-12 * w[0, 0], name
+            np.testing.assert_allclose(prepared["coeffs"], coeffs, rtol=0.0,
+                                       atol=1e-12 * np.abs(coeffs).max(), err_msg=name)
+
+
+def test_prepare_limit_warns_when_the_grid_rule_does(spec_half):
+    # The n = 10 000 smoothed transfer aliases on the 4096-point grid; the
+    # closed form keeps the rule's half-resolution check and its warning.
+    for n, warns in ((300, False), (10_000, True)):
+        transfer = SmoothedTransfer(simulate_linear(spec_half, n,
+                                                    np.random.default_rng(n)))
+        found = []
+        for compute in (lambda: compute_W(acf_score(2), 0.1168, transfer),
+                        lambda: prepare_limit(LimitLawConfig(
+                            score=acf_score(2), theta0=np.array([0.1168]),
+                            alpha=1.5, transfer=transfer))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                compute()
+            found.append(any("quadrature for W not converged" in str(w.message)
+                             for w in caught))
+        assert found == [warns, warns]
+
+
+def test_single_parameter_w_is_inverted_without_lapack(spec_half):
+    # 1 / w is LAPACK's inverse of a 1 x 1 matrix bit for bit; W = 0 still
+    # takes the pseudo-inverse with the ill-conditioning warning.
+    for transfer in (flat_transfer, SmoothedTransfer(simulate_linear(
+            spec_half, 300, np.random.default_rng(3)))):
+        prepared = prepare_limit(LimitLawConfig(
+            score=acf_score(2), theta0=np.array([0.3]), alpha=1.5, transfer=transfer))
+        assert prepared["w_inv"].tobytes() == np.linalg.inv(prepared["w"]).tobytes()
+    zero = LimitLawConfig(score=acf_score(2), theta0=np.array([0.3]), alpha=1.5,
+                          transfer=np.zeros_like)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        assert prepare_limit(zero)["w_inv"][0, 0] == 0.0
+
+
+def test_scalar_limit_law_needs_an_autocorrelation_score():
+    score = acf_score(2)
+    plain = ScoreFunction(name="plain", q=1, dim=1, domain=score.domain,
+                          f=score.f, grad_inv=score.grad_inv)
+    config = LimitLawConfig(score=plain, theta0=np.array([0.1]), alpha=1.5,
+                            transfer=flat_transfer)
+    with pytest.raises(ValueError, match="autocorrelation score"):
+        prepare_limit(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(-0.9, 0.9), lag=st.integers(1, 3), alpha=st.floats(1.1, 1.9))
+def test_exact_closure_is_twice_the_sample_acf_constant(b, lag, alpha):
+    # At theta = rho(l) the EL series coefficients are c_t = -2 (rho(t + l)
+    # + rho(t - l) - 2 rho(t) rho(l)): twice the terms of the sample-ACF
+    # limit scale of Davis & Resnick (1986).
+    spec = ma_polynomial_spec(b, alpha=alpha)
+    rho = lambda k: theoretical_acf(spec, k)
+    law = limit_law(ExperimentConfig(), acf_score(lag), rho(lag), alpha, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        closure = prepare_limit(law)["closure"]
+        sac = sac_series_constant(rho, lag, alpha)
+    assert abs(closure - 2.0 * sac) <= 1e-12 * sac
 
 
 def test_curvature_matches_half_resolution(spec_half):
