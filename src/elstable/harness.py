@@ -90,9 +90,7 @@ class RegionScan:
 
 
 def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
-                         gamma: float, alpha: float,
-                         periodogram: np.ndarray | None = None,
-                         level: float = 0.9) -> RegionScan:
+                         gamma: float, alpha: float, level: float = 0.9) -> RegionScan:
     """Keep the grid points whose EL statistic stays below ``gamma``.
 
     Hull failures enter as ``+inf`` statistics (the point is rejected);
@@ -117,7 +115,7 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     series.  This is the one-series case of :func:`_lockstep`, which runs
     the searches of a chunk of series together.
     """
-    a, b = _affine_rows(x, score, alpha, periodogram)
+    a, b = _affine_rows(x, score, alpha)
     return _lockstep([_region_steps(a, b, grid, gamma, alpha, score.is_matrix,
                                     level)])[0]
 
@@ -325,8 +323,6 @@ def _affine(fun: Callable, score: ScoreFunction):
     :class:`NumericalError`: the closed forms built on ``(a, b)`` would be
     wrong for a score that is not affine in theta.
     """
-    if score.q != 1:
-        raise ValueError("affine closed forms require a single-parameter score")
     lo, hi = np.clip(score.domain[0], -8.0, 8.0)
     mid, upper, lower = lo + (hi - lo) * np.array([0.5, 0.75, 0.25])
     at_mid, at_upper = np.asarray(fun(mid)), np.asarray(fun(upper))
@@ -350,20 +346,18 @@ def _affine_root(a: float, b: float, score: ScoreFunction, what: str) -> float:
     return root
 
 
-def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float,
-                 periodogram: np.ndarray | None = None):
+def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float):
     """Estimating-function rows ``m_t(theta) = a_t + theta b_t`` as ``(a, b)``.
 
     Both shipped scores are affine in theta: the autocorrelation rows are
     ``(-2 cos(l lambda_t) + 2 theta) I_t`` and the coupling matrix
     ``B(theta)`` of the var1 score enters ``grad_inv`` linearly.  This is the
-    one place that picks the row builder; ``periodogram`` may carry its
-    values on the full frequency grid.
+    one place that picks the row builder; the periodogram is computed once
+    for the three evaluations of :func:`_affine`.
     """
-    if periodogram is None:
-        x = np.asarray(x, dtype=float)
-        periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
-                       else self_normalized_grid(x)).values
+    x = np.asarray(x, dtype=float)
+    periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
+                   else self_normalized_grid(x)).values
     builder = estimating_function_mv if score.is_matrix else estimating_function
 
     def rows(theta):
@@ -413,8 +407,7 @@ def _model_acf(spec: LinearProcessSpec) -> np.ndarray:
     return np.array([theoretical_acf(spec, h) for h in range(spec.order + 1)])
 
 
-def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float,
-                  periodogram: np.ndarray | None = None) -> float:
+def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
     """Plug-in evaluation point: the root of the summed estimating function.
 
     This is the frequency-domain analogue of the point estimate the EL
@@ -423,7 +416,7 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float,
     :func:`_affine_rows` it is ``-sum(a) / sum(b)``; :class:`NumericalError`
     when the score is not affine or the root falls outside the score domain.
     """
-    a, b = _affine_rows(x, score, alpha, periodogram)
+    a, b = _affine_rows(x, score, alpha)
     return _affine_root(a.sum(), b.sum(), score, "plug-in point")
 
 
@@ -535,10 +528,10 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     either smoothed from the data or taken exactly from ``process``; the SAC
     interval targets the lag the score records, with the autocorrelations
     of ``process`` when it is known and the sample ones otherwise.  Because
-    every single-parameter limit draw is the stable ratio times a
-    series-specific constant, replicated callers may share the ratio law
-    across series by passing precomputed quantiles (``ratio_sq_quantile``
-    for the EL threshold, ``sac_halfwidth`` for the whole SAC half-width).
+    every limit draw is the stable ratio times a series-specific constant,
+    replicated callers may share the ratio law across series by passing
+    precomputed quantiles (``ratio_sq_quantile`` for the EL threshold,
+    ``sac_halfwidth`` for the whole SAC half-width).
     This is the one-series case of :func:`_lockstep`.
     """
     return _lockstep([_analysis_steps(
@@ -674,6 +667,8 @@ class ExperimentConfig:
             raise ValueError("grid step must be positive")
         if self.limit_reps < 1000:
             raise ValueError("limit_reps must be at least 1000")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         for name, allowed in _ALLOWED.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {sorted(allowed)}, "
@@ -842,7 +837,9 @@ def coverage_experiment(config: ExperimentConfig, *,
     per-replicate thresholds are deterministic multiples of it.  Contiguous
     chunks of ``ceil(replicates / workers)`` replicates, at most 100, run in
     lock-step (:func:`_lockstep`): one batch solve per search round for the
-    chunk, with the decision of one replicate at a time.
+    chunk, with the decision of one replicate at a time.  The chunks run
+    on a pool of at most ``min(workers, chunks, CPUs)`` processes, serially
+    when that is 1.
     """
     if config.replicates < 100:
         raise ValueError("coverage experiments need at least 100 replicates")
@@ -875,14 +872,16 @@ def coverage_experiment(config: ExperimentConfig, *,
     # At most 100 replicates per chunk: their first search round solves about
     # 4 rows each, a fifth of a full scan of the default grid, so peak memory
     # stays put while the solver's per-call cost is already spread thin.
-    size = min(-(-config.replicates // max(1, workers)), 100)
+    size = min(-(-config.replicates // workers), 100)
     chunks = [range(start, min(start + size, config.replicates))
               for start in range(0, config.replicates, size)]
     run = partial(_coverage_chunk, payload)
-    if workers <= 1:
+    # processes beyond the chunks or the CPUs would only sit idle
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    if processes <= 1:
         parts = map(run, chunks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(run, chunks))
     records = [record for part in parts for record in part]
     summary = coverage_summary(records, config.level)

@@ -1,18 +1,19 @@
 """Monte-Carlo machinery for the heavy-tail limit law of the EL statistic.
 
-Under the null the normalized EL statistic converges to ``V' W^-1 V`` where
-``W`` is a deterministic matrix of transfer-weighted score products and ``V``
-mixes an infinite series of i.i.d. SaS variables ``S_t`` against one positive
-``alpha/2``-stable variable ``S_0``:
+Every score has one parameter, so under the null the normalized EL
+statistic converges to ``V**2 / W``, where ``W`` is a transfer-weighted
+curvature and ``V`` mixes an infinite series of i.i.d. SaS variables ``S_t``
+against one positive ``alpha/2``-stable variable ``S_0``:
 
-    V_j = sum_{t>=1} (S_t / S_0) * c[t, j],
-    c[t, j] = (1/pi) * integral  d(1/f)/d theta_j |_(theta_0) g(omega) cos(t omega) d omega,
-    W_jk = (1/2pi) * integral  d(1/f)/d theta_j d(1/f)/d theta_k 2 g(omega)**2 d omega.
+    V = sum_{t>=1} (S_t / S_0) * c_t,
+    c_t = (1/pi) * integral  d(1/f)/d theta |_(theta_0) g(omega) cos(t omega) d omega,
+    W = (1/2pi) * integral  (d(1/f)/d theta)**2 2 g(omega)**2 d omega.
 
-The matrix (vector-process) analogue replaces ``c`` by coefficients indexed
-by lag and innovation coordinates, with ``F_k = Psi* (d(1/f)/d theta_k) Psi``:
+``W`` is kept as a 1 x 1 matrix.  The matrix (vector-process) analogue
+replaces ``c`` by coefficients indexed by lag and innovation coordinates,
+with ``F = Psi* (d(1/f)/d theta) Psi``:
 
-    c[t, i, j, k] = (1/pi) * integral Re{ F_k(omega)_(ij) e^(i t omega) } d omega.
+    c[t, i, j] = (1/pi) * integral Re{ F(omega)_(ij) e^(i t omega) } d omega.
 
 Scalar law in closed form.  For the autocorrelation score at lag ``l``,
 ``d(1/f)/d theta = 2 theta - 2 cos(l omega)``, and the normalized transfer
@@ -135,7 +136,7 @@ def _trapezoid_checked(integrand: Callable, quad_points: int) -> np.ndarray:
 
 def compute_W(score: ScoreFunction, theta0, transfer: Callable,
               quad_points: int = 4096) -> np.ndarray:
-    """Scalar-process curvature matrix ``W`` at ``theta0``.
+    """Scalar-process curvature ``W`` at ``theta0``, as a 1 x 1 matrix.
 
     ``transfer`` maps a frequency array to normalized power-transfer values.
     The trapezoid rule on a uniform grid is spectrally accurate for these
@@ -144,12 +145,11 @@ def compute_W(score: ScoreFunction, theta0, transfer: Callable,
     theta0 = score.check_theta(theta0)
 
     def integrand(grid):
-        grad = np.asarray(score.grad_inv(grid, theta0))
+        grad = np.asarray(score.grad_inv(grid, theta0))    # (1, N + 1)
         weight = 2.0 * np.asarray(transfer(grid)) ** 2
         return grad[:, None, :] * grad[None, :, :] * weight
 
-    w = _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi)
-    return 0.5 * (w + w.T)
+    return _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi)
 
 
 def compute_W_mv(score: ScoreFunction, theta0, transfer_matrix: Callable,
@@ -205,8 +205,8 @@ def compute_V_coeffs(score: ScoreFunction, theta0, transfer: Callable,
     """
     theta0 = score.check_theta(theta0)
     grid = _uniform_grid(quad_points)
-    grad = np.asarray(score.grad_inv(grid, theta0))        # (q, N + 1)
-    weight = grad * np.asarray(transfer(grid))             # (q, N + 1)
+    grad = np.asarray(score.grad_inv(grid, theta0))        # (1, N + 1)
+    weight = grad * np.asarray(transfer(grid))             # (1, N + 1)
     # Trapezoid rule as a DFT: with omega_j = -pi + 2 pi j / N and equal
     # cosines at both ends, sum_j w_j cos(t omega_j) = (-1)**t Re fft(w)[t],
     # where the first sample carries the mean of the two endpoint weights.
@@ -308,9 +308,11 @@ class Quantile:
 
 @dataclass
 class LimitLawConfig:
-    """Everything needed to sample the limit statistic ``V' W^-1 V``.
+    """Everything needed to sample the limit statistic ``V**2 / W``.
 
-    ``transfer`` is the scalar normalized power transfer: its cosine
+    ``score`` has one parameter, so ``W`` is 1 x 1 and ``V`` a scalar
+    series; ``theta0`` is the one-element evaluation point.  ``transfer``
+    is the scalar normalized power transfer: its cosine
     coefficients ``r_0..r_H`` as an array, an object carrying them as
     ``coeffs`` (:class:`SmoothedTransfer`), or a bare callable of the
     frequency; for vector processes supply ``psi_matrix`` instead
@@ -344,13 +346,14 @@ class LimitLawConfig:
 
 
 def prepare_limit(config: LimitLawConfig) -> dict:
-    """Curvature, mixing coefficients, and the q = 1 closure constant.
+    """Curvature, mixing coefficients, and the closure constant.
 
-    Results are cached on the config; keys: ``w``, ``w_inv``, ``coeffs``,
-    ``mixing``, and ``closure`` (the l^alpha norm of the mixing weights, the
-    exact SaS scale of the series part of V when q = 1, else None).  A
-    scalar score must be an autocorrelation score, whose law is computed in
-    closed form (module docstring); others raise ``ValueError``.
+    Results are cached on the config; keys: ``w`` and ``w_inv`` (1 x 1;
+    a zero ``w`` warns and takes the pseudo-inverse 0), ``coeffs``,
+    ``mixing``, and ``closure`` (the l^alpha norm of the mixing weights,
+    the exact SaS scale of the series part of V).  A scalar score must be
+    an autocorrelation score, whose law is computed in closed form (module
+    docstring); others raise ``ValueError``.
     """
     if config._prepared is not None:
         return config._prepared
@@ -364,27 +367,24 @@ def prepare_limit(config: LimitLawConfig) -> dict:
         coeffs = compute_V_coeffs_mv(score, config.theta0, config.psi_matrix,
                                      config.truncation, config.quad_points,
                                      config.alpha)
-        flat = coeffs.reshape(config.truncation, -1, score.q)  # (T, d*d, q)
+        flat = coeffs.reshape(config.truncation, -1, 1)   # (T, d*d, 1)
         if config.dependence == "common":
             flat = flat.sum(axis=1, keepdims=True)
-        mixing = flat.reshape(-1, score.q)                     # one row per SaS draw
+        mixing = flat.reshape(-1, 1)                      # one row per SaS draw
     else:
         w, coeffs = _acf_limit(score, config.theta0, config.transfer,
                                config.quad_points, config.truncation, config.alpha)
         mixing = coeffs
-    # A 1 x 1 W (every single-parameter score) has condition number 1 unless
-    # it is 0, and LAPACK's inverse of it is 1 / w; the LAPACK calls cost
-    # more than the closed-form law itself.
-    single = w.shape == (1, 1)
-    cond = (1.0 if w[0, 0] else np.inf) if single else np.linalg.cond(w)
-    if cond > 1e12:
-        warnings.warn(f"W matrix is ill-conditioned (cond {cond:.2e}); using a "
+    # The 1 x 1 W has condition number 1 unless it is 0, and LAPACK's
+    # inverse of it is 1 / w.
+    if w[0, 0]:
+        w_inv = 1.0 / w
+    else:
+        warnings.warn("W matrix is ill-conditioned (cond inf); using a "
                       "pseudo-inverse", RuntimeWarning, stacklevel=3)
         w_inv = np.linalg.pinv(w)
-    else:
-        w_inv = 1.0 / w if single else np.linalg.inv(w)
     closure = float(np.sum(np.abs(mixing) ** config.alpha, axis=0)[0]
-                    ** (1.0 / config.alpha)) if score.q == 1 else None
+                    ** (1.0 / config.alpha))
     prepared = {"w": w, "w_inv": w_inv, "coeffs": coeffs, "mixing": mixing,
                 "closure": closure}
     config._prepared = prepared
@@ -420,16 +420,13 @@ def sample_limit_stat(config: LimitLawConfig, rng: np.random.Generator,
 
 def sample_limit_stat_simplified(config: LimitLawConfig, rng: np.random.Generator,
                                  size: int | None = None) -> np.ndarray:
-    """Single-parameter shortcut using the exact stability of the series.
+    """Shortcut using the exact stability of the series.
 
-    For q = 1 the weighted series of i.i.d. SaS variables collapses in
-    distribution to one SaS draw scaled by the l^alpha norm of the weights,
+    The weighted series of i.i.d. SaS variables collapses in distribution to one SaS draw scaled by the l^alpha norm of the weights,
     so the statistic equals ``(S_1 / S_0)**2 K**2 / W`` with
     ``K = (sum |c|**alpha)**(1/alpha)``.
     """
     prepared = prepare_limit(config)
-    if config.score.q != 1:
-        raise ValueError("the simplified sampler applies only to q = 1")
     n = config.reps if size is None else int(size)
     s_mult, s0_mult = scale_multipliers(config.alpha, config.scale_convention)
     s0 = s0_mult * sample_positive_stable(config.alpha / 2.0, n, rng)
@@ -464,7 +461,7 @@ def mc_quantile(config: LimitLawConfig, p: float, rng: np.random.Generator) -> Q
 
 def sample_stable_ratio(alpha: float, reps: int, rng: np.random.Generator,
                         scale_convention="davis-resnick") -> np.ndarray:
-    """Draw the calibrated ratio ``S_1 / S_0`` underlying every q = 1 law."""
+    """Draw the calibrated ratio ``S_1 / S_0`` underlying every limit law."""
     s_mult, s0_mult = scale_multipliers(alpha, scale_convention)
     s0 = s0_mult * sample_positive_stable(alpha / 2.0, reps, rng)
     s1 = s_mult * sample_sas(StableParams(alpha=alpha), reps, rng)

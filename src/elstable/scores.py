@@ -9,9 +9,10 @@ frequency grid:
                        = grad_inv(lambda_t; theta) * I(lambda_t),
 
 with the self-normalized periodogram in the scalar case and the trace form
-``tr{ d f^-1 / d theta_k * I(lambda_t) }`` in the matrix case.  Every factory
-checks ``grad_inv`` against finite differences of ``1/f`` before returning,
-so a mistyped derivative cannot propagate silently.
+``tr{ d f^-1 / d theta * I(lambda_t) }`` in the matrix case.  Every score
+has one parameter ``theta``.  Every factory checks ``grad_inv`` against
+finite differences of ``1/f`` before returning, so a mistyped derivative
+cannot propagate silently.
 """
 
 from __future__ import annotations
@@ -27,19 +28,20 @@ from .spectral import fourier_frequencies, periodogram_matrix_grid, self_normali
 
 @dataclass(frozen=True)
 class ScoreFunction:
-    """Parametric score ``f`` with the analytic gradient of its inverse.
+    """One-parameter score ``f`` with the analytic gradient of its inverse.
 
     ``f(omega, theta)`` maps a frequency array of shape (N,) to values of
     shape (N,) (scalar kind) or (N, d, d) complex Hermitian (matrix kind).
     ``grad_inv(omega, theta)`` returns the derivative of ``1/f`` (or of the
-    matrix inverse) with a leading parameter axis: (q, N) or (q, N, d, d).
+    matrix inverse) with a leading parameter axis of length one: (1, N) or
+    (1, N, d, d).  ``domain`` holds the one open interval ``(lo, hi)`` of
+    theta.
     ``lag`` is the autocorrelation lag an autocorrelation score targets, so
     the competing sample-autocorrelation interval can read it; None for
     other scores.
     """
 
     name: str
-    q: int
     dim: int
     domain: tuple
     f: Callable = field(repr=False)
@@ -51,14 +53,15 @@ class ScoreFunction:
         return self.dim > 1
 
     def check_theta(self, theta) -> np.ndarray:
+        """A scalar or one-element ``theta`` in the domain, as shape (1,)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.q,):
-            raise DomainError(f"score {self.name!r} expects {self.q} parameter(s), "
+        if theta.shape != (1,):
+            raise DomainError(f"score {self.name!r} takes one parameter, "
                               f"got shape {theta.shape}")
-        for k, (lo, hi) in enumerate(self.domain):
-            if not lo < theta[k] < hi:
-                raise DomainError(f"theta[{k}]={theta[k]} outside open interval "
-                                  f"({lo}, {hi}) for score {self.name!r}")
+        lo, hi = self.domain[0]
+        if not lo < theta[0] < hi:
+            raise DomainError(f"theta[0]={theta[0]} outside open interval "
+                              f"({lo}, {hi}) for score {self.name!r}")
         return theta
 
 
@@ -71,26 +74,22 @@ def check_gradient(score: ScoreFunction, rng: np.random.Generator | None = None,
     """
     rng = np.random.default_rng(0) if rng is None else rng
     omega = (rng.random(n_points) * 2.0 - 1.0) * np.pi
-    lo = np.array([d[0] for d in score.domain])
-    hi = np.array([d[1] for d in score.domain])
+    lo, hi = score.domain[0]
     # keep theta and the difference stencil strictly inside the domain
-    theta = lo + (0.1 + 0.8 * rng.random(score.q)) * (hi - lo)
+    theta = lo + (0.1 + 0.8 * rng.random(1)) * (hi - lo)
 
     def inv_f(th):
         val = score.f(omega, th)
         return np.linalg.inv(val) if score.is_matrix else 1.0 / val
 
-    grad = np.asarray(score.grad_inv(omega, theta))
+    grad = np.asarray(score.grad_inv(omega, theta))[0]
     scale = np.max(np.abs(grad)) + 1.0
-    for k in range(score.q):
-        e = np.zeros(score.q)
-        e[k] = step
-        diff = (inv_f(theta + e) - inv_f(theta - e)) / (2.0 * step)
-        err = np.max(np.abs(diff - grad[k]))
-        if err > rtol * scale:
-            raise NumericalError(
-                f"grad_inv of score {score.name!r} disagrees with finite "
-                f"differences: component {k}, max error {err:.3e} vs scale {scale:.3e}")
+    diff = (inv_f(theta + step) - inv_f(theta - step)) / (2.0 * step)
+    err = np.max(np.abs(diff - grad))
+    if err > rtol * scale:
+        raise NumericalError(
+            f"grad_inv of score {score.name!r} disagrees with finite "
+            f"differences: max error {err:.3e} vs scale {scale:.3e}")
 
 
 def acf_score(lag: int) -> ScoreFunction:
@@ -112,60 +111,51 @@ def acf_score(lag: int) -> ScoreFunction:
         th = float(np.atleast_1d(theta)[0])
         return (-2.0 * np.cos(lag * np.asarray(omega)) + 2.0 * th)[None, :]
 
-    score = ScoreFunction(name=f"acf_lag{lag}", q=1, dim=1,
+    score = ScoreFunction(name=f"acf_lag{lag}", dim=1,
                           domain=((-1.0, 1.0),), f=f, grad_inv=grad_inv, lag=lag)
     check_gradient(score)
     return score
 
 
 def _parse_template(template) -> tuple[np.ndarray, np.ndarray]:
-    """Split a matrix template into its fixed part and parameter slots."""
+    """Split a matrix template into its fixed part and the 0/1 mask of the
+    cells holding ``"theta"``."""
     template = np.asarray(template, dtype=object)
     if template.ndim != 2 or template.shape[0] != template.shape[1]:
         raise ValueError("template must be a square matrix")
-    d = template.shape[0]
-    base = np.zeros((d, d))
-    slots = {}
+    base = np.zeros(template.shape)
+    mask = np.zeros(template.shape)
     for (i, j), cell in np.ndenumerate(template):
-        if isinstance(cell, str):
-            label = cell.strip().lower()
-            if label == "theta":
-                label = "theta0"
-            if not (label.startswith("theta") and label[5:].isdigit()):
-                raise ValueError(f"unrecognized template entry {cell!r}")
-            slots.setdefault(int(label[5:]), []).append((i, j))
-        else:
+        if not isinstance(cell, str):
             base[i, j] = float(cell)
-    if not slots:
+        elif cell.strip().lower() == "theta":
+            mask[i, j] = 1.0
+        else:
+            raise ValueError(f"unrecognized template entry {cell!r}")
+    if not mask.any():
         raise ValueError("template contains no theta entries")
-    q = max(slots) + 1
-    if sorted(slots) != list(range(q)):
-        raise ValueError("theta indices in template must be contiguous from 0")
-    masks = np.zeros((q, d, d))
-    for k, cells in slots.items():
-        for i, j in cells:
-            masks[k, i, j] = 1.0
-    return base, masks
+    return base, mask
 
 
 def var1_score(template, domain=None) -> ScoreFunction:
     """Score ``f(omega; theta) = (I - B e^(i omega))^-1 (...)^-*`` for a
     parameterized coupling matrix ``B(theta)``.
 
-    ``template`` is a square matrix whose entries are numbers or the strings
-    ``"theta"``/``"theta0"``, ``"theta1"``, ... marking parameter slots, e.g.
-    ``[[0.5, "theta"], [0.4, 0.2]]``.  The inverse has the closed form
+    ``template`` is a square matrix whose entries are numbers or the one
+    parameter label ``"theta"``, which may fill several cells, e.g.
+    ``[[0.5, "theta"], [0.4, 0.2]]``; ``B(theta)`` is the template with
+    theta in those cells.  The inverse has the closed form
     ``f^-1 = (I - B e^(i omega))* (I - B e^(i omega))``, so its gradient is
     available analytically.  ``B(theta)`` must have spectral radius < 1.
     """
-    base, masks = _parse_template(template)
-    q, d = masks.shape[0], masks.shape[1]
+    base, mask = _parse_template(template)
+    d = mask.shape[0]
     if domain is None:
-        domain = ((-1.0, 1.0),) * q
+        domain = ((-1.0, 1.0),)
 
     def coupling(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        b = base + np.tensordot(th, masks, axes=(0, 0))
+        b = base + th[0] * mask
         radius = np.max(np.abs(np.linalg.eigvals(b)))
         if radius >= 1.0:
             raise DomainError(f"coupling matrix has spectral radius {radius:.4f} >= 1 "
@@ -185,14 +175,10 @@ def var1_score(template, domain=None) -> ScoreFunction:
     def grad_inv(omega, theta):
         a = a_matrices(omega, theta)
         phases = np.exp(1j * np.asarray(omega, dtype=float))
-        out = np.empty((q,) + a.shape, dtype=complex)
-        for k in range(q):
-            ek = masks[k]
-            term = np.conj(np.swapaxes(a, -1, -2)) @ (phases[:, None, None] * ek)
-            out[k] = -(np.conj(np.swapaxes(term, -1, -2)) + term)
-        return out
+        term = np.conj(np.swapaxes(a, -1, -2)) @ (phases[:, None, None] * mask)
+        return -(np.conj(np.swapaxes(term, -1, -2)) + term)[None]
 
-    score = ScoreFunction(name="var1", q=q, dim=d, domain=tuple(domain),
+    score = ScoreFunction(name="var1", dim=d, domain=tuple(domain),
                           f=f, grad_inv=grad_inv)
     check_gradient(score)
     return score
@@ -225,7 +211,7 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
                         periodogram: np.ndarray | None = None) -> np.ndarray:
     """Estimating-function rows ``m(lambda_t; theta)`` for a scalar series.
 
-    Returns an (n, q) array.  ``periodogram`` may carry precomputed
+    Returns an (n, 1) array.  ``periodogram`` may carry precomputed
     self-normalized periodogram values on the full frequency grid, so that
     grid scans over theta pay for the FFT once.
     """
@@ -242,9 +228,9 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
 
 def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: float,
                            periodogram: np.ndarray | None = None) -> np.ndarray:
-    """Estimating-function rows ``tr{ d f^-1/d theta_k * I(lambda_t) }``.
+    """Estimating-function rows ``tr{ d f^-1/d theta * I(lambda_t) }``.
 
-    Returns an (n, q) array of real values; a non-negligible imaginary part
+    Returns an (n, 1) array of real values; a non-negligible imaginary part
     indicates a non-Hermitian score or periodogram and raises.
     """
     alpha = check_alpha(alpha)

@@ -204,6 +204,13 @@ def test_coverage_writes_records_and_summary(tmp_path, capsys):
     assert len(read_records_csv(out)) == 100
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_coverage_rejects_fewer_than_one_worker(workers, capsys):
+    # rejected before any replicate runs, not silently run serially
+    assert run_cli("coverage", "--replicates", 100, "--workers", workers) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_hill_plot_smoke(series_csv, tmp_path):
     out = tmp_path / "hill.csv"
     code = run_cli("hill-plot", "--input", series_csv, "--kmin", 5,
@@ -247,10 +254,24 @@ def test_ci_plugin_point_outside_the_domain_exits_3(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_out():
-    # Every CLI call pays its import time; scipy is loaded lazily, only by
-    # the rarely taken hull-interior LP of the dual solver.
+    # Every CLI call pays its import time, and the runtime needs numpy
+    # only: no module of the package imports scipy.
     src = str(Path(elstable.__file__).resolve().parents[1])
     code = "import sys, elstable.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # The runtime depends on numpy only: simulate a series and compute its
+    # intervals with every scipy import made to fail.
+    src = str(Path(elstable.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from elstable.cli import main\n"
+            "assert main(['simulate', '--n', '300', '--seed', '1', '-o', 's.csv']) == 0\n"
+            "sys.exit(main(['ci', '-i', 's.csv', '--alpha', '1.5', '--limit-reps', '1000']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2].startswith("el,0.9,")

@@ -126,6 +126,24 @@ def test_region_search_matches_full_scan(seed, n, lag, gamma, step):
         assert probes < 60
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 300]),
+       lag=st.integers(1, 3), gamma=st.floats(0.0, 50.0))
+def test_full_scan_region_is_an_interval(seed, n, lag, gamma):
+    # The rows a + theta b of an autocorrelation score have a one-signed
+    # slope, so the EL statistic is quasi-convex in theta and its accepted
+    # set on the whole grid is one run of grid points (Owen 1990).  This is
+    # what lets the region search look for two ends only.
+    x = simulate_linear(ma_polynomial_spec(0.5), n, np.random.default_rng(seed))
+    score = acf_score(lag)
+    grid = theta_grid(score)
+    a, b = harness._affine_rows(x, score, 1.5)
+    batch = solve_lagrange_batch(a + grid[:, None] * b)
+    assert np.all(batch.converged | ~batch.hull_ok)
+    stats = -2.0 * x_n(n, 1.5) ** 2 / n * batch.log_ratio
+    assert np.all(np.diff(np.flatnonzero(stats < gamma)) == 1)
+
+
 def test_region_search_takes_few_solver_rounds_on_the_study_design():
     # The square root of the statistic is close to linear on each side of
     # the plug-in point, so the secant search needs about 3 batch solves per
@@ -286,7 +304,7 @@ def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
         th = float(np.atleast_1d(theta)[0])
         return (-2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * th + th * th)[None, :]
 
-    score = ScoreFunction(name="quadratic", q=1, dim=1, domain=((-1.0, 1.0),),
+    score = ScoreFunction(name="quadratic", dim=1, domain=((-1.0, 1.0),),
                           f=lambda omega, theta: np.ones_like(omega),
                           grad_inv=grad_inv)
     with pytest.raises(NumericalError, match="not affine"):
@@ -443,6 +461,9 @@ def test_experiment_config_validation():
         ExperimentConfig(process=PROC_HALF, transfer_mode="kernel")
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"process": PROC_HALF, "budget": 3})
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ExperimentConfig(process=PROC_HALF, workers=workers)
 
 
 # --------------------------------------------------------------------------
@@ -549,6 +570,48 @@ def test_coverage_records_do_not_depend_on_uneven_chunks():
         ExperimentConfig(workers=workers, seed=29, **design)).records))
         for workers in (1, 2, 3)}
     assert len(texts) == 1
+
+
+class _PoolSizes(list):
+    """A stand-in for ``ProcessPoolExecutor`` that records the pool size it
+    is asked for and maps the chunks in this process."""
+
+    def __call__(self, max_workers):
+        self.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return list(map(fn, chunks))
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@pytest.mark.parametrize("workers, cpus, started", [
+    (1000, 4, [4]),     # 100 one-replicate chunks, capped by the CPUs
+    (1000, 500, [100]),  # capped by the chunks
+    (2, 8, [2]),
+    (3, 1, []),         # one CPU: the chunks run serially
+])
+def test_worker_pool_is_capped_by_chunks_and_cpus(workers, cpus, started):
+    # The requested worker count still sets the chunking; only the number of
+    # processes is capped.  The fake pool starts no process, so the extreme
+    # worker counts are safe to try.
+    serial = _record_lines(coverage_experiment(
+        ExperimentConfig(workers=1, seed=37, **SMALL)).records)
+    sizes = _PoolSizes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "ProcessPoolExecutor", sizes)
+        patch.setattr(harness.os, "cpu_count", lambda: cpus)
+        records = coverage_experiment(
+            ExperimentConfig(workers=workers, seed=37, **SMALL)).records
+    assert sizes == started
+    assert _record_lines(records) == serial
 
 
 def test_coverage_rejects_tiny_runs():

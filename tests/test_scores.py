@@ -27,7 +27,7 @@ def test_acf_score_closed_forms():
 
 def test_acf_score_metadata_and_domain():
     score = acf_score(3)
-    assert (score.q, score.dim, score.is_matrix) == (1, 1, False)
+    assert (score.dim, score.is_matrix) == (1, False)
     assert score.name == "acf_lag3"
     with pytest.raises(DomainError):
         score.check_theta(1.0)
@@ -43,7 +43,7 @@ def test_gradient_self_check_catches_wrong_derivative():
     def bad_grad(omega, theta):
         return np.ones((1, np.asarray(omega).size))  # derivative of 1/f is 0
 
-    bad = ScoreFunction(name="broken", q=1, dim=1, domain=((-1.0, 1.0),),
+    bad = ScoreFunction(name="broken", dim=1, domain=((-1.0, 1.0),),
                         f=omega_fn, grad_inv=bad_grad)
     with pytest.raises(NumericalError):
         check_gradient(bad)
@@ -61,7 +61,9 @@ def test_var1_template_parsing_errors():
     with pytest.raises(ValueError):
         var1_score([[0.5, 0.2], [0.4, 0.2]])        # no parameter slot
     with pytest.raises(ValueError):
-        var1_score([[0.5, "theta1"], [0.4, 0.2]])    # indices not contiguous
+        var1_score([[0.5, "theta1"], [0.4, 0.2]])    # one parameter only
+    with pytest.raises(ValueError):
+        var1_score([[0.5, "theta0"], [0.4, 0.2]])    # its label is "theta"
     with pytest.raises(ValueError):
         var1_score([[0.5, "sigma"], [0.4, 0.2]])     # unknown label
     with pytest.raises(ValueError):
@@ -89,7 +91,7 @@ def test_var1_dimension_one_equals_acf_lag_one():
 
 def test_coupling_score_shape():
     score = coupling_var1_score()
-    assert (score.q, score.dim, score.is_matrix) == (1, 2, True)
+    assert (score.dim, score.is_matrix) == (2, True)
     f = score.f(np.array([0.0]), np.array([0.2]))
     b = np.array([[0.5, 0.2], [0.4, 0.2]])
     inv = np.linalg.inv(np.eye(2) - b)
