@@ -29,7 +29,7 @@ from .processes import (LinearProcessSpec, StableParams, VectorProcessSpec,
                         ma_polynomial_spec, normalized_transfer,
                         power_transfer_matrix, sample_positive_stable,
                         sample_sas, simulate_linear, simulate_vector_linear,
-                        spec_from_dict, spec_to_dict, theoretical_acf,
+                        spec_from_dict, theoretical_acf,
                         transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv,

@@ -34,9 +34,8 @@ from .processes import (LinearProcessSpec, ma_polynomial_spec, power_transfer_ma
                         transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv, score_from_config)
-from .spectral import (SmoothedTransfer, acf_sequence, folded_cosine_coeffs,
-                       hill_estimator, periodogram_matrix_grid, sample_acf,
-                       self_normalized_grid)
+from .spectral import (SmoothedTransfer, acf_sequence, hill_estimator,
+                       periodogram_matrix_grid, sample_acf, self_normalized_grid)
 
 SCHEMA_VERSION = "elstable-csv 1"
 DEFAULT_SEED = 20140214
@@ -297,14 +296,13 @@ def _secant_probes(grid: np.ndarray, stats: dict, root: float, gamma: float,
 
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,
-               lo: float | None = None, hi: float | None = None,
-               bound: float = 0.999) -> np.ndarray:
-    """Uniform parameter grid over the score domain, clipped to ``+/-bound``."""
+               lo: float | None = None, hi: float | None = None) -> np.ndarray:
+    """Uniform parameter grid over the score domain, clipped to ``+/-0.999``."""
     if step <= 0.0:
         raise ValueError("grid step must be positive")
     dlo, dhi = score.domain[0]
-    lo = max(dlo + step, -bound) if lo is None else float(lo)
-    hi = min(dhi - step, bound) if hi is None else float(hi)
+    lo = max(dlo + step, -0.999) if lo is None else float(lo)
+    hi = min(dhi - step, 0.999) if hi is None else float(hi)
     if not lo < hi:
         raise ValueError(f"empty grid: [{lo}, {hi}]")
     count = int(round((hi - lo) / step))
@@ -370,33 +368,31 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
     """Parameter value targeted by the score under a known process.
 
     Solves ``integral  tr{ d(1/f)/d theta (omega; theta) g(omega) } d omega = 0``
-    for theta, with ``g`` the exact power transfer of ``spec`` (for a scalar
-    process its cosine series in the model autocorrelations, put on the
-    grid by one FFT); for the autocorrelation score this is the lag-l
-    autocorrelation itself.  The
-    trapezoid rule of the integral is affine in theta, ``A + theta B``, like
-    the rows, so the value is ``-A / B``; :class:`NumericalError` when the
-    score is not affine or the value falls outside the score domain.
+    for theta, with ``g`` the exact power transfer of ``spec``.  For the
+    autocorrelation score at lag l, whose ``d(1/f)/d theta`` is
+    ``2 theta - 2 cos(l omega)``, the root is the model autocorrelation
+    ``rho(l)`` in closed form; other scalar scores raise ``ValueError``.
+    For a matrix score the ``quad_points`` trapezoid rule of the integral is
+    affine in theta, ``A + theta B``, like the rows, so the value is
+    ``-A / B``.  :class:`NumericalError` when the score is not affine or the
+    value falls outside the score domain.
     """
+    if not score.is_matrix:
+        if score.lag is None:
+            raise ValueError(f"the scalar pivotal value needs an autocorrelation "
+                             f"score, got {score.name!r}")
+        # the disparity is proportional to theta - rho(l)
+        return _affine_root(-theoretical_acf(spec, score.lag), 1.0, score,
+                            "pivotal value")
+
     grid = np.linspace(-np.pi, np.pi, quad_points + 1)
     h = grid[1] - grid[0]
+    g = power_transfer_matrix(spec, grid)
 
-    if score.is_matrix:
-        g = power_transfer_matrix(spec, grid)
-
-        def disparity(theta):
-            grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta)))[0]
-            integrand = np.einsum("tab,tba->t", grad, g).real
-            return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-    else:
-        # the normalized transfer is the cosine series of the model acf
-        g = np.fft.fft(folded_cosine_coeffs(_model_acf(spec), quad_points)).real
-        g = g[np.arange(quad_points + 1) % quad_points]
-
-        def disparity(theta):
-            grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta)))[0]
-            integrand = grad * g
-            return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+    def disparity(theta):
+        grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta)))[0]
+        integrand = np.einsum("tab,tba->t", grad, g).real
+        return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
 
     return _affine_root(*_affine(disparity, score), score, "pivotal value")
 
@@ -490,20 +486,21 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta: float,
 
     ``transfer`` is a process spec, whose exact transfer enters the law
     (for a scalar score as its cosine coefficients, the model
-    autocorrelations), or for a scalar score a normalized power transfer
-    such as a :class:`SmoothedTransfer` estimated from the data.
+    autocorrelations), or for a scalar score a :class:`SmoothedTransfer`
+    estimated from the data, which hands over its cosine coefficients.
     """
     psi = None
     if score.is_matrix:
         transfer, psi = None, partial(transfer_matrix, transfer)
     elif isinstance(transfer, LinearProcessSpec):
         transfer = _model_acf(transfer)
+    else:
+        transfer = transfer.coeffs
     return LimitLawConfig(score=score, theta0=np.atleast_1d(theta), alpha=alpha,
                           transfer=transfer, psi_matrix=psi,
                           truncation=config.truncation,
                           quad_points=config.quad_points, reps=config.limit_reps,
-                          scale_convention=config.scale_convention,
-                          dependence=config.dependence)
+                          scale_convention=config.scale_convention)
 
 
 def _methods(config: "ExperimentConfig", score: ScoreFunction) -> tuple:
@@ -514,42 +511,40 @@ def _methods(config: "ExperimentConfig", score: ScoreFunction) -> tuple:
 def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
                    config: "ExperimentConfig", *,
                    rng: np.random.Generator | None = None, process=None,
-                   theta_ref: float | None = None,
-                   ratio_sq_quantile: float | None = None,
-                   sac_halfwidth: float | None = None,
-                   gamma_override: float | None = None) -> AnalysisResult:
+                   theta_ref: float | None = None) -> AnalysisResult:
     """Confidence intervals for one series by the EL and/or SAC methods.
 
     ``config`` supplies the level, the methods, the theta grid and the
-    limit-law, smoother and transfer settings; its ``process``, ``score``,
-    ``n`` and replication fields are not read.  The EL threshold is the
-    level-quantile of the limit law evaluated at ``theta_ref`` (default: the
-    plug-in point from the estimating equation) with the transfer function
-    either smoothed from the data or taken exactly from ``process``; the SAC
-    interval targets the lag the score records, with the autocorrelations
-    of ``process`` when it is known and the sample ones otherwise.  Because
-    every limit draw is the stable ratio times a series-specific constant,
-    replicated callers may share the ratio law across series by passing
-    precomputed quantiles (``ratio_sq_quantile`` for the EL threshold,
-    ``sac_halfwidth`` for the whole SAC half-width).
-    This is the one-series case of :func:`_lockstep`.
+    limit-law and transfer settings; its ``process``, ``score``, ``n`` and
+    replication fields are not read.  The EL threshold is the level-quantile
+    of the limit law evaluated at ``theta_ref`` (default: the plug-in point
+    from the estimating equation) with the transfer function either smoothed
+    from the data or taken exactly from ``process``; the SAC interval
+    targets the lag the score records, with the autocorrelations of
+    ``process`` when it is known and the sample ones otherwise.  The stable
+    ratio law is drawn from ``rng``.  This is the one-series case of
+    :func:`_lockstep`.
     """
-    return _lockstep([_analysis_steps(
-        x, score, alpha, config, rng=rng, process=process, theta_ref=theta_ref,
-        ratio_sq_quantile=ratio_sq_quantile, sac_halfwidth=sac_halfwidth,
-        gamma_override=gamma_override)])[0]
+    return _lockstep([_analysis_steps(x, score, alpha, config, rng=rng,
+                                      process=process, theta_ref=theta_ref)])[0]
 
 
 def _analysis_steps(x, score, alpha, config, **options):
-    """:func:`analyze_series` as a step generator for :func:`_lockstep`."""
+    """:func:`analyze_series` as a step generator for :func:`_lockstep`.
+
+    Because every limit draw is the stable ratio times a series-specific
+    constant, coverage replicates share the ratio law across series by
+    passing precomputed quantiles (``ratio_sq_quantile`` for the EL
+    threshold, ``sac_halfwidth`` for the whole SAC half-width).
+    """
     theta_ref, gamma, sac, region = _analysis_setup(x, score, alpha, config, **options)
     scan = None if region is None else (yield from region)
     return AnalysisResult(alpha=alpha, theta_ref=theta_ref, gamma=gamma,
                           el=scan, sac=sac)
 
 
-def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref,
-                    ratio_sq_quantile, sac_halfwidth, gamma_override):
+def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
+                    ratio_sq_quantile=None, sac_halfwidth=None):
     """``(theta_ref, gamma, SAC interval, region steps)`` of :func:`analyze_series`.
 
     The rows ``a + theta b`` are built once, for the plug-in point and the
@@ -577,24 +572,19 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref,
                              "'exact') needs the process spec")
         transfer = process
     else:
-        transfer = SmoothedTransfer(x, bandwidth=config.smoothing_bandwidth,
-                                    spacing=config.smoothing_spacing)
+        transfer = SmoothedTransfer(x)
 
     draws = None
-    if (gamma_override is None and ratio_sq_quantile is None) or \
-            ("sac" in methods and sac_halfwidth is None):
+    if ratio_sq_quantile is None or ("sac" in methods and sac_halfwidth is None):
         if rng is None:
             raise ValueError("supply rng or precomputed quantiles")
         draws = sample_stable_ratio(alpha, config.limit_reps, rng,
                                     config.scale_convention)
 
-    if gamma_override is not None:
-        gamma = float(gamma_override)
-    else:
-        prepared = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
-        if ratio_sq_quantile is None:
-            ratio_sq_quantile = float(np.quantile(draws ** 2, config.level))
-        gamma = ratio_sq_quantile * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
+    prepared = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
+    if ratio_sq_quantile is None:
+        ratio_sq_quantile = float(np.quantile(draws ** 2, config.level))
+    gamma = ratio_sq_quantile * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
 
     sac = None
     if "sac" in methods:
@@ -617,9 +607,6 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref,
 _ALLOWED = {
     "alpha_mode": {"known", "hill"},
     "transfer_mode": {"smoothed", "exact"},
-    "theta_ref_mode": {"plugin", "exact"},
-    "smoothing_spacing": {"fourier", "reciprocal"},
-    "dependence": {"independent", "common"},
 }
 
 
@@ -643,9 +630,6 @@ class ExperimentConfig:
     alpha_mode: str = "known"
     hill_k: int | None = None
     transfer_mode: str = "smoothed"
-    smoothing_bandwidth: int | None = None
-    smoothing_spacing: str = "fourier"
-    theta_ref_mode: str = "plugin"
     grid_min: float | None = None
     grid_max: float | None = None
     grid_step: float = 0.001
@@ -653,7 +637,6 @@ class ExperimentConfig:
     truncation: int = 200
     quad_points: int = 4096
     scale_convention: object = "davis-resnick"
-    dependence: str = "independent"
     workers: int | None = None
 
     def __post_init__(self):
@@ -699,10 +682,6 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
     def build_process(self):
         return spec_from_dict(self.process)
 
@@ -724,15 +703,14 @@ _COVERAGE_FIELDS = [
 class _CoverageContext:
     """Shared state of coverage replicates (built once per chunk)."""
 
-    def __init__(self, payload: str):
-        data = json.loads(payload)
-        self.config = ExperimentConfig.from_dict(data["config"])
-        self.theta0 = data["theta0"]
-        self.ratio_sq_q = data["ratio_sq_q"]
-        self.sac_halfwidth = data["sac_halfwidth"]
-        self.gamma_override = data["gamma_override"]
-        self.spec = self.config.build_process()
-        self.score = self.config.build_score()
+    def __init__(self, config: ExperimentConfig, theta0: float,
+                 ratio_sq_q: float | None, sac_halfwidth: float | None):
+        self.config = config
+        self.theta0 = theta0
+        self.ratio_sq_q = ratio_sq_q
+        self.sac_halfwidth = sac_halfwidth
+        self.spec = config.build_process()
+        self.score = config.build_score()
 
     def replicate(self, index: int):
         """Replicate ``index``'s record, as a step generator (:func:`_lockstep`)."""
@@ -753,9 +731,7 @@ class _CoverageContext:
 
             result = yield from _analysis_steps(
                 x, self.score, alpha, cfg, rng=rng, process=self.spec,
-                theta_ref=self.theta0 if cfg.theta_ref_mode == "exact" else None,
-                ratio_sq_quantile=self.ratio_sq_q, sac_halfwidth=self.sac_halfwidth,
-                gamma_override=self.gamma_override)
+                ratio_sq_quantile=self.ratio_sq_q, sac_halfwidth=self.sac_halfwidth)
             record["theta_ref"] = result.theta_ref
             record["gamma"] = result.gamma
             if result.el is not None:
@@ -775,9 +751,11 @@ class _CoverageContext:
         return record
 
 
-def _coverage_chunk(payload: str, indices: range) -> list[dict]:
+def _coverage_chunk(config: ExperimentConfig, theta0: float,
+                    ratio_sq_q: float | None, sac_halfwidth: float | None,
+                    indices: range) -> list[dict]:
     """The records of a contiguous chunk of replicates, run in lock-step."""
-    context = _CoverageContext(payload)
+    context = _CoverageContext(config, theta0, ratio_sq_q, sac_halfwidth)
     return _lockstep([context.replicate(i) for i in indices])
 
 
@@ -827,8 +805,7 @@ class CoverageResult:
         write_csv(path, _COVERAGE_FIELDS, self.records, meta)
 
 
-def coverage_experiment(config: ExperimentConfig, *,
-                        gamma_override: float | None = None) -> CoverageResult:
+def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     """Replicated interval construction and empirical coverage errors.
 
     One rng substream per replicate keeps the records independent of the
@@ -862,10 +839,6 @@ def coverage_experiment(config: ExperimentConfig, *,
                                            config.level, alpha, config.n,
                                            config.truncation)
 
-    payload = json.dumps({
-        "config": config.to_dict(), "theta0": theta0, "ratio_sq_q": ratio_sq_q,
-        "sac_halfwidth": sac_halfwidth, "gamma_override": gamma_override,
-    })
     workers = config.workers
     if workers is None:
         workers = max(1, min(8, os.cpu_count() or 1))
@@ -875,7 +848,7 @@ def coverage_experiment(config: ExperimentConfig, *,
     size = min(-(-config.replicates // workers), 100)
     chunks = [range(start, min(start + size, config.replicates))
               for start in range(0, config.replicates, size)]
-    run = partial(_coverage_chunk, payload)
+    run = partial(_coverage_chunk, config, theta0, ratio_sq_q, sac_halfwidth)
     # processes beyond the chunks or the CPUs would only sit idle
     processes = min(workers, len(chunks), os.cpu_count() or 1)
     if processes <= 1:

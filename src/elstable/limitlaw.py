@@ -79,15 +79,12 @@ def scale_multipliers(alpha: float, convention="davis-resnick") -> tuple[float, 
     """Multipliers applied to the unit-scale stable draws ``(S_t, S_0)``.
 
     ``"davis-resnick"`` is the default calibration described in the module
-    docstring; ``"unit"`` leaves both draws at unit scale; a pair of floats
-    is passed through unchanged.
+    docstring; a pair of floats is passed through unchanged.
     """
     if isinstance(convention, str):
         if convention == "davis-resnick":
             return (tail_constant(alpha) ** (-1.0 / alpha),
                     math.gamma(1.0 - alpha / 2.0) ** (2.0 / alpha))
-        if convention == "unit":
-            return 1.0, 1.0
         raise ValueError(f"unknown scale convention {convention!r}")
     s_mult, s0_mult = (float(convention[0]), float(convention[1]))
     if s_mult <= 0 or s0_mult <= 0:
@@ -245,43 +242,26 @@ def compute_V_coeffs_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
     return coeffs
 
 
-def _folded_u(score: ScoreFunction, theta: float, transfer, points: int) -> np.ndarray:
-    """``u~``: the cosine coefficients of ``d(1/f)/d theta * g`` folded
-    modulo ``points`` (module docstring, :func:`folded_cosine_coeffs`).
-
-    ``transfer`` is an array of coefficients ``r_0..r_H``, an object that
-    carries them as ``coeffs`` (:class:`SmoothedTransfer`), or a bare
-    callable, whose product with the score gradient on the grid gives them
-    by one FFT.
-    """
-    if callable(transfer) and not hasattr(transfer, "coeffs"):
-        grid = _uniform_grid(points)[:-1]
-        samples = np.asarray(score.grad_inv(grid, [theta]))[0] * transfer(grid)
-        return np.fft.fft(samples).real / points
-    coeffs = np.asarray(getattr(transfer, "coeffs", transfer), dtype=float)
-    lag, k = score.lag, np.arange(coeffs.size + score.lag)
-    r = np.zeros(coeffs.size + 2 * lag)          # r_k for k = 0..H + 2 lag
-    r[0] = 1.0                                   # the transfer is normalized
-    r[1:coeffs.size] = coeffs[1:]
-    u = 2.0 * theta * r[k] - r[np.abs(k - lag)] - r[k + lag]
-    return folded_cosine_coeffs(u, points)
-
-
-def _acf_limit(score: ScoreFunction, theta0, transfer, quad_points: int,
+def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: int,
                truncation: int, alpha: float):
     """``W`` and ``c_t`` of an autocorrelation score by the finite sums of
     the module docstring: the N-point rule of :func:`compute_W` and
     :func:`compute_V_coeffs`, with its half-resolution check, without a grid.
+    ``transfer`` holds the cosine coefficients ``r_0..r_H``.
     """
     if score.lag is None:
         raise ValueError(f"the scalar limit law needs an autocorrelation score, "
                          f"got {score.name!r}")
     if quad_points < 32:
         raise ValueError("quad_points too small")
-    theta, half = score.check_theta(theta0)[0], quad_points // 2
-    u = _folded_u(score, theta, transfer, quad_points)
-    coarse = (u[:half] + u[half:] if quad_points % 2 == 0
-              else _folded_u(score, theta, transfer, half))
+    theta, lag = score.check_theta(theta0)[0], score.lag
+    k = np.arange(transfer.size + lag)
+    r = np.zeros(transfer.size + 2 * lag)        # r_k for k = 0..H + 2 lag
+    r[0] = 1.0                                   # the transfer is normalized
+    r[1:transfer.size] = transfer[1:]
+    unfolded = 2.0 * theta * r[k] - r[np.abs(k - lag)] - r[k + lag]
+    u = folded_cosine_coeffs(unfolded, quad_points)
+    coarse = folded_cosine_coeffs(unfolded, quad_points // 2)
     if abs(u @ u - coarse @ coarse) > 1e-6 * (u @ u):
         warnings.warn("quadrature for W not converged at the requested grid; "
                       "increase quad_points", RuntimeWarning, stacklevel=2)
@@ -312,26 +292,21 @@ class LimitLawConfig:
 
     ``score`` has one parameter, so ``W`` is 1 x 1 and ``V`` a scalar
     series; ``theta0`` is the one-element evaluation point.  ``transfer``
-    is the scalar normalized power transfer: its cosine
-    coefficients ``r_0..r_H`` as an array, an object carrying them as
-    ``coeffs`` (:class:`SmoothedTransfer`), or a bare callable of the
-    frequency; for vector processes supply ``psi_matrix`` instead
-    (``transfer`` is then derived as ``Psi Psi*``).  ``dependence`` picks
-    the joint law of the matrix-series entries: ``"independent"`` (default)
-    draws one SaS variable per (lag, i, j), ``"common"`` shares a single
-    variable per lag.
+    is the scalar normalized power transfer as the 1-d array of its cosine
+    coefficients ``r_0..r_H``; for vector processes supply ``psi_matrix``
+    instead (the power transfer is then ``Psi Psi*``), and the matrix series
+    draws one SaS variable per (lag, i, j).
     """
 
     score: ScoreFunction
     theta0: np.ndarray
     alpha: float
-    transfer: Callable | np.ndarray | None = None
+    transfer: np.ndarray | None = None
     psi_matrix: Callable | None = None
     truncation: int = 200
     quad_points: int = 4096
     reps: int = 100_000
     scale_convention: object = "davis-resnick"
-    dependence: str = "independent"
     _prepared: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -341,8 +316,11 @@ class LimitLawConfig:
                 raise ValueError("matrix scores need psi_matrix in the limit config")
         elif self.transfer is None:
             raise ValueError("scalar scores need transfer in the limit config")
-        if self.dependence not in ("independent", "common"):
-            raise ValueError(f"unknown dependence {self.dependence!r}")
+        elif callable(self.transfer) or np.ndim(self.transfer) != 1:
+            raise ValueError("transfer must be the 1-d array of its cosine "
+                             "coefficients r_0..r_H")
+        else:
+            self.transfer = np.asarray(self.transfer, dtype=float)
 
 
 def prepare_limit(config: LimitLawConfig) -> dict:
@@ -367,10 +345,7 @@ def prepare_limit(config: LimitLawConfig) -> dict:
         coeffs = compute_V_coeffs_mv(score, config.theta0, config.psi_matrix,
                                      config.truncation, config.quad_points,
                                      config.alpha)
-        flat = coeffs.reshape(config.truncation, -1, 1)   # (T, d*d, 1)
-        if config.dependence == "common":
-            flat = flat.sum(axis=1, keepdims=True)
-        mixing = flat.reshape(-1, 1)                      # one row per SaS draw
+        mixing = coeffs.reshape(-1, 1)                    # one row per SaS draw
     else:
         w, coeffs = _acf_limit(score, config.theta0, config.transfer,
                                config.quad_points, config.truncation, config.alpha)

@@ -257,20 +257,11 @@ def vma_table_spec(b: float, order: int = 100, alpha: float = 1.5,
     return VectorProcessSpec(coeffs=coeffs, noise=StableParams(alpha=alpha, scale=scale))
 
 
-def spec_to_dict(spec) -> dict:
-    """Serialize a process spec to plain JSON-compatible types."""
-    if isinstance(spec, LinearProcessSpec):
-        return {"kind": "ma", "alpha": spec.noise.alpha, "scale": spec.noise.scale,
-                "psi": spec.psi.tolist()}
-    if isinstance(spec, VectorProcessSpec):
-        return {"kind": "vma", "alpha": spec.noise.alpha, "scale": spec.noise.scale,
-                "dim": spec.dim, "coeffs": spec.coeffs.tolist()}
-    raise TypeError(f"not a process spec: {type(spec).__name__}")
-
-
 def spec_from_dict(data: dict):
-    """Inverse of :func:`spec_to_dict`; also accepts parametric shorthands.
+    """Process spec from its JSON configuration.
 
+    A scalar spec (``"kind": "ma"``, the default) or a vector spec
+    (``"kind": "vma"``) names the noise ``alpha`` and optional ``scale``.
     A scalar spec may give ``psi`` either as an explicit list or as
     ``{"kind": "exp_over_j", "b": 0.5, "order": 100}``; a vector spec may
     give ``coeffs`` as nested lists or as ``{"kind": "table", "b": 0.3,

@@ -137,7 +137,7 @@ def _parse_template(template) -> tuple[np.ndarray, np.ndarray]:
     return base, mask
 
 
-def var1_score(template, domain=None) -> ScoreFunction:
+def var1_score(template) -> ScoreFunction:
     """Score ``f(omega; theta) = (I - B e^(i omega))^-1 (...)^-*`` for a
     parameterized coupling matrix ``B(theta)``.
 
@@ -146,12 +146,11 @@ def var1_score(template, domain=None) -> ScoreFunction:
     ``[[0.5, "theta"], [0.4, 0.2]]``; ``B(theta)`` is the template with
     theta in those cells.  The inverse has the closed form
     ``f^-1 = (I - B e^(i omega))* (I - B e^(i omega))``, so its gradient is
-    available analytically.  ``B(theta)`` must have spectral radius < 1.
+    available analytically.  ``B(theta)`` must have spectral radius < 1;
+    the domain of theta is (-1, 1).
     """
     base, mask = _parse_template(template)
     d = mask.shape[0]
-    if domain is None:
-        domain = ((-1.0, 1.0),)
 
     def coupling(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -178,7 +177,7 @@ def var1_score(template, domain=None) -> ScoreFunction:
         term = np.conj(np.swapaxes(a, -1, -2)) @ (phases[:, None, None] * mask)
         return -(np.conj(np.swapaxes(term, -1, -2)) + term)[None]
 
-    score = ScoreFunction(name="var1", dim=d, domain=tuple(domain),
+    score = ScoreFunction(name="var1", dim=d, domain=((-1.0, 1.0),),
                           f=f, grad_inv=grad_inv)
     check_gradient(score)
     return score

@@ -51,22 +51,6 @@ def _self_normalized(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(ss)
 
 
-def gamma_sq(x: np.ndarray, alpha: float) -> float:
-    """Normalized sum of squares ``n**(-2/alpha) * sum_t x[t]**2``."""
-    x = _validated(x)
-    n = x.shape[0]
-    return float(n ** (-2.0 / alpha) * np.sum(x * x))
-
-
-def raw_periodogram(x: np.ndarray, alpha: float, omega) -> np.ndarray:
-    """Periodogram ``n**(-2/alpha) |sum_t x[t] e^(i t omega)|**2`` (scalar x)."""
-    x = _validated(x)
-    n = x.size
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    phases = np.exp(1j * np.outer(omega, np.arange(1, n + 1)))
-    return n ** (-2.0 / alpha) * np.abs(phases @ x) ** 2
-
-
 def self_normalized_periodogram(x: np.ndarray, omega) -> np.ndarray:
     """Self-normalized periodogram at arbitrary frequencies (direct sum)."""
     xt = _self_normalized(np.asarray(x, dtype=float))
@@ -149,10 +133,11 @@ def acf_sequence(x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, nfft)[:n]
 
 
-def _dirichlet_weights(n_lags: int, count: int, delta: float) -> np.ndarray:
-    """Averaging factor ``(1/count) sum_{|k|<=m} cos(h k delta)`` per lag h."""
-    h = np.arange(n_lags)
-    half = h * delta / 2.0
+def _dirichlet_weights(n: int, count: int) -> np.ndarray:
+    """Averaging factor ``(1/count) sum_{|k|<=m} cos(h k delta)`` per lag
+    h < n, with the Fourier spacing ``delta = 2 pi / n``."""
+    h = np.arange(n)
+    half = h * (2.0 * np.pi / n) / 2.0
     s = np.sin(half)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.sin(count * half) / (count * s)
@@ -162,50 +147,38 @@ def _dirichlet_weights(n_lags: int, count: int, delta: float) -> np.ndarray:
 class SmoothedTransfer:
     """Smoothed self-normalized periodogram as an estimate of g-tilde.
 
-    Averaging the self-normalized periodogram over ``2 m + 1`` frequencies
-    spaced ``delta`` apart multiplies its h-th autocorrelation coefficient by
-    a Dirichlet factor, so the estimate is the cosine series
+    Averaging the self-normalized periodogram over ``2 m + 1`` Fourier
+    frequencies ``2 pi / n`` apart multiplies its h-th autocorrelation
+    coefficient by a Dirichlet factor, so the estimate is the cosine series
 
         J(omega) = 1 + 2 * sum_{h>=1} rho_hat(h) D_h cos(h omega),
 
-    evaluated here for arbitrary ``omega``.  ``spacing="fourier"`` uses the
-    grid step ``2 pi / n``; ``spacing="reciprocal"`` uses the literal step
-    ``1 / n``.
-
-    On the quadrature grid ``linspace(-pi, pi, N + 1)`` the series is one
-    length-N FFT: ``cos(h omega_j) = (-1)**h cos(2 pi h j / N)``, so the
-    signed coefficients fold modulo N and both endpoints get the same value.
+    evaluated here for arbitrary ``omega``.  On the quadrature grid
+    ``linspace(-pi, pi, N + 1)`` the series is one length-N FFT of its
+    coefficients folded by :func:`folded_cosine_coeffs`.
     """
 
-    def __init__(self, x: np.ndarray, bandwidth: int | None = None,
-                 spacing: str = "fourier"):
+    def __init__(self, x: np.ndarray, bandwidth: int | None = None):
         x = _validated(x)
         n = x.size
         m = int(np.sqrt(n)) if bandwidth is None else int(bandwidth)
         if m < 0 or 2 * m + 1 > n:
             raise ValueError(f"bandwidth m={m} out of range for n={n}")
-        if spacing == "fourier":
-            delta = 2.0 * np.pi / n
-        elif spacing == "reciprocal":
-            delta = 1.0 / n
-        else:
-            raise ValueError(f"unknown spacing {spacing!r}")
         self.n = n
         self.bandwidth = m
-        self.spacing = spacing
-        self.coeffs = acf_sequence(x) * _dirichlet_weights(n, 2 * m + 1, delta)
+        self.coeffs = acf_sequence(x) * _dirichlet_weights(n, 2 * m + 1)
 
     def __call__(self, omega) -> np.ndarray:
         scalar = np.isscalar(omega) or np.ndim(omega) == 0
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        h = np.arange(1, self.n)
         points = omega.size - 1
         if points >= 1 and np.array_equal(omega, np.linspace(-np.pi, np.pi, points + 1)):
-            signed = np.where(h % 2 == 1, -self.coeffs[1:], self.coeffs[1:])
-            folded = np.bincount(h % points, weights=signed, minlength=points)
-            cosine_sums = np.fft.fft(folded).real
-            values = 1.0 + 2.0 * cosine_sums[np.arange(points + 1) % points]
+            r = self.coeffs.copy()
+            r[0] = 1.0  # the transfer is normalized
+            values = np.fft.fft(folded_cosine_coeffs(r, points)).real
+            values = values[np.arange(points + 1) % points]
         else:
+            h = np.arange(1, self.n)
             values = 1.0 + 2.0 * (np.cos(np.outer(omega, h)) @ self.coeffs[1:])
         return float(values[0]) if scalar else values
 
@@ -226,12 +199,6 @@ def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
     folded[1:] += one_sided[:0:-1]
     folded[0] = coeffs[0] + 2.0 * one_sided[0]
     return folded
-
-
-def smoothed_self_normalized(x: np.ndarray, omega, bandwidth: int | None = None,
-                             spacing: str = "fourier") -> np.ndarray:
-    """Smoothed self-normalized periodogram values at ``omega``."""
-    return SmoothedTransfer(x, bandwidth=bandwidth, spacing=spacing)(omega)
 
 
 def hill_estimator(x: np.ndarray, k: int | None = None) -> float:

@@ -77,7 +77,7 @@ def test_ci_rejects_alpha_outside_inference_range(series_csv, capsys, alpha):
     score = acf_score(2)
     for call in (lambda: x_n(300, alpha),
                  lambda: LimitLawConfig(score=score, theta0=np.zeros(1),
-                                        alpha=alpha, transfer=np.ones_like),
+                                        alpha=alpha, transfer=[1.0]),
                  lambda: estimating_function(np.arange(8.0), score, 0.1, alpha)):
         with pytest.raises(ValueError) as info:
             call()
@@ -182,6 +182,18 @@ def test_ci_exact_transfer_needs_a_process(series_csv, tmp_path, capsys):
     assert run_cli("ci", "--input", series_csv, "--alpha", 1.5,
                    "--config", config) == 2
     assert "process spec" in capsys.readouterr().err
+
+
+def test_ci_rejects_a_removed_config_field(series_csv, tmp_path, capsys):
+    # the matrix limit law has independent entries only; the old switch for
+    # a shared draw per lag is an unknown field now
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dependence": "common"}))
+    assert run_cli("ci", "--input", series_csv, "--alpha", 1.5,
+                   "--config", config) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown config fields: ['dependence']\n"
+    assert captured.out == ""
 
 
 def test_table_rejects_unknown_id(capsys):

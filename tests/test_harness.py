@@ -281,10 +281,9 @@ def test_lockstep_hands_a_lone_series_its_rows_uncopied(monkeypatch):
 
 def test_pivotal_value_is_the_model_autocorrelation(spec_half):
     # For the autocorrelation score the defining integral equation is solved
-    # exactly by rho(lag).
+    # exactly by rho(lag), which is returned in closed form.
     for lag in (1, 2, 3):
-        value = pivotal_value(spec_half, acf_score(lag))
-        assert abs(value - theoretical_acf(spec_half, lag)) < 1e-9
+        assert pivotal_value(spec_half, acf_score(lag)) == theoretical_acf(spec_half, lag)
 
 
 def test_whittle_point_closed_form(series_half):
@@ -298,8 +297,9 @@ def test_whittle_point_closed_form(series_half):
 
 
 def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
-    # -sum(a)/sum(b), -A/B and the rows a + theta b would all be wrong for a
-    # gradient that is quadratic in theta, so it is refused, not solved.
+    # -sum(a)/sum(b) and the rows a + theta b would be wrong for a gradient
+    # that is quadratic in theta, so it is refused, not solved; the scalar
+    # pivotal value is rho(lag) and needs an autocorrelation score.
     def grad_inv(omega, theta):
         th = float(np.atleast_1d(theta)[0])
         return (-2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * th + th * th)[None, :]
@@ -311,7 +311,7 @@ def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
         whittle_point(series_half, score, 1.5)
     with pytest.raises(NumericalError, match="not affine"):
         el_confidence_region(series_half, score, theta_grid(score, 0.01), 2.0, 1.5)
-    with pytest.raises(NumericalError, match="not affine"):
+    with pytest.raises(ValueError, match="autocorrelation score"):
         pivotal_value(spec_half, score)
 
 
@@ -413,16 +413,6 @@ def test_analyze_series_argument_validation(series_half, rng):
                        ExperimentConfig(methods=("el",)))
 
 
-def test_analyze_series_gamma_override_skips_sampling(series_half):
-    # With a fixed threshold and a precomputed SAC half-width no generator
-    # is needed at all; the scan is fully deterministic.
-    result = analyze_series(series_half, acf_score(2), 1.5,
-                            ExperimentConfig(grid_step=0.01),
-                            gamma_override=2.6, sac_halfwidth=0.13)
-    assert result.gamma == 2.6
-    assert result.sac.length == pytest.approx(0.26)
-
-
 def test_analyze_series_runs_el_only_on_matrix_scores():
     # The SAC interval is defined for scalar series, so a matrix score drops
     # it from the configured methods instead of failing.
@@ -430,7 +420,7 @@ def test_analyze_series_runs_el_only_on_matrix_scores():
     x = simulate_vector_linear(spec, 120, np.random.default_rng(5))
     config = ExperimentConfig(grid_step=0.05, grid_min=-0.5, grid_max=0.5)
     result = analyze_series(x, coupling_var1_score(), 1.5, config, process=spec,
-                            theta_ref=0.0, gamma_override=3.0)
+                            theta_ref=0.0, rng=np.random.default_rng(7))
     assert result.sac is None
     assert result.el.interval.lower >= -0.5 and result.el.interval.upper <= 0.5
 
@@ -441,7 +431,7 @@ def test_analyze_series_runs_el_only_on_matrix_scores():
 def test_experiment_config_roundtrip():
     cfg = ExperimentConfig(process=PROC_HALF, replicates=150, seed=9,
                            scale_convention=(2.0, 3.0))
-    back = ExperimentConfig.from_json(cfg.to_json())
+    back = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
     assert back == cfg
     assert back.scale_convention == (2.0, 3.0)
     with pytest.raises(FrozenInstanceError):
@@ -461,6 +451,11 @@ def test_experiment_config_validation():
         ExperimentConfig(process=PROC_HALF, transfer_mode="kernel")
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"process": PROC_HALF, "budget": 3})
+    # settings of alternatives the pipeline no longer has
+    for name, value in (("smoothing_spacing", "fourier"), ("smoothing_bandwidth", 4),
+                        ("theta_ref_mode", "plugin"), ("dependence", "independent")):
+        with pytest.raises(ValueError, match="unknown config fields"):
+            ExperimentConfig.from_dict({"process": PROC_HALF, name: value})
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             ExperimentConfig(process=PROC_HALF, workers=workers)
@@ -494,16 +489,6 @@ def test_coverage_summary_arithmetic():
     assert summary["el"]["empty_regions"] == 1
     assert summary["el"]["mean_length"] == pytest.approx(0.2)
     assert summary["sac"]["misses"] == 1
-
-
-def test_coverage_exact_error_with_forced_thresholds():
-    # A huge EL threshold accepts (almost) the whole grid, so the region
-    # always covers and the coverage error equals the nominal tail exactly.
-    cfg = ExperimentConfig(workers=1, seed=5, methods=("el",), **SMALL)
-    result = coverage_experiment(cfg, gamma_override=1e18)
-    assert result.summary["failures"] == 0
-    assert result.summary["el"]["miss_rate"] == 0.0
-    assert result.summary["el"]["coverage_error"] == pytest.approx(0.1)
 
 
 # the deliberately short limit series of the small design warns, by design

@@ -28,6 +28,9 @@ def flat_transfer(omega):
     return np.ones_like(np.asarray(omega, dtype=float))
 
 
+FLAT = [1.0]  # the flat transfer's cosine coefficients: r_0 = 1, no others
+
+
 # --------------------------------------------------------------------------
 # constants
 
@@ -44,7 +47,6 @@ def test_scale_multiplier_conventions():
     s, s0 = scale_multipliers(alpha, "davis-resnick")
     assert abs(s - tail_constant(alpha) ** (-1.0 / alpha)) < 1e-14
     assert abs(s0 - gamma_fn(1.0 - alpha / 2.0) ** (2.0 / alpha)) < 1e-14
-    assert scale_multipliers(alpha, "unit") == (1.0, 1.0)
     assert scale_multipliers(alpha, (2.0, 3.0)) == (2.0, 3.0)
     with pytest.raises(ValueError):
         scale_multipliers(alpha, "classic")
@@ -73,7 +75,7 @@ def test_series_coefficients_flat_transfer_closed_form():
 
 def test_closure_constant_flat_transfer():
     config = LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5,
-                            transfer=flat_transfer, truncation=10)
+                            transfer=FLAT, truncation=10)
     prepared = prepare_limit(config)
     assert abs(prepared["closure"] - 2.0) < 1e-8
     assert abs(prepared["w_inv"][0, 0] - 0.25) < 1e-8
@@ -116,21 +118,23 @@ def test_curvature_quadrature_check_with_smoothed_transfer(spec_half):
         assert any("quadrature for W" in str(w.message) for w in caught) == warns
 
 
+def exact_coeffs(spec):
+    """The cosine coefficients of ``spec``'s normalized transfer: its acf."""
+    return np.array([theoretical_acf(spec, h) for h in range(spec.order + 1)])
+
+
 def _closed_form_cases(spec_half):
-    """(name, transfer handed to the law, grid oracle of it, truncation, N)."""
+    """(name, coefficients handed to the law, grid oracle of them, truncation, N)."""
     short = SmoothedTransfer(simulate_linear(spec_half, 300, np.random.default_rng(300)))
     long = SmoothedTransfer(simulate_linear(spec_half, 10_000,
                                             np.random.default_rng(10_000)))
-    acf = np.array([theoretical_acf(spec_half, h) for h in range(spec_half.order + 1)])
     exact = lambda w: normalized_transfer(spec_half, w)
-    return [("smoothed n=300", short, short, 200, 4096),
-            ("smoothed n=10000, aliased", long, long, 200, 4096),
-            ("exact MA(100) coefficients", acf, exact, 200, 4096),
-            ("exact MA(100) callable", exact, exact, 200, 4096),
-            ("flat callable", flat_transfer, flat_transfer, 200, 4096),
-            ("np.ones_like", np.ones_like, np.ones_like, 200, 4096),
-            ("T=100 > N=64, lags alias", short, short, 100, 64),
-            ("odd N, grids not nested", short, short, 200, 4095)]
+    return [("smoothed n=300", short.coeffs, short, 200, 4096),
+            ("smoothed n=10000, aliased", long.coeffs, long, 200, 4096),
+            ("exact MA(100) coefficients", exact_coeffs(spec_half), exact, 200, 4096),
+            ("flat", FLAT, flat_transfer, 200, 4096),
+            ("T=100 > N=64, lags alias", short.coeffs, short, 100, 64),
+            ("odd N, grids not nested", short.coeffs, short, 200, 4095)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -161,7 +165,7 @@ def test_prepare_limit_warns_when_the_grid_rule_does(spec_half):
         for compute in (lambda: compute_W(acf_score(2), 0.1168, transfer),
                         lambda: prepare_limit(LimitLawConfig(
                             score=acf_score(2), theta0=np.array([0.1168]),
-                            alpha=1.5, transfer=transfer))):
+                            alpha=1.5, transfer=transfer.coeffs))):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 compute()
@@ -173,13 +177,17 @@ def test_prepare_limit_warns_when_the_grid_rule_does(spec_half):
 def test_single_parameter_w_is_inverted_without_lapack(spec_half):
     # 1 / w is LAPACK's inverse of a 1 x 1 matrix bit for bit; W = 0 still
     # takes the pseudo-inverse with the ill-conditioning warning.
-    for transfer in (flat_transfer, SmoothedTransfer(simulate_linear(
-            spec_half, 300, np.random.default_rng(3)))):
+    for transfer in (FLAT, SmoothedTransfer(simulate_linear(
+            spec_half, 300, np.random.default_rng(3))).coeffs):
         prepared = prepare_limit(LimitLawConfig(
             score=acf_score(2), theta0=np.array([0.3]), alpha=1.5, transfer=transfer))
         assert prepared["w_inv"].tobytes() == np.linalg.inv(prepared["w"]).tobytes()
+    # 1 + 2 r_N cos(N omega) with r_N = -1/2 vanishes at every point of the
+    # N = 4096 grid, so the rule's W is exactly 0
+    vanishing = np.zeros(4097)
+    vanishing[[0, 4096]] = 1.0, -0.5
     zero = LimitLawConfig(score=acf_score(2), theta0=np.array([0.3]), alpha=1.5,
-                          transfer=np.zeros_like)
+                          transfer=vanishing)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
         assert prepare_limit(zero)["w_inv"][0, 0] == 0.0
 
@@ -189,7 +197,7 @@ def test_scalar_limit_law_needs_an_autocorrelation_score():
     plain = ScoreFunction(name="plain", dim=1, domain=score.domain,
                           f=score.f, grad_inv=score.grad_inv)
     config = LimitLawConfig(score=plain, theta0=np.array([0.1]), alpha=1.5,
-                            transfer=flat_transfer)
+                            transfer=FLAT)
     with pytest.raises(ValueError, match="autocorrelation score"):
         prepare_limit(config)
 
@@ -218,9 +226,8 @@ def test_curvature_matches_half_resolution(spec_half):
 
 
 def test_series_coefficients_truncation_stability(spec_half):
-    transfer = lambda w: normalized_transfer(spec_half, w)
     config = dict(score=acf_score(2), theta0=np.array([0.1168]), alpha=1.5,
-                  transfer=transfer)
+                  transfer=exact_coeffs(spec_half))
     k200 = prepare_limit(LimitLawConfig(truncation=200, **config))["closure"]
     k400 = prepare_limit(LimitLawConfig(truncation=400, **config))["closure"]
     assert abs(k200 - k400) < 5e-3 * k400
@@ -262,7 +269,7 @@ def test_dimension_one_matrix_path_matches_scalar(spec_half):
 
 def test_limit_draws_reproducible_and_positive():
     config = LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5,
-                            transfer=flat_transfer, truncation=10, reps=2000)
+                            transfer=FLAT, truncation=10, reps=2000)
     a = sample_limit_stat(config, np.random.default_rng(42))
     b = sample_limit_stat(config, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
@@ -271,7 +278,7 @@ def test_limit_draws_reproducible_and_positive():
 
 def test_limit_law_is_heavy_tailed():
     config = LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5,
-                            transfer=flat_transfer, truncation=10, reps=50_000)
+                            transfer=FLAT, truncation=10, reps=50_000)
     draws = sample_limit_stat(config, np.random.default_rng(7))
     q90, q99 = np.quantile(draws, [0.9, 0.99])
     assert q99 > 2.4 * q90
@@ -281,7 +288,7 @@ def test_simplified_sampler_matches_series_sampler():
     # For one parameter the weighted SaS series collapses to a single scaled
     # draw; the two samplers must agree in distribution.
     config = LimitLawConfig(score=acf_score(2), theta0=np.array([0.1]), alpha=1.5,
-                            transfer=flat_transfer, truncation=30, reps=20_000)
+                            transfer=FLAT, truncation=30, reps=20_000)
     full = sample_limit_stat(config, np.random.default_rng(1))
     short = sample_limit_stat_simplified(config, np.random.default_rng(2))
     stat = ks_2samp(full, short)
@@ -300,7 +307,7 @@ def test_scale_convention_is_a_pure_ratio_rescale():
 
 def test_mc_quantile_reports_uncertainty():
     config = LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5,
-                            transfer=flat_transfer, truncation=10, reps=5000)
+                            transfer=FLAT, truncation=10, reps=5000)
     q = mc_quantile(config, 0.9, np.random.default_rng(3))
     assert isinstance(q, Quantile)
     assert q.reps == 5000 and q.stderr > 0.0 and q.value > 0.0
@@ -321,28 +328,21 @@ def test_mv_general_law_matches_simplified_closure():
     assert stat.pvalue > 0.01
 
 
-def test_common_dependence_changes_the_mixing():
-    vspec = vma_table_spec(0.3)
-    kwargs = dict(score=coupling_var1_score(), theta0=np.array([0.1755]), alpha=1.5,
-                  psi_matrix=lambda w: transfer_matrix(vspec, w), truncation=40)
-    independent = prepare_limit(LimitLawConfig(dependence="independent", **kwargs))
-    common = prepare_limit(LimitLawConfig(dependence="common", **kwargs))
-    assert independent["mixing"].shape[0] == 4 * common["mixing"].shape[0]
-    assert not np.isclose(independent["closure"], common["closure"])
-
-
 def test_limit_config_validation():
     with pytest.raises(ValueError):
         LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=2.0,
-                       transfer=flat_transfer)
+                       transfer=FLAT)
     with pytest.raises(ValueError):
         LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5)
     with pytest.raises(ValueError):
         LimitLawConfig(score=coupling_var1_score(), theta0=np.array([0.1]),
-                       alpha=1.5, transfer=flat_transfer)
-    with pytest.raises(ValueError):
-        LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5,
-                       transfer=flat_transfer, dependence="coupled")
+                       alpha=1.5, transfer=FLAT)
+    # a scalar transfer is its cosine coefficients, not a function or a grid
+    for transfer in (flat_transfer, SmoothedTransfer(np.arange(1.0, 9.0)),
+                     np.ones((2, 3)), 1.0):
+        with pytest.raises(ValueError, match="cosine coefficients"):
+            LimitLawConfig(score=acf_score(2), theta0=np.array([0.0]), alpha=1.5,
+                           transfer=transfer)
 
 
 # --------------------------------------------------------------------------

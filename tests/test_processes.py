@@ -11,7 +11,7 @@ from elstable.processes import (LinearProcessSpec, StableParams, VectorProcessSp
                                 linear_filter, ma_polynomial_spec, normalized_transfer,
                                 power_transfer_matrix, sample_positive_stable,
                                 sample_sas, simulate_linear, simulate_vector_linear,
-                                spec_from_dict, spec_to_dict, theoretical_acf,
+                                spec_from_dict, theoretical_acf,
                                 transfer_matrix, transfer_polynomial,
                                 vector_linear_filter, vma_table_spec)
 
@@ -207,16 +207,14 @@ def psi_at(vspec, omega):
 # --------------------------------------------------------------------------
 # serialization
 
-def test_spec_dict_roundtrip_scalar(spec_half):
-    data = spec_to_dict(spec_half)
-    back = spec_from_dict(data)
-    np.testing.assert_array_equal(back.psi, spec_half.psi)
-    assert back.noise == spec_half.noise
-
-
-def test_spec_dict_roundtrip_vector():
+def test_spec_from_dict_takes_explicit_coefficients(spec_half):
+    spec = spec_from_dict({"kind": "ma", "alpha": 1.5, "scale": 2.0,
+                           "psi": spec_half.psi.tolist()})
+    np.testing.assert_array_equal(spec.psi, spec_half.psi)
+    assert spec.noise == StableParams(alpha=1.5, scale=2.0)
     vspec = vma_table_spec(0.3, alpha=1.5)
-    back = spec_from_dict(spec_to_dict(vspec))
+    back = spec_from_dict({"kind": "vma", "alpha": 1.5,
+                           "coeffs": vspec.coeffs.tolist()})
     np.testing.assert_array_equal(back.coeffs, vspec.coeffs)
     assert back.noise == vspec.noise
 

@@ -7,10 +7,9 @@ import pytest
 
 from elstable.errors import DegenerateSeriesError
 from elstable.spectral import (SmoothedTransfer, acf_sequence, fourier_frequencies,
-                               gamma_sq, hill_curve, hill_estimator,
-                               periodogram_matrix, periodogram_matrix_grid,
-                               raw_periodogram, sample_acf, self_normalized_grid,
-                               self_normalized_periodogram, smoothed_self_normalized)
+                               hill_curve, hill_estimator, periodogram_matrix,
+                               periodogram_matrix_grid, sample_acf, self_normalized_grid,
+                               self_normalized_periodogram)
 
 
 @pytest.fixture
@@ -37,15 +36,6 @@ def test_periodogram_scale_invariance(x):
     a = self_normalized_periodogram(x, 0.7)
     b = self_normalized_periodogram(1000.0 * x, 0.7)
     assert abs(a - b) < 1e-12
-
-
-def test_raw_periodogram_normalization(x):
-    # raw = gamma_sq * self-normalized, by construction of the normalization.
-    alpha = 1.5
-    omega = np.array([0.3, 1.1])
-    raw = raw_periodogram(x, alpha, omega)
-    self_norm = self_normalized_periodogram(x, omega)
-    np.testing.assert_allclose(raw, gamma_sq(x, alpha) * self_norm, rtol=1e-12)
 
 
 def test_fourier_frequencies_wrap():
@@ -135,32 +125,23 @@ def test_smoothing_shrinks_high_lag_coefficients(x):
 
 def test_smoothed_default_bandwidth_is_sqrt_n(x):
     assert SmoothedTransfer(x).bandwidth == int(math.sqrt(x.size))
-    assert SmoothedTransfer(x, spacing="reciprocal").spacing == "reciprocal"
     with pytest.raises(ValueError):
         SmoothedTransfer(x, bandwidth=x.size)
-    with pytest.raises(ValueError):
-        SmoothedTransfer(x, spacing="nearest")
 
 
-@pytest.mark.parametrize("n, points", [(64, 256), (300, 64)])
-@pytest.mark.parametrize("spacing", ["fourier", "reciprocal"])
-def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points, spacing):
+# ids: the smoother's Fourier spacing, n and N
+@pytest.mark.parametrize("n, points", [(64, 256), (300, 64)],
+                         ids=["fourier-64-256", "fourier-300-64"])
+def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points):
     # On linspace(-pi, pi, N + 1) the series is evaluated by one FFT; with
     # n > N the lags fold modulo N.  The dense cosine sum is the oracle.
-    smoother = SmoothedTransfer(rng.standard_t(df=3, size=n), spacing=spacing)
+    smoother = SmoothedTransfer(rng.standard_t(df=3, size=n))
     omega = np.linspace(-np.pi, np.pi, points + 1)
     direct = 1.0 + 2.0 * (np.cos(np.outer(omega, np.arange(1, n)))
                           @ smoother.coeffs[1:])
     values = smoother(omega)
     np.testing.assert_allclose(values, direct, rtol=0.0, atol=1e-13)
     assert values[0] == values[-1]
-
-
-def test_smoothed_helper_matches_class(x):
-    omega = np.array([0.2, 0.9])
-    np.testing.assert_allclose(
-        smoothed_self_normalized(x, omega, bandwidth=4),
-        SmoothedTransfer(x, bandwidth=4)(omega), atol=1e-14)
 
 
 # --------------------------------------------------------------------------
