@@ -1,5 +1,6 @@
 """Stable samplers, linear filters, transfer functions, and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -207,14 +208,19 @@ def psi_at(vspec, omega):
 # --------------------------------------------------------------------------
 # serialization
 
-def test_spec_from_dict_takes_explicit_coefficients(spec_half):
-    spec = spec_from_dict({"kind": "ma", "alpha": 1.5, "scale": 2.0,
-                           "psi": spec_half.psi.tolist()})
-    np.testing.assert_array_equal(spec.psi, spec_half.psi)
-    assert spec.noise == StableParams(alpha=1.5, scale=2.0)
+def test_spec_dict_roundtrip_scalar(spec_half):
+    data = json.loads(json.dumps({"kind": "ma", "alpha": 1.5, "scale": 2.0,
+                                  "psi": spec_half.psi.tolist()}))
+    back = spec_from_dict(data)
+    np.testing.assert_array_equal(back.psi, spec_half.psi)
+    assert back.noise == StableParams(alpha=1.5, scale=2.0)
+
+
+def test_spec_dict_roundtrip_vector():
     vspec = vma_table_spec(0.3, alpha=1.5)
-    back = spec_from_dict({"kind": "vma", "alpha": 1.5,
-                           "coeffs": vspec.coeffs.tolist()})
+    data = json.loads(json.dumps({"kind": "vma", "alpha": 1.5,
+                                  "coeffs": vspec.coeffs.tolist()}))
+    back = spec_from_dict(data)
     np.testing.assert_array_equal(back.coeffs, vspec.coeffs)
     assert back.noise == vspec.noise
 
