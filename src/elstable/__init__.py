@@ -17,9 +17,8 @@ from .harness import (DEFAULT_SEED, SCHEMA_VERSION, AnalysisResult,
                       RegionScan, TableResult, analyze_series,
                       coverage_experiment, coverage_summary,
                       el_confidence_region, ingest_csv, limit_law, pivotal_value,
-                      read_records_csv, render_csv, run_table,
-                      sac_confidence_interval, theta_grid, whittle_point,
-                      write_csv)
+                      read_records_csv, render_csv, run_table, theta_grid,
+                      whittle_point, write_csv)
 from .limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                        compute_V_coeffs_mv, compute_W, compute_W_mv,
                        mc_quantile, prepare_limit, sac_series_constant,

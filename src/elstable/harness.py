@@ -27,8 +27,8 @@ import numpy as np
 
 from .emplik import solve_lagrange_batch, x_n
 from .errors import NumericalError
-from .limitlaw import (LimitLawConfig, prepare_limit, sac_series_constant,
-                       sample_stable_ratio)
+from .limitlaw import (LimitLawConfig, _trapezoid, _uniform_grid, prepare_limit,
+                       sac_series_constant, sample_stable_ratio)
 from .processes import (LinearProcessSpec, ma_polynomial_spec, power_transfer_matrix,
                         simulate_linear, simulate_vector_linear, spec_from_dict, theoretical_acf,
                         transfer_matrix, vma_table_spec)
@@ -355,7 +355,7 @@ def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float):
     """
     x = np.asarray(x, dtype=float)
     periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
-                   else self_normalized_grid(x)).values
+                   else self_normalized_grid(x))
     builder = estimating_function_mv if score.is_matrix else estimating_function
 
     def rows(theta):
@@ -385,14 +385,12 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
         return _affine_root(-theoretical_acf(spec, score.lag), 1.0, score,
                             "pivotal value")
 
-    grid = np.linspace(-np.pi, np.pi, quad_points + 1)
-    h = grid[1] - grid[0]
+    grid = _uniform_grid(quad_points)
     g = power_transfer_matrix(spec, grid)
 
     def disparity(theta):
         grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta)))[0]
-        integrand = np.einsum("tab,tba->t", grad, g).real
-        return h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+        return _trapezoid(np.einsum("tab,tba->t", grad, g).real, grid)
 
     return _affine_root(*_affine(disparity, score), score, "pivotal value")
 
@@ -419,53 +417,11 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
 # --------------------------------------------------------------------------
 # the competing sample-autocorrelation interval
 
-def _resolve_rho(rho, x: np.ndarray | None):
-    if isinstance(rho, LinearProcessSpec):
-        return lambda k: theoretical_acf(rho, k)
-    if isinstance(rho, str):
-        if rho != "plugin":
-            raise ValueError(f"unknown rho source {rho!r}")
-        if x is None:
-            raise ValueError("plug-in rho requires the series")
-        return acf_sequence(np.asarray(x, dtype=float))
-    if rho is None:
-        raise ValueError("rho source is required (spec, array, callable or 'plugin')")
-    return rho
-
-
-def sac_confidence_interval(x: np.ndarray, lag: int, rho, level: float,
-                            alpha: float, *, rng: np.random.Generator | None = None,
-                            ratio_draws: np.ndarray | None = None,
-                            truncation: int = 200, reps: int = 100_000,
-                            scale_convention="davis-resnick") -> ConfidenceInterval:
-    """Sample-autocorrelation interval calibrated by the stable ratio law.
-
-    ``rho`` supplies the autocorrelations entering the limit scale: a process
-    spec (theoretical values, the simulation-study convention), the string
-    ``"plugin"`` (sample estimates from ``x``, the data convention), or an
-    explicit array/callable.
-    """
-    x = np.asarray(x, dtype=float)
-    rho = _resolve_rho(rho, x)
-    if ratio_draws is None:
-        if rng is None:
-            raise ValueError("either ratio_draws or rng must be supplied")
-        ratio_draws = sample_stable_ratio(alpha, reps, rng, scale_convention)
-    halfwidth = _sac_halfwidth(ratio_draws, rho, lag, level, alpha, x.size, truncation)
-    return _sac_interval(x, lag, level, halfwidth)
-
-
 def _sac_halfwidth(draws: np.ndarray, rho, lag: int, level: float, alpha: float,
                    n: int, truncation: int) -> float:
     """SAC half-width ``q_level(|S_1 / S_0|) K / x_n`` (Davis & Resnick 1986)."""
     k_ratio = sac_series_constant(rho, int(lag), alpha, truncation)
     return float(np.quantile(np.abs(draws), level)) * k_ratio / x_n(n, alpha)
-
-
-def _sac_interval(x: np.ndarray, lag: int, level: float,
-                  halfwidth: float) -> ConfidenceInterval:
-    center = float(sample_acf(x, int(lag)))
-    return ConfidenceInterval("sac", level, center - halfwidth, center + halfwidth)
 
 
 # --------------------------------------------------------------------------
@@ -589,10 +545,12 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
     sac = None
     if "sac" in methods:
         if sac_halfwidth is None:
-            rho = _resolve_rho(process if process is not None else "plugin", x)
+            rho = acf_sequence(x) if process is None else _model_acf(process)
             sac_halfwidth = _sac_halfwidth(draws, rho, score.lag, config.level,
                                            alpha, x.size, config.truncation)
-        sac = _sac_interval(x, score.lag, config.level, sac_halfwidth)
+        center = float(sample_acf(x, score.lag))
+        sac = ConfidenceInterval("sac", config.level, center - sac_halfwidth,
+                                 center + sac_halfwidth)
 
     region = None
     if "el" in methods:
@@ -835,7 +793,7 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
                                     config.scale_convention)
         ratio_sq_q = float(np.quantile(draws ** 2, config.level))
         if "sac" in config.methods:
-            sac_halfwidth = _sac_halfwidth(draws, _resolve_rho(spec, None), score.lag,
+            sac_halfwidth = _sac_halfwidth(draws, _model_acf(spec), score.lag,
                                            config.level, alpha, config.n,
                                            config.truncation)
 

@@ -9,11 +9,17 @@ against one positive ``alpha/2``-stable variable ``S_0``:
     c_t = (1/pi) * integral  d(1/f)/d theta |_(theta_0) g(omega) cos(t omega) d omega,
     W = (1/2pi) * integral  (d(1/f)/d theta)**2 2 g(omega)**2 d omega.
 
-``W`` is kept as a 1 x 1 matrix.  The matrix (vector-process) analogue
-replaces ``c`` by coefficients indexed by lag and innovation coordinates,
-with ``F = Psi* (d(1/f)/d theta) Psi``:
+``W`` is kept as a 1 x 1 matrix.  For a d-dimensional process both come
+from one matrix function ``F = Psi* G Psi``, with ``Psi`` the transfer
+matrices and ``G = d(1/f)/d theta``; ``c`` is indexed by lag and innovation
+coordinates:
 
-    c[t, i, j] = (1/pi) * integral Re{ F(omega)_(ij) e^(i t omega) } d omega.
+    c[t, i, j] = (1/pi) * integral Re{ F(omega)_(ij) e^(i t omega) } d omega,
+    W = (1/(2 pi d**2)) * integral tr[F F] + tr[F]**2 d omega,
+
+where ``tr[F F] = tr[g G g G]`` and ``tr F = tr[g G]`` for ``g = Psi Psi*``
+(cyclicity of the trace).  Both are N-point trapezoid rules; for ``c`` the
+rule is one DFT of the sampled ``F``, as in :func:`compute_V_coeffs`.
 
 Scalar law in closed form.  For the autocorrelation score at lag ``l``,
 ``d(1/f)/d theta = 2 theta - 2 cos(l omega)``, and the normalized transfer
@@ -106,7 +112,7 @@ def _grid_step(quad_points: int) -> float:
 
 def _trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     h = grid[1] - grid[0]
-    return h * (values[..., :].sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+    return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
 def _trapezoid_checked(integrand: Callable, quad_points: int) -> np.ndarray:
@@ -131,6 +137,31 @@ def _trapezoid_checked(integrand: Callable, quad_points: int) -> np.ndarray:
     return total
 
 
+def _cosine_moments(weight: np.ndarray, truncation: int) -> np.ndarray:
+    """``(1/pi) integral Re{ w(omega) e^(i t omega) } d omega`` for t = 1..T,
+    with ``w = weight`` sampled on ``_uniform_grid(N)`` along its first axis.
+
+    The trapezoid rule is a DFT: ``Re sum_j w_j e^(i t omega_j) = (-1)**t Re
+    fft(conj w)[t]``, the first sample carrying the mean of both end weights.
+    """
+    points = weight.shape[0] - 1
+    periodic = np.conj(weight[:-1])
+    periodic[0] = np.conj(0.5 * (weight[0] + weight[-1]))
+    lags = np.arange(1, truncation + 1)
+    sums = np.fft.fft(periodic, axis=0).real[lags % points]
+    sums[lags % 2 == 1] *= -1.0
+    return _grid_step(points) * sums / np.pi
+
+
+def _f_matrix(score: ScoreFunction, theta0, psi_matrix: Callable,
+              grid: np.ndarray) -> np.ndarray:
+    """``F = Psi* G Psi`` on ``grid`` as ``(N, d, d)``, with ``G`` the score's
+    ``d(1/f)/d theta`` at ``theta0``."""
+    grad = np.asarray(score.grad_inv(grid, score.check_theta(theta0)))[0]
+    psi = np.asarray(psi_matrix(grid))
+    return np.conj(np.swapaxes(psi, -1, -2)) @ grad @ psi
+
+
 def compute_W(score: ScoreFunction, theta0, transfer: Callable,
               quad_points: int = 4096) -> np.ndarray:
     """Scalar-process curvature ``W`` at ``theta0``, as a 1 x 1 matrix.
@@ -142,38 +173,34 @@ def compute_W(score: ScoreFunction, theta0, transfer: Callable,
     theta0 = score.check_theta(theta0)
 
     def integrand(grid):
-        grad = np.asarray(score.grad_inv(grid, theta0))    # (1, N + 1)
-        weight = 2.0 * np.asarray(transfer(grid)) ** 2
-        return grad[:, None, :] * grad[None, :, :] * weight
+        grad = np.asarray(score.grad_inv(grid, theta0))[0]
+        return grad * grad * (2.0 * np.asarray(transfer(grid)) ** 2)
 
-    return _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi)
+    return np.reshape(_trapezoid_checked(integrand, quad_points) / (2.0 * np.pi), (1, 1))
 
 
-def compute_W_mv(score: ScoreFunction, theta0, transfer_matrix: Callable,
+def compute_W_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
                  quad_points: int = 4096) -> np.ndarray:
-    """Vector-process curvature matrix.
+    """Vector-process curvature ``W``, as a 1 x 1 matrix.
 
-    ``transfer_matrix`` maps a frequency array to ``(N, d, d)`` Hermitian
-    power-transfer matrices ``g(omega)``; the integrand combines the two
-    trace forms ``tr[g G_a g G_b] + tr[g G_a] tr[g G_b]`` and the result is
-    divided by ``2 pi d**2``.
+    ``psi_matrix`` maps a frequency array to the ``(N, d, d)`` transfer
+    matrices ``Psi(omega)``; the integrand is ``tr[F F] + tr[F]**2`` with
+    ``F = Psi* G Psi`` (module docstring), and the result is divided by
+    ``2 pi d**2``.
     """
-    theta0 = score.check_theta(theta0)
     d = score.dim
 
     def integrand(grid):
-        grad = np.asarray(score.grad_inv(grid, theta0))    # (q, N, d, d)
-        g = np.asarray(transfer_matrix(grid))              # (N, d, d)
-        gg = np.einsum("tab,qtbc->qtac", g, grad)          # g @ G_k per frequency
-        traces = np.einsum("qtaa->qt", gg)
-        pair = np.einsum("qtab,rtba->qrt", gg, gg) + traces[:, None, :] * traces[None, :, :]
-        return pair.real
+        f = _f_matrix(score, theta0, psi_matrix, grid)
+        trace = np.einsum("taa->t", f)
+        return (np.einsum("tab,tba->t", f, f) + trace * trace).real
 
     w = _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi * d * d)
-    return 0.5 * (w + w.T)
+    return np.reshape(w, (1, 1))
 
 
-def _check_tail_decay(norms: np.ndarray, what: str, alpha: float = 1.0) -> None:
+def _check_tail_decay(norms: np.ndarray, what: str, alpha: float = 1.0,
+                      advice: str = "increase the truncation order") -> None:
     # The series constant is (sum |c_t|^alpha)^(1/alpha), so the relevant
     # truncation error is the share of that mass sitting in the last decile
     # of retained lags; tiny non-decaying ripples are harmless.
@@ -188,55 +215,36 @@ def _check_tail_decay(norms: np.ndarray, what: str, alpha: float = 1.0) -> None:
     if tail_share > 0.01 and last >= prev:
         warnings.warn(f"{what} coefficients are not decaying at the truncation "
                       f"point (last decile holds {tail_share:.2%} of the "
-                      f"series mass); increase the truncation order",
-                      TruncationWarning, stacklevel=3)
+                      f"series mass); {advice}", TruncationWarning, stacklevel=3)
 
 
 def compute_V_coeffs(score: ScoreFunction, theta0, transfer: Callable,
                      truncation: int = 200, quad_points: int = 4096,
                      alpha: float = 1.0) -> np.ndarray:
-    """Coefficients ``c[t, j]`` of the stable series in ``V`` (t = 1..T).
+    """Coefficients ``c[t, 0]`` of the stable series in ``V`` (t = 1..T).
 
     ``alpha`` only tunes the truncation diagnostic (the coefficients enter
     the limit series through ``sum |c_t|^alpha``).
     """
     theta0 = score.check_theta(theta0)
     grid = _uniform_grid(quad_points)
-    grad = np.asarray(score.grad_inv(grid, theta0))        # (1, N + 1)
-    weight = grad * np.asarray(transfer(grid))             # (1, N + 1)
-    # Trapezoid rule as a DFT: with omega_j = -pi + 2 pi j / N and equal
-    # cosines at both ends, sum_j w_j cos(t omega_j) = (-1)**t Re fft(w)[t],
-    # where the first sample carries the mean of the two endpoint weights.
-    periodic = weight[:, :-1].copy()
-    periodic[:, 0] = 0.5 * (weight[:, 0] + weight[:, -1])
-    lags = np.arange(1, truncation + 1)
-    sums = np.fft.fft(periodic, axis=-1).real[:, lags % quad_points]
-    sums[:, lags % 2 == 1] *= -1.0
-    coeffs = (grid[1] - grid[0]) * sums.T / np.pi
-    _check_tail_decay(np.abs(coeffs).max(axis=1), "limit-series", alpha)
+    grad = np.asarray(score.grad_inv(grid, theta0))[0]
+    coeffs = _cosine_moments(grad * np.asarray(transfer(grid)), truncation)[:, None]
+    _check_tail_decay(np.abs(coeffs[:, 0]), "limit-series", alpha)
     return coeffs
 
 
 def compute_V_coeffs_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
                         truncation: int = 200, quad_points: int = 4096,
                         alpha: float = 1.0) -> np.ndarray:
-    """Coefficients ``c[t, i, j, k]`` of the vector-process stable series.
+    """Coefficients ``c[t, i, j]`` of the vector-process stable series.
 
     ``psi_matrix`` maps a frequency array to the ``(N, d, d)`` transfer
     matrices ``Psi(omega)`` (not the power transfer): the coefficients are
-    integrals of ``Re{ (Psi* G_k Psi)_(ij) e^(i t omega) }``.
+    the cosine moments of ``F = Psi* G Psi`` (module docstring).
     """
-    theta0 = score.check_theta(theta0)
-    grid = _uniform_grid(quad_points)
-    grad = np.asarray(score.grad_inv(grid, theta0))        # (q, N, d, d)
-    psi = np.asarray(psi_matrix(grid))                     # (N, d, d)
-    psi_h = np.conj(np.swapaxes(psi, -1, -2))
-    f_mid = np.einsum("tab,qtbc,tcd->qtad", psi_h, grad, psi)   # F_k(omega)
-    lags = np.arange(1, truncation + 1)
-    phases = np.exp(1j * np.outer(lags, grid))             # (T, N)
-    integrand = (f_mid[None, :, :, :, :] * phases[:, None, :, None, None]).real
-    coeffs = _trapezoid(np.moveaxis(integrand, 2, -1), grid) / np.pi  # (T, q, d, d)
-    coeffs = np.moveaxis(coeffs, 1, -1)                    # (T, d, d, q)
+    f = _f_matrix(score, theta0, psi_matrix, _uniform_grid(quad_points))
+    coeffs = _cosine_moments(f, truncation)
     _check_tail_decay(np.abs(coeffs).reshape(truncation, -1).max(axis=1),
                       "limit-series", alpha)
     return coeffs
@@ -337,19 +345,14 @@ def prepare_limit(config: LimitLawConfig) -> dict:
         return config._prepared
     score = config.score
     if score.is_matrix:
-        def transfer_matrix(grid):
-            psi = np.asarray(config.psi_matrix(grid))
-            return psi @ np.conj(np.swapaxes(psi, -1, -2))
-
-        w = compute_W_mv(score, config.theta0, transfer_matrix, config.quad_points)
+        w = compute_W_mv(score, config.theta0, config.psi_matrix, config.quad_points)
         coeffs = compute_V_coeffs_mv(score, config.theta0, config.psi_matrix,
                                      config.truncation, config.quad_points,
                                      config.alpha)
-        mixing = coeffs.reshape(-1, 1)                    # one row per SaS draw
     else:
         w, coeffs = _acf_limit(score, config.theta0, config.transfer,
                                config.quad_points, config.truncation, config.alpha)
-        mixing = coeffs
+    mixing = coeffs.reshape(-1, 1)                        # one row per SaS draw
     # The 1 x 1 W has condition number 1 unless it is 0, and LAPACK's
     # inverse of it is 1 / w.
     if w[0, 0]:
@@ -397,17 +400,15 @@ def sample_limit_stat_simplified(config: LimitLawConfig, rng: np.random.Generato
                                  size: int | None = None) -> np.ndarray:
     """Shortcut using the exact stability of the series.
 
-    The weighted series of i.i.d. SaS variables collapses in distribution to one SaS draw scaled by the l^alpha norm of the weights,
-    so the statistic equals ``(S_1 / S_0)**2 K**2 / W`` with
+    The weighted series of i.i.d. SaS variables collapses in distribution
+    to one SaS draw scaled by the l^alpha norm of the weights, so the
+    statistic equals ``(S_1 / S_0)**2 K**2 / W`` with
     ``K = (sum |c|**alpha)**(1/alpha)``.
     """
     prepared = prepare_limit(config)
     n = config.reps if size is None else int(size)
-    s_mult, s0_mult = scale_multipliers(config.alpha, config.scale_convention)
-    s0 = s0_mult * sample_positive_stable(config.alpha / 2.0, n, rng)
-    s1 = s_mult * sample_sas(StableParams(alpha=config.alpha), n, rng)
-    k = prepared["closure"]
-    return (s1 / s0) ** 2 * k ** 2 * prepared["w_inv"][0, 0]
+    ratio = sample_stable_ratio(config.alpha, n, rng, config.scale_convention)
+    return ratio ** 2 * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
 
 
 def _bootstrap_quantile_stderr(sorted_draws: np.ndarray, p: float,
@@ -462,6 +463,8 @@ def sac_series_constant(rho: Callable | np.ndarray, l: int, alpha: float,
     j = np.arange(1, truncation + 1)
     terms = np.array([rho_fn(l + jj) + rho_fn(abs(l - jj)) - 2.0 * rho_fn(jj) * rho_fn(l)
                       for jj in j])
-    _check_tail_decay(np.abs(terms), "sample-autocorrelation")
+    _check_tail_decay(np.abs(terms), "sample-autocorrelation",
+                      advice="with sample autocorrelations this is their noise "
+                             "floor, which does not decay with the lag")
     return float(np.sum(np.abs(terms) ** alpha) ** (1.0 / alpha))
 

@@ -219,7 +219,7 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
         raise ValueError("matrix score passed to the scalar estimating function")
     theta = score.check_theta(theta)
     x = np.asarray(x, dtype=float)
-    values = self_normalized_grid(x).values if periodogram is None else periodogram
+    values = self_normalized_grid(x) if periodogram is None else periodogram
     freqs = fourier_frequencies(values.size)
     grad = np.asarray(score.grad_inv(freqs, theta))
     return (grad * values).T
@@ -235,7 +235,7 @@ def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: fl
     alpha = check_alpha(alpha)
     theta = score.check_theta(theta)
     if periodogram is None:
-        periodogram = periodogram_matrix_grid(np.asarray(x, dtype=float), alpha).values
+        periodogram = periodogram_matrix_grid(np.asarray(x, dtype=float), alpha)
     freqs = fourier_frequencies(periodogram.shape[0])
     grad = np.asarray(score.grad_inv(freqs, theta))
     rows = np.einsum("qtab,tba->tq", grad, periodogram)

@@ -11,19 +11,9 @@ the natural frequency grid ``lambda_t = 2 pi t / n`` (t = 1..n, wrapped into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSeriesError
-
-
-@dataclass(frozen=True)
-class PeriodogramGrid:
-    """Periodogram values on the full frequency grid ``2 pi t / n``, t=1..n."""
-
-    freqs: np.ndarray   # shape (n,), wrapped into (-pi, pi]
-    values: np.ndarray  # shape (n,) for scalar series, (n, d, d) for vector
 
 
 def fourier_frequencies(n: int) -> np.ndarray:
@@ -61,8 +51,8 @@ def self_normalized_periodogram(x: np.ndarray, omega) -> np.ndarray:
     return float(values[0]) if scalar else values
 
 
-def self_normalized_grid(x: np.ndarray) -> PeriodogramGrid:
-    """Self-normalized periodogram on the full frequency grid, via FFT.
+def self_normalized_grid(x: np.ndarray) -> np.ndarray:
+    """Self-normalized periodogram at :func:`fourier_frequencies`, via FFT.
 
     ``|sum_t x[t] exp(2 pi i t k / n)| = |fft(x)[k mod n]|`` for real input,
     so the grid values cost one FFT regardless of how many are needed.
@@ -70,8 +60,7 @@ def self_normalized_grid(x: np.ndarray) -> PeriodogramGrid:
     xt = _self_normalized(np.asarray(x, dtype=float))
     n = xt.size
     mag = np.abs(np.fft.fft(xt)) ** 2
-    values = mag[np.arange(1, n + 1) % n]
-    return PeriodogramGrid(freqs=fourier_frequencies(n), values=values)
+    return mag[np.arange(1, n + 1) % n]
 
 
 def periodogram_matrix(x: np.ndarray, alpha: float, omega) -> np.ndarray:
@@ -92,8 +81,9 @@ def periodogram_matrix(x: np.ndarray, alpha: float, omega) -> np.ndarray:
     return mats[0] if scalar else mats
 
 
-def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> PeriodogramGrid:
-    """Matrix periodogram on the full frequency grid, via one FFT per column."""
+def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Matrix periodogram ``(n, d, d)`` at :func:`fourier_frequencies`, via
+    one FFT per column."""
     x = _validated(x)
     if x.ndim != 2:
         raise ValueError("vector series must have shape (n, d)")
@@ -101,8 +91,7 @@ def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> PeriodogramGrid:
     idx = np.arange(1, n + 1) % n
     # fft computes sum_t x[t] e^(-2 pi i t k / n); conjugate gives the +i sign.
     d = np.conj(np.fft.fft(x, axis=0))[idx] * n ** (-1.0 / alpha)
-    values = d[:, :, None] * np.conj(d[:, None, :])
-    return PeriodogramGrid(freqs=fourier_frequencies(n), values=values)
+    return d[:, :, None] * np.conj(d[:, None, :])
 
 
 def sample_acf(x: np.ndarray, lag) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_ci_hill_reports_a_clipped_estimate(series_csv, tmp_path, capsys):
     assert run_cli(*common, "--alpha", 1.99, "--output", known) == 0
     assert "note:" not in capsys.readouterr().err
     assert hill.read_bytes() == known.read_bytes()
+
+
+def test_ci_sample_acf_warning_names_the_noise_floor(tmp_path):
+    # The sample autocorrelations of a long series level off at their noise
+    # floor, so a longer truncation makes the SAC constant K worse: the
+    # warning names that cause instead of advising it, and the CSV is the
+    # one the series always gave.
+    series, out = tmp_path / "long.csv", tmp_path / "ci.csv"
+    assert run_cli("simulate", "--n", 10_000, "--seed", 7, "--output", series) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("ci", "--input", series, "--alpha", 1.5, "--lag", 2,
+                       "--output", out) == 0
+    messages = [str(w.message) for w in caught]
+    assert not any("increase the truncation order" in m for m in messages)
+    assert any("sample-autocorrelation" in m and "noise floor" in m for m in messages)
+    rows = {r["method"]: r for r in read_records_csv(out)}
+    assert (rows["el"]["lower"], rows["el"]["upper"]) == (0.096, 0.129)
+    assert rows["sac"]["lower"] == pytest.approx(0.09344045268, rel=1e-9)
+    assert rows["sac"]["upper"] == pytest.approx(0.1319476701, rel=1e-9)
 
 
 def test_ci_missing_file_is_a_usage_error(capsys):

@@ -14,8 +14,7 @@ from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               ExperimentConfig, analyze_series, coverage_experiment,
                               coverage_summary, el_confidence_region, ingest_csv,
                               pivotal_value, read_records_csv, render_csv, run_table,
-                              sac_confidence_interval, theta_grid, whittle_point,
-                              write_csv, _format_cell)
+                              theta_grid, whittle_point, write_csv, _format_cell)
 from elstable.emplik import log_el_ratio, solve_lagrange_batch, x_n
 from elstable.errors import NumericalError
 from elstable.limitlaw import sample_stable_ratio
@@ -325,11 +324,17 @@ def test_pivotal_value_zero_is_not_negative_zero():
 # --------------------------------------------------------------------------
 # the competing interval
 
+SAC_ONLY = ExperimentConfig(methods=("sac",), limit_reps=10_000)
+
+
 def test_sac_interval_white_noise_composition(rng):
+    # White noise has K = 1, so the half-width is q_0.9(|S_1 / S_0|) / x_n
+    # with the ratio draws that analyze_series takes from its rng.
     x = rng.standard_cauchy(200)
     spec = LinearProcessSpec(psi=np.array([1.0]), noise=StableParams(1.5))
-    draws = sample_stable_ratio(1.5, 10_000, rng)
-    ci = sac_confidence_interval(x, 2, spec, 0.9, 1.5, ratio_draws=draws)
+    ci = analyze_series(x, acf_score(2), 1.5, SAC_ONLY, process=spec,
+                        rng=np.random.default_rng(3)).sac
+    draws = sample_stable_ratio(1.5, 10_000, np.random.default_rng(3))
     center = sample_acf(x, 2)
     halfwidth = np.quantile(np.abs(draws), 0.9) / x_n(200, 1.5)
     assert ci.lower == pytest.approx(center - halfwidth, abs=1e-12)
@@ -347,24 +352,20 @@ def test_sac_interval_is_centred_on_the_sample_acf(seed, n, lag, plugin):
     rng = np.random.default_rng(seed)
     spec = ma_polynomial_spec(0.5)
     x = simulate_linear(spec, n, rng)
-    draws = sample_stable_ratio(1.5, 2000, rng)
-    ci = sac_confidence_interval(x, lag, "plugin" if plugin else spec, 0.9, 1.5,
-                                 ratio_draws=draws)
+    ci = analyze_series(x, acf_score(lag), 1.5, replace(SAC_ONLY, limit_reps=2000),
+                        rng=rng, process=None if plugin else spec, theta_ref=0.0).sac
     assert abs(0.5 * (ci.lower + ci.upper) - sample_acf(x, lag)) < 1e-12
 
 
-def test_sac_interval_rho_sources(series_half, rng):
-    draws = sample_stable_ratio(1.5, 5000, rng)
+def test_sac_interval_rho_sources(series_half):
+    # model autocorrelations with the process known, sample ones without it
     spec = ma_polynomial_spec(0.5)
-    a = sac_confidence_interval(series_half, 2, spec, 0.9, 1.5, ratio_draws=draws)
-    b = sac_confidence_interval(series_half, 2, "plugin", 0.9, 1.5, ratio_draws=draws)
-    assert a.length != b.length  # theoretical vs sample autocorrelations
-    with pytest.raises(ValueError):
-        sac_confidence_interval(series_half, 2, "sample", 0.9, 1.5, ratio_draws=draws)
-    with pytest.raises(ValueError):
-        sac_confidence_interval(series_half, 2, None, 0.9, 1.5, ratio_draws=draws)
-    with pytest.raises(ValueError):
-        sac_confidence_interval(series_half, 2, spec, 0.9, 1.5)  # no draws, no rng
+    a, b = (analyze_series(series_half, acf_score(2), 1.5, SAC_ONLY, process=process,
+                           rng=np.random.default_rng(4)).sac
+            for process in (spec, None))
+    assert a.length != b.length
+    with pytest.raises(ValueError, match="rng"):
+        analyze_series(series_half, acf_score(2), 1.5, SAC_ONLY, process=spec)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
-from elstable.harness import ExperimentConfig, limit_law
+from elstable.harness import ExperimentConfig, limit_law, pivotal_value
 
 from elstable.limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                                compute_V_coeffs_mv, compute_W, compute_W_mv,
@@ -248,20 +248,55 @@ def test_dimension_one_matrix_path_matches_scalar(spec_half):
     def transfer_sc(w):
         return normalized_transfer(spec_half, w)
 
-    def transfer_mv(w):
-        psi = psi_fn(w)
-        g = (psi @ np.conj(np.swapaxes(psi, -1, -2)))[:, 0, 0].real
-        return g / np.sum(spec_half.psi ** 2)
+    def psi_normalized(w):
+        return psi_fn(w) / math.sqrt(np.sum(spec_half.psi ** 2))
 
-    w_mv = compute_W_mv(score_mv, theta0, lambda w: transfer_mv(w)[:, None, None])
+    w_mv = compute_W_mv(score_mv, theta0, psi_normalized)
     w_sc = compute_W(score_sc, theta0, transfer_sc)
     assert abs(w_mv[0, 0] - w_sc[0, 0]) < 1e-8 * abs(w_sc[0, 0])
 
-    c_mv = compute_V_coeffs_mv(score_mv, theta0,
-                               lambda w: psi_fn(w) / math.sqrt(np.sum(spec_half.psi ** 2)),
-                               truncation=50)
+    c_mv = compute_V_coeffs_mv(score_mv, theta0, psi_normalized, truncation=50)
     c_sc = compute_V_coeffs(score_sc, theta0, transfer_sc, truncation=50)
-    np.testing.assert_allclose(c_mv[:, 0, 0, 0], c_sc[:, 0], atol=1e-8)
+    np.testing.assert_allclose(c_mv[:, 0, 0], c_sc[:, 0], atol=1e-8)
+
+
+def _reference_matrix_law(score, theta0, spec, truncation=200, quad_points=4096):
+    """W and c_t of a matrix score by the formulas written out: W from the
+    power transfer g = Psi Psi* as tr[g G g G] + tr[g G]**2, and c_t from the
+    integrand Re{F e^(i t omega)} on a (T, N) phase tensor, both by the plain
+    trapezoid rule."""
+    grid = np.linspace(-np.pi, np.pi, quad_points + 1)
+    step = grid[1] - grid[0]
+
+    def trapezoid(values):
+        return step * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+
+    grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta0)))[0]  # (N, d, d)
+    psi = transfer_matrix(spec, grid)
+    psi_h = np.conj(np.swapaxes(psi, -1, -2))
+    g_grad = (psi @ psi_h) @ grad
+    trace = np.einsum("taa->t", g_grad)
+    curvature = (np.einsum("tab,tba->t", g_grad, g_grad) + trace * trace).real
+    w = trapezoid(curvature) / (2.0 * np.pi * score.dim ** 2)
+    f = psi_h @ grad @ psi
+    phases = np.exp(1j * np.outer(np.arange(1, truncation + 1), grid))  # (T, N)
+    integrand = (f[None] * phases[:, :, None, None]).real              # (T, N, d, d)
+    return w, trapezoid(np.moveaxis(integrand, 1, -1)) / np.pi
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.6, 0.9])
+def test_matrix_limit_law_matches_the_written_out_formulas(b):
+    # W through F = Psi* G Psi equals the g-based trace form by cyclicity,
+    # and the DFT rule for c_t equals the trapezoid of the phase tensor.
+    spec = vma_table_spec(b)
+    score = coupling_var1_score()
+    theta0 = pivotal_value(spec, score)
+    w_ref, c_ref = _reference_matrix_law(score, theta0, spec)
+    w = compute_W_mv(score, theta0, lambda omega: transfer_matrix(spec, omega))
+    c = compute_V_coeffs_mv(score, theta0, lambda omega: transfer_matrix(spec, omega))
+    assert w.shape == (1, 1) and c.shape == c_ref.shape == (200, 2, 2)
+    assert abs(w[0, 0] - w_ref) <= 1e-12 * abs(w_ref)
+    assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
 
 
 # --------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_estimating_function_closed_form(series_half):
     score = acf_score(2)
     theta = 0.25
     rows = estimating_function(series_half, score, theta, 1.5)
-    values = self_normalized_grid(series_half).values
+    values = self_normalized_grid(series_half)
     freqs = fourier_frequencies(series_half.size)
     expect = (-2.0 * np.cos(2.0 * freqs) + 2.0 * theta) * values
     np.testing.assert_allclose(rows[:, 0], expect, rtol=1e-12)
