@@ -34,11 +34,12 @@ from .processes import (LinearProcessSpec, ma_polynomial_spec, power_transfer_ma
                         transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv, score_from_config)
-from .spectral import (SmoothedTransfer, acf_sequence, hill_estimator,
+from .spectral import (SmoothedTransfer, hill_estimator,
                        periodogram_matrix_grid, sample_acf, self_normalized_grid)
 
 SCHEMA_VERSION = "elstable-csv 1"
 DEFAULT_SEED = 20140214
+MIN_SERIES_LENGTH = 8
 
 # Hill estimates are clipped into the admissible range of the inference
 # machinery; values at the edges signal a misspecified tail.
@@ -513,6 +514,11 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
         raise ValueError(f"score expects a series with {score.dim} columns")
     if not mv and x.ndim != 1:
         raise ValueError("scalar score expects a one-dimensional series")
+    n = x.shape[0]
+    if n < MIN_SERIES_LENGTH:
+        raise ValueError(f"series length must be at least {MIN_SERIES_LENGTH}, got {n}")
+    if score.lag is not None and n <= score.lag:
+        raise ValueError(f"series length {n} must exceed the score lag {score.lag}")
     methods = _methods(config, score)
     if "sac" in methods and score.lag is None:
         raise ValueError("the SAC method needs an autocorrelation score")
@@ -545,7 +551,7 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
     sac = None
     if "sac" in methods:
         if sac_halfwidth is None:
-            rho = acf_sequence(x) if process is None else _model_acf(process)
+            rho = transfer.acf if process is None else _model_acf(process)
             sac_halfwidth = _sac_halfwidth(draws, rho, score.lag, config.level,
                                            alpha, x.size, config.truncation)
         center = float(sample_acf(x, score.lag))
@@ -566,6 +572,23 @@ _ALLOWED = {
     "alpha_mode": {"known", "hill"},
     "transfer_mode": {"smoothed", "exact"},
 }
+
+# The declared types of the numeric fields of ExperimentConfig.
+_NUMBER_TYPES = {"int", "int | None", "float", "float | None"}
+
+
+def _check_number(name: str, value, declared: str) -> None:
+    """Reject a ``value`` that does not have the ``declared`` numeric type:
+    an integer (bools are not), or a finite real for a ``float`` field."""
+    if value is None and declared.endswith("| None"):
+        return
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if declared.startswith("int"):
+        if not integer:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif not ((integer or isinstance(value, (float, np.floating)))
+              and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -598,22 +621,31 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        for name, spec in self.__dataclass_fields__.items():
+            if spec.type in _NUMBER_TYPES:
+                _check_number(name, getattr(self, name), spec.type)
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if self.n < 8:
-            raise ValueError("series length must be at least 8")
+        if self.n < MIN_SERIES_LENGTH:
+            raise ValueError(f"series length must be at least {MIN_SERIES_LENGTH}")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
         if self.grid_step <= 0:
             raise ValueError("grid step must be positive")
         if self.limit_reps < 1000:
             raise ValueError("limit_reps must be at least 1000")
+        if self.truncation < 1:
+            raise ValueError(f"truncation must be at least 1, got {self.truncation}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         for name, allowed in _ALLOWED.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {sorted(allowed)}, "
                                  f"got {getattr(self, name)!r}")
+        if (not isinstance(self.methods, (list, tuple))
+                or not all(isinstance(m, str) for m in self.methods)):
+            raise ValueError(f"methods must be a list of method names, "
+                             f"got {self.methods!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods or not set(self.methods) <= {"el", "sac"}:
             raise ValueError(f"methods must be a subset of ('el', 'sac'), "
@@ -953,38 +985,86 @@ def read_records_csv(path) -> list[dict]:
     return records
 
 
-def ingest_csv(path, dim: int | None = None) -> np.ndarray:
-    """Load a series from a CSV/whitespace table of finite reals.
+def _fields(text: str) -> list[str]:
+    """The non-empty fields of a stripped row: split at commas when the row
+    has one, at whitespace otherwise."""
+    return [p for p in (text.split(",") if "," in text else text.split()) if p.strip()]
 
-    One column yields a scalar series, d columns a vector series; an
-    optional non-numeric header row is skipped.  Non-finite entries are
-    rejected with their (1-based, physical) row number.
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_header(fields: list[str]) -> bool:
+    """A header row names its columns: none of its fields reads as a number."""
+    return bool(fields) and not any(map(_is_number, fields))
+
+
+def _parse_rows(lines, path) -> np.ndarray:
+    """The line-by-line reader of :func:`ingest_csv`.
+
+    Returns the (rows, columns) array, or raises the ``ValueError`` that
+    names the first offending (1-based, physical) row.  It is the reference
+    for, and the fallback of, the C reader in :func:`ingest_csv`.
     """
     rows, widths = [], set()
-    header_seen = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+    first = True
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = _fields(text)
+        if first:
+            first = False
+            if _is_header(parts):
                 continue
-            parts = [p for p in (text.split(",") if "," in text else text.split())
-                     if p.strip()]
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                if not rows and not header_seen:
-                    header_seen = True
-                    continue
-                raise ValueError(f"malformed row {lineno}: {text!r}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"non-finite value in row {lineno}: {text!r}")
-            rows.append(values)
-            widths.add(len(values))
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"malformed row {lineno}: {text!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite value in row {lineno}: {text!r}")
+        rows.append(values)
+        widths.add(len(values))
     if not rows:
         raise ValueError(f"no data rows found in {path}")
     if len(widths) != 1:
         raise ValueError(f"inconsistent column counts {sorted(widths)} in {path}")
-    data = np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float)
+
+
+def ingest_csv(path, dim: int | None = None) -> np.ndarray:
+    """Load a series from a CSV/whitespace table of finite reals.
+
+    One column yields a scalar series, d columns a vector series.  Blank
+    lines and lines whose first non-blank character is ``#`` are skipped; a
+    first row in which no field reads as a number is a header and is
+    skipped too.  Rows with a comma split at commas, others at whitespace.
+    Malformed rows and non-finite entries are rejected with their (1-based,
+    physical) row number.
+
+    numpy's C reader parses the data rows; when it refuses them or reads a
+    non-finite value, the line parser :func:`_parse_rows` reads the lines
+    again and returns the same array or raises the row's error.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    rows = [text for line in lines if (text := line.strip()) and text[0] != "#"]
+    if rows and _is_header(_fields(rows[0])):
+        del rows[0]
+    data = None
+    if rows:
+        try:
+            data = np.loadtxt(rows, delimiter="," if "," in rows[0] else None,
+                              comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        data = _parse_rows(lines, path)
     if dim is not None and data.shape[1] != dim:
         raise ValueError(f"expected {dim} column(s), found {data.shape[1]}")
     return data[:, 0] if data.shape[1] == 1 else data

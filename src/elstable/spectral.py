@@ -144,7 +144,9 @@ class SmoothedTransfer:
 
     evaluated here for arbitrary ``omega``.  On the quadrature grid
     ``linspace(-pi, pi, N + 1)`` the series is one length-N FFT of its
-    coefficients folded by :func:`folded_cosine_coeffs`.
+    coefficients folded by :func:`folded_cosine_coeffs`.  ``acf`` keeps the
+    sample autocorrelations ``rho_hat(0..n-1)`` and ``coeffs`` the smoothed
+    ones.
     """
 
     def __init__(self, x: np.ndarray, bandwidth: int | None = None):
@@ -155,7 +157,8 @@ class SmoothedTransfer:
             raise ValueError(f"bandwidth m={m} out of range for n={n}")
         self.n = n
         self.bandwidth = m
-        self.coeffs = acf_sequence(x) * _dirichlet_weights(n, 2 * m + 1)
+        self.acf = acf_sequence(x)
+        self.coeffs = self.acf * _dirichlet_weights(n, 2 * m + 1)
 
     def __call__(self, omega) -> np.ndarray:
         scalar = np.isscalar(omega) or np.ndim(omega) == 0

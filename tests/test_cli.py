@@ -142,6 +142,30 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("series, config, message", [
+    ("0.1\n-0.5\n0.3\n", {}, "series length must be at least 8, got 3"),
+    ("1 # note\n" + "2\n" * 9, {}, "malformed row 1: '1 # note'"),
+    ("1,2\n3\n", {}, "inconsistent column counts [1, 2] in "),
+    (None, {"n": "abc"}, "n must be an integer, got 'abc'"),
+    (None, {"methods": "el"}, "methods must be a list of method names, got 'el'"),
+    (None, {"truncation": 0}, "truncation must be at least 1, got 0"),
+], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
+        "zero-truncation"])
+def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
+                                                  series, config, message):
+    path = series_csv
+    if series is not None:
+        path = tmp_path / "series.csv"
+        path.write_text(series)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli("ci", "--input", path, "--alpha", 1.5, "--config", config_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_limit_quantiles_structure(tmp_path):
     out = tmp_path / "limit.csv"
     code = run_cli("limit", "--levels", "0.8,0.9", "--seed", 2,

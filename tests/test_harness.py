@@ -23,7 +23,7 @@ from elstable.processes import (LinearProcessSpec, StableParams, ma_polynomial_s
                                 theoretical_acf, vma_table_spec)
 from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score,
                              estimating_function, estimating_function_mv)
-from elstable.spectral import sample_acf
+from elstable.spectral import acf_sequence, sample_acf
 
 PROC_HALF = {"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}}
 
@@ -414,6 +414,30 @@ def test_analyze_series_argument_validation(series_half, rng):
                        ExperimentConfig(methods=("el",)))
 
 
+def test_analyze_series_rejects_too_short_series(rng):
+    # three rows used to give a lag-2 SAC interval reaching past 1
+    x = np.random.default_rng(3).standard_normal(8)
+    config = ExperimentConfig(methods=("sac",), limit_reps=1000)
+    with pytest.raises(ValueError, match="at least 8, got 7"):
+        analyze_series(x[:7], acf_score(2), 1.5, config, rng=rng)
+    with pytest.raises(ValueError, match="must exceed the score lag 8"):
+        analyze_series(x, acf_score(8), 1.5, config, rng=rng)
+    assert analyze_series(x, acf_score(7), 1.5, config, rng=rng).sac is not None
+
+
+def test_analyze_series_computes_the_sample_acf_once(series_half, rng, monkeypatch):
+    # the smoothed transfer and the SAC half-width share one FFT of the series
+    from elstable import spectral
+
+    calls = []
+    for module in (spectral, harness):  # wherever the name may be bound
+        monkeypatch.setattr(module, "acf_sequence",
+                            lambda x: calls.append(1) or acf_sequence(x), raising=False)
+    config = ExperimentConfig(grid_step=0.01, limit_reps=2000)
+    result = analyze_series(series_half, acf_score(2), 1.5, config, rng=rng)
+    assert len(calls) == 1 and result.sac is not None
+
+
 def test_analyze_series_runs_el_only_on_matrix_scores():
     # The SAC interval is defined for scalar series, so a matrix score drops
     # it from the configured methods instead of failing.
@@ -460,6 +484,19 @@ def test_experiment_config_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             ExperimentConfig(process=PROC_HALF, workers=workers)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": "abc"}, "n must be an integer, got 'abc'"),
+    ({"n": 300.5}, "n must be an integer, got 300.5"),
+    ({"replicates": "5"}, "replicates must be an integer, got '5'"),
+    ({"methods": "el"}, "methods must be a list of method names, got 'el'"),
+    ({"truncation": 0}, "truncation must be at least 1, got 0"),
+])
+def test_experiment_config_rejects_wrong_typed_values(fields, message):
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_dict(fields)
+    assert str(info.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -691,6 +728,109 @@ def test_ingest_csv_rejections(tmp_path):
     path.write_text("x\n1.0\n")
     with pytest.raises(ValueError, match="expected 2"):
         ingest_csv(path, dim=2)
+
+
+def test_ingest_csv_first_row_with_a_number_is_data(tmp_path):
+    # a first row is a header only when none of its fields is a number; a
+    # row such as "1 # note" used to be dropped as a header without a word
+    path = tmp_path / "series.csv"
+    for first in ("1 # note", "1.0,abc"):
+        path.write_text(first + "\n2\n3\n")
+        with pytest.raises(ValueError, match="malformed row 1: "):
+            ingest_csv(path)
+    for header, row, expected in (("x", "1.5", [1.5]), ("x1,x2", "1.5,2", [[1.5, 2.0]]),
+                                  ("a b", "1.5 2", [[1.5, 2.0]])):
+        path.write_text(f"# series\n\n{header}\n{row}\n")
+        assert ingest_csv(path).tolist() == expected
+
+
+def _read_lines(path):
+    """The line parser's reading of ``path``: ingest_csv's reference."""
+    try:
+        with open(path) as fh:
+            data = harness._parse_rows(fh, path)
+    except ValueError as exc:
+        return str(exc)
+    return data[:, 0] if data.shape[1] == 1 else data
+
+
+_NUMBER_FORMS = (repr, lambda v: format(v, ".17g"), lambda v: format(v, "e"),
+                 lambda v: f"  {v!r} ", lambda v: f"{v:>28.17g}")
+_ODD_FIELDS = ("nan", "-inf", "Infinity", "1_0", "abc", "", "#", "1#2", "x")
+
+
+@st.composite
+def _table_texts(draw):
+    """Tables as users write them, with a few of every kind of defect."""
+    width = draw(st.integers(1, 3))
+    sep = draw(st.sampled_from([",", " ", "\t", ", ", " ,", "  \t"]))
+    rare = st.integers(0, 79).map(lambda k: k == 0)
+
+    def field():
+        if draw(rare):
+            return draw(st.sampled_from(_ODD_FIELDS))
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return draw(st.sampled_from(_NUMBER_FORMS))(value)
+
+    def row(count):
+        return sep.join(field() for _ in range(count))
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(
+            ["x", "x1,x2", "a b", "\tx", "x,1", "1.0,abc", "1 # note"])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 29))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["# comment", "  # 1,2", "#"])))
+        elif kind == 2:
+            lines.append(row(width) + draw(st.sampled_from([" # note", "#1"])))
+        elif kind == 3:
+            lines.append(row(width) + ",")
+        elif kind == 4:
+            lines.append(row(draw(st.integers(1, 4))))
+        else:
+            lines.append(row(width))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_table_texts())
+def test_ingest_csv_matches_the_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "ingest-property.csv"
+    path.write_bytes(text.encode())
+    expected = _read_lines(path)
+    try:
+        got = ingest_csv(path)
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_ingest_csv_reads_simulate_output_and_columns_bitwise(tmp_path, monkeypatch):
+    from elstable.cli import main
+
+    series = tmp_path / "series.csv"
+    assert main(["simulate", "--n", "10000", "--output", str(series)]) == 0
+    columns = tmp_path / "columns.txt"
+    x = np.random.default_rng(11).standard_cauchy((500, 2))
+    columns.write_text("".join(f"{a!r}\t {b:.17g}\n" for a, b in x.tolist()))
+    expected = [_read_lines(series), _read_lines(columns)]
+    # numpy's reader alone must give the line parser's bits
+    monkeypatch.setattr(harness, "_parse_rows", None)
+    for path, want in zip((series, columns), expected):
+        got = ingest_csv(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert expected[0].shape == (10_000,)
+    assert expected[1].tobytes() == x.tobytes()
 
 
 def test_coverage_csv_roundtrip_preserves_summary(tmp_path):
