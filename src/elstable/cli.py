@@ -13,6 +13,7 @@ out-of-domain settings), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,8 +258,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it for every in-process
+    call would leave hundreds of objects in reference cycles each time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

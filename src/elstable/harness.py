@@ -104,10 +104,11 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     autocorrelation scores, the region is an interval (Owen 1990, Monti
     1997), so its first and last grid points are found by a secant search
     on the square root of the statistic, safeguarded by bisection over grid
-    indices (:func:`_search_region`): about 3 batch solves of about 11 grid
+    indices (:func:`_search_region`): about 3 batch solves of about 9 grid
     points in all, each with the decision a full scan makes there.  ``thetas``,
-    ``stats`` and ``accepted`` hold only the probed points, always including
-    both grid ends.  ``hull_failures`` still counts the whole grid, while
+    ``stats`` and ``accepted`` hold only the probed points: the smallest
+    (largest) of them is the interval's lower (upper) end exactly when that
+    end is the grid end.  ``hull_failures`` still counts the whole grid, while
     ``solver_failures`` counts only solved points; a probe whose solve does
     not converge ends the search, so it reads 0 there.  Matrix scores,
     slopes of both signs and unconverged probes take the full scan: one
@@ -191,10 +192,11 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     With a one-signed slope ``b`` the statistic is zero at the root
     ``theta_hat = -sum(a) / sum(b)`` and its sublevel sets are intervals, so
     the smallest grid statistic sits on one of the two grid neighbours of
-    ``theta_hat``: the first round solves them and both grid ends, and when
-    neither neighbour is accepted the region is empty.  Otherwise each region
-    end lies in a bracket of grid indices, one rejected and one accepted; an
-    accepted grid end closes its bracket.  Away from ``theta_hat`` the square
+    ``theta_hat``: the first round solves only them, and when neither is
+    accepted the region is empty.  Otherwise each region end lies in a
+    bracket of grid indices, one rejected and one accepted, which starts at
+    the virtual index -1 or ``last + 1`` beyond the grid end; those count as
+    rejected and are never solved.  Away from ``theta_hat`` the square
     root of the statistic grows close to linearly, so every later round
     solves the two grid points around the secant estimate of
     ``sqrt(stat) = sqrt(gamma)`` in each open bracket (:func:`_secant_probes`).
@@ -209,8 +211,8 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     the hull failures over the whole grid once the grid points next to its
     ends confirm it.
 
-    Returns ``(probed indices, their statistics, hull failures)``; the probed
-    indices always include both grid ends.  None when the slope is zero or
+    Returns ``(probed indices, their statistics, hull failures)``; a grid end
+    is probed exactly when the region reaches it.  None when the slope is zero or
     takes both signs, a probe's solve did not converge, or the hull count is
     not confirmed.
     """
@@ -235,15 +237,13 @@ def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
     root = -a.sum() / b.sum()
     k = int(np.searchsorted(grid, root))
     nearest = {min(max(i, 0), last) for i in (k - 1, k)}
-    if not (yield from probe(nearest | {0, last})):
+    if not (yield from probe(nearest)):
         return None
     seeds = [i for i in sorted(nearest) if accepted(i)]
     if seeds:
         # [rejected, accepted, width a bisection would have left by now]
-        brackets = [[0, seeds[0]], [last, seeds[-1]]]
+        brackets = [[-1, seeds[0]], [last + 1, seeds[-1]]]
         for bracket in brackets:
-            if accepted(bracket[0]):
-                bracket[1] = bracket[0]
             bracket.append(abs(bracket[0] - bracket[1]))
         while active := [br for br in brackets if abs(br[0] - br[1]) > 1]:
             indices = set()
@@ -320,47 +320,61 @@ def _affine(fun: Callable, score: ScoreFunction):
     score domain (clipped to +/-8) and checked at the lower quarter point.
     A residual above 1e-9 of the evaluated values raises
     :class:`NumericalError`: the closed forms built on ``(a, b)`` would be
-    wrong for a score that is not affine in theta.
+    wrong for a score that is not affine in theta.  Values with a leading
+    axis are rows checked one by one.
     """
     lo, hi = np.clip(score.domain[0], -8.0, 8.0)
     mid, upper, lower = lo + (hi - lo) * np.array([0.5, 0.75, 0.25])
     at_mid, at_upper = np.asarray(fun(mid)), np.asarray(fun(upper))
     b = (at_upper - at_mid) / (upper - mid)
     a = at_mid - mid * b
-    residual = np.max(np.abs(fun(lower) - (a + lower * b)))
-    if residual > 1e-9 * np.max(np.abs([at_mid, at_upper])):
+
+    def row_max(values):
+        return values.max(axis=-1) if values.ndim else values
+
+    residual = row_max(np.abs(fun(lower) - (a + lower * b)))
+    bad = residual > 1e-9 * row_max(np.maximum(np.abs(at_mid), np.abs(at_upper)))
+    if np.any(bad):
         raise NumericalError(f"score {score.name!r} is not affine in theta: "
-                             f"residual {residual:.3e} at theta={lower:g}")
+                             f"residual {np.max(residual[bad]):.3e} at theta={lower:g}")
     return a, b
 
 
-def _affine_root(a: float, b: float, score: ScoreFunction, what: str) -> float:
-    """Root ``-a / b`` of ``a + theta b``, which must lie in the score domain."""
+def _affine_root(a, b, score: ScoreFunction, what: str):
+    """Root ``-a / b`` of ``a + theta b``, which must lie in the score domain;
+    one root per row for arrays, a float otherwise."""
     lo, hi = score.domain[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = float(-a / b) + 0.0  # + 0.0 turns -0.0 into 0.0
-    if not lo < root < hi:
-        raise NumericalError(f"the {what} {root:.6g} of score {score.name!r} is "
-                             f"not in its domain ({lo}, {hi})")
-    return root
+        root = -np.asarray(a) / b + 0.0  # + 0.0 turns -0.0 into 0.0
+    outside = ~((lo < root) & (root < hi))
+    if np.any(outside):
+        raise NumericalError(f"the {what} {root[outside][0]:.6g} of score {score.name!r} "
+                             f"is not in its domain ({lo}, {hi})")
+    return root if root.ndim else float(root)
 
 
-def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha: float):
+def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha):
     """Estimating-function rows ``m_t(theta) = a_t + theta b_t`` as ``(a, b)``.
 
     Both shipped scores are affine in theta: the autocorrelation rows are
     ``(-2 cos(l lambda_t) + 2 theta) I_t`` and the coupling matrix
     ``B(theta)`` of the var1 score enters ``grad_inv`` linearly.  This is the
     one place that picks the row builder; the periodogram is computed once
-    for the three evaluations of :func:`_affine`.
+    for the three evaluations of :func:`_affine`.  A stack of scalar series
+    (B, n), with one ``alpha`` or B of them, gives (B, n) rows in one pass;
+    a stack of vector series (B, n, d) is decomposed one series at a time.
     """
     x = np.asarray(x, dtype=float)
+    if score.is_matrix and x.ndim == 3:
+        pairs = [_affine_rows(series, score, value)
+                 for series, value in zip(x, np.broadcast_to(alpha, len(x)).tolist())]
+        return tuple(np.array(part) for part in zip(*pairs))
     periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
                    else self_normalized_grid(x))
     builder = estimating_function_mv if score.is_matrix else estimating_function
 
     def rows(theta):
-        return builder(x, score, theta, alpha, periodogram=periodogram)[:, 0]
+        return builder(x, score, theta, alpha, periodogram=periodogram)[..., 0]
 
     return _affine(rows, score)
 
@@ -412,17 +426,25 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
     when the score is not affine or the root falls outside the score domain.
     """
     a, b = _affine_rows(x, score, alpha)
-    return _affine_root(a.sum(), b.sum(), score, "plug-in point")
+    return _affine_root(a.sum(axis=-1), b.sum(axis=-1), score, "plug-in point")
 
 
 # --------------------------------------------------------------------------
 # the competing sample-autocorrelation interval
 
-def _sac_halfwidth(draws: np.ndarray, rho, lag: int, level: float, alpha: float,
-                   n: int, truncation: int) -> float:
-    """SAC half-width ``q_level(|S_1 / S_0|) K / x_n`` (Davis & Resnick 1986)."""
+def _sac_halfwidth(ratio_abs_q: float, rho, lag: int, alpha: float, n: int,
+                   truncation: int) -> float:
+    """SAC half-width ``q_level(|S_1 / S_0|) K / x_n`` (Davis & Resnick 1986),
+    from the quantile ``ratio_abs_q`` of the ratio draws."""
     k_ratio = sac_series_constant(rho, int(lag), alpha, truncation)
-    return float(np.quantile(np.abs(draws), level)) * k_ratio / x_n(n, alpha)
+    return ratio_abs_q * k_ratio / x_n(n, alpha)
+
+
+def _ratio_quantiles(draws: np.ndarray, level: float, sac: bool) -> tuple:
+    """The level-quantiles of the squared ratio draws (the EL threshold's)
+    and, for the SAC interval, of their absolute values."""
+    return (float(np.quantile(draws ** 2, level)),
+            float(np.quantile(np.abs(draws), level)) if sac else None)
 
 
 # --------------------------------------------------------------------------
@@ -437,14 +459,17 @@ class AnalysisResult:
     sac: ConfidenceInterval | None
 
 
-def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta: float,
-              alpha: float, transfer) -> LimitLawConfig:
+def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta,
+              alpha, transfer) -> LimitLawConfig:
     """The limit law of ``score`` at ``theta`` with the tuning of ``config``.
 
     ``transfer`` is a process spec, whose exact transfer enters the law
     (for a scalar score as its cosine coefficients, the model
     autocorrelations), or for a scalar score a :class:`SmoothedTransfer`
     estimated from the data, which hands over its cosine coefficients.
+    For a scalar score, ``theta`` and ``alpha`` may hold one value per
+    series of a stack, with the smoothed transfer of that stack: the config
+    then holds a stack of laws (:func:`prepare_limit`).
     """
     psi = None
     if score.is_matrix:
@@ -453,8 +478,8 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta: float,
         transfer = _model_acf(transfer)
     else:
         transfer = transfer.coeffs
-    return LimitLawConfig(score=score, theta0=np.atleast_1d(theta), alpha=alpha,
-                          transfer=transfer, psi_matrix=psi,
+    return LimitLawConfig(score=score, theta0=np.asarray(theta, dtype=float)[..., None],
+                          alpha=alpha, transfer=transfer, psi_matrix=psi,
                           truncation=config.truncation,
                           quad_points=config.quad_points, reps=config.limit_reps,
                           scale_convention=config.scale_convention)
@@ -479,42 +504,57 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     from the data or taken exactly from ``process``; the SAC interval
     targets the lag the score records, with the autocorrelations of
     ``process`` when it is known and the sample ones otherwise.  The stable
-    ratio law is drawn from ``rng``.  This is the one-series case of
-    :func:`_lockstep`.
+    ratio law is drawn from ``rng``.  This is the one-series case of the
+    stacked setup (:func:`_analysis_setup`) and of :func:`_lockstep`.
     """
-    return _lockstep([_analysis_steps(x, score, alpha, config, rng=rng,
-                                      process=process, theta_ref=theta_ref)])[0]
+    if rng is None:
+        raise ValueError("supply rng or precomputed quantiles")
+    x = np.asarray(x, dtype=float)
+    draws = sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention)
+    ratio_sq_q, ratio_abs_q = _ratio_quantiles(
+        draws, config.level, "sac" in _methods(config, score))
+    setup, = _analysis_setup(x[None], [alpha], [ratio_sq_q], None, [ratio_abs_q],
+                             score=score, config=config, process=process,
+                             theta_ref=theta_ref)
+    return _lockstep([_analysis_steps(alpha, setup)])[0]
 
 
-def _analysis_steps(x, score, alpha, config, **options):
-    """:func:`analyze_series` as a step generator for :func:`_lockstep`.
-
-    Because every limit draw is the stable ratio times a series-specific
-    constant, coverage replicates share the ratio law across series by
-    passing precomputed quantiles (``ratio_sq_quantile`` for the EL
-    threshold, ``sac_halfwidth`` for the whole SAC half-width).
-    """
-    theta_ref, gamma, sac, region = _analysis_setup(x, score, alpha, config, **options)
+def _analysis_steps(alpha: float, setup):
+    """The analysis of one series from its ``setup`` (one row of
+    :func:`_analysis_setup`, or the exception that row raised), as a step
+    generator for :func:`_lockstep`; returns the :class:`AnalysisResult`."""
+    if isinstance(setup, Exception):
+        raise setup
+    theta_ref, gamma, sac, region = setup
     scan = None if region is None else (yield from region)
     return AnalysisResult(alpha=alpha, theta_ref=theta_ref, gamma=gamma,
                           el=scan, sac=sac)
 
 
-def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
-                    ratio_sq_quantile=None, sac_halfwidth=None):
-    """``(theta_ref, gamma, SAC interval, region steps)`` of :func:`analyze_series`.
+def _analysis_setup(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
+                    score, config, process, theta_ref=None) -> list:
+    """``(theta_ref, gamma, SAC interval, region steps)`` of each series of
+    the stack ``x``, (B, n) or (B, n, d), computed in one pass.
 
-    The rows ``a + theta b`` are built once, for the plug-in point and the
-    region.  Only they and the grid outlive this call, so a chunk of
-    replicates in lock-step holds no series, transfer or ratio draws.
+    ``alpha`` and ``ratio_sq_q``, the quantile of the squared ratio law, hold
+    one value per series, and so does ``sac_halfwidth`` or, when that is
+    None, ``ratio_abs_q``, the quantile of the absolute ratio law that the
+    half-width is built from.  The periodogram, the rows ``a + theta b``,
+    the plug-in points, the smoothed transfers, the limit laws and the SAC
+    centres each take one array pass over the stack: every step treats the
+    rows independently, so each series gets bitwise what it gets alone.
+    Only the rows, the grid and the results outlive this call, so a chunk
+    of replicates in lock-step holds no series, transfer or ratio draws.
+    A failure of any series raises; :func:`_stack_setups` then finds the
+    series it belongs to.
     """
     x = np.asarray(x, dtype=float)
     mv = score.is_matrix
-    if mv and (x.ndim != 2 or x.shape[1] != score.dim):
+    if mv and (x.ndim != 3 or x.shape[2] != score.dim):
         raise ValueError(f"score expects a series with {score.dim} columns")
-    if not mv and x.ndim != 1:
+    if not mv and x.ndim != 2:
         raise ValueError("scalar score expects a one-dimensional series")
-    n = x.shape[0]
+    count, n = x.shape[:2]
     if n < MIN_SERIES_LENGTH:
         raise ValueError(f"series length must be at least {MIN_SERIES_LENGTH}, got {n}")
     if score.lag is not None and n <= score.lag:
@@ -522,11 +562,13 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
     methods = _methods(config, score)
     if "sac" in methods and score.lag is None:
         raise ValueError("the SAC method needs an autocorrelation score")
+    alpha = np.array(alpha, dtype=float)
+    alphas = alpha.tolist()  # the per-series scalars, as floats
     if theta_ref is None or "el" in methods:
         a, b = _affine_rows(x, score, alpha)
     if theta_ref is None:
-        theta_ref = _affine_root(a.sum(), b.sum(), score, "plug-in point")
-    theta_ref = float(theta_ref)
+        theta_ref = _affine_root(a.sum(axis=-1), b.sum(axis=-1), score, "plug-in point")
+    theta_ref = np.broadcast_to(np.asarray(theta_ref, dtype=float), (count,))
 
     if mv or config.transfer_mode == "exact":
         if process is None:
@@ -536,33 +578,50 @@ def _analysis_setup(x, score, alpha, config, *, rng, process, theta_ref=None,
     else:
         transfer = SmoothedTransfer(x)
 
-    draws = None
-    if ratio_sq_quantile is None or ("sac" in methods and sac_halfwidth is None):
-        if rng is None:
-            raise ValueError("supply rng or precomputed quantiles")
-        draws = sample_stable_ratio(alpha, config.limit_reps, rng,
-                                    config.scale_convention)
+    if mv:  # the matrix law is computed one series at a time
+        laws = [prepare_limit(limit_law(config, score, theta, value, transfer))
+                for theta, value in zip(theta_ref, alphas)]
+        closure = [law["closure"] for law in laws]
+        w_inv = [law["w_inv"][0, 0] for law in laws]
+    else:
+        law = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
+        closure, w_inv = law["closure"], law["w_inv"][:, 0, 0]
+    # each threshold is a product of scalars, as for one series
+    gamma = [q * float(c) ** 2 * w for q, c, w in zip(ratio_sq_q, closure, w_inv)]
 
-    prepared = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
-    if ratio_sq_quantile is None:
-        ratio_sq_quantile = float(np.quantile(draws ** 2, config.level))
-    gamma = ratio_sq_quantile * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
-
-    sac = None
+    sac = [None] * count
     if "sac" in methods:
         if sac_halfwidth is None:
-            rho = transfer.acf if process is None else _model_acf(process)
-            sac_halfwidth = _sac_halfwidth(draws, rho, score.lag, config.level,
-                                           alpha, x.size, config.truncation)
-        center = float(sample_acf(x, score.lag))
-        sac = ConfidenceInterval("sac", config.level, center - sac_halfwidth,
-                                 center + sac_halfwidth)
+            rho = transfer.acf if process is None else [_model_acf(process)] * count
+            sac_halfwidth = [_sac_halfwidth(q, r, score.lag, value, n, config.truncation)
+                             for q, r, value in zip(ratio_abs_q, rho, alphas)]
+        centres = sample_acf(x, score.lag)
+        sac = [ConfidenceInterval("sac", config.level, float(c) - h, float(c) + h)
+               for c, h in zip(centres, sac_halfwidth)]
 
-    region = None
+    region = [None] * count
     if "el" in methods:
         grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
-        region = _region_steps(a, b, grid, gamma, alpha, mv, config.level)
-    return theta_ref, gamma, sac, region
+        region = [_region_steps(a[i], b[i], grid, gamma[i], alphas[i], mv, config.level)
+                  for i in range(count)]
+    return [(float(t), g, s, r) for t, g, s, r in zip(theta_ref, gamma, sac, region)]
+
+
+def _stack_setups(x, *rows, **shared) -> list:
+    """:func:`_analysis_setup` of the stack ``x``, with the exception of each
+    failing series in its place.
+
+    ``rows`` are the per-series arguments (arrays of B values, or None).
+    When the stacked pass raises, every series runs alone, so each gets its
+    own result or its own exception, as one series at a time would.
+    """
+    try:
+        return _analysis_setup(x, *rows, **shared)
+    except (ValueError, RuntimeError) as exc:
+        if len(x) == 1:
+            return [exc]
+        return [setup for i in range(len(x)) for setup in _stack_setups(
+            x[i:i + 1], *(None if r is None else r[i:i + 1] for r in rows), **shared)]
 
 
 # --------------------------------------------------------------------------
@@ -690,63 +749,72 @@ _COVERAGE_FIELDS = [
 ]
 
 
-class _CoverageContext:
-    """Shared state of coverage replicates (built once per chunk)."""
-
-    def __init__(self, config: ExperimentConfig, theta0: float,
-                 ratio_sq_q: float | None, sac_halfwidth: float | None):
-        self.config = config
-        self.theta0 = theta0
-        self.ratio_sq_q = ratio_sq_q
-        self.sac_halfwidth = sac_halfwidth
-        self.spec = config.build_process()
-        self.score = config.build_score()
-
-    def replicate(self, index: int):
-        """Replicate ``index``'s record, as a step generator (:func:`_lockstep`)."""
-        cfg = self.config
-        record = {name: math.nan for name in _COVERAGE_FIELDS}
-        record.update(replicate=index, status="ok",
-                      el_covered=0, el_empty=0, sac_covered=0,
-                      el_hull_failures=0, el_solver_failures=0)
-        try:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1 + index)))
-            simulate = simulate_vector_linear if self.score.is_matrix else simulate_linear
-            x = simulate(self.spec, cfg.n, rng)
-            if cfg.alpha_mode == "known":
-                alpha = self.spec.noise.alpha
+def _fill_record(record: dict, steps, theta0: float):
+    """Complete ``record`` from its replicate's analysis ``steps``, as a step
+    generator for :func:`_lockstep`; a failure only marks its own record."""
+    try:
+        result = yield from steps
+        record["theta_ref"] = result.theta_ref
+        record["gamma"] = result.gamma
+        if result.el is not None:
+            scan = result.el
+            record["el_hull_failures"] = scan.hull_failures
+            record["el_solver_failures"] = scan.solver_failures
+            record.update(interval_cells(scan.interval, "el_"))
+            if scan.interval is None:
+                record["el_empty"] = 1
             else:
-                alpha = float(np.clip(hill_estimator(x, cfg.hill_k), *_ALPHA_CLIP))
-            record["alpha"] = alpha
-
-            result = yield from _analysis_steps(
-                x, self.score, alpha, cfg, rng=rng, process=self.spec,
-                ratio_sq_quantile=self.ratio_sq_q, sac_halfwidth=self.sac_halfwidth)
-            record["theta_ref"] = result.theta_ref
-            record["gamma"] = result.gamma
-            if result.el is not None:
-                scan = result.el
-                record["el_hull_failures"] = scan.hull_failures
-                record["el_solver_failures"] = scan.solver_failures
-                record.update(interval_cells(scan.interval, "el_"))
-                if scan.interval is None:
-                    record["el_empty"] = 1
-                else:
-                    record["el_covered"] = int(scan.interval.covers(self.theta0))
-            if result.sac is not None:
-                record.update(interval_cells(result.sac, "sac_"))
-                record["sac_covered"] = int(result.sac.covers(self.theta0))
-        except (ValueError, RuntimeError) as exc:
-            record["status"] = f"error: {type(exc).__name__}: {exc}"
-        return record
+                record["el_covered"] = int(scan.interval.covers(theta0))
+        if result.sac is not None:
+            record.update(interval_cells(result.sac, "sac_"))
+            record["sac_covered"] = int(result.sac.covers(theta0))
+    except (ValueError, RuntimeError) as exc:
+        record["status"] = f"error: {type(exc).__name__}: {exc}"
 
 
 def _coverage_chunk(config: ExperimentConfig, theta0: float,
                     ratio_sq_q: float | None, sac_halfwidth: float | None,
                     indices: range) -> list[dict]:
-    """The records of a contiguous chunk of replicates, run in lock-step."""
-    context = _CoverageContext(config, theta0, ratio_sq_q, sac_halfwidth)
-    return _lockstep([context.replicate(i) for i in indices])
+    """The records of a contiguous chunk of replicates.
+
+    Each replicate simulates its series from its own rng substream and,
+    with an estimated index, draws its own ratio law after it.  The chunk
+    then stacks the series and sets up all of their analyses in one pass
+    (:func:`_stack_setups`), and their region searches run in lock-step
+    (:func:`_lockstep`).  A replicate that fails marks only its own record.
+    """
+    spec, score = config.build_process(), config.build_score()
+    simulate = simulate_vector_linear if score.is_matrix else simulate_linear
+    records, drawn = [], []
+    for index in indices:
+        record = {name: math.nan for name in _COVERAGE_FIELDS}
+        record.update(replicate=index, status="ok", el_covered=0, el_empty=0,
+                      sac_covered=0, el_hull_failures=0, el_solver_failures=0)
+        records.append(record)
+        try:
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1 + index)))
+            x = simulate(spec, config.n, rng)
+            if config.alpha_mode == "known":
+                alpha = spec.noise.alpha
+            else:
+                alpha = float(np.clip(hill_estimator(x, config.hill_k), *_ALPHA_CLIP))
+            record["alpha"] = alpha
+            # the shared ratio law with a known index, else this series' own
+            quantiles = ((ratio_sq_q, None) if ratio_sq_q is not None else _ratio_quantiles(
+                sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention),
+                config.level, "sac" in config.methods))
+            drawn.append((record, x, alpha, *quantiles))
+        except (ValueError, RuntimeError) as exc:
+            record["status"] = f"error: {type(exc).__name__}: {exc}"
+    if drawn:
+        live, x, alpha, sq_q, abs_q = zip(*drawn)
+        halfwidth = None if sac_halfwidth is None else np.full(len(x), sac_halfwidth)
+        setups = _stack_setups(np.stack(x), np.array(alpha), np.array(sq_q), halfwidth,
+                               None if abs_q[0] is None else np.array(abs_q),
+                               score=score, config=config, process=spec)
+        _lockstep([_fill_record(record, _analysis_steps(a, setup), theta0)
+                   for record, a, setup in zip(live, alpha, setups)])
+    return records
 
 
 def coverage_summary(records: list[dict], level: float) -> dict:
@@ -823,11 +891,11 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
         rng0 = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
         draws = sample_stable_ratio(alpha, config.limit_reps, rng0,
                                     config.scale_convention)
-        ratio_sq_q = float(np.quantile(draws ** 2, config.level))
-        if "sac" in config.methods:
-            sac_halfwidth = _sac_halfwidth(draws, _model_acf(spec), score.lag,
-                                           config.level, alpha, config.n,
-                                           config.truncation)
+        ratio_sq_q, ratio_abs_q = _ratio_quantiles(draws, config.level,
+                                                   "sac" in config.methods)
+        if ratio_abs_q is not None:
+            sac_halfwidth = _sac_halfwidth(ratio_abs_q, _model_acf(spec), score.lag,
+                                           alpha, config.n, config.truncation)
 
     workers = config.workers
     if workers is None:

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import TruncationWarning
 from .processes import StableParams, sample_positive_stable, sample_sas
 from .scores import ScoreFunction, check_alpha
-from .spectral import folded_cosine_coeffs
+from .spectral import _row_dot, folded_cosine_coeffs
 
 _SAMPLE_BLOCK = 20_000  # stable draws are generated in blocks of this many reps
 
@@ -199,22 +199,24 @@ def compute_W_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
     return np.reshape(w, (1, 1))
 
 
-def _check_tail_decay(norms: np.ndarray, what: str, alpha: float = 1.0,
+def _check_tail_decay(norms: np.ndarray, what: str, alpha=1.0,
                       advice: str = "increase the truncation order") -> None:
     # The series constant is (sum |c_t|^alpha)^(1/alpha), so the relevant
     # truncation error is the share of that mass sitting in the last decile
-    # of retained lags; tiny non-decaying ripples are harmless.
-    t = norms.size
+    # of retained lags; tiny non-decaying ripples are harmless.  Leading
+    # axes of ``norms`` (and of ``alpha``) are series checked one by one.
+    t = norms.shape[-1]
     if t < 20:
         return
     decile = max(1, t // 10)
-    mass = np.sum(norms ** alpha) + 1e-300
-    tail_share = np.sum(norms[-decile:] ** alpha) / mass
-    last = norms[-decile:].max()
-    prev = norms[-2 * decile:-decile].max()
-    if tail_share > 0.01 and last >= prev:
+    powered = norms ** np.asarray(alpha)[..., None]
+    mass = np.sum(powered, axis=-1) + 1e-300
+    tail_share = np.sum(powered[..., -decile:], axis=-1) / mass
+    last = norms[..., -decile:].max(axis=-1)
+    prev = norms[..., -2 * decile:-decile].max(axis=-1)
+    for share in tail_share[(tail_share > 0.01) & (last >= prev)]:
         warnings.warn(f"{what} coefficients are not decaying at the truncation "
-                      f"point (last decile holds {tail_share:.2%} of the "
+                      f"point (last decile holds {share:.2%} of the "
                       f"series mass); {advice}", TruncationWarning, stacklevel=3)
 
 
@@ -251,26 +253,34 @@ def compute_V_coeffs_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
 
 
 def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: int,
-               truncation: int, alpha: float):
+               truncation: int, alpha):
     """``W`` and ``c_t`` of an autocorrelation score by the finite sums of
     the module docstring: the N-point rule of :func:`compute_W` and
     :func:`compute_V_coeffs`, with its half-resolution check, without a grid.
-    ``transfer`` holds the cosine coefficients ``r_0..r_H``.
+    ``transfer`` holds the cosine coefficients ``r_0..r_H``.  A stack of
+    laws has ``theta0`` of shape (B, 1), with one ``alpha`` or one per row
+    and one transfer or one row of them per law; ``W`` and ``c_t`` then
+    gain that leading axis.
     """
     if score.lag is None:
         raise ValueError(f"the scalar limit law needs an autocorrelation score, "
                          f"got {score.name!r}")
     if quad_points < 32:
         raise ValueError("quad_points too small")
-    theta, lag = score.check_theta(theta0)[0], score.lag
-    k = np.arange(transfer.size + lag)
-    r = np.zeros(transfer.size + 2 * lag)        # r_k for k = 0..H + 2 lag
-    r[0] = 1.0                                   # the transfer is normalized
-    r[1:transfer.size] = transfer[1:]
-    unfolded = 2.0 * theta * r[k] - r[np.abs(k - lag)] - r[k + lag]
+    theta0 = np.atleast_1d(theta0)
+    theta = np.array([score.check_theta(row)[0]
+                      for row in theta0.reshape(-1, theta0.shape[-1])])
+    theta = theta.reshape(theta0.shape[:-1] + (1,))
+    lag, size = score.lag, transfer.shape[-1]
+    k = np.arange(size + lag)
+    r = np.zeros(transfer.shape[:-1] + (size + 2 * lag,))  # r_k, k = 0..H + 2 lag
+    r[..., 0] = 1.0                              # the transfer is normalized
+    r[..., 1:size] = transfer[..., 1:]
+    unfolded = 2.0 * theta * r[..., k] - r[..., np.abs(k - lag)] - r[..., k + lag]
     u = folded_cosine_coeffs(unfolded, quad_points)
     coarse = folded_cosine_coeffs(unfolded, quad_points // 2)
-    if abs(u @ u - coarse @ coarse) > 1e-6 * (u @ u):
+    uu = _row_dot(u, u)
+    for _ in np.flatnonzero(np.abs(uu - _row_dot(coarse, coarse)) > 1e-6 * uu):
         warnings.warn("quadrature for W not converged at the requested grid; "
                       "increase quad_points", RuntimeWarning, stacklevel=2)
     # The rule's step, linspace's grid[1] - grid[0], is 2 pi / N only to
@@ -279,9 +289,10 @@ def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: 
     scale = 2.0 * _grid_step(quad_points) * quad_points / (2.0 * np.pi)
     lags = np.arange(1, truncation + 1)
     sign = np.where(lags % 2 == 1, -scale, scale)
-    coeffs = (sign * u[lags % quad_points])[:, None]
-    _check_tail_decay(np.abs(coeffs[:, 0]), "limit-series", alpha)
-    return np.array([[scale * (u @ u)]]), coeffs
+    # contiguous rows, so that the sums over lags add as for one series
+    coeffs = np.ascontiguousarray(sign * u[..., lags % quad_points])[..., None]
+    _check_tail_decay(np.abs(coeffs[..., 0]), "limit-series", alpha)
+    return (scale * uu)[..., None, None], coeffs
 
 
 @dataclass(frozen=True)
@@ -304,11 +315,15 @@ class LimitLawConfig:
     coefficients ``r_0..r_H``; for vector processes supply ``psi_matrix``
     instead (the power transfer is then ``Psi Psi*``), and the matrix series
     draws one SaS variable per (lag, i, j).
+
+    A scalar config may also hold a stack of B laws, which only
+    :func:`prepare_limit` reads: ``theta0`` of shape (B, 1), ``alpha``
+    one value or B of them, and one transfer or a (B, H + 1) array.
     """
 
     score: ScoreFunction
     theta0: np.ndarray
-    alpha: float
+    alpha: float | np.ndarray
     transfer: np.ndarray | None = None
     psi_matrix: Callable | None = None
     truncation: int = 200
@@ -324,7 +339,8 @@ class LimitLawConfig:
                 raise ValueError("matrix scores need psi_matrix in the limit config")
         elif self.transfer is None:
             raise ValueError("scalar scores need transfer in the limit config")
-        elif callable(self.transfer) or np.ndim(self.transfer) != 1:
+        elif callable(self.transfer) or not 1 <= np.ndim(self.transfer) <= max(
+                np.ndim(self.theta0), 1):  # a stack of laws may have one each
             raise ValueError("transfer must be the 1-d array of its cosine "
                              "coefficients r_0..r_H")
         else:
@@ -339,7 +355,8 @@ def prepare_limit(config: LimitLawConfig) -> dict:
     ``mixing``, and ``closure`` (the l^alpha norm of the mixing weights,
     the exact SaS scale of the series part of V).  A scalar score must be
     an autocorrelation score, whose law is computed in closed form (module
-    docstring); others raise ``ValueError``.
+    docstring); others raise ``ValueError``.  A stack of B laws gives every
+    value a leading axis of length B, and ``closure`` as an array.
     """
     if config._prepared is not None:
         return config._prepared
@@ -352,19 +369,21 @@ def prepare_limit(config: LimitLawConfig) -> dict:
     else:
         w, coeffs = _acf_limit(score, config.theta0, config.transfer,
                                config.quad_points, config.truncation, config.alpha)
-    mixing = coeffs.reshape(-1, 1)                        # one row per SaS draw
+    lead = w.shape[:-2]                                   # () for one law
+    mixing = coeffs.reshape(lead + (-1, 1))               # one row per SaS draw
     # The 1 x 1 W has condition number 1 unless it is 0, and LAPACK's
-    # inverse of it is 1 / w.
-    if w[0, 0]:
-        w_inv = 1.0 / w
-    else:
+    # inverse of it is 1 / w; the pseudo-inverse of 0 is 0.
+    for _ in np.flatnonzero(w == 0.0):
         warnings.warn("W matrix is ill-conditioned (cond inf); using a "
                       "pseudo-inverse", RuntimeWarning, stacklevel=3)
-        w_inv = np.linalg.pinv(w)
-    closure = float(np.sum(np.abs(mixing) ** config.alpha, axis=0)[0]
-                    ** (1.0 / config.alpha))
+    with np.errstate(divide="ignore"):
+        w_inv = np.where(w == 0.0, 0.0, 1.0 / w)
+    sums = np.sum(np.abs(mixing) ** np.asarray(config.alpha)[..., None, None], axis=-2)
+    # the root of each law is a scalar power, as for one law
+    closure = np.array([float(total ** (1.0 / alpha)) for total, alpha in
+                        zip(sums.reshape(-1), np.broadcast_to(config.alpha, sums.size))])
     prepared = {"w": w, "w_inv": w_inv, "coeffs": coeffs, "mixing": mixing,
-                "closure": closure}
+                "closure": closure.reshape(lead) if lead else float(closure[0])}
     config._prepared = prepared
     return prepared
 

@@ -267,22 +267,28 @@ def spec_from_dict(data: dict):
     give ``coeffs`` as nested lists or as ``{"kind": "table", "b": 0.3,
     "order": 100}``.
     """
-    noise = StableParams(alpha=float(data["alpha"]), scale=float(data.get("scale", 1.0)))
+    def required(data: dict, key: str, what: str = "process spec"):
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r} entry")
+        return data[key]
+
+    noise = StableParams(alpha=float(required(data, "alpha")),
+                         scale=float(data.get("scale", 1.0)))
     kind = data.get("kind", "ma")
     if kind == "ma":
-        psi = data["psi"]
+        psi = required(data, "psi", "an 'ma' process spec")
         if isinstance(psi, dict):
             if psi.get("kind") != "exp_over_j":
                 raise ValueError(f"unknown psi shorthand: {psi.get('kind')!r}")
-            return ma_polynomial_spec(float(psi["b"]), int(psi.get("order", 100)),
-                                      noise.alpha, noise.scale)
+            return ma_polynomial_spec(float(required(psi, "b", "the psi shorthand")),
+                                      int(psi.get("order", 100)), noise.alpha, noise.scale)
         return LinearProcessSpec(psi=np.asarray(psi, dtype=float), noise=noise)
     if kind == "vma":
-        coeffs = data["coeffs"]
+        coeffs = required(data, "coeffs", "a 'vma' process spec")
         if isinstance(coeffs, dict):
             if coeffs.get("kind") != "table":
                 raise ValueError(f"unknown coeffs shorthand: {coeffs.get('kind')!r}")
-            return vma_table_spec(float(coeffs["b"]), int(coeffs.get("order", 100)),
-                                  noise.alpha, noise.scale)
+            return vma_table_spec(float(required(coeffs, "b", "the coeffs shorthand")),
+                                  int(coeffs.get("order", 100)), noise.alpha, noise.scale)
         return VectorProcessSpec(coeffs=np.asarray(coeffs, dtype=float), noise=noise)
     raise ValueError(f"unknown process kind: {kind!r}")

@@ -198,21 +198,24 @@ def score_from_config(config: dict) -> ScoreFunction:
     raise ValueError(f"unknown score name: {name!r}")
 
 
-def check_alpha(alpha: float) -> float:
-    """The stability index as a float; inference is defined for [1, 2)."""
-    alpha = float(alpha)
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError(f"inference requires alpha in [1, 2), got {alpha}")
-    return alpha
+def check_alpha(alpha):
+    """The stability index as a float, or an array of them, one per series
+    of a stack; inference is defined for [1, 2)."""
+    values = np.asarray(alpha, dtype=float)
+    outside = values[~((1.0 <= values) & (values < 2.0))]
+    if outside.size:
+        raise ValueError(f"inference requires alpha in [1, 2), got {float(outside[0])}")
+    return float(values) if values.ndim == 0 else values
 
 
 def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float,
                         periodogram: np.ndarray | None = None) -> np.ndarray:
     """Estimating-function rows ``m(lambda_t; theta)`` for a scalar series.
 
-    Returns an (n, 1) array.  ``periodogram`` may carry precomputed
-    self-normalized periodogram values on the full frequency grid, so that
-    grid scans over theta pay for the FFT once.
+    Returns an (n, 1) array; a stack of series (B, n), with one ``alpha``
+    or one per series, gives (B, n, 1).  ``periodogram`` may carry
+    precomputed self-normalized periodogram values on the full frequency
+    grid, so that grid scans over theta pay for the FFT once.
     """
     check_alpha(alpha)
     if score.is_matrix:
@@ -220,9 +223,9 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
     theta = score.check_theta(theta)
     x = np.asarray(x, dtype=float)
     values = self_normalized_grid(x) if periodogram is None else periodogram
-    freqs = fourier_frequencies(values.size)
+    freqs = fourier_frequencies(values.shape[-1])
     grad = np.asarray(score.grad_inv(freqs, theta))
-    return (grad * values).T
+    return values[..., None] * grad.T
 
 
 def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: float,

@@ -7,21 +7,43 @@ The self-normalized periodogram of a series ``x`` of length ``n`` is
 which stays integrable even when the innovations have infinite variance.  On
 the natural frequency grid ``lambda_t = 2 pi t / n`` (t = 1..n, wrapped into
 (-pi, pi]) it is computed by FFT; arbitrary frequencies use the direct sum.
+
+The grid periodogram, the sample autocorrelations and the smoothed transfer
+also take a stack of series, shape (B, n), and treat each row as one series:
+every row's values are bitwise those of the row alone.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import DegenerateSeriesError
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache
 def fourier_frequencies(n: int) -> np.ndarray:
-    """Frequencies ``2 pi t / n`` for t = 1..n, wrapped into (-pi, pi]."""
+    """Frequencies ``2 pi t / n`` for t = 1..n, wrapped into (-pi, pi].
+
+    Cached per ``n``; the array is read-only.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     lam = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return np.where(lam > np.pi, lam - 2.0 * np.pi, lam)
+    return _read_only(np.where(lam > np.pi, lam - 2.0 * np.pi, lam))
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` of the last axes, row by row, bitwise equal to the 1-d
+    product of each row (a stacked matmul; ``einsum`` and ``(x * y).sum(-1)``
+    round differently)."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _validated(x: np.ndarray, what: str = "series") -> np.ndarray:
@@ -34,11 +56,12 @@ def _validated(x: np.ndarray, what: str = "series") -> np.ndarray:
 
 
 def _self_normalized(x: np.ndarray) -> np.ndarray:
+    """Each series (row) divided by its root sum of squares."""
     x = _validated(x)
-    ss = float(x @ x) if x.ndim == 1 else float(np.sum(x * x))
-    if ss <= 0.0:
+    ss = _row_dot(x, x)
+    if np.any(ss <= 0.0):
         raise DegenerateSeriesError("series is identically zero")
-    return x / np.sqrt(ss)
+    return x / np.sqrt(ss)[..., None]
 
 
 def self_normalized_periodogram(x: np.ndarray, omega) -> np.ndarray:
@@ -55,12 +78,11 @@ def self_normalized_grid(x: np.ndarray) -> np.ndarray:
     """Self-normalized periodogram at :func:`fourier_frequencies`, via FFT.
 
     ``|sum_t x[t] exp(2 pi i t k / n)| = |fft(x)[k mod n]|`` for real input,
-    so the grid values cost one FFT regardless of how many are needed.
+    so the grid values cost one FFT regardless of how many are needed; the
+    roll puts ``t = n`` (index 0) last.
     """
     xt = _self_normalized(np.asarray(x, dtype=float))
-    n = xt.size
-    mag = np.abs(np.fft.fft(xt)) ** 2
-    return mag[np.arange(1, n + 1) % n]
+    return np.roll(np.abs(np.fft.fft(xt)) ** 2, -1, axis=-1)
 
 
 def periodogram_matrix(x: np.ndarray, alpha: float, omega) -> np.ndarray:
@@ -101,36 +123,41 @@ def sample_acf(x: np.ndarray, lag) -> np.ndarray:
     normalization of the self-normalized periodogram.
     """
     x = _validated(x)
+    n = x.shape[-1]
     scalar = np.isscalar(lag)
     lags = np.atleast_1d(lag).astype(int)
-    if np.any(lags < 0) or np.any(lags >= x.size):
+    if np.any(lags < 0) or np.any(lags >= n):
         raise ValueError("lags must lie in [0, n)")
-    denom = float(x @ x)
-    if denom <= 0.0:
+    denom = _row_dot(x, x)
+    if np.any(denom <= 0.0):
         raise DegenerateSeriesError("series is identically zero")
-    out = np.array([float(x[:x.size - h] @ x[h:]) / denom if h else 1.0
-                    for h in lags])
-    return float(out[0]) if scalar else out
+    out = np.stack([_row_dot(x[..., :n - h], x[..., h:]) / denom if h
+                    else np.ones_like(denom) for h in lags], axis=-1)
+    return out[..., 0] if scalar else out
 
 
 def acf_sequence(x: np.ndarray) -> np.ndarray:
     """All sample autocorrelations ``rho_hat(0..n-1)`` via FFT convolution."""
     xt = _self_normalized(np.asarray(x, dtype=float))
-    n = xt.size
+    n = xt.shape[-1]
     nfft = 1 << (2 * n - 1).bit_length()
     spec = np.abs(np.fft.rfft(xt, nfft)) ** 2
-    return np.fft.irfft(spec, nfft)[:n]
+    return np.fft.irfft(spec, nfft)[..., :n]
 
 
+@functools.lru_cache
 def _dirichlet_weights(n: int, count: int) -> np.ndarray:
     """Averaging factor ``(1/count) sum_{|k|<=m} cos(h k delta)`` per lag
-    h < n, with the Fourier spacing ``delta = 2 pi / n``."""
+    h < n, with the Fourier spacing ``delta = 2 pi / n``.
+
+    Cached per ``(n, count)``; the array is read-only.
+    """
     h = np.arange(n)
     half = h * (2.0 * np.pi / n) / 2.0
     s = np.sin(half)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.sin(count * half) / (count * s)
-    return np.where(np.isclose(np.abs(s), 0.0, atol=1e-14), 1.0, d)
+    return _read_only(np.where(np.isclose(np.abs(s), 0.0, atol=1e-14), 1.0, d))
 
 
 class SmoothedTransfer:
@@ -146,12 +173,13 @@ class SmoothedTransfer:
     ``linspace(-pi, pi, N + 1)`` the series is one length-N FFT of its
     coefficients folded by :func:`folded_cosine_coeffs`.  ``acf`` keeps the
     sample autocorrelations ``rho_hat(0..n-1)`` and ``coeffs`` the smoothed
-    ones.
+    ones; a stack of series (B, n) gives one row of each per series, and
+    only one series can be evaluated.
     """
 
     def __init__(self, x: np.ndarray, bandwidth: int | None = None):
         x = _validated(x)
-        n = x.size
+        n = x.shape[-1]
         m = int(np.sqrt(n)) if bandwidth is None else int(bandwidth)
         if m < 0 or 2 * m + 1 > n:
             raise ValueError(f"bandwidth m={m} out of range for n={n}")
@@ -161,6 +189,8 @@ class SmoothedTransfer:
         self.coeffs = self.acf * _dirichlet_weights(n, 2 * m + 1)
 
     def __call__(self, omega) -> np.ndarray:
+        if self.coeffs.ndim != 1:
+            raise ValueError("a stack of smoothed transfers cannot be evaluated")
         scalar = np.isscalar(omega) or np.ndim(omega) == 0
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         points = omega.size - 1
@@ -181,15 +211,21 @@ def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
 
     ``e^(i h omega_j) = (-1)**h e^(2 pi i h j / points)``, so lags ``+h`` and
     ``-h`` land in slots ``+h`` and ``-h mod points`` with sign ``(-1)**h``,
-    and the series takes the values ``fft(folded).real`` on the grid.
+    and the series takes the values ``fft(folded).real`` on the grid.  The
+    lags of one slot are added in increasing order, starting from zero.
+    Leading axes of ``coeffs`` are rows folded one by one.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    h = np.arange(1, coeffs.size)
-    signed = np.where(h % 2 == 1, -coeffs[1:], coeffs[1:])
-    one_sided = np.bincount(h % points, weights=signed, minlength=points)
+    h = np.arange(coeffs.shape[-1])
+    signed = np.where(h % 2 == 1, -coeffs, coeffs)
+    signed[..., 0] = 0.0  # lag 0 is not part of the one-sided sum
+    one_sided = np.zeros(coeffs.shape[:-1] + (points,))
+    for start in range(0, h.size, points):
+        block = signed[..., start:start + points]
+        one_sided[..., :block.shape[-1]] += block
     folded = one_sided.copy()
-    folded[1:] += one_sided[:0:-1]
-    folded[0] = coeffs[0] + 2.0 * one_sided[0]
+    folded[..., 1:] += one_sided[..., :0:-1]
+    folded[..., 0] = coeffs[..., 0] + 2.0 * one_sided[..., 0]
     return folded
 
 

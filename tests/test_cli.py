@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit-code contracts."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import elstable
+from elstable import cli
 from elstable.cli import build_parser, main
 from elstable.emplik import x_n
 from elstable.harness import read_records_csv
@@ -149,8 +151,12 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
     (None, {"n": "abc"}, "n must be an integer, got 'abc'"),
     (None, {"methods": "el"}, "methods must be a list of method names, got 'el'"),
     (None, {"truncation": 0}, "truncation must be at least 1, got 0"),
+    # vector data reads its process from the config
+    (None, {"process": {"kind": "ma", "alpha": 1.5},
+            "score": {"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]}},
+     "an 'ma' process spec has no 'psi' entry"),
 ], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
-        "zero-truncation"])
+        "zero-truncation", "process-without-psi"])
 def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
                                                   series, config, message):
     path = series_csv
@@ -283,6 +289,50 @@ def test_hill_plot_takes_no_config_or_seed(series_csv):
         with pytest.raises(SystemExit) as info:
             run_cli("hill-plot", "--input", series_csv, *flag)
         assert info.value.code == 2
+
+
+def test_simulate_rejects_a_process_without_psi(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"process": {"kind": "ma", "alpha": 1.5}}))
+    assert run_cli("simulate", "--config", config) == 2
+    assert capsys.readouterr().err == "error: an 'ma' process spec has no 'psi' entry\n"
+
+
+def test_back_to_back_calls_print_what_separate_calls_print(series_csv, capsys):
+    # main() parses every call with one parser, so no flag of one call may
+    # reach the next: --hill then --alpha, and a coverage run then a table.
+    calls = [("ci", "--input", series_csv, "--hill", "--limit-reps", 2000),
+             ("ci", "--input", series_csv, "--alpha", 1.5, "--limit-reps", 2000),
+             ("coverage", "--n", 64, "--replicates", 100, "--workers", 1),
+             ("table", "--id", 1, "--limit-reps", 2000)]
+
+    def outputs(fresh_parser):
+        printed = []
+        for args in calls:
+            if fresh_parser:
+                cli._parser.cache_clear()
+            assert run_cli(*args) == 0
+            printed.append(capsys.readouterr())
+        return printed
+
+    assert outputs(fresh_parser=False) == outputs(fresh_parser=True)
+
+
+def test_a_call_leaves_no_cyclic_garbage(series_csv, capsys):
+    # In-process callers make many calls; none may leave reference cycles
+    # behind for the collector (a fresh parser per call left hundreds).
+    args = ("ci", "--input", series_csv, "--alpha", 1.5, "--limit-reps", 2000)
+    assert run_cli(*args) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli(*args) == 0
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_parser_covers_all_subcommands():

@@ -23,7 +23,7 @@ from elstable.processes import (LinearProcessSpec, StableParams, ma_polynomial_s
                                 theoretical_acf, vma_table_spec)
 from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score,
                              estimating_function, estimating_function_mv)
-from elstable.spectral import acf_sequence, sample_acf
+from elstable.spectral import acf_sequence, sample_acf, self_normalized_grid
 
 PROC_HALF = {"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}}
 
@@ -101,7 +101,10 @@ def searched(x, score, grid, gamma, alpha):
         scan = el_confidence_region(x, score, grid, gamma, alpha)
     interval = None if scan.interval is None else (scan.interval.lower,
                                                    scan.interval.upper)
-    assert scan.thetas[0] == grid[0] and scan.thetas[-1] == grid[-1]
+    # the grid ends are probed only when the region reaches them
+    if interval is not None:
+        assert (scan.thetas[0] == interval[0]) == (interval[0] == grid[0])
+        assert (scan.thetas[-1] == interval[1]) == (interval[1] == grid[-1])
     return ((interval, scan.hull_failures, scan.solver_failures),
             scan.thetas.size, len(calls))
 
@@ -253,6 +256,59 @@ def test_lockstep_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step
     assert fallback.stats.tobytes() == (-2.0 * x_n(n, 1.5) ** 2 / n
                                         * full.log_ratio).tobytes()
     assert all(same(*pair) for pair in zip(rest, alone[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([50, 120, 300, 301]),
+       lag=st.integers(1, 3), count=st.integers(1, 7), hill=st.booleans(),
+       transfer=st.sampled_from(["smoothed", "smoothed-plugin", "exact"]),
+       broken=st.sampled_from([None, None, 0.0, math.nan]))
+def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
+                                                    transfer, broken):
+    # A coverage chunk sets up all of its series in one array pass; every
+    # series must get bitwise what it gets alone, and a series that fails
+    # (here: all zeros or a nan) must raise its own error and no other's.
+    rng = np.random.default_rng(seed)
+    spec = ma_polynomial_spec(0.5)
+    x = np.stack([simulate_linear(spec, n, rng) for _ in range(count)])
+    if broken is not None:
+        x[rng.integers(count)] = broken
+    alpha = rng.uniform(1.0, 1.99, count) if hill else np.full(count, 1.5)
+    per_series = (alpha, rng.uniform(1.0, 20.0, count), None, rng.uniform(1.0, 5.0, count))
+    score = acf_score(lag)
+    shared = dict(score=score, process=None if transfer == "smoothed-plugin" else spec,
+                  config=ExperimentConfig(grid_step=0.01, transfer_mode="exact"
+                                          if transfer == "exact" else "smoothed"))
+    stacked = harness._stack_setups(x, *per_series, **shared)
+    alone = [harness._stack_setups(x[i:i + 1], *(None if v is None else v[i:i + 1]
+                                                 for v in per_series), **shared)[0]
+             for i in range(count)]
+    for setup, single in zip(stacked, alone):
+        if isinstance(single, Exception):
+            assert type(setup) is type(single) and str(setup) == str(single)
+            continue
+        assert setup[:3] == single[:3]  # theta_ref, gamma and the SAC interval
+        assert setup[1].tobytes() == single[1].tobytes()
+    scans = harness._lockstep([s[3] for s in stacked if not isinstance(s, Exception)])
+    single_scans = harness._lockstep([s[3] for s in alone if not isinstance(s, Exception)])
+    for scan, single in zip(scans, single_scans):
+        assert scan.stats.tobytes() == single.stats.tobytes()
+        assert scan.thetas.tobytes() == single.thetas.tobytes()
+        assert scan.interval == single.interval
+    # the stacked kernels against the per-series arithmetic they replace
+    good = x[np.isfinite(x).all(axis=1) & x.any(axis=1)]
+    if good.size:
+        a, b = harness._affine_rows(good, score, alpha[:len(good)])
+        periodograms = self_normalized_grid(good)
+        centres = sample_acf(good, lag)
+    for i, row in enumerate(good):
+        one_a, one_b = harness._affine_rows(row, score, 1.5)
+        assert (a[i].tobytes(), b[i].tobytes()) == (one_a.tobytes(), one_b.tobytes())
+        xt = row / np.sqrt(row @ row)
+        periodogram = (np.abs(np.fft.fft(xt)) ** 2)[np.arange(1, n + 1) % n]
+        assert periodograms[i].tobytes() == periodogram.tobytes()
+        assert centres[i] == float(row[:n - lag] @ row[lag:]) / float(row @ row)
 
 
 def test_lockstep_hands_a_lone_series_its_rows_uncopied(monkeypatch):

@@ -239,3 +239,17 @@ def test_spec_from_dict_rejects_unknown_kinds():
         spec_from_dict({"kind": "ar", "alpha": 1.5, "psi": [1.0]})
     with pytest.raises(ValueError):
         spec_from_dict({"kind": "ma", "alpha": 1.5, "psi": {"kind": "mystery"}})
+
+
+@pytest.mark.parametrize("data, missing", [
+    ({"kind": "ma", "alpha": 1.5}, "an 'ma' process spec has no 'psi' entry"),
+    ({"psi": [1.0]}, "process spec has no 'alpha' entry"),
+    ({"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j"}},
+     "the psi shorthand has no 'b' entry"),
+    ({"kind": "vma", "alpha": 1.5}, "a 'vma' process spec has no 'coeffs' entry"),
+    ({"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table"}},
+     "the coeffs shorthand has no 'b' entry"),
+])
+def test_spec_from_dict_names_a_missing_entry(data, missing):
+    with pytest.raises(ValueError, match=f"^{missing}$"):
+        spec_from_dict(data)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from elstable.errors import DegenerateSeriesError
-from elstable.spectral import (SmoothedTransfer, acf_sequence, fourier_frequencies,
-                               hill_curve, hill_estimator, periodogram_matrix,
-                               periodogram_matrix_grid, sample_acf, self_normalized_grid,
-                               self_normalized_periodogram)
+from elstable.spectral import (SmoothedTransfer, _dirichlet_weights, acf_sequence,
+                               fourier_frequencies, hill_curve, hill_estimator,
+                               periodogram_matrix, periodogram_matrix_grid, sample_acf,
+                               self_normalized_grid, self_normalized_periodogram)
 
 
 @pytest.fixture
@@ -93,6 +93,37 @@ def test_sample_acf_rejects_bad_lags(x):
         sample_acf(x, -1)
     with pytest.raises(ValueError):
         sample_acf(x, x.size)
+
+
+@pytest.mark.parametrize("n, count", [(8, 1), (50, 15), (300, 35), (301, 35)])
+def test_per_n_constants_are_cached_read_only_and_exact(n, count):
+    # One array per n (and smoothing width) serves every series of that
+    # length, so no caller may write to it.
+    lam = 2.0 * np.pi * np.arange(1, n + 1) / n
+    freqs = fourier_frequencies(n)
+    assert freqs.tobytes() == np.where(lam > np.pi, lam - 2.0 * np.pi, lam).tobytes()
+    weights = _dirichlet_weights(n, count)
+    m = (count - 1) // 2
+    direct = [sum(math.cos(h * k * 2.0 * math.pi / n) for k in range(-m, m + 1)) / count
+              for h in range(n)]
+    np.testing.assert_allclose(weights, direct, rtol=0.0, atol=1e-12)
+    for values, again in ((freqs, fourier_frequencies(n)),
+                          (weights, _dirichlet_weights(n, count))):
+        assert again is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def test_stacked_series_give_each_series_its_own_values(rng):
+    # Each row of a stack is one series, bitwise as if it came alone.
+    stack = rng.standard_t(df=3, size=(5, 64))
+    for fn in (self_normalized_grid, acf_sequence, lambda x: sample_acf(x, 3),
+               lambda x: SmoothedTransfer(x).coeffs):
+        values = fn(stack)
+        assert all(values[i].tobytes() == np.asarray(fn(row)).tobytes()
+                   for i, row in enumerate(stack))
+    with pytest.raises(ValueError, match="stack"):
+        SmoothedTransfer(stack)(0.5)
 
 
 # --------------------------------------------------------------------------
