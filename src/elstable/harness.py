@@ -104,7 +104,7 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     autocorrelation scores, the region is an interval (Owen 1990, Monti
     1997), so its first and last grid points are found by a secant search
     on the square root of the statistic, safeguarded by bisection over grid
-    indices (:func:`_search_region`): about 3 batch solves of about 9 grid
+    indices (:func:`_search_regions`): about 3 batch solves of about 9 grid
     points in all, each with the decision a full scan makes there.  ``thetas``,
     ``stats`` and ``accepted`` hold only the probed points: the smallest
     (largest) of them is the interval's lower (upper) end exactly when that
@@ -112,188 +112,153 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     ``solver_failures`` counts only solved points; a probe whose solve does
     not converge ends the search, so it reads 0 there.  Matrix scores,
     slopes of both signs and unconverged probes take the full scan: one
-    batch solve of the rows at every grid point, never joined with other
-    series.  This is the one-series case of :func:`_lockstep`, which runs
-    the searches of a chunk of series together.
+    batch solve of the rows at every grid point.  This is the one-series
+    case of :func:`_region_scans`.
     """
     a, b = _affine_rows(x, score, alpha)
-    return _lockstep([_region_steps(a, b, grid, gamma, alpha, score.is_matrix,
-                                    level)])[0]
+    return _region_scans(a[None], b[None], grid, [gamma], [alpha], score.is_matrix,
+                         level)[0]
 
 
-def _lockstep(steps: list) -> list:
-    """Run step generators together and return what each one returns.
+def _region_scans(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma, alpha,
+                  matrix: bool, level: float) -> list:
+    """:func:`el_confidence_region` of the rows ``a + theta b`` of each series
+    of a stack: ``a`` and ``b`` are (S, n), and ``gamma`` and ``alpha`` hold
+    one value per series.
 
-    A step generator yields the ``(k, n)`` probe rows of one search round
-    and is sent back their :class:`BatchSolution`.  Each round joins the
-    rows of every pending generator, all of the same length ``n``, into one
-    ``solve_lagrange_batch`` call; each row is solved on its own with no
-    warm start, so its solution does not depend on the rows beside it.
+    The searches of the whole stack run together (:func:`_search_regions`);
+    a series the search hands back, and every series of a matrix score,
+    takes its own full scan, never joined with other series.
     """
-    results, pending = [None] * len(steps), {}
-
-    def advance(i, solution):
-        try:
-            pending[i] = steps[i].send(solution)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(steps)):
-        advance(i, None)
-    while pending:
-        rounds, pending = pending, {}
-        parts = list(rounds.values())  # a lone series' rows go in uncopied
-        batch = solve_lagrange_batch(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        start = 0
-        for i, rows in rounds.items():
-            part = slice(start, start + len(rows))
-            advance(i, type(batch)(**{k: v[part] for k, v in vars(batch).items()}))
-            start = part.stop
-    return results
-
-
-def _region_steps(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: float,
-                  alpha: float, matrix: bool, level: float):
-    """:func:`el_confidence_region` of the rows ``a + theta b`` as a step
-    generator for :func:`_lockstep`; returns the :class:`RegionScan`."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be a non-empty, strictly increasing 1-d array")
-    scale = -2.0 * x_n(a.size, alpha) ** 2 / a.size
-    search = None if matrix else (yield from _search_region(grid, gamma, a, b, scale))
-    if search is None:
-        batch = solve_lagrange_batch(a + grid[:, None] * b)
-        thetas, stats = grid, scale * batch.log_ratio
-        solver_failures = int(np.sum(~batch.converged & batch.hull_ok))
-        hull_failures = int(np.sum(~batch.hull_ok))
-    else:
-        probed, stats, hull_failures = search
-        thetas, solver_failures = grid[probed], 0
-    accepted = stats < gamma  # nan (unconverged) and +inf (hull) both excluded
-    if accepted.any():
+    n = a.shape[1]
+    scale = np.array([-2.0 * x_n(n, value) ** 2 / n for value in alpha])
+    gamma = np.array(gamma, dtype=float)
+    searches = [None] * len(a) if matrix else _search_regions(a, b, grid, gamma, scale)
+    scans = []
+    for i, search in enumerate(searches):
+        if search is None:
+            batch = solve_lagrange_batch(a[i] + grid[:, None] * b[i])
+            thetas, stats = grid, scale[i] * batch.log_ratio
+            solver_failures = int(np.sum(~batch.converged & batch.hull_ok))
+            hull_failures = int(np.sum(~batch.hull_ok))
+        else:
+            probed, stats, hull_failures = search
+            thetas, solver_failures = grid[probed], 0
+        accepted = stats < gamma[i]  # nan (unconverged) and +inf (hull) both excluded
         inside = thetas[accepted]
-        interval = ConfidenceInterval("el", level, float(inside[0]), float(inside[-1]))
-    else:
-        interval = None
-    return RegionScan(thetas=thetas, stats=stats, gamma=float(gamma), level=level,
-                      accepted=accepted, interval=interval,
-                      hull_failures=hull_failures, solver_failures=solver_failures)
+        interval = (ConfidenceInterval("el", level, float(inside[0]), float(inside[-1]))
+                    if inside.size else None)
+        scans.append(RegionScan(thetas=thetas, stats=stats, gamma=float(gamma[i]),
+                                level=level, accepted=accepted, interval=interval,
+                                hull_failures=int(hull_failures),
+                                solver_failures=solver_failures))
+    return scans
 
 
-def _hull_ok(rows: np.ndarray) -> np.ndarray:
-    """Zero inside the hull of each row's values (the batch solver's test)."""
-    return ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
+def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.ndarray,
+                    scale: np.ndarray) -> list:
+    """Accepted grid interval of the rows ``a + theta b`` of each series of a
+    stack, by a safeguarded secant search.
 
+    ``a`` and ``b`` are (S, n); ``gamma`` and ``scale``, the factor
+    ``-2 x_n^2 / n`` that turns a log ratio into the statistic, hold one
+    value per series.  With a one-signed slope ``b`` the statistic is zero
+    at the root ``theta_hat = -sum(a) / sum(b)`` and its sublevel sets are
+    intervals, so the smallest grid statistic sits on one of the two grid
+    neighbours of ``theta_hat``: the first round solves only them, and when
+    neither is accepted the region is empty.
 
-def _search_region(grid: np.ndarray, gamma: float, a: np.ndarray, b: np.ndarray,
-                   scale: float):
-    """Accepted grid interval of the rows ``a + theta b`` by a safeguarded secant.
-
-    With a one-signed slope ``b`` the statistic is zero at the root
-    ``theta_hat = -sum(a) / sum(b)`` and its sublevel sets are intervals, so
-    the smallest grid statistic sits on one of the two grid neighbours of
-    ``theta_hat``: the first round solves only them, and when neither is
-    accepted the region is empty.  Otherwise each region end lies in a
-    bracket of grid indices, one rejected and one accepted, which starts at
-    the virtual index -1 or ``last + 1`` beyond the grid end; those count as
-    rejected and are never solved.  Away from ``theta_hat`` the square
-    root of the statistic grows close to linearly, so every later round
-    solves the two grid points around the secant estimate of
-    ``sqrt(stat) = sqrt(gamma)`` in each open bracket (:func:`_secant_probes`).
-    As a safeguard, a bracket wider than bisection would have left it after
-    as many rounds also gets its midpoint, so the search takes at most one
-    round more than bisection (Brent 1973, ch. 4).  Each round's probe rows
-    are yielded and their solutions sent back (:func:`_lockstep`); each probe
-    is solved on its own, so every accept/reject decision is the one a full
-    scan makes at that grid point.
+    The state is the (S, G) array of statistics and the mask of probed grid
+    points; each round derives the brackets from them.  The inside ends are
+    the first and the last accepted index; each outside end is the nearest
+    probed, rejected index beyond its inside end, or the virtual index -1 or
+    G, which counts as rejected and is never solved.  Away from
+    ``theta_hat`` the square root of the statistic grows close to linearly,
+    so every later round solves the two grid points around the secant
+    estimate of ``sqrt(stat) = sqrt(gamma)`` in each open bracket, clipped
+    strictly inside it.  The secant runs through the inside end and the
+    outside end when that is a probed point with a finite statistic, else
+    through ``(theta_hat, 0)``; without a usable secant the bracket's
+    midpoint is solved instead.  As a safeguard, a bracket wider than
+    bisection would have left it after as many rounds also gets its
+    midpoint, so the search takes at most one round more than bisection
+    (Brent 1973, ch. 4).  All probes of a round go to one batch solve, each
+    on its own row, so every accept/reject decision is the one a full scan
+    makes at that grid point.
     Zero lies inside the hull of the rows exactly on the open interval
     between the smallest and the largest root ``-a_t / b_t``, which counts
     the hull failures over the whole grid once the grid points next to its
     ends confirm it.
 
-    Returns ``(probed indices, their statistics, hull failures)``; a grid end
-    is probed exactly when the region reaches it.  None when the slope is zero or
-    takes both signs, a probe's solve did not converge, or the hull count is
-    not confirmed.
+    Returns ``(probed indices, their statistics, hull failures)`` for each
+    series; a grid end is probed exactly when the region reaches it.  None
+    for a series whose slope is zero or takes both signs, whose probe's
+    solve did not converge, or whose hull count is not confirmed.
     """
-    if not b.any() or not (np.all(b >= 0.0) or np.all(b <= 0.0)):
-        return None
     last = grid.size - 1
-    stats = {}
-
-    def probe(indices):
-        """Solve the unprobed ``indices``; False when a solve did not converge."""
-        new = sorted(set(indices) - stats.keys())
-        if new:
-            batch = yield a + grid[new][:, None] * b
-            if np.any(~batch.converged & batch.hull_ok):
-                return False
-            stats.update(zip(new, scale * batch.log_ratio))
-        return True
-
-    def accepted(i):
-        return bool(stats[i] < gamma)
-
-    root = -a.sum() / b.sum()
-    k = int(np.searchsorted(grid, root))
-    nearest = {min(max(i, 0), last) for i in (k - 1, k)}
-    if not (yield from probe(nearest)):
-        return None
-    seeds = [i for i in sorted(nearest) if accepted(i)]
-    if seeds:
-        # [rejected, accepted, width a bisection would have left by now]
-        brackets = [[-1, seeds[0]], [last + 1, seeds[-1]]]
-        for bracket in brackets:
-            bracket.append(abs(bracket[0] - bracket[1]))
-        while active := [br for br in brackets if abs(br[0] - br[1]) > 1]:
-            indices = set()
-            for out, inside, budget in active:
-                indices |= _secant_probes(grid, stats, root, gamma, out, inside)
-                if abs(out - inside) > budget:
-                    indices.add((out + inside) // 2)
-            if not (yield from probe(indices)):
-                return None
-            for bracket in active:
-                for i in sorted(indices):
-                    if min(bracket[:2]) < i < max(bracket[:2]):
-                        bracket[accepted(i)] = i
-                bracket[2] = (bracket[2] + 1) // 2
-    roots = -a[b != 0.0] / b[b != 0.0]
-    first = int(np.searchsorted(grid, roots.min(), side="right"))
-    stop = int(np.searchsorted(grid, roots.max(), side="left"))
-    edges = [i for i in (first - 1, first, stop - 1, stop) if 0 <= i <= last]
-    inside = [first <= i < stop for i in edges]
-    if np.any(_hull_ok(a + grid[edges][:, None] * b) != inside):
-        return None
-    probed = np.array(sorted(stats))
-    return (probed, np.array([stats[i] for i in probed]),
-            grid.size - max(0, stop - first))
-
-
-def _secant_probes(grid: np.ndarray, stats: dict, root: float, gamma: float,
-                   out: int, inside: int) -> set:
-    """Grid indices around the secant estimate of a region end.
-
-    The known points on the bracket's side of ``root`` are ``(root, 0)`` and
-    ``(theta_j, sqrt(stat_j))`` for every probed ``j`` with a finite
-    statistic; the two whose ``sqrt(stat)`` is nearest ``sqrt(gamma)`` give
-    the secant.  The two grid indices around its crossing are clipped
-    strictly inside the bracket; without a usable secant the midpoint is
-    returned instead.
-    """
-    lo, hi = min(out, inside), max(out, inside)
-    side = 1.0 if out > inside else -1.0
-    points = [(root, 0.0)] + [(grid[j], math.sqrt(max(s, 0.0)))
-                              for j, s in stats.items()
-                              if math.isfinite(s) and side * (grid[j] - root) > 0.0]
-    target = math.sqrt(max(gamma, 0.0))
-    nearest = sorted(points, key=lambda point: abs(point[1] - target))[:2]
-    if len(nearest) < 2 or nearest[0][1] == nearest[1][1]:
-        return {(lo + hi) // 2}
-    (t1, r1), (t2, r2) = nearest
-    theta = t1 + (target - r1) * (t2 - t1) / (r2 - r1)
-    j = int(np.searchsorted(grid, theta))
-    return {min(max(i, lo + 1), hi - 1) for i in (j - 1, j)}
+    live = b.any(axis=1) & (np.all(b >= 0.0, axis=1) | np.all(b <= 0.0, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -a.sum(axis=1) / b.sum(axis=1)
+        roots = -a / b
+    stats = np.full((len(a), grid.size), np.nan)
+    probed = np.zeros(stats.shape, dtype=bool)
+    want = np.zeros(stats.shape, dtype=bool)  # every point asked for so far
+    neighbours = np.searchsorted(grid, root)[:, None] + [-1, 0]
+    want[np.arange(len(a))[:, None], np.clip(neighbours, 0, last)] = True
+    index = np.arange(grid.size)
+    target = np.sqrt(np.maximum(gamma, 0.0))
+    budget = None
+    while True:
+        s, i = np.nonzero(want & ~probed & live[:, None])
+        if s.size:
+            batch = solve_lagrange_batch(a[s] + grid[i][:, None] * b[s])
+            probed[s, i] = True
+            stats[s, i] = scale[s] * batch.log_ratio
+            live[s[~batch.converged & batch.hull_ok]] = False
+        accepted = probed & (stats < gamma[:, None])
+        rejected = probed & ~accepted
+        inside = np.stack([np.where(accepted, index, last + 1).min(axis=1),
+                           np.where(accepted, index, -1).max(axis=1)], axis=1)
+        out = np.stack([
+            np.where(rejected & (index < inside[:, :1]), index, -1).max(axis=1),
+            np.where(rejected & (index > inside[:, 1:]), index, last + 1).min(axis=1)],
+            axis=1)
+        width = np.abs(out - inside)
+        budget = width if budget is None else (budget + 1) // 2
+        s, side = np.nonzero((live & accepted.any(axis=1))[:, None] & (width > 1))
+        if not s.size:
+            break
+        end, far = inside[s, side], out[s, side]
+        near = np.clip(far, 0, last)
+        known = (far == near) & np.isfinite(stats[s, near])
+        t_end, r_end = grid[end], np.sqrt(np.maximum(stats[s, end], 0.0))
+        t_far = np.where(known, grid[near], root[s])
+        r_far = np.where(known, np.sqrt(np.maximum(stats[s, near], 0.0)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossing = t_end + (target[s] - r_end) * (t_far - t_end) / (r_far - r_end)
+        lo, hi = np.minimum(end, far) + 1, np.maximum(end, far) - 1
+        mid = (lo + hi) // 2
+        j = np.searchsorted(grid, crossing)
+        secant = r_far != r_end
+        want[s, np.where(secant, np.clip(j - 1, lo, hi), mid)] = True
+        want[s, np.where(secant, np.clip(j, lo, hi), mid)] = True
+        wide = width[s, side] > budget[s, side]
+        want[s[wide], mid[wide]] = True
+    nonzero = b != 0.0
+    first = np.searchsorted(grid, np.where(nonzero, roots, np.inf).min(axis=1), side="right")
+    stop = np.searchsorted(grid, np.where(nonzero, roots, -np.inf).max(axis=1), side="left")
+    edges = np.stack([first - 1, first, stop - 1, stop], axis=1)
+    s, e = np.nonzero(live[:, None] & (edges >= 0) & (edges <= last))
+    edge = edges[s, e]
+    rows = a[s] + grid[edge][:, None] * b[s]  # the batch solver's hull test on them
+    hull_ok = ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
+    live[s[hull_ok != ((first[s] <= edge) & (edge < stop[s]))]] = False
+    hull_failures = grid.size - np.maximum(0, stop - first)
+    return [(np.flatnonzero(probed[i]), stats[i, probed[i]], hull_failures[i])
+            if live[i] else None for i in range(len(a))]
 
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,
@@ -505,48 +470,32 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     targets the lag the score records, with the autocorrelations of
     ``process`` when it is known and the sample ones otherwise.  The stable
     ratio law is drawn from ``rng``.  This is the one-series case of the
-    stacked setup (:func:`_analysis_setup`) and of :func:`_lockstep`.
+    stacked analysis (:func:`_analyze_stack`).
     """
     if rng is None:
-        raise ValueError("supply rng or precomputed quantiles")
-    x = np.asarray(x, dtype=float)
+        raise ValueError("supply rng, the source of the stable ratio draws")
     draws = sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention)
     ratio_sq_q, ratio_abs_q = _ratio_quantiles(
         draws, config.level, "sac" in _methods(config, score))
-    setup, = _analysis_setup(x[None], [alpha], [ratio_sq_q], None, [ratio_abs_q],
-                             score=score, config=config, process=process,
-                             theta_ref=theta_ref)
-    return _lockstep([_analysis_steps(alpha, setup)])[0]
+    return _analyze_stack([x], [alpha], [ratio_sq_q], None, [ratio_abs_q],
+                          score=score, config=config, process=process,
+                          theta_ref=theta_ref)[0]
 
 
-def _analysis_steps(alpha: float, setup):
-    """The analysis of one series from its ``setup`` (one row of
-    :func:`_analysis_setup`, or the exception that row raised), as a step
-    generator for :func:`_lockstep`; returns the :class:`AnalysisResult`."""
-    if isinstance(setup, Exception):
-        raise setup
-    theta_ref, gamma, sac, region = setup
-    scan = None if region is None else (yield from region)
-    return AnalysisResult(alpha=alpha, theta_ref=theta_ref, gamma=gamma,
-                          el=scan, sac=sac)
-
-
-def _analysis_setup(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
-                    score, config, process, theta_ref=None) -> list:
-    """``(theta_ref, gamma, SAC interval, region steps)`` of each series of
-    the stack ``x``, (B, n) or (B, n, d), computed in one pass.
+def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
+                   score, config, process, theta_ref=None) -> list:
+    """The :class:`AnalysisResult` of each series of the stack ``x``, (B, n)
+    or (B, n, d), computed in one pass.
 
     ``alpha`` and ``ratio_sq_q``, the quantile of the squared ratio law, hold
     one value per series, and so does ``sac_halfwidth`` or, when that is
     None, ``ratio_abs_q``, the quantile of the absolute ratio law that the
     half-width is built from.  The periodogram, the rows ``a + theta b``,
-    the plug-in points, the smoothed transfers, the limit laws and the SAC
-    centres each take one array pass over the stack: every step treats the
-    rows independently, so each series gets bitwise what it gets alone.
-    Only the rows, the grid and the results outlive this call, so a chunk
-    of replicates in lock-step holds no series, transfer or ratio draws.
-    A failure of any series raises; :func:`_stack_setups` then finds the
-    series it belongs to.
+    the plug-in points, the smoothed transfers, the limit laws, the SAC
+    centres and the region searches (:func:`_region_scans`) each take one
+    array pass over the stack: every step treats the rows independently, so
+    each series gets bitwise what it gets alone.  A failure of any series
+    raises; :func:`_stack_results` then finds the series it belongs to.
     """
     x = np.asarray(x, dtype=float)
     mv = score.is_matrix
@@ -599,16 +548,16 @@ def _analysis_setup(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
         sac = [ConfidenceInterval("sac", config.level, float(c) - h, float(c) + h)
                for c, h in zip(centres, sac_halfwidth)]
 
-    region = [None] * count
+    scans = [None] * count
     if "el" in methods:
         grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
-        region = [_region_steps(a[i], b[i], grid, gamma[i], alphas[i], mv, config.level)
-                  for i in range(count)]
-    return [(float(t), g, s, r) for t, g, s, r in zip(theta_ref, gamma, sac, region)]
+        scans = _region_scans(a, b, grid, gamma, alphas, mv, config.level)
+    return [AnalysisResult(alpha=value, theta_ref=float(t), gamma=g, el=scan, sac=s)
+            for value, t, g, scan, s in zip(alphas, theta_ref, gamma, scans, sac)]
 
 
-def _stack_setups(x, *rows, **shared) -> list:
-    """:func:`_analysis_setup` of the stack ``x``, with the exception of each
+def _stack_results(x, *rows, **shared) -> list:
+    """:func:`_analyze_stack` of the stack ``x``, with the exception of each
     failing series in its place.
 
     ``rows`` are the per-series arguments (arrays of B values, or None).
@@ -616,11 +565,11 @@ def _stack_setups(x, *rows, **shared) -> list:
     own result or its own exception, as one series at a time would.
     """
     try:
-        return _analysis_setup(x, *rows, **shared)
+        return _analyze_stack(x, *rows, **shared)
     except (ValueError, RuntimeError) as exc:
         if len(x) == 1:
             return [exc]
-        return [setup for i in range(len(x)) for setup in _stack_setups(
+        return [result for i in range(len(x)) for result in _stack_results(
             x[i:i + 1], *(None if r is None else r[i:i + 1] for r in rows), **shared)]
 
 
@@ -636,17 +585,21 @@ _ALLOWED = {
 _NUMBER_TYPES = {"int", "int | None", "float", "float | None"}
 
 
+def _is_finite_real(value) -> bool:
+    """An integer or a float (bools are neither) that is finite."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 def _check_number(name: str, value, declared: str) -> None:
     """Reject a ``value`` that does not have the ``declared`` numeric type:
     an integer (bools are not), or a finite real for a ``float`` field."""
     if value is None and declared.endswith("| None"):
         return
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if declared.startswith("int"):
-        if not integer:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    elif not ((integer or isinstance(value, (float, np.floating)))
-              and math.isfinite(value)):
+    elif not _is_finite_real(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -681,8 +634,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
             if spec.type in _NUMBER_TYPES:
-                _check_number(name, getattr(self, name), spec.type)
+                _check_number(name, value, spec.type)
+            elif spec.type == "dict" and not isinstance(value, dict):
+                raise ValueError(f"{name} must be a JSON object, got {value!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if self.n < MIN_SERIES_LENGTH:
@@ -709,8 +665,13 @@ class ExperimentConfig:
         if not self.methods or not set(self.methods) <= {"el", "sac"}:
             raise ValueError(f"methods must be a subset of ('el', 'sac'), "
                              f"got {self.methods}")
-        if isinstance(self.scale_convention, list):
-            object.__setattr__(self, "scale_convention", tuple(self.scale_convention))
+        pair = self.scale_convention
+        if not (isinstance(pair, str) and pair == "davis-resnick"):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(_is_finite_real(value) and value > 0 for value in pair)):
+                raise ValueError(f"scale_convention must be 'davis-resnick' or a pair of "
+                                 f"finite positive numbers, got {pair!r}")
+            object.__setattr__(self, "scale_convention", tuple(pair))
 
     def to_dict(self) -> dict:
         out = {}
@@ -749,27 +710,26 @@ _COVERAGE_FIELDS = [
 ]
 
 
-def _fill_record(record: dict, steps, theta0: float):
-    """Complete ``record`` from its replicate's analysis ``steps``, as a step
-    generator for :func:`_lockstep`; a failure only marks its own record."""
-    try:
-        result = yield from steps
-        record["theta_ref"] = result.theta_ref
-        record["gamma"] = result.gamma
-        if result.el is not None:
-            scan = result.el
-            record["el_hull_failures"] = scan.hull_failures
-            record["el_solver_failures"] = scan.solver_failures
-            record.update(interval_cells(scan.interval, "el_"))
-            if scan.interval is None:
-                record["el_empty"] = 1
-            else:
-                record["el_covered"] = int(scan.interval.covers(theta0))
-        if result.sac is not None:
-            record.update(interval_cells(result.sac, "sac_"))
-            record["sac_covered"] = int(result.sac.covers(theta0))
-    except (ValueError, RuntimeError) as exc:
-        record["status"] = f"error: {type(exc).__name__}: {exc}"
+def _fill_record(record: dict, result, theta0: float) -> None:
+    """Complete ``record`` from its replicate's :class:`AnalysisResult`, or
+    mark it with the exception its analysis raised."""
+    if isinstance(result, Exception):
+        record["status"] = f"error: {type(result).__name__}: {result}"
+        return
+    record["theta_ref"] = result.theta_ref
+    record["gamma"] = result.gamma
+    if result.el is not None:
+        scan = result.el
+        record["el_hull_failures"] = scan.hull_failures
+        record["el_solver_failures"] = scan.solver_failures
+        record.update(interval_cells(scan.interval, "el_"))
+        if scan.interval is None:
+            record["el_empty"] = 1
+        else:
+            record["el_covered"] = int(scan.interval.covers(theta0))
+    if result.sac is not None:
+        record.update(interval_cells(result.sac, "sac_"))
+        record["sac_covered"] = int(result.sac.covers(theta0))
 
 
 def _coverage_chunk(config: ExperimentConfig, theta0: float,
@@ -779,9 +739,9 @@ def _coverage_chunk(config: ExperimentConfig, theta0: float,
 
     Each replicate simulates its series from its own rng substream and,
     with an estimated index, draws its own ratio law after it.  The chunk
-    then stacks the series and sets up all of their analyses in one pass
-    (:func:`_stack_setups`), and their region searches run in lock-step
-    (:func:`_lockstep`).  A replicate that fails marks only its own record.
+    then stacks the series and analyzes all of them in one pass, region
+    searches included (:func:`_stack_results`).  A replicate that fails
+    marks only its own record.
     """
     spec, score = config.build_process(), config.build_score()
     simulate = simulate_vector_linear if score.is_matrix else simulate_linear
@@ -809,11 +769,11 @@ def _coverage_chunk(config: ExperimentConfig, theta0: float,
     if drawn:
         live, x, alpha, sq_q, abs_q = zip(*drawn)
         halfwidth = None if sac_halfwidth is None else np.full(len(x), sac_halfwidth)
-        setups = _stack_setups(np.stack(x), np.array(alpha), np.array(sq_q), halfwidth,
-                               None if abs_q[0] is None else np.array(abs_q),
-                               score=score, config=config, process=spec)
-        _lockstep([_fill_record(record, _analysis_steps(a, setup), theta0)
-                   for record, a, setup in zip(live, alpha, setups)])
+        results = _stack_results(np.stack(x), np.array(alpha), np.array(sq_q), halfwidth,
+                                 None if abs_q[0] is None else np.array(abs_q),
+                                 score=score, config=config, process=spec)
+        for record, result in zip(live, results):
+            _fill_record(record, result, theta0)
     return records
 
 
@@ -870,11 +830,11 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     worker count; with known ``alpha`` the stable-ratio quantile is drawn
     once (stream 0) and shared across replicates, which is exact because the
     per-replicate thresholds are deterministic multiples of it.  Contiguous
-    chunks of ``ceil(replicates / workers)`` replicates, at most 100, run in
-    lock-step (:func:`_lockstep`): one batch solve per search round for the
-    chunk, with the decision of one replicate at a time.  The chunks run
-    on a pool of at most ``min(workers, chunks, CPUs)`` processes, serially
-    when that is 1.
+    chunks of ``ceil(replicates / workers)`` replicates, at most 100, are
+    each analyzed as one stack (:func:`_coverage_chunk`): one batch solve
+    per search round for the chunk, with the decision of one replicate at a
+    time.  The chunks run on a pool of at most ``min(workers, chunks, CPUs)``
+    processes, serially when that is 1.
     """
     if config.replicates < 100:
         raise ValueError("coverage experiments need at least 100 replicates")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -155,8 +156,15 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
     (None, {"process": {"kind": "ma", "alpha": 1.5},
             "score": {"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]}},
      "an 'ma' process spec has no 'psi' entry"),
+    (None, {"scale_convention": [1]}, "scale_convention must be 'davis-resnick' or a "
+     "pair of finite positive numbers, got [1]"),
+    (None, {"scale_convention": 3}, "scale_convention must be 'davis-resnick' or a "
+     "pair of finite positive numbers, got 3"),
+    (None, {"score": 5}, "score must be a JSON object, got 5"),
+    (None, {"score": ["acf_lag"]}, "score must be a JSON object, got ['acf_lag']"),
 ], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
-        "zero-truncation", "process-without-psi"])
+        "zero-truncation", "process-without-psi", "one-scale-multiplier", "number-scale",
+        "number-score", "list-score"])
 def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
                                                   series, config, message):
     path = series_csv
@@ -298,6 +306,13 @@ def test_simulate_rejects_a_process_without_psi(tmp_path, capsys):
     assert capsys.readouterr().err == "error: an 'ma' process spec has no 'psi' entry\n"
 
 
+def test_simulate_rejects_a_process_that_is_not_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"process": 5}))
+    assert run_cli("simulate", "--config", config) == 2
+    assert capsys.readouterr().err == "error: process must be a JSON object, got 5\n"
+
+
 def test_back_to_back_calls_print_what_separate_calls_print(series_csv, capsys):
     # main() parses every call with one parser, so no flag of one call may
     # reach the next: --hill then --alpha, and a coverage run then a table.
@@ -358,6 +373,15 @@ def test_ci_plugin_point_outside_the_domain_exits_3(tmp_path, capsys):
     assert run_cli("ci", "--input", series, "--config", config, "--alpha", 1.5) == 3
     err = capsys.readouterr().err
     assert "plug-in point 6.307" in err and "(-1.0, 1.0)" in err
+
+
+def test_public_names_resolve_and_none_is_a_module():
+    # The package exports its functions and types; its submodules stay
+    # importable as elstable.harness and so on, but are not exported.
+    assert len(set(elstable.__all__)) == len(elstable.__all__)
+    for name in elstable.__all__:
+        assert not isinstance(getattr(elstable, name), types.ModuleType), name
+    assert isinstance(elstable.harness, types.ModuleType)
 
 
 def test_cli_import_leaves_scipy_out():

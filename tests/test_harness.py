@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -87,17 +87,32 @@ def full_scan(x, score, grid, gamma, alpha):
             int(np.sum(~batch.converged & batch.hull_ok)))
 
 
+def same(one, other) -> bool:
+    """Bitwise equality of two results: dataclasses field by field, arrays
+    and numbers by their bytes."""
+    if is_dataclass(one):
+        return type(one) is type(other) and all(
+            same(getattr(one, f.name), getattr(other, f.name)) for f in fields(one))
+    if one is None or other is None:
+        return one is other
+    return (type(one) is type(other)
+            and np.asarray(one).tobytes() == np.asarray(other).tobytes())
+
+
+def counting(calls):
+    """``solve_lagrange_batch`` that appends the size of every batch to ``calls``."""
+    def solver(m):
+        calls.append(len(m))
+        return solve_lagrange_batch(m)
+    return solver
+
+
 def searched(x, score, grid, gamma, alpha):
     """``el_confidence_region`` in the oracle's form, plus its probe count and
     its number of batch-solver calls."""
     calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return solve_lagrange_batch(rows)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "solve_lagrange_batch", counted)
+        patch.setattr(harness, "solve_lagrange_batch", counting(calls))
         scan = el_confidence_region(x, score, grid, gamma, alpha)
     interval = None if scan.interval is None else (scan.interval.lower,
                                                    scan.interval.upper)
@@ -201,43 +216,33 @@ def test_region_of_matrix_score_takes_the_full_scan():
        gammas=st.lists(st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6])
                        | st.floats(0.0, 50.0), min_size=5, max_size=5),
        step=st.sampled_from([0.001, 0.0137, 0.2]))
-def test_lockstep_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step):
-    # A chunk of series shares one batch solve per search round; each probe
-    # is still solved on its own row, so every scan is bitwise the one its
-    # series gets alone, and an unconverged probe sends only its own series
-    # to the full scan.
+def test_stacked_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step):
+    # A stack of series shares one batch solve per search round; each probe
+    # is still solved on its own row, and only once, so every scan is
+    # bitwise the one its series gets alone, and an unconverged probe sends
+    # only its own series to the full scan.  Each series has its own index,
+    # so its own statistic scale.
     rng = np.random.default_rng(seed)
     spec = ma_polynomial_spec(0.5)
-    series = [(simulate_linear(spec, n, rng), acf_score(lag), gamma)
-              for lag, gamma in zip(lags, gammas)]
+    series = [(simulate_linear(spec, n, rng), acf_score(lag), gamma, alpha)
+              for lag, gamma, alpha in zip(lags, gammas, rng.uniform(1.1, 1.9, 5))]
     grid = theta_grid(acf_score(1), step=step)
-    rows = [harness._affine_rows(x, score, 1.5) for x, score, _ in series]
+    a, b = map(np.stack, zip(*(harness._affine_rows(x, score, alpha)
+                               for x, score, _, alpha in series)))
+    gamma, alpha = [s[2] for s in series], [s[3] for s in series]
 
-    def chunk(solver):
-        steps = [harness._region_steps(a, b, grid, gamma, 1.5, False, 0.9)
-                 for (a, b), (_, _, gamma) in zip(rows, series)]
+    def stack(solver):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "solve_lagrange_batch", solver)
-            return harness._lockstep(steps)
+            return harness._region_scans(a, b, grid, gamma, alpha, False, 0.9)
 
     calls = []
-
-    def counted(m):
-        calls.append(len(m))
-        return solve_lagrange_batch(m)
-
-    def same(scan, other):
-        return (scan.thetas.tobytes() == other.thetas.tobytes()
-                and scan.stats.tobytes() == other.stats.tobytes()
-                and scan.interval == other.interval
-                and scan.hull_failures == other.hull_failures
-                and scan.solver_failures == other.solver_failures)
-
-    together = chunk(counted)
-    alone = [el_confidence_region(x, score, grid, gamma, 1.5)
-             for x, score, gamma in series]
+    together = stack(counting(calls))
+    alone = [el_confidence_region(x, score, grid, g, value)
+             for x, score, g, value in series]
     assert all(same(*pair) for pair in zip(together, alone))
     assert len(calls) <= math.ceil(math.log2(grid.size)) + 2
+    assert sum(calls) == sum(scan.thetas.size for scan in together)
 
     def flaky(m):
         # the first row of the first round is the first probe of series 0
@@ -249,11 +254,10 @@ def test_lockstep_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step
         return batch
 
     calls.clear()
-    fallback, *rest = chunk(flaky)
-    a, b = rows[0]
-    full = solve_lagrange_batch(a + grid[:, None] * b)
+    fallback, *rest = stack(flaky)
+    full = solve_lagrange_batch(a[0] + grid[:, None] * b[0])
     assert fallback.thetas.tobytes() == grid.tobytes()
-    assert fallback.stats.tobytes() == (-2.0 * x_n(n, 1.5) ** 2 / n
+    assert fallback.stats.tobytes() == (-2.0 * x_n(n, alpha[0]) ** 2 / n
                                         * full.log_ratio).tobytes()
     assert all(same(*pair) for pair in zip(rest, alone[1:]))
 
@@ -266,9 +270,10 @@ def test_lockstep_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step
        broken=st.sampled_from([None, None, 0.0, math.nan]))
 def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
                                                     transfer, broken):
-    # A coverage chunk sets up all of its series in one array pass; every
-    # series must get bitwise what it gets alone, and a series that fails
-    # (here: all zeros or a nan) must raise its own error and no other's.
+    # A coverage chunk analyzes all of its series in one array pass, region
+    # searches included; every series must get bitwise what it gets alone,
+    # from as many solved rows, and a series that fails (here: all zeros or
+    # a nan) must raise its own error and no other's.
     rng = np.random.default_rng(seed)
     spec = ma_polynomial_spec(0.5)
     x = np.stack([simulate_linear(spec, n, rng) for _ in range(count)])
@@ -280,22 +285,20 @@ def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
     shared = dict(score=score, process=None if transfer == "smoothed-plugin" else spec,
                   config=ExperimentConfig(grid_step=0.01, transfer_mode="exact"
                                           if transfer == "exact" else "smoothed"))
-    stacked = harness._stack_setups(x, *per_series, **shared)
-    alone = [harness._stack_setups(x[i:i + 1], *(None if v is None else v[i:i + 1]
-                                                 for v in per_series), **shared)[0]
-             for i in range(count)]
-    for setup, single in zip(stacked, alone):
+    rows_stacked, rows_alone = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "solve_lagrange_batch", counting(rows_stacked))
+        stacked = harness._stack_results(x, *per_series, **shared)
+        patch.setattr(harness, "solve_lagrange_batch", counting(rows_alone))
+        alone = [harness._stack_results(x[i:i + 1], *(None if v is None else v[i:i + 1]
+                                                      for v in per_series), **shared)[0]
+                 for i in range(count)]
+    assert sum(rows_stacked) == sum(rows_alone)
+    for result, single in zip(stacked, alone):
         if isinstance(single, Exception):
-            assert type(setup) is type(single) and str(setup) == str(single)
-            continue
-        assert setup[:3] == single[:3]  # theta_ref, gamma and the SAC interval
-        assert setup[1].tobytes() == single[1].tobytes()
-    scans = harness._lockstep([s[3] for s in stacked if not isinstance(s, Exception)])
-    single_scans = harness._lockstep([s[3] for s in alone if not isinstance(s, Exception)])
-    for scan, single in zip(scans, single_scans):
-        assert scan.stats.tobytes() == single.stats.tobytes()
-        assert scan.thetas.tobytes() == single.thetas.tobytes()
-        assert scan.interval == single.interval
+            assert type(result) is type(single) and str(result) == str(single)
+        else:
+            assert same(result, single)
     # the stacked kernels against the per-series arithmetic they replace
     good = x[np.isfinite(x).all(axis=1) & x.any(axis=1)]
     if good.size:
@@ -309,26 +312,6 @@ def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
         periodogram = (np.abs(np.fft.fft(xt)) ** 2)[np.arange(1, n + 1) % n]
         assert periodograms[i].tobytes() == periodogram.tobytes()
         assert centres[i] == float(row[:n - lag] @ row[lag:]) / float(row @ row)
-
-
-def test_lockstep_hands_a_lone_series_its_rows_uncopied(monkeypatch):
-    # One pending series needs no join: its rows reach the solver as they are.
-    rows = np.vstack([np.linspace(-1.0, 1.0, 40), np.linspace(-0.5, 2.0, 40)])
-    seen = []
-
-    def steps(rows):
-        yield rows
-        solution = yield rows[:1]
-        return solution
-
-    def solver(m):
-        seen.append(m)
-        return solve_lagrange_batch(m)
-
-    monkeypatch.setattr(harness, "solve_lagrange_batch", solver)
-    solution, = harness._lockstep([steps(rows)])
-    assert seen[0] is rows and len(seen) == 2
-    assert solution.log_ratio.tobytes() == solve_lagrange_batch(rows[:1]).log_ratio.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -610,9 +593,9 @@ def _record_lines(records):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("stage", ["simulation", "search"])
 def test_a_failing_replicate_leaves_the_rest_of_its_chunk_alone(workers, stage):
-    # Replicate 57 raises either before its first probe or in the middle of
-    # its region search, while the rest of its chunk keeps going in
-    # lock-step around it.
+    # Replicate 57 raises either before its first probe or in the region
+    # search of every stack that holds it, while the rest of its chunk gets
+    # the records it gets without the failure.
     cfg = ExperimentConfig(workers=workers, seed=23, **SMALL)
     clean = coverage_experiment(cfg).records
     bad = 57
@@ -625,14 +608,14 @@ def test_a_failing_replicate_leaves_the_rest_of_its_chunk_alone(workers, stage):
 
             patch.setattr(harness, "simulate_linear", failing)
         else:
-            probes, root = harness._secant_probes, clean[bad]["theta_ref"]
+            search, root = harness._search_regions, clean[bad]["theta_ref"]
 
-            def failing(grid, stats, at, *args):
-                if at == root:
+            def failing(a, b, *args):
+                if np.any(-a.sum(axis=1) / b.sum(axis=1) == root):
                     raise RuntimeError("boom")
-                return probes(grid, stats, at, *args)
+                return search(a, b, *args)
 
-            patch.setattr(harness, "_secant_probes", failing)
+            patch.setattr(harness, "_search_regions", failing)
         records = coverage_experiment(cfg).records
     assert records[bad]["status"].startswith("error: ")
     assert records[bad]["status"].endswith(": boom")
