@@ -25,11 +25,9 @@ from .limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                        sample_limit_stat, sample_limit_stat_simplified,
                        sample_stable_ratio, scale_multipliers, tail_constant)
 from .processes import (LinearProcessSpec, StableParams, VectorProcessSpec,
-                        ma_polynomial_spec, normalized_transfer,
-                        power_transfer_matrix, sample_positive_stable,
+                        ma_polynomial_spec, power_transfer_matrix, sample_positive_stable,
                         sample_sas, simulate_linear, simulate_vector_linear,
-                        spec_from_dict, theoretical_acf,
-                        transfer_matrix, vma_table_spec)
+                        spec_from_dict, theoretical_acf, transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv,
                      score_from_config, var1_score)
@@ -60,9 +58,9 @@ __all__ = [
     "sample_stable_ratio", "scale_multipliers", "tail_constant",
     # processes
     "LinearProcessSpec", "StableParams", "VectorProcessSpec", "ma_polynomial_spec",
-    "normalized_transfer", "power_transfer_matrix", "sample_positive_stable",
-    "sample_sas", "simulate_linear", "simulate_vector_linear", "spec_from_dict",
-    "theoretical_acf", "transfer_matrix", "vma_table_spec",
+    "power_transfer_matrix", "sample_positive_stable", "sample_sas", "simulate_linear",
+    "simulate_vector_linear", "spec_from_dict", "theoretical_acf", "transfer_matrix",
+    "vma_table_spec",
     # scores
     "ScoreFunction", "acf_score", "coupling_var1_score", "estimating_function",
     "estimating_function_mv", "score_from_config", "var1_score",

@@ -240,6 +240,8 @@ def _cmd_hill_plot(args) -> int:
     if not 1 <= args.kmin <= kmax < x.size:
         raise ValueError(f"need 1 <= kmin <= kmax < n, got "
                          f"[{args.kmin}, {kmax}] with n={x.size}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     ks = np.unique(np.linspace(args.kmin, kmax, args.points).astype(int))
     alphas = hill_curve(x, ks)
     rows = [{"k": int(k), "alpha_hat": float(a)} for k, a in zip(ks, alphas)]
@@ -269,12 +271,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # first, as LinAlgError is a ValueError
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

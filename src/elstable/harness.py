@@ -29,9 +29,9 @@ from .emplik import solve_lagrange_batch, x_n
 from .errors import NumericalError
 from .limitlaw import (LimitLawConfig, _trapezoid, _uniform_grid, prepare_limit,
                        sac_series_constant, sample_stable_ratio)
-from .processes import (LinearProcessSpec, ma_polynomial_spec, power_transfer_matrix,
-                        simulate_linear, simulate_vector_linear, spec_from_dict, theoretical_acf,
-                        transfer_matrix, vma_table_spec)
+from .processes import (LinearProcessSpec, _is_finite_real, check_number, ma_polynomial_spec,
+                        power_transfer_matrix, simulate_linear, simulate_vector_linear,
+                        spec_from_dict, theoretical_acf, transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv, score_from_config)
 from .spectral import (SmoothedTransfer, hill_estimator,
@@ -100,35 +100,37 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     ``a + theta b`` of the score (:func:`_affine_rows`), so a score that is
     not affine in theta raises :class:`NumericalError`.
 
-    For a scalar score whose slope ``b`` is one-signed, such as the
-    autocorrelation scores, the region is an interval (Owen 1990, Monti
-    1997), so its first and last grid points are found by a secant search
-    on the square root of the statistic, safeguarded by bisection over grid
-    indices (:func:`_search_regions`): about 3 batch solves of about 9 grid
-    points in all, each with the decision a full scan makes there.  ``thetas``,
-    ``stats`` and ``accepted`` hold only the probed points: the smallest
-    (largest) of them is the interval's lower (upper) end exactly when that
-    end is the grid end.  ``hull_failures`` still counts the whole grid, while
-    ``solver_failures`` counts only solved points; a probe whose solve does
-    not converge ends the search, so it reads 0 there.  Matrix scores,
-    slopes of both signs and unconverged probes take the full scan: one
-    batch solve of the rows at every grid point.  This is the one-series
-    case of :func:`_region_scans`.
+    With a one-signed slope ``b`` the region is an interval (Owen 1990,
+    Monti 1997).  The autocorrelation scores have one, and so does the var1
+    score: ``grad_inv`` moves with theta by ``2 M^T M``, M the mask of the
+    theta cells, so ``b_t = tr{2 M^T M I(lambda_t)} >= 0`` (Owen 2001, sec.
+    3.14).  The first and last accepted grid points are then found by a
+    secant search on the square root of the statistic, safeguarded by
+    bisection over grid indices (:func:`_search_regions`): about 3 batch
+    solves of about 9 grid points in all, each with the decision a full
+    scan makes there.  ``thetas``, ``stats`` and ``accepted`` hold only the
+    probed points: the smallest (largest) of them is the interval's lower
+    (upper) end exactly when that end is the grid end.  ``hull_failures``
+    still counts the whole grid, while ``solver_failures`` counts only
+    solved points; a probe whose solve does not converge ends the search,
+    so it reads 0 there.  Slopes that are zero or take both signs and
+    unconverged probes take the full scan: one batch solve of the rows at
+    every grid point.  This is the one-series case of
+    :func:`_region_scans`.
     """
     a, b = _affine_rows(x, score, alpha)
-    return _region_scans(a[None], b[None], grid, [gamma], [alpha], score.is_matrix,
-                         level)[0]
+    return _region_scans(a[None], b[None], grid, [gamma], [alpha], level)[0]
 
 
 def _region_scans(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma, alpha,
-                  matrix: bool, level: float) -> list:
+                  level: float) -> list:
     """:func:`el_confidence_region` of the rows ``a + theta b`` of each series
     of a stack: ``a`` and ``b`` are (S, n), and ``gamma`` and ``alpha`` hold
     one value per series.
 
     The searches of the whole stack run together (:func:`_search_regions`);
-    a series the search hands back, and every series of a matrix score,
-    takes its own full scan, never joined with other series.
+    a series the search hands back takes its own full scan, never joined
+    with other series.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0.0):
@@ -136,9 +138,8 @@ def _region_scans(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma, alpha,
     n = a.shape[1]
     scale = np.array([-2.0 * x_n(n, value) ** 2 / n for value in alpha])
     gamma = np.array(gamma, dtype=float)
-    searches = [None] * len(a) if matrix else _search_regions(a, b, grid, gamma, scale)
     scans = []
-    for i, search in enumerate(searches):
+    for i, search in enumerate(_search_regions(a, b, grid, gamma, scale)):
         if search is None:
             batch = solve_lagrange_batch(a[i] + grid[:, None] * b[i])
             thetas, stats = grid, scale[i] * batch.log_ratio
@@ -220,12 +221,9 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
             live[s[~batch.converged & batch.hull_ok]] = False
         accepted = probed & (stats < gamma[:, None])
         rejected = probed & ~accepted
-        inside = np.stack([np.where(accepted, index, last + 1).min(axis=1),
-                           np.where(accepted, index, -1).max(axis=1)], axis=1)
-        out = np.stack([
-            np.where(rejected & (index < inside[:, :1]), index, -1).max(axis=1),
-            np.where(rejected & (index > inside[:, 1:]), index, last + 1).min(axis=1)],
-            axis=1)
+        inside = np.stack([_first(accepted), last - _first(accepted[:, ::-1])], axis=1)
+        out = np.stack([last - _first((rejected & (index < inside[:, :1]))[:, ::-1]),
+                        _first(rejected & (index > inside[:, 1:]))], axis=1)
         width = np.abs(out - inside)
         budget = width if budget is None else (budget + 1) // 2
         s, side = np.nonzero((live & accepted.any(axis=1))[:, None] & (width > 1))
@@ -259,6 +257,13 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
     hull_failures = grid.size - np.maximum(0, stop - first)
     return [(np.flatnonzero(probed[i]), stats[i, probed[i]], hull_failures[i])
             if live[i] else None for i in range(len(a))]
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Index of the first True of each row of ``mask``, its length when none;
+    on the reversed view ``G - 1`` minus it is the last, -1 when none."""
+    first = mask.argmax(axis=1)
+    return np.where(mask[np.arange(len(mask)), first], first, mask.shape[1])
 
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,
@@ -432,8 +437,8 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta,
     (for a scalar score as its cosine coefficients, the model
     autocorrelations), or for a scalar score a :class:`SmoothedTransfer`
     estimated from the data, which hands over its cosine coefficients.
-    For a scalar score, ``theta`` and ``alpha`` may hold one value per
-    series of a stack, with the smoothed transfer of that stack: the config
+    ``theta`` and ``alpha`` may hold one value per series of a stack, with
+    the smoothed transfer of that stack or the one process spec: the config
     then holds a stack of laws (:func:`prepare_limit`).
     """
     psi = None
@@ -527,14 +532,8 @@ def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
     else:
         transfer = SmoothedTransfer(x)
 
-    if mv:  # the matrix law is computed one series at a time
-        laws = [prepare_limit(limit_law(config, score, theta, value, transfer))
-                for theta, value in zip(theta_ref, alphas)]
-        closure = [law["closure"] for law in laws]
-        w_inv = [law["w_inv"][0, 0] for law in laws]
-    else:
-        law = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
-        closure, w_inv = law["closure"], law["w_inv"][:, 0, 0]
+    law = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
+    closure, w_inv = law["closure"], law["w_inv"][:, 0, 0]
     # each threshold is a product of scalars, as for one series
     gamma = [q * float(c) ** 2 * w for q, c, w in zip(ratio_sq_q, closure, w_inv)]
 
@@ -551,7 +550,7 @@ def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
     scans = [None] * count
     if "el" in methods:
         grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
-        scans = _region_scans(a, b, grid, gamma, alphas, mv, config.level)
+        scans = _region_scans(a, b, grid, gamma, alphas, config.level)
     return [AnalysisResult(alpha=value, theta_ref=float(t), gamma=g, el=scan, sac=s)
             for value, t, g, scan, s in zip(alphas, theta_ref, gamma, scans, sac)]
 
@@ -583,24 +582,6 @@ _ALLOWED = {
 
 # The declared types of the numeric fields of ExperimentConfig.
 _NUMBER_TYPES = {"int", "int | None", "float", "float | None"}
-
-
-def _is_finite_real(value) -> bool:
-    """An integer or a float (bools are neither) that is finite."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
-
-
-def _check_number(name: str, value, declared: str) -> None:
-    """Reject a ``value`` that does not have the ``declared`` numeric type:
-    an integer (bools are not), or a finite real for a ``float`` field."""
-    if value is None and declared.endswith("| None"):
-        return
-    if declared.startswith("int"):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    elif not _is_finite_real(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -636,7 +617,8 @@ class ExperimentConfig:
         for name, spec in self.__dataclass_fields__.items():
             value = getattr(self, name)
             if spec.type in _NUMBER_TYPES:
-                _check_number(name, value, spec.type)
+                if not (value is None and spec.type.endswith("| None")):
+                    check_number(value, name, integer=spec.type.startswith("int"))
             elif spec.type == "dict" and not isinstance(value, dict):
                 raise ValueError(f"{name} must be a JSON object, got {value!r}")
         if not 0.0 < self.level < 1.0:
@@ -654,7 +636,7 @@ class ExperimentConfig:
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         for name, allowed in _ALLOWED.items():
-            if getattr(self, name) not in allowed:
+            if not isinstance(getattr(self, name), str) or getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {sorted(allowed)}, "
                                  f"got {getattr(self, name)!r}")
         if (not isinstance(self.methods, (list, tuple))

@@ -115,23 +115,25 @@ def _trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
-def _trapezoid_checked(integrand: Callable, quad_points: int) -> np.ndarray:
-    """Trapezoid rule of ``integrand(grid)`` over the periodic grid.
+def _trapezoid_checked(values: np.ndarray, coarse: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoid rule of ``values`` sampled on ``_uniform_grid(N)`` along the
+    last axis.
 
-    The result is cross-checked at half resolution.  For an even number of
-    points the coarse grid is the even-indexed subgrid (``linspace`` makes
-    them equal bit for bit), so the integrand is evaluated only once.
+    The result is cross-checked at half resolution against ``coarse``, the
+    integrand sampled on ``_uniform_grid(N // 2)``.  For an even N that grid
+    is the even-indexed subgrid bit for bit, and ``coarse`` defaults to
+    those samples; an odd N needs ``coarse``.
     """
-    grid = _uniform_grid(quad_points)
-    values = integrand(grid)
-    coarse_grid = _uniform_grid(quad_points // 2)
-    if np.array_equal(coarse_grid, grid[::2]):
+    points = values.shape[-1] - 1
+    if coarse is None:
+        if points % 2:
+            raise ValueError(f"the matrix limit law needs an even quad_points, "
+                             f"got {points}")
         coarse = values[..., ::2]
-    else:
-        coarse = integrand(coarse_grid)
-    total = _trapezoid(values, grid)
+    total = _trapezoid(values, _uniform_grid(points))
+    check = _trapezoid(coarse, _uniform_grid(points // 2))
     scale = np.max(np.abs(total)) + 1e-300
-    if np.max(np.abs(total - _trapezoid(coarse, coarse_grid))) > 1e-6 * scale:
+    if np.max(np.abs(total - check)) > 1e-6 * scale:
         warnings.warn("quadrature for W not converged at the requested grid; "
                       "increase quad_points", RuntimeWarning, stacklevel=3)
     return total
@@ -153,12 +155,12 @@ def _cosine_moments(weight: np.ndarray, truncation: int) -> np.ndarray:
     return _grid_step(points) * sums / np.pi
 
 
-def _f_matrix(score: ScoreFunction, theta0, psi_matrix: Callable,
+def _f_matrix(score: ScoreFunction, theta0, psi: np.ndarray,
               grid: np.ndarray) -> np.ndarray:
-    """``F = Psi* G Psi`` on ``grid`` as ``(N, d, d)``, with ``G`` the score's
-    ``d(1/f)/d theta`` at ``theta0``."""
+    """``F = Psi* G Psi`` on ``grid`` as ``(N, d, d)``, from the transfer
+    matrices ``psi`` sampled there and the score's ``G = d(1/f)/d theta`` at
+    ``theta0``."""
     grad = np.asarray(score.grad_inv(grid, score.check_theta(theta0)))[0]
-    psi = np.asarray(psi_matrix(grid))
     return np.conj(np.swapaxes(psi, -1, -2)) @ grad @ psi
 
 
@@ -176,27 +178,23 @@ def compute_W(score: ScoreFunction, theta0, transfer: Callable,
         grad = np.asarray(score.grad_inv(grid, theta0))[0]
         return grad * grad * (2.0 * np.asarray(transfer(grid)) ** 2)
 
-    return np.reshape(_trapezoid_checked(integrand, quad_points) / (2.0 * np.pi), (1, 1))
+    values = integrand(_uniform_grid(quad_points))
+    coarse = integrand(_uniform_grid(quad_points // 2)) if quad_points % 2 else None
+    return np.reshape(_trapezoid_checked(values, coarse) / (2.0 * np.pi), (1, 1))
 
 
-def compute_W_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
-                 quad_points: int = 4096) -> np.ndarray:
+def compute_W_mv(f: np.ndarray) -> np.ndarray:
     """Vector-process curvature ``W``, as a 1 x 1 matrix.
 
-    ``psi_matrix`` maps a frequency array to the ``(N, d, d)`` transfer
-    matrices ``Psi(omega)``; the integrand is ``tr[F F] + tr[F]**2`` with
-    ``F = Psi* G Psi`` (module docstring), and the result is divided by
+    ``f`` is ``F = Psi* G Psi`` sampled on ``_uniform_grid(N)``, N even, as
+    ``(N + 1, d, d)`` (:func:`_f_matrix`); the integrand is
+    ``tr[F F] + tr[F]**2`` (module docstring), and the result is divided by
     ``2 pi d**2``.
     """
-    d = score.dim
-
-    def integrand(grid):
-        f = _f_matrix(score, theta0, psi_matrix, grid)
-        trace = np.einsum("taa->t", f)
-        return (np.einsum("tab,tba->t", f, f) + trace * trace).real
-
-    w = _trapezoid_checked(integrand, quad_points) / (2.0 * np.pi * d * d)
-    return np.reshape(w, (1, 1))
+    d = f.shape[-1]
+    trace = np.einsum("taa->t", f)
+    values = (np.einsum("tab,tba->t", f, f) + trace * trace).real
+    return np.reshape(_trapezoid_checked(values) / (2.0 * np.pi * d * d), (1, 1))
 
 
 def _check_tail_decay(norms: np.ndarray, what: str, alpha=1.0,
@@ -236,16 +234,11 @@ def compute_V_coeffs(score: ScoreFunction, theta0, transfer: Callable,
     return coeffs
 
 
-def compute_V_coeffs_mv(score: ScoreFunction, theta0, psi_matrix: Callable,
-                        truncation: int = 200, quad_points: int = 4096,
+def compute_V_coeffs_mv(f: np.ndarray, truncation: int = 200,
                         alpha: float = 1.0) -> np.ndarray:
-    """Coefficients ``c[t, i, j]`` of the vector-process stable series.
-
-    ``psi_matrix`` maps a frequency array to the ``(N, d, d)`` transfer
-    matrices ``Psi(omega)`` (not the power transfer): the coefficients are
-    the cosine moments of ``F = Psi* G Psi`` (module docstring).
-    """
-    f = _f_matrix(score, theta0, psi_matrix, _uniform_grid(quad_points))
+    """Coefficients ``c[t, i, j]`` of the vector-process stable series: the
+    cosine moments of ``F = Psi* G Psi``, sampled as for :func:`compute_W_mv`
+    (module docstring)."""
     coeffs = _cosine_moments(f, truncation)
     _check_tail_decay(np.abs(coeffs).reshape(truncation, -1).max(axis=1),
                       "limit-series", alpha)
@@ -295,6 +288,26 @@ def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: 
     return (scale * uu)[..., None, None], coeffs
 
 
+def _matrix_limit(config: "LimitLawConfig"):
+    """``W`` and ``c[t, i, j]`` of each matrix law of ``config`` from one
+    sample of ``Psi`` on the grid: each law reads its own ``F = Psi* G Psi``
+    (:func:`compute_W_mv`, :func:`compute_V_coeffs_mv`).  A stack of laws
+    gains a leading axis, as in :func:`_acf_limit`.
+    """
+    grid = _uniform_grid(config.quad_points)
+    psi = np.asarray(config.psi_matrix(grid))
+    theta0 = np.atleast_1d(config.theta0)
+    thetas = theta0.reshape(-1, 1)
+    w, coeffs = [], []
+    for theta, alpha in zip(thetas, np.broadcast_to(config.alpha, len(thetas)).tolist()):
+        f = _f_matrix(config.score, theta, psi, grid)
+        w.append(compute_W_mv(f))
+        coeffs.append(compute_V_coeffs_mv(f, config.truncation, alpha))
+    lead = theta0.shape[:-1]
+    return (np.reshape(w, lead + w[0].shape),
+            np.reshape(coeffs, lead + coeffs[0].shape))
+
+
 @dataclass(frozen=True)
 class Quantile:
     """A Monte-Carlo quantile with its bootstrap standard error."""
@@ -313,12 +326,14 @@ class LimitLawConfig:
     series; ``theta0`` is the one-element evaluation point.  ``transfer``
     is the scalar normalized power transfer as the 1-d array of its cosine
     coefficients ``r_0..r_H``; for vector processes supply ``psi_matrix``
-    instead (the power transfer is then ``Psi Psi*``), and the matrix series
-    draws one SaS variable per (lag, i, j).
+    instead, which maps a frequency array to the ``(N, d, d)`` transfer
+    matrices ``Psi`` (the power transfer is then ``Psi Psi*``), and the
+    matrix series draws one SaS variable per (lag, i, j).
 
-    A scalar config may also hold a stack of B laws, which only
+    A config may also hold a stack of B laws, which only
     :func:`prepare_limit` reads: ``theta0`` of shape (B, 1), ``alpha``
-    one value or B of them, and one transfer or a (B, H + 1) array.
+    one value or B of them, and for a scalar score one transfer or a
+    (B, H + 1) array; the laws of a matrix score share ``psi_matrix``.
     """
 
     score: ScoreFunction
@@ -362,10 +377,7 @@ def prepare_limit(config: LimitLawConfig) -> dict:
         return config._prepared
     score = config.score
     if score.is_matrix:
-        w = compute_W_mv(score, config.theta0, config.psi_matrix, config.quad_points)
-        coeffs = compute_V_coeffs_mv(score, config.theta0, config.psi_matrix,
-                                     config.truncation, config.quad_points,
-                                     config.alpha)
+        w, coeffs = _matrix_limit(config)
     else:
         w, coeffs = _acf_limit(score, config.theta0, config.transfer,
                                config.quad_points, config.truncation, config.alpha)

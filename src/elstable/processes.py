@@ -19,14 +19,34 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Plain arrays stand in for series types: a scalar series is a float array of
-# shape (n,), a vector series has shape (n, d) with one row per time point.
-TimeSeries = np.ndarray
-VectorTimeSeries = np.ndarray
+def _is_finite_real(value) -> bool:
+    """An integer or a float (bools are neither) that is finite."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+def check_number(value, name: str, integer: bool = False):
+    """``value`` when it is a finite real number, or an integer when
+    ``integer`` (bools are neither); a ``ValueError`` naming it otherwise."""
+    if integer:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif not _is_finite_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """Nested lists of finite numbers as a float array, else ``ValueError``."""
+    entries = np.asarray(values, dtype=object)
+    if not all(map(_is_finite_real, entries.flat)):
+        raise ValueError(f"{name} must hold finite numbers, got {values!r}")
+    return entries.astype(float)
 
 
 @dataclass(frozen=True)
@@ -159,7 +179,7 @@ def vector_linear_filter(innovations: np.ndarray, coeffs: np.ndarray) -> np.ndar
     return x
 
 
-def simulate_linear(spec: LinearProcessSpec, n: int, rng: np.random.Generator) -> TimeSeries:
+def simulate_linear(spec: LinearProcessSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Simulate ``n`` observations of the scalar linear process."""
     if n <= 0:
         raise ValueError("n must be positive")
@@ -168,7 +188,7 @@ def simulate_linear(spec: LinearProcessSpec, n: int, rng: np.random.Generator) -
 
 
 def simulate_vector_linear(spec: VectorProcessSpec, n: int,
-                           rng: np.random.Generator) -> VectorTimeSeries:
+                           rng: np.random.Generator) -> np.ndarray:
     """Simulate ``n`` observations of the vector linear process.
 
     Innovation coordinates are drawn component-major: coordinate ``k``
@@ -183,24 +203,6 @@ def simulate_vector_linear(spec: VectorProcessSpec, n: int,
     for k in range(d):
         z[:, k] = sample_sas(spec.noise, n + spec.order, rng)
     return vector_linear_filter(z, spec.coeffs)
-
-
-def transfer_polynomial(spec: LinearProcessSpec, omega: np.ndarray) -> np.ndarray:
-    """Evaluate ``Psi(omega) = sum_j psi[j] exp(i j omega)``."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    j = np.arange(spec.psi.size)
-    return np.exp(1j * np.outer(omega, j)) @ spec.psi
-
-
-def normalized_transfer(spec: LinearProcessSpec, omega) -> np.ndarray:
-    """Normalized power transfer ``|Psi(omega)|**2 / sum_j psi[j]**2``.
-
-    Integrates to ``2 pi`` over ``(-pi, pi]``, i.e. ``(1 / 2 pi) * integral
-    = 1``, because the leading autocorrelation coefficient is one.
-    """
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    values = np.abs(transfer_polynomial(spec, omega)) ** 2 / np.sum(spec.psi ** 2)
-    return float(values[0]) if scalar else values
 
 
 def transfer_matrix(spec: VectorProcessSpec, omega) -> np.ndarray:
@@ -272,23 +274,30 @@ def spec_from_dict(data: dict):
             raise ValueError(f"{what} has no {key!r} entry")
         return data[key]
 
-    noise = StableParams(alpha=float(required(data, "alpha")),
-                         scale=float(data.get("scale", 1.0)))
+    def shorthand(data: dict, what: str) -> tuple:
+        """The weight ``b`` and the ``order`` of a shorthand."""
+        order = check_number(data.get("order", 100), f"{what} order", integer=True)
+        if order < 0:
+            raise ValueError(f"{what} order must be non-negative, got {order}")
+        return float(check_number(required(data, "b", f"the {what}"), f"{what} b")), order
+
+    noise = StableParams(alpha=float(check_number(required(data, "alpha"), "process alpha")),
+                         scale=float(check_number(data.get("scale", 1.0), "process scale")))
     kind = data.get("kind", "ma")
     if kind == "ma":
         psi = required(data, "psi", "an 'ma' process spec")
         if isinstance(psi, dict):
             if psi.get("kind") != "exp_over_j":
                 raise ValueError(f"unknown psi shorthand: {psi.get('kind')!r}")
-            return ma_polynomial_spec(float(required(psi, "b", "the psi shorthand")),
-                                      int(psi.get("order", 100)), noise.alpha, noise.scale)
-        return LinearProcessSpec(psi=np.asarray(psi, dtype=float), noise=noise)
+            return ma_polynomial_spec(*shorthand(psi, "psi shorthand"),
+                                      noise.alpha, noise.scale)
+        return LinearProcessSpec(psi=_float_array(psi, "psi"), noise=noise)
     if kind == "vma":
         coeffs = required(data, "coeffs", "a 'vma' process spec")
         if isinstance(coeffs, dict):
             if coeffs.get("kind") != "table":
                 raise ValueError(f"unknown coeffs shorthand: {coeffs.get('kind')!r}")
-            return vma_table_spec(float(required(coeffs, "b", "the coeffs shorthand")),
-                                  int(coeffs.get("order", 100)), noise.alpha, noise.scale)
-        return VectorProcessSpec(coeffs=np.asarray(coeffs, dtype=float), noise=noise)
+            return vma_table_spec(*shorthand(coeffs, "coeffs shorthand"),
+                                  noise.alpha, noise.scale)
+        return VectorProcessSpec(coeffs=_float_array(coeffs, "coeffs"), noise=noise)
     raise ValueError(f"unknown process kind: {kind!r}")

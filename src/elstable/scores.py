@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .processes import _is_finite_real, check_number
 from .spectral import fourier_frequencies, periodogram_matrix_grid, self_normalized_grid
 
 
@@ -126,9 +127,9 @@ def _parse_template(template) -> tuple[np.ndarray, np.ndarray]:
     base = np.zeros(template.shape)
     mask = np.zeros(template.shape)
     for (i, j), cell in np.ndenumerate(template):
-        if not isinstance(cell, str):
+        if _is_finite_real(cell):
             base[i, j] = float(cell)
-        elif cell.strip().lower() == "theta":
+        elif isinstance(cell, str) and cell.strip().lower() == "theta":
             mask[i, j] = 1.0
         else:
             raise ValueError(f"unrecognized template entry {cell!r}")
@@ -192,8 +193,10 @@ def score_from_config(config: dict) -> ScoreFunction:
     """Build a score function from its JSON configuration."""
     name = config.get("name")
     if name == "acf_lag":
-        return acf_score(int(config.get("lag", 2)))
+        return acf_score(check_number(config.get("lag", 2), "score lag", integer=True))
     if name == "var1":
+        if "template" not in config:
+            raise ValueError("a 'var1' score has no 'template' entry")
         return var1_score(config["template"])
     raise ValueError(f"unknown score name: {name!r}")
 

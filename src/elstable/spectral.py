@@ -64,16 +64,6 @@ def _self_normalized(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(ss)[..., None]
 
 
-def self_normalized_periodogram(x: np.ndarray, omega) -> np.ndarray:
-    """Self-normalized periodogram at arbitrary frequencies (direct sum)."""
-    xt = _self_normalized(np.asarray(x, dtype=float))
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    phases = np.exp(1j * np.outer(omega, np.arange(1, xt.size + 1)))
-    values = np.abs(phases @ xt) ** 2
-    return float(values[0]) if scalar else values
-
-
 def self_normalized_grid(x: np.ndarray) -> np.ndarray:
     """Self-normalized periodogram at :func:`fourier_frequencies`, via FFT.
 
@@ -83,24 +73,6 @@ def self_normalized_grid(x: np.ndarray) -> np.ndarray:
     """
     xt = _self_normalized(np.asarray(x, dtype=float))
     return np.roll(np.abs(np.fft.fft(xt)) ** 2, -1, axis=-1)
-
-
-def periodogram_matrix(x: np.ndarray, alpha: float, omega) -> np.ndarray:
-    """Matrix periodogram ``d(omega) d(omega)*`` of a vector series.
-
-    ``d(omega) = n**(-1/alpha) sum_t x[t] e^(i t omega)`` is the normalized
-    discrete Fourier transform; the result is Hermitian PSD of rank one.
-    """
-    x = _validated(x)
-    if x.ndim != 2:
-        raise ValueError("vector series must have shape (n, d)")
-    n = x.shape[0]
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    phases = np.exp(1j * np.outer(omega, np.arange(1, n + 1)))
-    d = n ** (-1.0 / alpha) * (phases @ x)          # (n_omega, dim)
-    mats = d[:, :, None] * np.conj(d[:, None, :])
-    return mats[0] if scalar else mats
 
 
 def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> np.ndarray:

@@ -1,21 +1,28 @@
 """End-to-end command-line workflows and exit-code contracts."""
 
+import contextlib
 import gc
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elstable
-from elstable import cli
+from elstable import cli, harness, limitlaw, processes
 from elstable.cli import build_parser, main
 from elstable.emplik import x_n
+from elstable.errors import NumericalError, SolverError
 from elstable.harness import read_records_csv
 from elstable.limitlaw import LimitLawConfig
 from elstable.processes import simulate_vector_linear, vma_table_spec
@@ -406,3 +413,192 @@ def test_cli_runs_without_scipy(tmp_path):
                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-2].startswith("el,0.9,")
+
+
+# --------------------------------------------------------------------------
+# exit-code contract under fuzzed input
+
+def _exits_with_one_line(argv, code: int, prefix: str) -> None:
+    """``main(argv)`` returns ``code``, prints nothing to stdout and exactly
+    one line, starting with ``prefix``, to stderr."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        assert main([str(a) for a in argv]) == code, err.getvalue()
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err.getvalue()
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _bad_series(draw) -> bytes:
+    """A series file that must be refused: malformed, header-only, not
+    UTF-8, non-finite or ragged."""
+    kind = draw(st.sampled_from(["malformed", "header-only", "non-utf8",
+                                 "non-finite", "ragged"]))
+    rows = [repr(v) for v in draw(st.lists(_FINITE, min_size=8, max_size=30))]
+    if kind == "header-only":
+        header = draw(st.text(alphabet="abcxyz_", min_size=1, max_size=8))
+        return (header + "\n" + draw(st.sampled_from(["", "# note\n", "\n\n"]))).encode()
+    if kind == "ragged":
+        width = draw(st.integers(1, 3))
+        rows = [",".join([row] * width) for row in rows]
+        rows[draw(st.integers(0, len(rows) - 1))] += ",0.5"
+    elif kind == "malformed":
+        # a first row that reads as no number at all would be a header
+        token = draw(st.text(alphabet="abcdxyz;:!?", min_size=1, max_size=5))
+        at = draw(st.integers(1, len(rows) - 1))
+        rows[at] = draw(st.sampled_from([token, f"{rows[at]} {token}", f"{token}{rows[at]}"]))
+    elif kind == "non-finite":
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(
+            st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "-1e400"]))
+    text = ("\n".join(rows) + "\n").encode()
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xfe\xfe", b"\xc3\x28", b"\x80"])) + text[at:]
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=_bad_series(), command=st.sampled_from([["ci", "--alpha", 1.5], ["hill-plot"]]))
+def test_fuzzed_bad_series_exit_2_with_one_error_line(content, command):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "series.csv"
+        path.write_bytes(content)
+        _exits_with_one_line([command[0], "--input", path, *command[1:]], 2, "error: ")
+
+
+def _outside(lo: float, hi: float):
+    """Floats, infinities and nan outside ``[lo, hi)``."""
+    return st.floats().filter(lambda v: not lo <= v < hi)
+
+
+_BAD_FLAGS = st.one_of(
+    st.tuples(st.just(["ci", "--alpha", 1.5, "--level"]), _outside(1e-300, 1.0)),
+    st.tuples(st.just(["ci", "--alpha"]), _outside(1.0, 2.0)),
+    st.tuples(st.just(["ci", "--alpha", 1.5, "--grid-step"]),
+              st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])),
+    st.tuples(st.just(["ci", "--alpha", 1.5, "--limit-reps"]), st.integers(max_value=999)),
+    st.tuples(st.just(["ci", "--alpha", 1.5, "--lag"]),
+              st.integers(max_value=0) | st.integers(min_value=300)),
+    st.tuples(st.just(["ci", "--hill", "--hill-k"]),
+              st.integers(max_value=0) | st.integers(min_value=300)),
+    st.tuples(st.just(["simulate", "--n"]), st.integers(max_value=7)),
+    st.tuples(st.just(["limit", "--limit-reps", 1000, "--levels"]), _outside(1e-300, 1.0)),
+    st.tuples(st.just(["limit", "--limit-reps", 1000, "--theta"]),
+              st.floats().filter(lambda v: not -1.0 < v < 1.0)),
+    st.tuples(st.just(["table", "--id", 1, "--level"]), _outside(1e-300, 1.0)),
+    st.tuples(st.just(["coverage", "--replicates"]), st.integers(max_value=99)),
+    st.tuples(st.just(["coverage", "--workers"]), st.integers(max_value=0)),
+    st.tuples(st.just(["hill-plot", "--kmin"]), st.integers(max_value=0)),
+    st.tuples(st.just(["hill-plot", "--kmax"]),
+              st.integers(max_value=4) | st.integers(min_value=300)),
+    st.tuples(st.just(["hill-plot", "--points"]), st.integers(max_value=0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flag=_BAD_FLAGS)
+def test_fuzzed_out_of_range_flags_exit_2_with_one_error_line(series_csv, flag):
+    # "--flag=value", as argparse takes "-1e+16" after a space for an option
+    (command, *options, name), value = flag
+    inputs = ["--input", series_csv] if command in ("ci", "hill-plot") else []
+    _exits_with_one_line([command, *inputs, *options, f"{name}={value}"], 2, "error: ")
+
+
+def _junk(*valid):
+    """JSON values of the wrong type: strings, bools, lists and objects,
+    other than ``valid``."""
+    return st.one_of(st.text(max_size=4), st.booleans(),
+                     st.lists(st.integers(0, 9), max_size=2),
+                     st.dictionaries(st.sampled_from("ab"), st.integers(0, 9), max_size=1),
+                     ).filter(lambda v: v not in valid)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_PROCESS = {"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}}
+_VMA = {"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}}
+
+
+def _nested(base: dict, path: tuple, value) -> dict:
+    """A deep copy of ``base`` with ``value`` at ``path``."""
+    data = json.loads(json.dumps(base))
+    inner = data
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return data
+
+
+_WRONG_CONFIGS = st.one_of(
+    # top-level fields, read by ExperimentConfig
+    st.builds(lambda k, v: {k: v}, st.sampled_from(
+        ["n", "replicates", "seed", "limit_reps", "truncation", "quad_points"]),
+        _junk() | st.none() | st.floats()),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(["level", "grid_step"]),
+              _junk() | st.none() | _NON_FINITE),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(["hill_k", "workers"]),
+              _junk() | st.floats()),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(["grid_min", "grid_max"]),
+              _junk() | _NON_FINITE),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(["alpha_mode", "transfer_mode"]),
+              _junk("known", "hill", "smoothed", "exact") | st.none()),
+    st.builds(lambda v: {"methods": v}, st.text(max_size=4) | st.none() | st.booleans()
+              | st.lists(st.integers(), min_size=1, max_size=2)),
+    st.builds(lambda v: {"scale_convention": v}, st.none() | st.booleans() | st.floats()
+              | st.lists(st.text(max_size=2) | st.none(), min_size=2, max_size=2)
+              | st.text(max_size=4).filter(lambda v: v != "davis-resnick")),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(["process", "score"]),
+              st.text(max_size=4) | st.lists(st.integers(), max_size=2) | st.integers()
+              | st.none() | st.booleans()),
+    # the score, built by ci
+    st.builds(lambda v: {"score": {"name": "acf_lag", "lag": v}},
+              _junk() | st.none() | st.floats()),
+    st.builds(lambda v: {"score": {"name": "var1", "template": [[0.5, v], [0.4, 0.2]]}},
+              _junk().filter(lambda v: not (isinstance(v, str) and v.strip().lower() == "theta"))
+              | st.none() | _NON_FINITE),
+    # the process, built by simulate
+    st.builds(lambda path, v: {"process": _nested(_PROCESS, path, v)},
+              st.sampled_from([("alpha",), ("scale",), ("psi", "b")]),
+              _junk() | st.none() | _NON_FINITE),
+    st.builds(lambda base, v: {"process": _nested(base, ("psi", "order")
+                                                  if base is _PROCESS else ("coeffs", "order"), v)},
+              st.sampled_from([_PROCESS, _VMA]), _junk() | st.none() | st.floats()),
+    st.builds(lambda v: {"process": _nested(_PROCESS, ("psi",), [1.0, 0.5, v])},
+              _junk().filter(lambda v: not (isinstance(v, str) and harness._is_number(v)))
+              | st.none()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_WRONG_CONFIGS)
+def test_fuzzed_wrong_typed_config_values_exit_2_with_one_error_line(series_csv, config):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "config.json"
+        path.write_text(json.dumps(config))
+        command = (["simulate", "--n", 50] if "process" in config
+                   else ["ci", "--input", series_csv, "--alpha", 1.5])
+        _exits_with_one_line([*command, "--config", path, "--output", Path(folder) / "o.csv"],
+                             2, "error: ")
+
+
+@settings(max_examples=20, deadline=None)
+@given(failure=st.sampled_from([NumericalError("forced"), SolverError("forced"),
+                                FloatingPointError("forced"), ZeroDivisionError("forced"),
+                                OverflowError("forced"), np.linalg.LinAlgError("forced")]),
+       command=st.sampled_from([["ci", "--alpha", 1.5], ["table", "--id", 5],
+                                ["limit"], ["simulate"]]))
+def test_forced_numerical_failure_exits_3_with_one_line(series_csv, failure, command):
+    def fail(*args, **kwargs):
+        raise failure
+
+    inputs = ["--input", series_csv] if command[0] == "ci" else []
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (harness, limitlaw):
+            patch.setattr(module, "prepare_limit", fail)
+        patch.setattr(processes, "sample_sas", fail)
+        _exits_with_one_line([command[0], *inputs, *command[1:], "--limit-reps", 1000]
+                             if command[0] != "simulate" else command,
+                             3, "numerical failure: ")

@@ -17,10 +17,10 @@ from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               theta_grid, whittle_point, write_csv, _format_cell)
 from elstable.emplik import log_el_ratio, solve_lagrange_batch, x_n
 from elstable.errors import NumericalError
-from elstable.limitlaw import sample_stable_ratio
+from elstable.limitlaw import prepare_limit, sample_stable_ratio
 from elstable.processes import (LinearProcessSpec, StableParams, ma_polynomial_spec,
                                 simulate_linear, simulate_vector_linear,
-                                theoretical_acf, vma_table_spec)
+                                theoretical_acf, transfer_matrix, vma_table_spec)
 from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score,
                              estimating_function, estimating_function_mv)
 from elstable.spectral import acf_sequence, sample_acf, self_normalized_grid
@@ -200,14 +200,22 @@ def test_region_search_on_narrow_and_short_grids(seed, gamma, lo, width, size,
         assert probes == size
 
 
-def test_region_of_matrix_score_takes_the_full_scan():
-    spec = vma_table_spec(0.3)
-    x = simulate_vector_linear(spec, 120, np.random.default_rng(5))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+       n=st.sampled_from([120, 300]),
+       gamma=st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6]) | st.floats(0.0, 50.0),
+       step=st.sampled_from([0.001, 0.0137, 0.2]))
+def test_region_search_of_the_var1_score_matches_full_scan(seed, b, n, gamma, step):
+    # grad_inv of the var1 score moves with theta by 2 M^T M, M the mask of
+    # the theta cell, so the slope of the coupling rows is b_t = 2 I_11 >= 0
+    # and the region is an interval, found by the scalar search.
+    x = simulate_vector_linear(vma_table_spec(b), n, np.random.default_rng(seed))
     score = coupling_var1_score()
-    grid = theta_grid(score, step=0.05, lo=-0.5, hi=0.5)
-    result, probes, calls = searched(x, score, grid, 3.0, 1.5)
-    assert probes == grid.size and calls == 1
-    assert result == full_scan(x, score, grid, 3.0, 1.5)
+    assert np.all(harness._affine_rows(x, score, 1.5)[1] >= 0.0)
+    grid = theta_grid(score, step=step)
+    result, _, calls = searched(x, score, grid, gamma, 1.5)
+    assert result == full_scan(x, score, grid, gamma, 1.5)
+    assert calls <= math.ceil(math.log2(grid.size)) + 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,7 +242,7 @@ def test_stacked_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step)
     def stack(solver):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "solve_lagrange_batch", solver)
-            return harness._region_scans(a, b, grid, gamma, alpha, False, 0.9)
+            return harness._region_scans(a, b, grid, gamma, alpha, 0.9)
 
     calls = []
     together = stack(counting(calls))
@@ -312,6 +320,36 @@ def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
         periodogram = (np.abs(np.fft.fft(xt)) ** 2)[np.arange(1, n + 1) % n]
         assert periodograms[i].tobytes() == periodogram.tobytes()
         assert centres[i] == float(row[:n - lag] @ row[lag:]) / float(row @ row)
+
+
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+       n=st.sampled_from([120, 300]), count=st.integers(1, 5))
+def test_stacked_var1_analysis_takes_one_law_call(seed, b, n, count):
+    # A stack of vector series takes the scalar stack's path: one limit-law
+    # call with one sample of Psi, and one region search, and every series
+    # gets bitwise what it gets alone.
+    rng = np.random.default_rng(seed)
+    spec = vma_table_spec(b)
+    x = np.stack([simulate_vector_linear(spec, n, rng) for _ in range(count)])
+    theta_ref = rng.uniform(-0.5, 0.5, count)
+    per_series = (np.full(count, 1.5), rng.uniform(1.0, 20.0, count), None, None)
+    shared = dict(score=coupling_var1_score(), process=spec,
+                  config=ExperimentConfig(grid_step=0.01, methods=("el",)))
+    laws, psi = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "prepare_limit",
+                      lambda law: laws.append(law) or prepare_limit(law))
+        patch.setattr(harness, "transfer_matrix",
+                      lambda *args: psi.append(args) or transfer_matrix(*args))
+        stacked = harness._analyze_stack(x, *per_series, theta_ref=theta_ref, **shared)
+    assert len(laws) == len(psi) == 1
+    for i, result in enumerate(stacked):
+        alone = harness._analyze_stack(x[i:i + 1], *(None if v is None else v[i:i + 1]
+                                                   for v in per_series),
+                                       theta_ref=theta_ref[i:i + 1], **shared)[0]
+        assert same(result, alone)
 
 
 # --------------------------------------------------------------------------
@@ -439,6 +477,30 @@ def test_analyze_series_invariant_under_exact_rescaling(seed, power, sign):
         return result.el.interval, result.sac, result.theta_ref, result.gamma
 
     assert intervals(sign * 2.0 ** power * x) == intervals(x)
+
+
+# the plug-in autocorrelations of a short series decay slowly, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), factor=st.sampled_from([3.0, 0.1, 1e5, -7.0]))
+def test_analyze_series_invariant_under_inexact_rescaling(seed, factor):
+    # x -> c x for a c that is not a power of 2 moves the self-normalized
+    # periodogram by rounding only: the plug-in point stays put to rounding,
+    # and so does every accept/reject decision that is not a near tie with
+    # the threshold.  Each probed point is decided as the other scan's
+    # interval decides it (the region is an interval).
+    x = simulate_linear(ma_polynomial_spec(0.5), 300, np.random.default_rng(seed))
+    base, scaled = (analyze_series(series, acf_score(2), 1.5,
+                                   ExperimentConfig(limit_reps=2000),
+                                   rng=np.random.default_rng(seed))
+                    for series in (x, factor * x))
+    assert abs(scaled.theta_ref - base.theta_ref) <= 1e-12 * abs(base.theta_ref)
+    for one, other in ((base, scaled), (scaled, base)):
+        scan, interval = one.el, other.el.interval
+        clear = np.abs(scan.stats - scan.gamma) > 1e-8 * scan.gamma
+        inside = (np.zeros(scan.thetas.shape, dtype=bool) if interval is None else
+                  (interval.lower <= scan.thetas) & (scan.thetas <= interval.upper))
+        assert np.array_equal(scan.accepted[clear], inside[clear])
 
 
 def test_analyze_series_argument_validation(series_half, rng):

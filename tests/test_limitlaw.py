@@ -12,16 +12,16 @@ from scipy.stats import ks_2samp
 
 from elstable.harness import ExperimentConfig, limit_law, pivotal_value
 
-from elstable.limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
-                               compute_V_coeffs_mv, compute_W, compute_W_mv,
-                               mc_quantile, prepare_limit, sac_series_constant,
+from elstable.limitlaw import (LimitLawConfig, Quantile, _f_matrix, _uniform_grid,
+                               compute_V_coeffs, compute_V_coeffs_mv, compute_W,
+                               compute_W_mv, mc_quantile, prepare_limit, sac_series_constant,
                                sample_limit_stat, sample_limit_stat_simplified,
                                sample_stable_ratio, scale_multipliers, tail_constant)
-from elstable.processes import (ma_polynomial_spec, normalized_transfer,
-                                simulate_linear, theoretical_acf, transfer_matrix,
-                                vma_table_spec)
+from elstable.processes import (ma_polynomial_spec, simulate_linear, theoretical_acf,
+                                transfer_matrix, vma_table_spec)
 from elstable.scores import ScoreFunction, acf_score, coupling_var1_score, var1_score
 from elstable.spectral import SmoothedTransfer
+from oracles import normalized_transfer
 
 
 def flat_transfer(omega):
@@ -243,19 +243,18 @@ def test_dimension_one_matrix_path_matches_scalar(spec_half):
     score_mv = var1_score([["theta"]])
     score_sc = acf_score(1)
     theta0 = 0.3603
-    psi_fn = lambda w: transfer_matrix(vspec, np.atleast_1d(w))
+    grid = _uniform_grid(4096)
+    psi = transfer_matrix(vspec, grid) / math.sqrt(np.sum(spec_half.psi ** 2))
+    f = _f_matrix(score_mv, theta0, psi, grid)
 
     def transfer_sc(w):
         return normalized_transfer(spec_half, w)
 
-    def psi_normalized(w):
-        return psi_fn(w) / math.sqrt(np.sum(spec_half.psi ** 2))
-
-    w_mv = compute_W_mv(score_mv, theta0, psi_normalized)
+    w_mv = compute_W_mv(f)
     w_sc = compute_W(score_sc, theta0, transfer_sc)
     assert abs(w_mv[0, 0] - w_sc[0, 0]) < 1e-8 * abs(w_sc[0, 0])
 
-    c_mv = compute_V_coeffs_mv(score_mv, theta0, psi_normalized, truncation=50)
+    c_mv = compute_V_coeffs_mv(f, truncation=50)
     c_sc = compute_V_coeffs(score_sc, theta0, transfer_sc, truncation=50)
     np.testing.assert_allclose(c_mv[:, 0, 0], c_sc[:, 0], atol=1e-8)
 
@@ -292,11 +291,51 @@ def test_matrix_limit_law_matches_the_written_out_formulas(b):
     score = coupling_var1_score()
     theta0 = pivotal_value(spec, score)
     w_ref, c_ref = _reference_matrix_law(score, theta0, spec)
-    w = compute_W_mv(score, theta0, lambda omega: transfer_matrix(spec, omega))
-    c = compute_V_coeffs_mv(score, theta0, lambda omega: transfer_matrix(spec, omega))
+    grid = _uniform_grid(4096)
+    f = _f_matrix(score, theta0, transfer_matrix(spec, grid), grid)
+    w, c = compute_W_mv(f), compute_V_coeffs_mv(f)
     assert w.shape == (1, 1) and c.shape == c_ref.shape == (200, 2, 2)
     assert abs(w[0, 0] - w_ref) <= 1e-12 * abs(w_ref)
     assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@settings(max_examples=8, deadline=None)
+@given(b=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+       thetas=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=5),
+       hill=st.booleans())
+def test_stacked_matrix_law_equals_one_law_at_a_time(b, thetas, hill):
+    # The laws of a stack share one sample of Psi, and each reads its own
+    # F = Psi* G Psi from it, so each gets bitwise what it gets alone.
+    spec, score = vma_table_spec(b), coupling_var1_score()
+    alphas = np.linspace(1.1, 1.9, len(thetas)) if hill else 1.5
+    calls = []
+
+    def psi(omega):
+        calls.append(len(omega))
+        return transfer_matrix(spec, omega)
+
+    def law(theta, alpha):
+        return prepare_limit(LimitLawConfig(score=score, theta0=theta, alpha=alpha,
+                                            psi_matrix=psi, truncation=60))
+
+    stacked = law(np.array(thetas)[:, None], alphas)
+    assert calls == [4097]
+    for i, theta in enumerate(thetas):
+        one = law(np.array([theta]), np.broadcast_to(alphas, len(thetas))[i])
+        for key in ("w", "w_inv", "coeffs"):
+            assert stacked[key][i].tobytes() == one[key].tobytes(), key
+        assert stacked["closure"][i] == one["closure"]
+
+
+def test_matrix_law_needs_an_even_grid():
+    # its half-resolution check reads the even-indexed samples of F
+    vspec = vma_table_spec(0.3)
+    config = LimitLawConfig(score=coupling_var1_score(), theta0=np.array([0.1755]),
+                            alpha=1.5, psi_matrix=lambda w: transfer_matrix(vspec, w),
+                            quad_points=4095)
+    with pytest.raises(ValueError, match="even quad_points, got 4095"):
+        prepare_limit(config)
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,12 @@ from scipy.special import erfc
 from scipy.stats import cauchy, kstest, norm
 
 from elstable.processes import (LinearProcessSpec, StableParams, VectorProcessSpec,
-                                linear_filter, ma_polynomial_spec, normalized_transfer,
+                                linear_filter, ma_polynomial_spec,
                                 power_transfer_matrix, sample_positive_stable,
                                 sample_sas, simulate_linear, simulate_vector_linear,
-                                spec_from_dict, theoretical_acf,
-                                transfer_matrix, transfer_polynomial,
+                                spec_from_dict, theoretical_acf, transfer_matrix,
                                 vector_linear_filter, vma_table_spec)
+from oracles import normalized_transfer, transfer_polynomial
 
 N_LAW = 200_000  # sample size for distributional checks
 
