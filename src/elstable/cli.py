@@ -19,13 +19,13 @@ import sys
 
 import numpy as np
 
-from .harness import (_ALPHA_CLIP, ExperimentConfig, analyze_series,
-                      coverage_experiment, ingest_csv, interval_cells, limit_law,
-                      pivotal_value, run_table, write_csv)
+from .harness import (ExperimentConfig, analyze_series, coverage_experiment, hill_alpha,
+                      ingest_csv, interval_cells, limit_law, pivotal_value, run_table,
+                      write_csv)
 from .limitlaw import mc_quantile
 from .processes import simulate_linear, simulate_vector_linear
 from .scores import check_alpha
-from .spectral import hill_curve, hill_estimator
+from .spectral import hill_curve
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -155,8 +155,7 @@ def _resolve_alpha(args, config: ExperimentConfig, x: np.ndarray) -> float:
     if args.hill:
         if x.ndim != 1:
             raise ValueError("--hill needs a scalar series")
-        estimate = hill_estimator(x, config.hill_k)
-        alpha = float(np.clip(estimate, *_ALPHA_CLIP))
+        estimate, alpha = hill_alpha(x, config.hill_k)
         if alpha != estimate:
             print(f"note: Hill estimate {estimate:.2f} clipped to {alpha:g}",
                   file=sys.stderr)

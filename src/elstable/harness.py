@@ -3,7 +3,7 @@
 The confidence region for a scalar parameter is the set of grid points whose
 EL statistic stays below the Monte-Carlo threshold ``gamma_p``; its hull is
 reported as an interval.  The competing sample-autocorrelation interval is
-``rho_hat(l) +/- q_p / x_n`` with ``q_p`` the two-sided quantile of the
+``rho_hat(l) +/- q_p K / x_n`` with ``q_p`` the two-sided quantile of the
 stable ratio law.  Experiments are replicated with one rng substream per
 replicate (derived from the master seed and the replicate index), so results
 are identical for any worker count, and all outputs are CSV files with a
@@ -40,10 +40,6 @@ from .spectral import (SmoothedTransfer, hill_estimator,
 SCHEMA_VERSION = "elstable-csv 1"
 DEFAULT_SEED = 20140214
 MIN_SERIES_LENGTH = 8
-
-# Hill estimates are clipped into the admissible range of the inference
-# machinery; values at the edges signal a misspecified tail.
-_ALPHA_CLIP = (1.0, 1.99)
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +264,8 @@ def _first(mask: np.ndarray) -> np.ndarray:
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,
                lo: float | None = None, hi: float | None = None) -> np.ndarray:
-    """Uniform parameter grid over the score domain, clipped to ``+/-0.999``."""
+    """Uniform parameter grid over the score domain, clipped to ``+/-0.999``;
+    explicit ends ``lo`` and ``hi`` must keep it strictly inside the domain."""
     if step <= 0.0:
         raise ValueError("grid step must be positive")
     dlo, dhi = score.domain[0]
@@ -276,8 +273,11 @@ def theta_grid(score: ScoreFunction, step: float = 0.001,
     hi = min(dhi - step, 0.999) if hi is None else float(hi)
     if not lo < hi:
         raise ValueError(f"empty grid: [{lo}, {hi}]")
-    count = int(round((hi - lo) / step))
-    return lo + step * np.arange(count + 1)
+    grid = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    if not (dlo < grid[0] and grid[-1] < dhi):
+        raise ValueError(f"grid [{grid[0]:g}, {grid[-1]:g}] is not inside the domain "
+                         f"({dlo:g}, {dhi:g}) of score {score.name!r}")
+    return grid
 
 
 # --------------------------------------------------------------------------
@@ -400,21 +400,24 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# the competing sample-autocorrelation interval
+# the stable ratio law and the tail index behind both intervals
 
-def _sac_halfwidth(ratio_abs_q: float, rho, lag: int, alpha: float, n: int,
-                   truncation: int) -> float:
-    """SAC half-width ``q_level(|S_1 / S_0|) K / x_n`` (Davis & Resnick 1986),
-    from the quantile ``ratio_abs_q`` of the ratio draws."""
-    k_ratio = sac_series_constant(rho, int(lag), alpha, truncation)
-    return ratio_abs_q * k_ratio / x_n(n, alpha)
+def _ratio_quantiles(alpha: float, config: "ExperimentConfig", rng: np.random.Generator,
+                     sac: bool) -> tuple:
+    """The level-quantiles of ``config.limit_reps`` stable ratio draws from
+    ``rng``: of their squares (the EL threshold's) and of their absolute
+    values (the SAC half-width's), nan when the SAC interval is not run."""
+    draws = sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention)
+    return (float(np.quantile(draws ** 2, config.level)),
+            float(np.quantile(np.abs(draws), config.level)) if sac else math.nan)
 
 
-def _ratio_quantiles(draws: np.ndarray, level: float, sac: bool) -> tuple:
-    """The level-quantiles of the squared ratio draws (the EL threshold's)
-    and, for the SAC interval, of their absolute values."""
-    return (float(np.quantile(draws ** 2, level)),
-            float(np.quantile(np.abs(draws), level)) if sac else None)
+def hill_alpha(x: np.ndarray, k: int | None = None) -> tuple:
+    """``(estimate, clipped)``: the Hill estimate of the tail index of ``x``
+    and its value clipped into ``[1, 1.99]``, the range the inference admits;
+    a clipped estimate signals a misspecified tail."""
+    estimate = hill_estimator(x, k)
+    return estimate, float(np.clip(estimate, 1.0, 1.99))
 
 
 # --------------------------------------------------------------------------
@@ -436,17 +439,18 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta,
     ``transfer`` is a process spec, whose exact transfer enters the law
     (for a scalar score as its cosine coefficients, the model
     autocorrelations), or for a scalar score a :class:`SmoothedTransfer`
-    estimated from the data, which hands over its cosine coefficients.
-    ``theta`` and ``alpha`` may hold one value per series of a stack, with
-    the smoothed transfer of that stack or the one process spec: the config
-    then holds a stack of laws (:func:`prepare_limit`).
+    estimated from the data, which hands over its cosine coefficients, or
+    those coefficients themselves.  ``theta`` and ``alpha`` may hold one
+    value per series of a stack, with the smoothed transfer of that stack or
+    the one process spec: the config then holds a stack of laws
+    (:func:`prepare_limit`).
     """
     psi = None
     if score.is_matrix:
         transfer, psi = None, partial(transfer_matrix, transfer)
     elif isinstance(transfer, LinearProcessSpec):
         transfer = _model_acf(transfer)
-    else:
+    elif isinstance(transfer, SmoothedTransfer):
         transfer = transfer.coeffs
     return LimitLawConfig(score=score, theta0=np.asarray(theta, dtype=float)[..., None],
                           alpha=alpha, transfer=transfer, psi_matrix=psi,
@@ -461,9 +465,8 @@ def _methods(config: "ExperimentConfig", score: ScoreFunction) -> tuple:
 
 
 def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
-                   config: "ExperimentConfig", *,
-                   rng: np.random.Generator | None = None, process=None,
-                   theta_ref: float | None = None) -> AnalysisResult:
+                   config: "ExperimentConfig", *, rng: np.random.Generator,
+                   process=None, theta_ref: float | None = None) -> AnalysisResult:
     """Confidence intervals for one series by the EL and/or SAC methods.
 
     ``config`` supplies the level, the methods, the theta grid and the
@@ -477,25 +480,22 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     ratio law is drawn from ``rng``.  This is the one-series case of the
     stacked analysis (:func:`_analyze_stack`).
     """
-    if rng is None:
-        raise ValueError("supply rng, the source of the stable ratio draws")
-    draws = sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention)
-    ratio_sq_q, ratio_abs_q = _ratio_quantiles(
-        draws, config.level, "sac" in _methods(config, score))
-    return _analyze_stack([x], [alpha], [ratio_sq_q], None, [ratio_abs_q],
-                          score=score, config=config, process=process,
-                          theta_ref=theta_ref)[0]
+    quantiles = _ratio_quantiles(alpha, config, rng, "sac" in _methods(config, score))
+    return _analyze_stack([x], [alpha], [quantiles], score=score, config=config,
+                          process=process, theta_ref=theta_ref)[0]
 
 
-def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
-                   score, config, process, theta_ref=None) -> list:
+def _analyze_stack(x, alpha, quantiles, *, score, config, process, theta_ref=None) -> list:
     """The :class:`AnalysisResult` of each series of the stack ``x``, (B, n)
     or (B, n, d), computed in one pass.
 
-    ``alpha`` and ``ratio_sq_q``, the quantile of the squared ratio law, hold
-    one value per series, and so does ``sac_halfwidth`` or, when that is
-    None, ``ratio_abs_q``, the quantile of the absolute ratio law that the
-    half-width is built from.  The periodogram, the rows ``a + theta b``,
+    ``alpha`` holds one value per series, and ``quantiles`` one pair of
+    ratio-law quantiles (:func:`_ratio_quantiles`) per series: the squared
+    one scales into the EL threshold ``q closure^2 / W``, the absolute one
+    into the SAC half-width ``q K / x_n`` (Davis & Resnick 1986).  ``K``
+    takes the series' sample autocorrelations, or with ``process`` known
+    its model autocorrelations, computed once for the stack, and then one
+    ``K`` per distinct ``alpha``.  The periodogram, the rows ``a + theta b``,
     the plug-in points, the smoothed transfers, the limit laws, the SAC
     centres and the region searches (:func:`_region_scans`) each take one
     array pass over the stack: every step treats the rows independently, so
@@ -518,8 +518,8 @@ def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
         raise ValueError("the SAC method needs an autocorrelation score")
     alpha = np.array(alpha, dtype=float)
     alphas = alpha.tolist()  # the per-series scalars, as floats
-    if theta_ref is None or "el" in methods:
-        a, b = _affine_rows(x, score, alpha)
+    sq_q, abs_q = np.array(quantiles, dtype=float).T.tolist()
+    a, b = _affine_rows(x, score, alpha)
     if theta_ref is None:
         theta_ref = _affine_root(a.sum(axis=-1), b.sum(axis=-1), score, "plug-in point")
     theta_ref = np.broadcast_to(np.asarray(theta_ref, dtype=float), (count,))
@@ -528,24 +528,30 @@ def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
         if process is None:
             raise ValueError("the exact transfer (matrix scores, transfer_mode "
                              "'exact') needs the process spec")
-        transfer = process
+        # a scalar score's exact law and SAC constant share the model autocorrelations
+        transfer = process if mv else _model_acf(process)
     else:
         transfer = SmoothedTransfer(x)
 
     law = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
     closure, w_inv = law["closure"], law["w_inv"][:, 0, 0]
-    # each threshold is a product of scalars, as for one series
-    gamma = [q * float(c) ** 2 * w for q, c, w in zip(ratio_sq_q, closure, w_inv)]
+    # each threshold and half-width is a product of scalars, as for one series
+    gamma = [q * float(c) ** 2 * w for q, c, w in zip(sq_q, closure, w_inv)]
 
     sac = [None] * count
     if "sac" in methods:
-        if sac_halfwidth is None:
-            rho = transfer.acf if process is None else [_model_acf(process)] * count
-            sac_halfwidth = [_sac_halfwidth(q, r, score.lag, value, n, config.truncation)
-                             for q, r, value in zip(ratio_abs_q, rho, alphas)]
+        if process is None:
+            constants = [sac_series_constant(rho, score.lag, value, config.truncation)
+                         for rho, value in zip(transfer.acf, alphas)]
+        else:
+            rho = transfer if config.transfer_mode == "exact" else _model_acf(process)
+            by_alpha = {value: sac_series_constant(rho, score.lag, value, config.truncation)
+                        for value in set(alphas)}
+            constants = [by_alpha[value] for value in alphas]
         centres = sample_acf(x, score.lag)
+        halfwidths = [q * k / x_n(n, value) for q, k, value in zip(abs_q, constants, alphas)]
         sac = [ConfidenceInterval("sac", config.level, float(c) - h, float(c) + h)
-               for c, h in zip(centres, sac_halfwidth)]
+               for c, h in zip(centres, halfwidths)]
 
     scans = [None] * count
     if "el" in methods:
@@ -555,21 +561,23 @@ def _analyze_stack(x, alpha, ratio_sq_q, sac_halfwidth, ratio_abs_q, *,
             for value, t, g, scan, s in zip(alphas, theta_ref, gamma, scans, sac)]
 
 
-def _stack_results(x, *rows, **shared) -> list:
+def _stack_results(x, alpha, quantiles, **shared) -> list:
     """:func:`_analyze_stack` of the stack ``x``, with the exception of each
     failing series in its place.
 
-    ``rows`` are the per-series arguments (arrays of B values, or None).
-    When the stacked pass raises, every series runs alone, so each gets its
-    own result or its own exception, as one series at a time would.
+    When the stacked pass raises, each half of the stack is retried the same
+    way, down to single series: one failing series of B costs at most
+    ``2 ceil(log2 B)`` more passes, and each series gets its own result or
+    its own exception, as one series at a time would.
     """
     try:
-        return _analyze_stack(x, *rows, **shared)
+        return _analyze_stack(x, alpha, quantiles, **shared)
     except (ValueError, RuntimeError) as exc:
         if len(x) == 1:
             return [exc]
-        return [result for i in range(len(x)) for result in _stack_results(
-            x[i:i + 1], *(None if r is None else r[i:i + 1] for r in rows), **shared)]
+        half = len(x) // 2
+        return (_stack_results(x[:half], alpha[:half], quantiles[:half], **shared)
+                + _stack_results(x[half:], alpha[half:], quantiles[half:], **shared))
 
 
 # --------------------------------------------------------------------------
@@ -714,13 +722,13 @@ def _fill_record(record: dict, result, theta0: float) -> None:
         record["sac_covered"] = int(result.sac.covers(theta0))
 
 
-def _coverage_chunk(config: ExperimentConfig, theta0: float,
-                    ratio_sq_q: float | None, sac_halfwidth: float | None,
+def _coverage_chunk(config: ExperimentConfig, theta0: float, quantiles: tuple | None,
                     indices: range) -> list[dict]:
     """The records of a contiguous chunk of replicates.
 
-    Each replicate simulates its series from its own rng substream and,
-    with an estimated index, draws its own ratio law after it.  The chunk
+    Each replicate simulates its series from its own rng substream and
+    takes the shared ratio-law ``quantiles`` of a known index, or with an
+    estimated index (``quantiles`` None) draws its own after it.  The chunk
     then stacks the series and analyzes all of them in one pass, region
     searches included (:func:`_stack_results`).  A replicate that fails
     marks only its own record.
@@ -736,23 +744,17 @@ def _coverage_chunk(config: ExperimentConfig, theta0: float,
         try:
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1 + index)))
             x = simulate(spec, config.n, rng)
-            if config.alpha_mode == "known":
-                alpha = spec.noise.alpha
-            else:
-                alpha = float(np.clip(hill_estimator(x, config.hill_k), *_ALPHA_CLIP))
+            known = config.alpha_mode == "known"
+            alpha = spec.noise.alpha if known else hill_alpha(x, config.hill_k)[1]
             record["alpha"] = alpha
             # the shared ratio law with a known index, else this series' own
-            quantiles = ((ratio_sq_q, None) if ratio_sq_q is not None else _ratio_quantiles(
-                sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention),
-                config.level, "sac" in config.methods))
-            drawn.append((record, x, alpha, *quantiles))
+            drawn.append((record, x, alpha, quantiles if known else _ratio_quantiles(
+                alpha, config, rng, "sac" in config.methods)))
         except (ValueError, RuntimeError) as exc:
-            record["status"] = f"error: {type(exc).__name__}: {exc}"
+            _fill_record(record, exc, theta0)
     if drawn:
-        live, x, alpha, sq_q, abs_q = zip(*drawn)
-        halfwidth = None if sac_halfwidth is None else np.full(len(x), sac_halfwidth)
-        results = _stack_results(np.stack(x), np.array(alpha), np.array(sq_q), halfwidth,
-                                 None if abs_q[0] is None else np.array(abs_q),
+        live, x, alpha, pairs = zip(*drawn)
+        results = _stack_results(np.stack(x), np.array(alpha), np.array(pairs),
                                  score=score, config=config, process=spec)
         for record, result in zip(live, results):
             _fill_record(record, result, theta0)
@@ -826,18 +828,13 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     if config.alpha_mode == "hill" and score.is_matrix:
         raise ValueError("tail-index estimation is defined for scalar series")
 
+    if "el" in config.methods:  # a bad grid is the config's error, not a replicate's
+        theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
     theta0 = pivotal_value(spec, score, config.quad_points)
-    ratio_sq_q = sac_halfwidth = None
+    quantiles = None
     if config.alpha_mode == "known":
-        alpha = spec.noise.alpha
         rng0 = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
-        draws = sample_stable_ratio(alpha, config.limit_reps, rng0,
-                                    config.scale_convention)
-        ratio_sq_q, ratio_abs_q = _ratio_quantiles(draws, config.level,
-                                                   "sac" in config.methods)
-        if ratio_abs_q is not None:
-            sac_halfwidth = _sac_halfwidth(ratio_abs_q, _model_acf(spec), score.lag,
-                                           alpha, config.n, config.truncation)
+        quantiles = _ratio_quantiles(spec.noise.alpha, config, rng0, "sac" in config.methods)
 
     workers = config.workers
     if workers is None:
@@ -848,7 +845,7 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     size = min(-(-config.replicates // workers), 100)
     chunks = [range(start, min(start + size, config.replicates))
               for start in range(0, config.replicates, size)]
-    run = partial(_coverage_chunk, config, theta0, ratio_sq_q, sac_halfwidth)
+    run = partial(_coverage_chunk, config, theta0, quantiles)
     # processes beyond the chunks or the CPUs would only sit idle
     processes = min(workers, len(chunks), os.cpu_count() or 1)
     if processes <= 1:

@@ -480,20 +480,18 @@ def sac_series_constant(rho: Callable | np.ndarray, l: int, alpha: float,
     """Aggregated scale of the sample-autocorrelation limit law.
 
     ``K = { sum_{j>=1} |rho(l+j) + rho(l-j) - 2 rho(j) rho(l)|**alpha }**(1/alpha)``.
-    ``rho`` may be a callable or an array of autocorrelations indexed by lag.
+    ``rho`` may be a callable, evaluated once at each lag ``0..l+truncation``,
+    or an array of autocorrelations indexed by lag, zero past its end.
     """
+    size = l + truncation + 1
     if callable(rho):
-        rho_fn = rho
+        values = np.array([rho(k) for k in range(size)], dtype=float)
     else:
-        values = np.asarray(rho, dtype=float)
-
-        def rho_fn(k):
-            k = abs(int(k))
-            return float(values[k]) if k < values.size else 0.0
-
+        given = np.asarray(rho, dtype=float)[:size]
+        values = np.zeros(size)
+        values[:given.size] = given
     j = np.arange(1, truncation + 1)
-    terms = np.array([rho_fn(l + jj) + rho_fn(abs(l - jj)) - 2.0 * rho_fn(jj) * rho_fn(l)
-                      for jj in j])
+    terms = values[l + j] + values[np.abs(l - j)] - 2.0 * values[j] * values[l]
     _check_tail_decay(np.abs(terms), "sample-autocorrelation",
                       advice="with sample autocorrelations this is their noise "
                              "floor, which does not decay with the lag")

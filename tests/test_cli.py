@@ -169,9 +169,14 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
      "pair of finite positive numbers, got 3"),
     (None, {"score": 5}, "score must be a JSON object, got 5"),
     (None, {"score": ["acf_lag"]}, "score must be a JSON object, got ['acf_lag']"),
+    # an explicit grid must lie strictly inside the score domain
+    (None, {"grid_min": 5, "grid_max": 6},
+     "grid [5, 6] is not inside the domain (-1, 1) of score 'acf_lag2'"),
+    (None, {"grid_min": -1.5},
+     "grid [-1.5, 0.999] is not inside the domain (-1, 1) of score 'acf_lag2'"),
 ], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
         "zero-truncation", "process-without-psi", "one-scale-multiplier", "number-scale",
-        "number-score", "list-score"])
+        "number-score", "list-score", "grid-outside-domain", "grid-below-domain"])
 def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
                                                   series, config, message):
     path = series_csv
@@ -475,8 +480,11 @@ def _outside(lo: float, hi: float):
     return st.floats().filter(lambda v: not lo <= v < hi)
 
 
+# every level in the open interval (0, 1) is valid, subnormal ones included
+_BAD_LEVELS = st.floats().filter(lambda v: not 0.0 < v < 1.0)
+
 _BAD_FLAGS = st.one_of(
-    st.tuples(st.just(["ci", "--alpha", 1.5, "--level"]), _outside(1e-300, 1.0)),
+    st.tuples(st.just(["ci", "--alpha", 1.5, "--level"]), _BAD_LEVELS),
     st.tuples(st.just(["ci", "--alpha"]), _outside(1.0, 2.0)),
     st.tuples(st.just(["ci", "--alpha", 1.5, "--grid-step"]),
               st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])),
@@ -486,10 +494,10 @@ _BAD_FLAGS = st.one_of(
     st.tuples(st.just(["ci", "--hill", "--hill-k"]),
               st.integers(max_value=0) | st.integers(min_value=300)),
     st.tuples(st.just(["simulate", "--n"]), st.integers(max_value=7)),
-    st.tuples(st.just(["limit", "--limit-reps", 1000, "--levels"]), _outside(1e-300, 1.0)),
+    st.tuples(st.just(["limit", "--limit-reps", 1000, "--levels"]), _BAD_LEVELS),
     st.tuples(st.just(["limit", "--limit-reps", 1000, "--theta"]),
               st.floats().filter(lambda v: not -1.0 < v < 1.0)),
-    st.tuples(st.just(["table", "--id", 1, "--level"]), _outside(1e-300, 1.0)),
+    st.tuples(st.just(["table", "--id", 1, "--level"]), _BAD_LEVELS),
     st.tuples(st.just(["coverage", "--replicates"]), st.integers(max_value=99)),
     st.tuples(st.just(["coverage", "--workers"]), st.integers(max_value=0)),
     st.tuples(st.just(["hill-plot", "--kmin"]), st.integers(max_value=0)),

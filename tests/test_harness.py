@@ -47,6 +47,13 @@ def test_theta_grid_respects_domain_and_step():
     assert narrow[0] == pytest.approx(-0.2) and narrow[-1] == pytest.approx(0.2)
     with pytest.raises(ValueError):
         theta_grid(acf_score(2), step=-0.1)
+    # explicit ends keep the grid strictly inside the open domain (-1, 1),
+    # and a coverage run refuses such a grid before any replicate
+    for lo, hi in ((5.0, 6.0), (-1.5, None), (-0.5, 1.0), (-0.5, 0.9996)):
+        with pytest.raises(ValueError, match="not inside the domain"):
+            theta_grid(acf_score(2), lo=lo, hi=hi)
+    with pytest.raises(ValueError, match="not inside the domain"):
+        coverage_experiment(ExperimentConfig(grid_min=5.0, grid_max=6.0))
 
 
 def test_region_scan_matches_pointwise_statistics(series_half):
@@ -288,7 +295,7 @@ def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
     if broken is not None:
         x[rng.integers(count)] = broken
     alpha = rng.uniform(1.0, 1.99, count) if hill else np.full(count, 1.5)
-    per_series = (alpha, rng.uniform(1.0, 20.0, count), None, rng.uniform(1.0, 5.0, count))
+    quantiles = np.stack([rng.uniform(1.0, 20.0, count), rng.uniform(1.0, 5.0, count)], axis=1)
     score = acf_score(lag)
     shared = dict(score=score, process=None if transfer == "smoothed-plugin" else spec,
                   config=ExperimentConfig(grid_step=0.01, transfer_mode="exact"
@@ -296,10 +303,10 @@ def test_stacked_setup_equals_one_series_at_a_time(seed, n, lag, count, hill,
     rows_stacked, rows_alone = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "solve_lagrange_batch", counting(rows_stacked))
-        stacked = harness._stack_results(x, *per_series, **shared)
+        stacked = harness._stack_results(x, alpha, quantiles, **shared)
         patch.setattr(harness, "solve_lagrange_batch", counting(rows_alone))
-        alone = [harness._stack_results(x[i:i + 1], *(None if v is None else v[i:i + 1]
-                                                      for v in per_series), **shared)[0]
+        alone = [harness._stack_results(x[i:i + 1], alpha[i:i + 1], quantiles[i:i + 1],
+                                        **shared)[0]
                  for i in range(count)]
     assert sum(rows_stacked) == sum(rows_alone)
     for result, single in zip(stacked, alone):
@@ -334,7 +341,9 @@ def test_stacked_var1_analysis_takes_one_law_call(seed, b, n, count):
     spec = vma_table_spec(b)
     x = np.stack([simulate_vector_linear(spec, n, rng) for _ in range(count)])
     theta_ref = rng.uniform(-0.5, 0.5, count)
-    per_series = (np.full(count, 1.5), rng.uniform(1.0, 20.0, count), None, None)
+    alpha = np.full(count, 1.5)
+    # the EL method only: the quantile of the absolute ratio law is not read
+    quantiles = np.stack([rng.uniform(1.0, 20.0, count), np.full(count, np.nan)], axis=1)
     shared = dict(score=coupling_var1_score(), process=spec,
                   config=ExperimentConfig(grid_step=0.01, methods=("el",)))
     laws, psi = [], []
@@ -343,13 +352,42 @@ def test_stacked_var1_analysis_takes_one_law_call(seed, b, n, count):
                       lambda law: laws.append(law) or prepare_limit(law))
         patch.setattr(harness, "transfer_matrix",
                       lambda *args: psi.append(args) or transfer_matrix(*args))
-        stacked = harness._analyze_stack(x, *per_series, theta_ref=theta_ref, **shared)
+        stacked = harness._analyze_stack(x, alpha, quantiles, theta_ref=theta_ref, **shared)
     assert len(laws) == len(psi) == 1
     for i, result in enumerate(stacked):
-        alone = harness._analyze_stack(x[i:i + 1], *(None if v is None else v[i:i + 1]
-                                                   for v in per_series),
+        alone = harness._analyze_stack(x[i:i + 1], alpha[i:i + 1], quantiles[i:i + 1],
                                        theta_ref=theta_ref[i:i + 1], **shared)[0]
         assert same(result, alone)
+
+
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@pytest.mark.parametrize("count", [7, 100])
+def test_a_failing_series_splits_its_stack_in_halves(count):
+    # A stack with one broken series retries each half that holds it, down
+    # to the series alone, instead of analyzing every series alone; every
+    # other series still gets bitwise what it gets alone.
+    rng = np.random.default_rng(count)
+    spec = ma_polynomial_spec(0.5)
+    x = np.stack([simulate_linear(spec, 64, rng) for _ in range(count)])
+    broken = count // 3
+    x[broken] = 0.0
+    alpha = rng.uniform(1.0, 1.99, count)
+    quantiles = np.stack([rng.uniform(1.0, 20.0, count), rng.uniform(1.0, 5.0, count)], axis=1)
+    shared = dict(score=acf_score(2), process=spec, config=ExperimentConfig(grid_step=0.01))
+    passes, analyze = [], harness._analyze_stack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_analyze_stack",
+                      lambda *args, **kwargs: passes.append(1) or analyze(*args, **kwargs))
+        results = harness._stack_results(x, alpha, quantiles, **shared)
+    assert len(passes) <= 2 * math.ceil(math.log2(count)) + 1
+    for i, result in enumerate(results):
+        args = (x[i:i + 1], alpha[i:i + 1], quantiles[i:i + 1])
+        if i == broken:
+            with pytest.raises(type(result)) as alone:
+                analyze(*args, **shared)
+            assert str(alone.value) == str(result)
+        else:
+            assert same(result, analyze(*args, **shared)[0])
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +479,7 @@ def test_sac_interval_rho_sources(series_half):
                            rng=np.random.default_rng(4)).sac
             for process in (spec, None))
     assert a.length != b.length
-    with pytest.raises(ValueError, match="rng"):
+    with pytest.raises(TypeError, match="rng"):
         analyze_series(series_half, acf_score(2), 1.5, SAC_ONLY, process=spec)
 
 
@@ -510,7 +548,7 @@ def test_analyze_series_argument_validation(series_half, rng):
     with pytest.raises(ValueError, match="autocorrelation score"):
         analyze_series(series_half, replace(acf_score(2), lag=None), 1.5,
                        ExperimentConfig(methods=("sac",)), rng=rng)
-    with pytest.raises(ValueError, match="rng"):
+    with pytest.raises(TypeError, match="rng"):
         analyze_series(series_half, acf_score(2), 1.5,
                        ExperimentConfig(methods=("el",)))
 

@@ -428,12 +428,25 @@ def test_sac_constant_white_noise_is_one():
 
 
 def test_sac_constant_accepts_array_and_matches_direct_sum(spec_half):
+    # The terms by array indexing equal the written-out loop exactly, for an
+    # array, an array shorter than lags 0..l+T (zero past its end) and a
+    # callable.
     from elstable.processes import theoretical_acf
 
     values = np.array([theoretical_acf(spec_half, k) for k in range(400)])
-    by_array = sac_series_constant(values, 2, 1.5, truncation=200)
-    direct = sum(abs(values[2 + j] + values[abs(2 - j)]
-                     - 2.0 * values[j] * values[2]) ** 1.5
-                 for j in range(1, 201)) ** (1.0 / 1.5)
-    assert abs(by_array - direct) < 1e-12
+
+    def short(k):
+        return float(values[k]) if k < 150 else 0.0
+
+    def direct(rho, lag, truncation):
+        terms = np.array([rho(lag + j) + rho(abs(lag - j)) - 2.0 * rho(j) * rho(lag)
+                          for j in range(1, truncation + 1)])
+        return float(np.sum(np.abs(terms) ** 1.5) ** (1.0 / 1.5))
+
+    for lag, truncation in ((2, 200), (1, 60), (3, 200)):
+        assert (sac_series_constant(values, lag, 1.5, truncation)
+                == direct(lambda k: float(values[k]), lag, truncation))
+        for given in (values[:150], short):
+            assert sac_series_constant(given, lag, 1.5, truncation) == direct(
+                short, lag, truncation)
 
