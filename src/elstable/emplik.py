@@ -117,41 +117,52 @@ def solve_lagrange_batch(m: np.ndarray) -> BatchSolution:
     phi = np.zeros(b)
     iterations = np.zeros(b, dtype=int)
     zero = ~m.any(axis=1)
-    hull = (m.max(axis=1) > 0.0) & (m.min(axis=1) < 0.0)
+    largest, smallest = m.max(axis=1), m.min(axis=1)
+    hull = (largest > 0.0) & (smallest < 0.0)
     converged = zero.copy()
+    log_ratio = np.full(b, np.nan)
+    log_ratio[~hull] = -np.inf
+    log_ratio[zero] = -0.0  # -sum(log(1 + 0 m)) of a row solved at once
 
     work = np.flatnonzero(hull)
     if work.size:
-        rows = m[work]
-        bound = 1.0 / n - 1.0  # y = 1 + phi m must stay above 1/n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crossings = bound / rows
-        lo = np.where(rows > 0.0, crossings, -np.inf).max(axis=1)
-        hi = np.where(rows < 0.0, crossings, np.inf).min(axis=1)
+        rows = m if work.size == b else m[work]
+        # y = 1 + phi m must stay above 1/n: phi lies between the crossings
+        # bound / m_t, and the nearest ones on each side are those of the
+        # largest and the smallest m_t (a rounded quotient is monotone in m_t)
+        bound = 1.0 / n - 1.0
+        lo, hi = bound / largest[work], bound / smallest[work]
         x = np.zeros(work.size)
+        buffer = np.empty(rows.shape)  # each iteration's ratios, then their squares
         for iteration in range(_MAX_ITER + 1):
-            ratio = rows / (1.0 + x[:, None] * rows)
+            # rows / (1 + x rows), and the sums of it and of its square
+            ratio = np.multiply(x[:, None], rows, out=buffer[:len(rows)])
+            ratio += 1.0
+            np.divide(rows, ratio, out=ratio)
             grad = ratio.sum(axis=1)
+            curvature = np.multiply(ratio, ratio, out=ratio).sum(axis=1)
             done = np.abs(grad) / n < _TOL
             if done.any():
                 sel = done.nonzero()[0]
                 phi[work[sel]] = x[sel]
                 converged[work[sel]] = True
                 iterations[work[sel]] = iteration
+                y = rows[sel] * x[sel, None]  # 1 + phi m, and its log, in one buffer
+                y += 1.0
+                log_ratio[work[sel]] = -np.log(y, out=y).sum(axis=1)
                 keep = ~done
                 work, rows, x = work[keep], rows[keep], x[keep]
                 lo, hi = lo[keep], hi[keep]
                 if not work.size:
                     break
-                ratio, grad = ratio[keep], grad[keep]
+                grad, curvature = grad[keep], curvature[keep]
             if iteration == _MAX_ITER:
                 break
             # the dual derivative decreases in phi: its sign sharpens the bracket
             right = grad > 0.0
             lo = np.where(right, x, lo)
             hi = np.where(right, hi, x)
-            step = grad / (ratio * ratio).sum(axis=1)
-            candidate = x + step
+            candidate = x + grad / curvature
             outside = ~((candidate > lo) & (candidate < hi))
             candidate[outside] = 0.5 * (lo[outside] + hi[outside])
             x = candidate
@@ -159,12 +170,6 @@ def solve_lagrange_batch(m: np.ndarray) -> BatchSolution:
             phi[work] = x  # best iterates of rows that ran out of iterations
             iterations[work] = _MAX_ITER
 
-    log_ratio = np.full(b, np.nan)
-    log_ratio[~hull & ~zero] = -np.inf
-    ok = converged.nonzero()[0]
-    if ok.size:
-        y = 1.0 + phi[ok, None] * m[ok]
-        log_ratio[ok] = -np.log(y).sum(axis=1)
     return BatchSolution(phi=phi, log_ratio=log_ratio, converged=converged,
                          hull_ok=hull | zero, iterations=iterations)
 

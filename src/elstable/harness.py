@@ -40,6 +40,10 @@ from .spectral import (SmoothedTransfer, hill_estimator,
 SCHEMA_VERSION = "elstable-csv 1"
 DEFAULT_SEED = 20140214
 MIN_SERIES_LENGTH = 8
+# Every record of a coverage run is held in memory, and a theta grid is
+# built whole; larger values are refused before anything is allocated.
+MAX_REPLICATES = 1_000_000
+MAX_GRID_POINTS = 1_000_000
 
 
 # --------------------------------------------------------------------------
@@ -168,11 +172,14 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
     neighbours of ``theta_hat``: the first round solves only them, and when
     neither is accepted the region is empty.
 
-    The state is the (S, G) array of statistics and the mask of probed grid
-    points; each round derives the brackets from them.  The inside ends are
-    the first and the last accepted index; each outside end is the nearest
-    probed, rejected index beyond its inside end, or the virtual index -1 or
-    G, which counts as rejected and is never solved.  Away from
+    The state is one bracket per series and side, held in (S, 2) arrays:
+    the inside end (the first or the last accepted index), the outside end
+    (the nearest probed, rejected index beyond it, or the virtual index -1
+    or G, which counts as rejected and is never solved), the statistics at
+    both, and the bisection budget.  No probed point lies strictly inside a
+    bracket, so a round's probes move only their own bracket's ends (the
+    first round's two points serve both sides), and a log of the solved
+    (series, index, statistic) triples is all that is kept besides.  Away from
     ``theta_hat`` the square root of the statistic grows close to linearly,
     so every later round solves the two grid points around the secant
     estimate of ``sqrt(stat) = sqrt(gamma)`` in each open bracket, clipped
@@ -195,71 +202,112 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
     for a series whose slope is zero or takes both signs, whose probe's
     solve did not converge, or whose hull count is not confirmed.
     """
-    last = grid.size - 1
+    size, last, count = grid.size, grid.size - 1, len(a)
     live = b.any(axis=1) & (np.all(b >= 0.0, axis=1) | np.all(b <= 0.0, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         root = -a.sum(axis=1) / b.sum(axis=1)
-        roots = -a / b
-    stats = np.full((len(a), grid.size), np.nan)
-    probed = np.zeros(stats.shape, dtype=bool)
-    want = np.zeros(stats.shape, dtype=bool)  # every point asked for so far
-    neighbours = np.searchsorted(grid, root)[:, None] + [-1, 0]
-    want[np.arange(len(a))[:, None], np.clip(neighbours, 0, last)] = True
-    index = np.arange(grid.size)
     target = np.sqrt(np.maximum(gamma, 0.0))
-    budget = None
+    # side 0 brackets the lower end, side 1 the upper; before any probe no
+    # point is accepted and both outside ends are virtual
+    inside = np.tile([size, -1], (count, 1))
+    outside = np.tile([-1, size], (count, 1))
+    stat_in, stat_out = np.full((count, 2), np.nan), np.full((count, 2), np.nan)
+    # the probes of a round as (series, side, candidate indices): first the
+    # two grid neighbours of theta_hat, for both sides
+    s = np.repeat(np.flatnonzero(live), 2)
+    side = np.tile([0, 1], len(s) // 2)
+    neighbours = np.clip(np.searchsorted(grid, root)[:, None] + [-1, 0], 0, last)
+    candidates = neighbours[s]
+    log, budget = [(np.zeros(0, dtype=np.intp), np.zeros(0))], None
     while True:
-        s, i = np.nonzero(want & ~probed & live[:, None])
         if s.size:
-            batch = solve_lagrange_batch(a[s] + grid[i][:, None] * b[s])
-            probed[s, i] = True
-            stats[s, i] = scale[s] * batch.log_ratio
-            live[s[~batch.converged & batch.hull_ok]] = False
-        accepted = probed & (stats < gamma[:, None])
-        rejected = probed & ~accepted
-        inside = np.stack([_first(accepted), last - _first(accepted[:, ::-1])], axis=1)
-        out = np.stack([last - _first((rejected & (index < inside[:, :1]))[:, ::-1]),
-                        _first(rejected & (index > inside[:, 1:]))], axis=1)
-        width = np.abs(out - inside)
+            wanted = s[:, None] * size + candidates
+            keys = np.unique(wanted)  # in (series, index) order, each point once
+            probe_s, probe_i = np.divmod(keys, size)
+            batch = solve_lagrange_batch(_rows_at(a, b, probe_s, grid[probe_i]))
+            stats = scale[probe_s] * batch.log_ratio
+            live[probe_s[~batch.converged & batch.hull_ok]] = False
+            log.append((keys, stats))
+            _move_brackets(inside, outside, stat_in, stat_out, s, side, candidates,
+                           stats[np.searchsorted(keys, wanted)], gamma)
+        width = np.abs(outside - inside)
         budget = width if budget is None else (budget + 1) // 2
-        s, side = np.nonzero((live & accepted.any(axis=1))[:, None] & (width > 1))
+        s, side = np.nonzero((live & (inside[:, 0] < size))[:, None] & (width > 1))
         if not s.size:
             break
-        end, far = inside[s, side], out[s, side]
+        end, far = inside[s, side], outside[s, side]
         near = np.clip(far, 0, last)
-        known = (far == near) & np.isfinite(stats[s, near])
-        t_end, r_end = grid[end], np.sqrt(np.maximum(stats[s, end], 0.0))
+        known = (far == near) & np.isfinite(stat_out[s, side])
+        t_end, r_end = grid[end], np.sqrt(np.maximum(stat_in[s, side], 0.0))
         t_far = np.where(known, grid[near], root[s])
-        r_far = np.where(known, np.sqrt(np.maximum(stats[s, near], 0.0)), 0.0)
+        r_far = np.where(known, np.sqrt(np.maximum(stat_out[s, side], 0.0)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             crossing = t_end + (target[s] - r_end) * (t_far - t_end) / (r_far - r_end)
         lo, hi = np.minimum(end, far) + 1, np.maximum(end, far) - 1
         mid = (lo + hi) // 2
         j = np.searchsorted(grid, crossing)
         secant = r_far != r_end
-        want[s, np.where(secant, np.clip(j - 1, lo, hi), mid)] = True
-        want[s, np.where(secant, np.clip(j, lo, hi), mid)] = True
+        below = np.where(secant, np.clip(j - 1, lo, hi), mid)
         wide = width[s, side] > budget[s, side]
-        want[s[wide], mid[wide]] = True
-    nonzero = b != 0.0
-    first = np.searchsorted(grid, np.where(nonzero, roots, np.inf).min(axis=1), side="right")
-    stop = np.searchsorted(grid, np.where(nonzero, roots, -np.inf).max(axis=1), side="left")
+        candidates = np.stack([below, np.where(secant, np.clip(j, lo, hi), mid),
+                               np.where(wide, mid, below)], axis=1)
+    keys, stats = (np.concatenate(parts) for parts in zip(*log))
+    order = np.argsort(keys)
+    series, probed = np.divmod(keys[order], size)
+    stats = stats[order]
+    bounds = np.searchsorted(series, np.arange(count + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.divide(a, b)
+    np.negative(roots, out=roots)  # -a / b to the bit
+    flat = b == 0.0
+    roots[flat] = np.inf
+    first = np.searchsorted(grid, roots.min(axis=1), side="right")
+    roots[flat] = -np.inf
+    stop = np.searchsorted(grid, roots.max(axis=1), side="left")
     edges = np.stack([first - 1, first, stop - 1, stop], axis=1)
     s, e = np.nonzero(live[:, None] & (edges >= 0) & (edges <= last))
     edge = edges[s, e]
-    rows = a[s] + grid[edge][:, None] * b[s]  # the batch solver's hull test on them
+    rows = _rows_at(a, b, s, grid[edge])  # the batch solver's hull test on them
     hull_ok = ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
     live[s[hull_ok != ((first[s] <= edge) & (edge < stop[s]))]] = False
     hull_failures = grid.size - np.maximum(0, stop - first)
-    return [(np.flatnonzero(probed[i]), stats[i, probed[i]], hull_failures[i])
-            if live[i] else None for i in range(len(a))]
+    return [(probed[bounds[i]:bounds[i + 1]], stats[bounds[i]:bounds[i + 1]],
+             hull_failures[i]) if live[i] else None for i in range(count)]
 
 
-def _first(mask: np.ndarray) -> np.ndarray:
-    """Index of the first True of each row of ``mask``, its length when none;
-    on the reversed view ``G - 1`` minus it is the last, -1 when none."""
-    first = mask.argmax(axis=1)
-    return np.where(mask[np.arange(len(mask)), first], first, mask.shape[1])
+def _rows_at(a: np.ndarray, b: np.ndarray, series: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The rows ``a[series] + theta b[series]``, one per (series, theta)
+    pair, built in one buffer: bitwise the expression itself."""
+    rows = b[series]
+    rows *= theta[:, None]
+    rows += a[series]
+    return rows
+
+
+def _move_brackets(inside, outside, stat_in, stat_out, s, side, candidates, stats,
+                   gamma) -> None:
+    """Update the brackets ``(s, side)`` in place with the solved statistics
+    ``stats`` of their ``candidates``, one row of indices per bracket.
+
+    Measured outward (downwards on side 0, upwards on side 1) every
+    candidate lies beyond its inside end and short of its outside end.  The
+    inside end moves to the farthest accepted candidate; the outside end to
+    the nearest rejected one beyond the new inside end, when that is nearer
+    than the old one.
+    """
+    sign = np.where(side == 0, -1, 1)
+    rows = np.arange(len(s))
+    outward = sign[:, None] * candidates
+    accepted = stats < gamma[s][:, None]
+    pick = np.argmax(np.where(accepted, outward, np.iinfo(np.intp).min), axis=1)
+    moved = accepted[rows, pick] & (outward[rows, pick] > sign * inside[s, side])
+    inside[s, side] = np.where(moved, candidates[rows, pick], inside[s, side])
+    stat_in[s, side] = np.where(moved, stats[rows, pick], stat_in[s, side])
+    rejected = ~accepted & (outward > (sign * inside[s, side])[:, None])
+    pick = np.argmin(np.where(rejected, outward, np.iinfo(np.intp).max), axis=1)
+    moved = rejected[rows, pick] & (outward[rows, pick] < sign * outside[s, side])
+    outside[s, side] = np.where(moved, candidates[rows, pick], outside[s, side])
+    stat_out[s, side] = np.where(moved, stats[rows, pick], stat_out[s, side])
 
 
 def theta_grid(score: ScoreFunction, step: float = 0.001,
@@ -273,6 +321,9 @@ def theta_grid(score: ScoreFunction, step: float = 0.001,
     hi = min(dhi - step, 0.999) if hi is None else float(hi)
     if not lo < hi:
         raise ValueError(f"empty grid: [{lo}, {hi}]")
+    if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
+        raise ValueError(f"grid step {step:g} over [{lo:g}, {hi:g}] gives more than "
+                         f"{MAX_GRID_POINTS} grid points")
     grid = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
     if not (dlo < grid[0] and grid[-1] < dhi):
         raise ValueError(f"grid [{grid[0]:g}, {grid[-1]:g}] is not inside the domain "
@@ -382,8 +433,17 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
 
 def _model_acf(spec: LinearProcessSpec) -> np.ndarray:
     """Autocorrelations ``rho(0..order)`` of ``spec``: the cosine
-    coefficients of its normalized power transfer."""
-    return np.array([theoretical_acf(spec, h) for h in range(spec.order + 1)])
+    coefficients of its normalized power transfer.
+
+    One correlation of ``psi`` with itself takes the dot product of each lag
+    as :func:`theoretical_acf` does, to the bit; only ``psi @ psi`` itself
+    takes another BLAS path (a product of an array with itself), so lag 0
+    takes it from there.
+    """
+    psi = spec.psi
+    sums = np.correlate(psi, psi, "full")[spec.order:]
+    sums[0] = psi @ psi
+    return sums / sums[0]
 
 
 def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
@@ -406,10 +466,18 @@ def _ratio_quantiles(alpha: float, config: "ExperimentConfig", rng: np.random.Ge
                      sac: bool) -> tuple:
     """The level-quantiles of ``config.limit_reps`` stable ratio draws from
     ``rng``: of their squares (the EL threshold's) and of their absolute
-    values (the SAC half-width's), nan when the SAC interval is not run."""
+    values (the SAC half-width's), nan when the SAC interval is not run.
+
+    Both come from the one array of draws, reordered by the first quantile
+    and squared in place between the two: a quantile reads only the values.
+    """
     draws = sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention)
-    return (float(np.quantile(draws ** 2, config.level)),
-            float(np.quantile(np.abs(draws), config.level)) if sac else math.nan)
+    abs_q = math.nan
+    if sac:
+        np.abs(draws, out=draws)
+        abs_q = float(np.quantile(draws, config.level, overwrite_input=True))
+    draws **= 2
+    return float(np.quantile(draws, config.level, overwrite_input=True)), abs_q
 
 
 def hill_alpha(x: np.ndarray, k: int | None = None) -> tuple:
@@ -516,6 +584,8 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process, theta_ref=Non
     methods = _methods(config, score)
     if "sac" in methods and score.lag is None:
         raise ValueError("the SAC method needs an autocorrelation score")
+    grid = (theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
+            if "el" in methods else None)
     alpha = np.array(alpha, dtype=float)
     alphas = alpha.tolist()  # the per-series scalars, as floats
     sq_q, abs_q = np.array(quantiles, dtype=float).T.tolist()
@@ -555,7 +625,6 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process, theta_ref=Non
 
     scans = [None] * count
     if "el" in methods:
-        grid = theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
         scans = _region_scans(a, b, grid, gamma, alphas, config.level)
     return [AnalysisResult(alpha=value, theta_ref=float(t), gamma=g, el=scan, sac=s)
             for value, t, g, scan, s in zip(alphas, theta_ref, gamma, scans, sac)]
@@ -633,8 +702,9 @@ class ExperimentConfig:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if self.n < MIN_SERIES_LENGTH:
             raise ValueError(f"series length must be at least {MIN_SERIES_LENGTH}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
+        if not 1 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(f"replicates must lie in [1, {MAX_REPLICATES}], "
+                             f"got {self.replicates}")
         if self.grid_step <= 0:
             raise ValueError("grid step must be positive")
         if self.limit_reps < 1000:

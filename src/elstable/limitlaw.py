@@ -270,22 +270,35 @@ def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: 
     r[..., 0] = 1.0                              # the transfer is normalized
     r[..., 1:size] = transfer[..., 1:]
     unfolded = 2.0 * theta * r[..., k] - r[..., np.abs(k - lag)] - r[..., k + lag]
-    u = folded_cosine_coeffs(unfolded, quad_points)
-    coarse = folded_cosine_coeffs(unfolded, quad_points // 2)
-    uu = _row_dot(u, u)
-    for _ in np.flatnonzero(np.abs(uu - _row_dot(coarse, coarse)) > 1e-6 * uu):
-        warnings.warn("quadrature for W not converged at the requested grid; "
-                      "increase quad_points", RuntimeWarning, stacklevel=2)
+    rows = unfolded.reshape(-1, k.size)
+    lags = np.arange(1, truncation + 1)
+    uu, picked = np.empty(len(rows)), np.empty((len(rows), truncation))
+    # The laws are folded a few at a time into one buffer of about 256 KB,
+    # so a stack never writes all of its N-wide rows at once.
+    step = max(1, 2**15 // quad_points)
+    fine = np.empty((min(step, len(rows)), quad_points))
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        u = folded_cosine_coeffs(part, quad_points, out=fine[:len(part)])
+        part_uu = uu[start:start + step] = _row_dot(u, u)
+        picked[start:start + step] = u[:, lags % quad_points]
+        # With every lag below N/4 no slot of either fold takes two lags:
+        # both hold the same squares, and the check can only see rounding.
+        if 2 * (k.size - 1) >= quad_points // 2:
+            coarse = folded_cosine_coeffs(part, quad_points // 2)
+            for _ in np.flatnonzero(np.abs(part_uu - _row_dot(coarse, coarse))
+                                    > 1e-6 * part_uu):
+                warnings.warn("quadrature for W not converged at the requested grid; "
+                              "increase quad_points", RuntimeWarning, stacklevel=2)
     # The rule's step, linspace's grid[1] - grid[0], is 2 pi / N only to
     # about 1e-13 relative; scaling by the ratio keeps W and c_t, and so
     # every threshold, equal to the rule's to rounding.
     scale = 2.0 * _grid_step(quad_points) * quad_points / (2.0 * np.pi)
-    lags = np.arange(1, truncation + 1)
     sign = np.where(lags % 2 == 1, -scale, scale)
     # contiguous rows, so that the sums over lags add as for one series
-    coeffs = np.ascontiguousarray(sign * u[..., lags % quad_points])[..., None]
+    coeffs = (sign * picked).reshape(unfolded.shape[:-1] + (truncation, 1))
     _check_tail_decay(np.abs(coeffs[..., 0]), "limit-series", alpha)
-    return (scale * uu)[..., None, None], coeffs
+    return (scale * uu.reshape(unfolded.shape[:-1]))[..., None, None], coeffs
 
 
 def _matrix_limit(config: "LimitLawConfig"):
@@ -470,9 +483,12 @@ def sample_stable_ratio(alpha: float, reps: int, rng: np.random.Generator,
                         scale_convention="davis-resnick") -> np.ndarray:
     """Draw the calibrated ratio ``S_1 / S_0`` underlying every limit law."""
     s_mult, s0_mult = scale_multipliers(alpha, scale_convention)
-    s0 = s0_mult * sample_positive_stable(alpha / 2.0, reps, rng)
-    s1 = s_mult * sample_sas(StableParams(alpha=alpha), reps, rng)
-    return s1 / s0
+    s0 = sample_positive_stable(alpha / 2.0, reps, rng)
+    s0 *= s0_mult
+    s1 = sample_sas(StableParams(alpha=alpha), reps, rng)
+    s1 *= s_mult
+    s1 /= s0
+    return s1
 
 
 def sac_series_constant(rho: Callable | np.ndarray, l: int, alpha: float,

@@ -24,6 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The largest ``order`` a coefficient shorthand may ask for: its coefficient
+# arrays are built whole, 8 bytes a lag for psi and 32 for a 2 x 2 vma.
+MAX_SHORTHAND_ORDER = 100_000
+
+
 def _is_finite_real(value) -> bool:
     """An integer or a float (bools are neither) that is finite."""
     return (isinstance(value, (int, float, np.integer, np.floating))
@@ -121,17 +126,31 @@ def sample_sas(params: StableParams, n: int, rng: np.random.Generator) -> np.nda
     if n < 0:
         raise ValueError("n must be non-negative")
     alpha = params.alpha
-    phi = (rng.random(n) - 0.5) * np.pi  # uniform on (-pi/2, pi/2)
+    phi = rng.random(n)
+    phi -= 0.5
+    phi *= np.pi  # uniform on (-pi/2, pi/2)
     if alpha == 1.0:
         x = np.tan(phi)
     elif alpha == 2.0:
         w = rng.exponential(1.0, n)
         x = 2.0 * np.sin(phi) * np.sqrt(w)
     else:
-        w = rng.exponential(1.0, n)
-        x = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)
-             * (np.cos((1.0 - alpha) * phi) / w) ** (1.0 / alpha - 1.0))
-    return params.scale ** (1.0 / alpha) * x
+        # sin(a phi) / cos(phi)**(1/a) * (cos((1 - a) phi) / w)**(1/a - 1),
+        # evaluated in the same order in three buffers; the exponential
+        # draws (exponential(1.0) to the bit) are the next ones either way
+        x = np.multiply(alpha, phi)
+        np.sin(x, out=x)
+        w = np.cos(phi)
+        w **= 1.0 / alpha
+        x /= w
+        rng.standard_exponential(out=w)
+        phi *= 1.0 - alpha
+        np.cos(phi, out=phi)
+        phi /= w
+        phi **= 1.0 / alpha - 1.0
+        x *= phi
+    x *= params.scale ** (1.0 / alpha)
+    return x
 
 
 def sample_positive_stable(alpha_half: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,10 +165,23 @@ def sample_positive_stable(alpha_half: float, n: int, rng: np.random.Generator) 
     if n < 0:
         raise ValueError("n must be non-negative")
     a = alpha_half
-    u = rng.random(n) * np.pi  # uniform on (0, pi)
-    w = rng.exponential(1.0, n)
-    return (np.sin(a * u) / np.sin(u) ** (1.0 / a)
-            * (np.sin((1.0 - a) * u) / w) ** ((1.0 - a) / a))
+    u = rng.random(n)
+    u *= np.pi  # uniform on (0, pi)
+    # sin(a u) / sin(u)**(1/a) * (sin((1 - a) u) / w)**((1 - a) / a), evaluated
+    # in the same order in three buffers; the exponential draws
+    # (exponential(1.0) to the bit) are the next ones either way
+    x = np.multiply(a, u)
+    np.sin(x, out=x)
+    w = np.sin(u)
+    w **= 1.0 / a
+    x /= w
+    rng.standard_exponential(out=w)
+    u *= 1.0 - a
+    np.sin(u, out=u)
+    u /= w
+    u **= (1.0 - a) / a
+    x *= u
+    return x
 
 
 def linear_filter(innovations: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -277,8 +309,9 @@ def spec_from_dict(data: dict):
     def shorthand(data: dict, what: str) -> tuple:
         """The weight ``b`` and the ``order`` of a shorthand."""
         order = check_number(data.get("order", 100), f"{what} order", integer=True)
-        if order < 0:
-            raise ValueError(f"{what} order must be non-negative, got {order}")
+        if not 0 <= order <= MAX_SHORTHAND_ORDER:
+            raise ValueError(f"{what} order must lie in [0, {MAX_SHORTHAND_ORDER}], "
+                             f"got {order}")
         return float(check_number(required(data, "b", f"the {what}"), f"{what} b")), order
 
     noise = StableParams(alpha=float(check_number(required(data, "alpha"), "process alpha")),

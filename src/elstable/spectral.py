@@ -72,7 +72,9 @@ def self_normalized_grid(x: np.ndarray) -> np.ndarray:
     roll puts ``t = n`` (index 0) last.
     """
     xt = _self_normalized(np.asarray(x, dtype=float))
-    return np.roll(np.abs(np.fft.fft(xt)) ** 2, -1, axis=-1)
+    power = np.abs(np.fft.fft(xt))
+    power **= 2
+    return np.roll(power, -1, axis=-1)
 
 
 def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -113,7 +115,8 @@ def acf_sequence(x: np.ndarray) -> np.ndarray:
     xt = _self_normalized(np.asarray(x, dtype=float))
     n = xt.shape[-1]
     nfft = 1 << (2 * n - 1).bit_length()
-    spec = np.abs(np.fft.rfft(xt, nfft)) ** 2
+    spec = np.abs(np.fft.rfft(xt, nfft))
+    spec **= 2
     return np.fft.irfft(spec, nfft)[..., :n]
 
 
@@ -177,27 +180,50 @@ class SmoothedTransfer:
         return float(values[0]) if scalar else values
 
 
-def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
+def folded_cosine_coeffs(coeffs, points: int, out: np.ndarray | None = None) -> np.ndarray:
     """The cosine series ``coeffs[0] + 2 sum_{h>=1} coeffs[h] cos(h omega)``
     folded onto the periodic grid ``omega_j = -pi + 2 pi j / points``.
 
     ``e^(i h omega_j) = (-1)**h e^(2 pi i h j / points)``, so lags ``+h`` and
     ``-h`` land in slots ``+h`` and ``-h mod points`` with sign ``(-1)**h``,
     and the series takes the values ``fft(folded).real`` on the grid.  The
-    lags of one slot are added in increasing order, starting from zero.
-    Leading axes of ``coeffs`` are rows folded one by one.
+    lags of one slot are added in increasing order, starting from zero, and
+    slot ``m`` then adds the one-sided sum of slot ``-m``.  Leading axes of
+    ``coeffs`` are rows folded one by one, each into one row of the result:
+    the one-sided sums are written there, and when the lags stay below
+    ``points / 2`` each slot and its mirror hold a sum and a zero, so the
+    mirror is a copy.  ``out``, when given, is the float array of the
+    result's shape that the fold is written into.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    h = np.arange(coeffs.shape[-1])
-    signed = np.where(h % 2 == 1, -coeffs, coeffs)
-    signed[..., 0] = 0.0  # lag 0 is not part of the one-sided sum
-    one_sided = np.zeros(coeffs.shape[:-1] + (points,))
-    for start in range(0, h.size, points):
-        block = signed[..., start:start + points]
-        one_sided[..., :block.shape[-1]] += block
-    folded = one_sided.copy()
-    folded[..., 1:] += one_sided[..., :0:-1]
-    folded[..., 0] = coeffs[..., 0] + 2.0 * one_sided[..., 0]
+    size = coeffs.shape[-1]
+    folded = np.empty(coeffs.shape[:-1] + (points,)) if out is None else out
+    for start in range(0, size, points):
+        width = min(points, size - start)
+        block, lags = folded[..., :width], coeffs[..., start:start + width]
+        # slots whose lag is even take +coeffs, the others -coeffs; x - c is
+        # x + (-c) to the bit, and the first block adds to zero
+        first_even = start % 2
+        if start:
+            block[..., first_even::2] += lags[..., first_even::2]
+            block[..., 1 - first_even::2] -= lags[..., 1 - first_even::2]
+        else:
+            np.add(0.0, lags[..., ::2], out=block[..., ::2])
+            np.subtract(0.0, lags[..., 1::2], out=block[..., 1::2])
+            folded[..., 0] = 0.0  # lag 0 is not part of the one-sided sum
+            folded[..., width:] = 0.0
+    filled = min(size, points)
+    if 2 * filled <= points + 1:
+        # slot m < filled and its mirror points - m >= filled do not meet
+        folded[..., :points - filled:-1] = folded[..., 1:filled]
+    else:
+        half = (points + 1) // 2
+        pairs = folded[..., 1:half] + folded[..., :points - half:-1]
+        folded[..., 1:half] = pairs
+        folded[..., :points - half:-1] = pairs
+        if points % 2 == 0:
+            folded[..., half] += folded[..., half]
+    folded[..., 0] = coeffs[..., 0] + 2.0 * folded[..., 0]
     return folded
 
 

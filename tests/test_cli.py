@@ -420,6 +420,45 @@ def test_cli_runs_without_scipy(tmp_path):
     assert out.stdout.splitlines()[-2].startswith("el,0.9,")
 
 
+# The address space a refused call runs under: the interpreter and numpy fit
+# in it, and a regression that allocates what it was asked for fails with
+# MemoryError instead of exhausting the machine.
+_AS_LIMIT = 1 << 30
+_LIMITED = ("import resource, sys\n"
+            f"limit = min({_AS_LIMIT}, resource.getrlimit(resource.RLIMIT_AS)[1])\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from elstable.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["ci", "--alpha", "1.5", "--grid-step", "1e-9"], None, "more than 1000000 grid points"),
+    (["coverage", "--replicates", str(10**20)], None, "replicates must lie in"),
+    (["simulate"], {"process": {"kind": "ma", "alpha": 1.5,
+                                "psi": {"kind": "exp_over_j", "b": 0.5, "order": 10**9}}},
+     "psi shorthand order must lie in"),
+    (["coverage"], {"process": {"kind": "vma", "alpha": 1.5,
+                                "coeffs": {"kind": "table", "b": 0.3, "order": 10**9}}},
+     "coeffs shorthand order must lie in"),
+], ids=["grid-step", "replicates", "psi-order", "coeffs-order"])
+def test_absurd_in_range_sizes_are_refused_before_allocating(tmp_path, series_csv, args,
+                                                             config, message):
+    if args[0] == "ci":
+        args = [*args, "-i", str(series_csv)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = [*args, "--config", "config.json"]
+    src = str(Path(elstable.__file__).resolve().parents[1])
+    # one BLAS thread: thread buffers would take address space of their own
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _LIMITED, *args], capture_output=True,
+                         text=True, cwd=tmp_path, env=env, timeout=120)
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 # --------------------------------------------------------------------------
 # exit-code contract under fuzzed input
 

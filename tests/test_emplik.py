@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elstable import emplik
 from elstable.emplik import (ELResult, LagrangeSolution, log_el_ratio,
                              solve_lagrange, solve_lagrange_batch, x_n)
 from elstable.errors import SolverError
 from elstable.processes import ma_polynomial_spec, simulate_linear
 from elstable.scores import acf_score
+import oracles
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +109,34 @@ def test_batch_flags_hull_failures():
     assert list(batch.hull_ok) == [False, True, True]
     assert batch.log_ratio[0] == -np.inf
     assert batch.log_ratio[2] == 0.0  # identically-zero constraint
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "shifted", "hull-failures", "zero-rows",
+                                  "iteration-cap"])
+def test_batch_solver_equals_the_fresh_array_oracle(kind, monkeypatch):
+    # The solver keeps one buffer for its iterations, reads the bracket off
+    # each row's extremes and takes the log ratios of the rows that converge
+    # in each iteration; every field equals the solver that allocated fresh
+    # arrays throughout, bit for bit, on batches of 1 to 40 rows.  With the
+    # cap cut to 3 steps most rows are left unconverged.
+    if kind == "iteration-cap":
+        monkeypatch.setattr(emplik, "_MAX_ITER", 3)
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(40):
+        size, n = int(rng.integers(1, 41)), int(rng.choice([2, 3, 8, 50, 300]))
+        if kind == "cauchy":
+            rows = rng.standard_cauchy((size, n))
+        else:
+            rows = rng.normal(size=(size, n)) + rng.normal(size=(size, 1))
+        if kind == "hull-failures":
+            rows = np.abs(rows)
+            rows[rng.random(rows.shape) < 0.5] *= -1e-3
+        elif kind == "zero-rows":
+            rows[rng.random(size) < 0.3] = 0.0
+            rows[:, rng.random(n) < 0.2] = -0.0
+        batch, oracle = solve_lagrange_batch(rows), oracles.solve_lagrange_batch_fresh(rows)
+        for name in ("phi", "log_ratio", "converged", "hull_ok", "iterations"):
+            assert getattr(batch, name).tobytes() == getattr(oracle, name).tobytes(), name
 
 
 def test_log_ratio_is_nonpositive(rng):

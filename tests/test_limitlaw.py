@@ -174,6 +174,55 @@ def test_prepare_limit_warns_when_the_grid_rule_does(spec_half):
         assert found == [warns, warns]
 
 
+@pytest.mark.parametrize("top", [14, 15, 16, 22, 31, 33])
+def test_half_resolution_check_starts_where_a_lag_reaches_a_quarter(top):
+    # At N = 64 the half-resolution fold has 32 slots, and a lag h of the
+    # unfolded row shares its slot with lag 32 - h once h reaches 16: the
+    # check warns from there on, as the grid rule's does, and is skipped
+    # below, where both folds hold the same squares.
+    r = 0.5 ** np.arange(top - 1)  # r_0..r_H; the score's lag 2 adds 2
+    r[-1] = 0.3
+
+    def transfer(omega):
+        return 1.0 + 2.0 * np.cos(np.outer(omega, np.arange(1, r.size))) @ r[1:]
+
+    found = []
+    for compute in (lambda: compute_W(acf_score(2), 0.1, transfer, 64),
+                    lambda: prepare_limit(LimitLawConfig(
+                        score=acf_score(2), theta0=np.array([0.1]), alpha=1.5,
+                        transfer=r, quad_points=64, truncation=20))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compute()
+        found.append(any("quadrature for W" in str(w.message) for w in caught))
+    assert found == [top >= 16] * 2
+
+
+@pytest.mark.parametrize("n", [300, 10_000])
+def test_stacked_scalar_laws_equal_one_law_at_a_time(spec_half, n):
+    # The laws of a stack are folded a few at a time into one buffer (eight
+    # at N = 4096, so eleven laws take two blocks); each law gets bitwise
+    # what it gets alone, and the half-resolution check warns once for each
+    # aliased law (every law of n = 10 000, none of n = 300).
+    transfers = np.stack([SmoothedTransfer(simulate_linear(
+        spec_half, n, np.random.default_rng(seed))).coeffs for seed in range(11)])
+    thetas = np.linspace(-0.5, 0.5, 11)[:, None]
+
+    def law(theta, transfer):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prepared = prepare_limit(LimitLawConfig(score=acf_score(2), theta0=theta,
+                                                    alpha=1.5, transfer=transfer))
+        return prepared, sum("quadrature for W" in str(w.message) for w in caught)
+
+    stacked, warned = law(thetas, transfers)
+    assert warned == (11 if n == 10_000 else 0)
+    for i, (theta, transfer) in enumerate(zip(thetas, transfers)):
+        one, _ = law(theta, transfer)
+        for key in ("w", "coeffs"):
+            assert stacked[key][i].tobytes() == one[key].tobytes(), key
+
+
 def test_single_parameter_w_is_inverted_without_lapack(spec_half):
     # 1 / w is LAPACK's inverse of a 1 x 1 matrix bit for bit; W = 0 still
     # takes the pseudo-inverse with the ill-conditioning warning.

@@ -7,8 +7,10 @@ import pytest
 
 from elstable.errors import DegenerateSeriesError
 from elstable.spectral import (SmoothedTransfer, _dirichlet_weights, acf_sequence,
-                               fourier_frequencies, hill_curve, hill_estimator,
-                               periodogram_matrix_grid, sample_acf, self_normalized_grid)
+                               folded_cosine_coeffs, fourier_frequencies, hill_curve,
+                               hill_estimator, periodogram_matrix_grid, sample_acf,
+                               self_normalized_grid)
+import oracles
 from oracles import periodogram_matrix, self_normalized_periodogram
 
 
@@ -173,6 +175,28 @@ def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points):
     values = smoother(omega)
     np.testing.assert_allclose(values, direct, rtol=0.0, atol=1e-13)
     assert values[0] == values[-1]
+
+
+# ids: the largest lag H against the N = 4096 slots (and N = 4095, 33)
+@pytest.mark.parametrize("size", [1, 2, 302, 1025, 2049, 2050, 4097, 10_002],
+                         ids=["H=0", "H<N/4", "H=301<N/4", "N/4<=H<N/2", "H=N/2",
+                              "H>N/2", "H=N", "H>=N,n=10000"])
+@pytest.mark.parametrize("points", [4096, 4095, 33])
+def test_folded_cosine_coeffs_match_the_scratch_row_fold(rng, size, points):
+    # The fold writes each row's one-sided sums and their mirror into one
+    # N-wide row, fresh or a reused buffer holding anything; the scratch-row
+    # fold it replaced is the oracle, bit for bit, zeros of both signs (odd
+    # lags of a zero turn into -0.0) included.
+    coeffs = rng.normal(size=(3, size))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+    coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
+    for rows in (coeffs, coeffs[0]):
+        oracle = oracles.folded_cosine_coeffs(rows, points)
+        buffer = np.full(oracle.shape, np.nan)
+        for folded in (folded_cosine_coeffs(rows, points),
+                       folded_cosine_coeffs(rows, points, out=buffer)):
+            assert folded.shape == oracle.shape
+            assert folded.tobytes() == oracle.tobytes()
 
 
 # --------------------------------------------------------------------------
