@@ -8,17 +8,15 @@ sample-autocorrelation intervals, and a replicated experiment harness with
 a command-line front end.
 """
 
-from .emplik import (BatchSolution, ELResult, LagrangeSolution, log_el_ratio,
-                     solve_lagrange, solve_lagrange_batch, x_n)
+from .emplik import BatchSolution, solve_lagrange, solve_lagrange_batch, x_n
 from .errors import (DegenerateSeriesError, DomainError, NumericalError,
-                     SolverError, TruncationWarning)
+                     TruncationWarning)
 from .harness import (DEFAULT_SEED, SCHEMA_VERSION, AnalysisResult,
                       ConfidenceInterval, CoverageResult, ExperimentConfig,
                       RegionScan, TableResult, analyze_series,
                       coverage_experiment, coverage_summary,
                       el_confidence_region, ingest_csv, limit_law, pivotal_value,
-                      read_records_csv, render_csv, run_table, theta_grid,
-                      whittle_point, write_csv)
+                      render_csv, run_table, theta_grid, whittle_point, write_csv)
 from .limitlaw import (LimitLawConfig, Quantile, compute_V_coeffs,
                        compute_V_coeffs_mv, compute_W, compute_W_mv,
                        mc_quantile, prepare_limit, sac_series_constant,
@@ -39,18 +37,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     # emplik
-    "BatchSolution", "ELResult", "LagrangeSolution", "log_el_ratio",
-    "solve_lagrange", "solve_lagrange_batch", "x_n",
+    "BatchSolution", "solve_lagrange", "solve_lagrange_batch", "x_n",
     # errors
-    "DegenerateSeriesError", "DomainError", "NumericalError", "SolverError",
-    "TruncationWarning",
+    "DegenerateSeriesError", "DomainError", "NumericalError", "TruncationWarning",
     # harness
     "DEFAULT_SEED", "SCHEMA_VERSION", "AnalysisResult", "ConfidenceInterval",
     "CoverageResult", "ExperimentConfig", "RegionScan", "TableResult",
     "analyze_series", "coverage_experiment", "coverage_summary",
     "el_confidence_region", "ingest_csv", "limit_law", "pivotal_value",
-    "read_records_csv", "render_csv", "run_table", "theta_grid", "whittle_point",
-    "write_csv",
+    "render_csv", "run_table", "theta_grid", "whittle_point", "write_csv",
     # limitlaw
     "LimitLawConfig", "Quantile", "compute_V_coeffs", "compute_V_coeffs_mv",
     "compute_W", "compute_W_mv", "mc_quantile", "prepare_limit",

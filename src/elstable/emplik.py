@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
-from .scores import (ScoreFunction, check_alpha, estimating_function,
-                     estimating_function_mv)
+from .scores import check_alpha
 
 _TOL = 1e-10     # convergence: |(1/n) sum_t m_t / (1 + phi m_t)| below this
 _MAX_ITER = 100  # Newton/bisection steps before a row counts as unconverged
@@ -39,49 +37,19 @@ def x_n(n: int, alpha: float) -> float:
     return float((n / np.log(n)) ** (1.0 / alpha))
 
 
-@dataclass(frozen=True)
-class LagrangeSolution:
-    phi: np.ndarray
-    converged: bool
-    hull_ok: bool
-    residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class ELResult:
-    """Outcome of one empirical-likelihood evaluation at a fixed theta."""
-
-    theta: np.ndarray
-    statistic: float
-    log_ratio: float
-    phi: np.ndarray
-    weights: np.ndarray | None
-    converged: bool
-    hull_ok: bool
-    residual: float
-    iterations: int
-
-
-def solve_lagrange(m: np.ndarray) -> LagrangeSolution:
+def solve_lagrange(m: np.ndarray) -> BatchSolution:
     """Solve the EL dual problem of one (n, 1) array of rows for ``phi``.
 
-    The one-problem case of :func:`solve_lagrange_batch`; ``hull_ok=False``
-    signals that zero is not interior to the convex hull of the rows, in
-    which case no feasible weights exist and callers should treat the ratio
-    as zero.  ``residual`` is ``|(1/n) sum_t m_t / (1 + phi m_t)|`` at the
-    returned ``phi``.
+    The one-problem case of :func:`solve_lagrange_batch`: a one-row
+    :class:`BatchSolution`.  ``hull_ok[0]`` False signals that zero is not
+    interior to the convex hull of the rows, in which case no feasible
+    weights exist and callers should treat the ratio as zero.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[1] != 1:
         raise ValueError(f"m must be an (n, 1) array of estimating-function rows, "
                          f"got shape {m.shape}")
-    n = m.shape[0]
-    batch = solve_lagrange_batch(m.reshape(1, n))
-    phi = batch.phi
-    residual = float(np.abs(np.sum(m[:, 0] / (1.0 + phi[0] * m[:, 0])))) / n
-    return LagrangeSolution(phi, bool(batch.converged[0]), bool(batch.hull_ok[0]),
-                            residual, int(batch.iterations[0]))
+    return solve_lagrange_batch(m.T)
 
 
 @dataclass(frozen=True)
@@ -99,7 +67,7 @@ def solve_lagrange_batch(m: np.ndarray) -> BatchSolution:
     """Solve a batch of one-dimensional EL dual problems simultaneously.
 
     ``m`` has shape (B, n); row b holds the scalar estimating-function values
-    of one candidate theta, so a full grid scan becomes a single call.  The
+    of one candidate theta, so the probes of a search round take one call.  The
     feasible multiplier interval has closed-form endpoints and the dual
     derivative ``sum_t m_t / (1 + phi m_t)`` is strictly decreasing on it,
     so a Newton iteration safeguarded by bisection inside the shrinking
@@ -172,33 +140,3 @@ def solve_lagrange_batch(m: np.ndarray) -> BatchSolution:
 
     return BatchSolution(phi=phi, log_ratio=log_ratio, converged=converged,
                          hull_ok=hull | zero, iterations=iterations)
-
-
-def log_el_ratio(x: np.ndarray, score: ScoreFunction, theta, alpha: float) -> ELResult:
-    """Empirical-likelihood ratio and test statistic at a fixed ``theta``.
-
-    When zero lies outside the convex hull of the estimating-function rows
-    the ratio is zero by convention and the statistic is ``+inf`` (the
-    parameter value is rejected at any level).  A solver breakdown with the
-    hull condition satisfied raises :class:`SolverError`.
-    """
-    theta = score.check_theta(theta)
-    builder = estimating_function_mv if score.is_matrix else estimating_function
-    m = builder(x, score, theta, alpha)
-    n = m.shape[0]
-    solution = solve_lagrange(m)
-    if not solution.hull_ok:
-        return ELResult(theta=theta, statistic=np.inf, log_ratio=-np.inf,
-                        phi=solution.phi, weights=None, converged=False,
-                        hull_ok=False, residual=solution.residual,
-                        iterations=solution.iterations)
-    if not solution.converged:
-        raise SolverError("EL dual solver failed to converge",
-                          residual=solution.residual, iterations=solution.iterations)
-    y = 1.0 + m @ solution.phi
-    log_ratio = float(-np.sum(np.log(y)))
-    statistic = -2.0 * x_n(n, alpha) ** 2 / n * log_ratio
-    return ELResult(theta=theta, statistic=statistic, log_ratio=log_ratio,
-                    phi=solution.phi, weights=1.0 / (n * y), converged=True,
-                    hull_ok=True, residual=solution.residual,
-                    iterations=solution.iterations)

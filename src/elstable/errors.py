@@ -13,18 +13,5 @@ class NumericalError(RuntimeError):
     """Raised when a computed quantity violates a numerical sanity bound."""
 
 
-class SolverError(RuntimeError):
-    """Raised when an iterative solver fails to converge.
-
-    Carries the last residual norm so callers can report how close the
-    solver got before giving up.
-    """
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 class TruncationWarning(UserWarning):
     """Emitted when a truncated series expansion looks unconverged."""

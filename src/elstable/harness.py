@@ -82,20 +82,15 @@ class RegionScan:
     accepted: np.ndarray
     interval: ConfidenceInterval | None
     hull_failures: int
-    solver_failures: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.interval is None
 
 
 def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
                          gamma: float, alpha: float, level: float = 0.9) -> RegionScan:
     """Keep the grid points whose EL statistic stays below ``gamma``.
 
-    Hull failures enter as ``+inf`` statistics (the point is rejected);
-    solver breakdowns are counted and excluded.  The reported interval is
-    the hull of the accepted grid points, ``None`` when the region is empty.
+    Hull failures enter as ``+inf`` statistics (the point is rejected).  The
+    reported interval is the hull of the accepted grid points, ``None`` when
+    the region is empty.
     The rows at every grid point come from the affine decomposition
     ``a + theta b`` of the score (:func:`_affine_rows`), so a score that is
     not affine in theta raises :class:`NumericalError`.
@@ -111,11 +106,9 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     scan makes there.  ``thetas``, ``stats`` and ``accepted`` hold only the
     probed points: the smallest (largest) of them is the interval's lower
     (upper) end exactly when that end is the grid end.  ``hull_failures``
-    still counts the whole grid, while ``solver_failures`` counts only
-    solved points; a probe whose solve does not converge ends the search,
-    so it reads 0 there.  Slopes that are zero or take both signs and
-    unconverged probes take the full scan: one batch solve of the rows at
-    every grid point.  This is the one-series case of
+    counts the whole grid.  A slope that is zero or takes both signs, a
+    probe whose solve does not converge and an unconfirmed hull count raise
+    :class:`NumericalError`.  This is the one-series case of
     :func:`_region_scans`.
     """
     a, b = _affine_rows(x, score, alpha)
@@ -128,9 +121,7 @@ def _region_scans(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma, alpha,
     of a stack: ``a`` and ``b`` are (S, n), and ``gamma`` and ``alpha`` hold
     one value per series.
 
-    The searches of the whole stack run together (:func:`_search_regions`);
-    a series the search hands back takes its own full scan, never joined
-    with other series.
+    The searches of the whole stack run together (:func:`_search_regions`).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0.0):
@@ -139,23 +130,16 @@ def _region_scans(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma, alpha,
     scale = np.array([-2.0 * x_n(n, value) ** 2 / n for value in alpha])
     gamma = np.array(gamma, dtype=float)
     scans = []
-    for i, search in enumerate(_search_regions(a, b, grid, gamma, scale)):
-        if search is None:
-            batch = solve_lagrange_batch(a[i] + grid[:, None] * b[i])
-            thetas, stats = grid, scale[i] * batch.log_ratio
-            solver_failures = int(np.sum(~batch.converged & batch.hull_ok))
-            hull_failures = int(np.sum(~batch.hull_ok))
-        else:
-            probed, stats, hull_failures = search
-            thetas, solver_failures = grid[probed], 0
-        accepted = stats < gamma[i]  # nan (unconverged) and +inf (hull) both excluded
+    for i, (probed, stats, hull_failures) in enumerate(
+            _search_regions(a, b, grid, gamma, scale)):
+        thetas = grid[probed]
+        accepted = stats < gamma[i]  # +inf (hull failure) excluded
         inside = thetas[accepted]
         interval = (ConfidenceInterval("el", level, float(inside[0]), float(inside[-1]))
                     if inside.size else None)
         scans.append(RegionScan(thetas=thetas, stats=stats, gamma=float(gamma[i]),
                                 level=level, accepted=accepted, interval=interval,
-                                hull_failures=int(hull_failures),
-                                solver_failures=solver_failures))
+                                hull_failures=int(hull_failures)))
     return scans
 
 
@@ -198,12 +182,14 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
     ends confirm it.
 
     Returns ``(probed indices, their statistics, hull failures)`` for each
-    series; a grid end is probed exactly when the region reaches it.  None
-    for a series whose slope is zero or takes both signs, whose probe's
-    solve did not converge, or whose hull count is not confirmed.
+    series; a grid end is probed exactly when the region reaches it.  A
+    series whose slope is zero or takes both signs, whose probe's solve does
+    not converge, or whose hull count is not confirmed raises
+    :class:`NumericalError` naming it.
     """
     size, last, count = grid.size, grid.size - 1, len(a)
-    live = b.any(axis=1) & (np.all(b >= 0.0, axis=1) | np.all(b <= 0.0, axis=1))
+    one_signed = b.any(axis=1) & (np.all(b >= 0.0, axis=1) | np.all(b <= 0.0, axis=1))
+    _unanswered(np.flatnonzero(~one_signed), "its slope is zero or takes both signs")
     with np.errstate(divide="ignore", invalid="ignore"):
         root = -a.sum(axis=1) / b.sum(axis=1)
     target = np.sqrt(np.maximum(gamma, 0.0))
@@ -214,8 +200,8 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
     stat_in, stat_out = np.full((count, 2), np.nan), np.full((count, 2), np.nan)
     # the probes of a round as (series, side, candidate indices): first the
     # two grid neighbours of theta_hat, for both sides
-    s = np.repeat(np.flatnonzero(live), 2)
-    side = np.tile([0, 1], len(s) // 2)
+    s = np.repeat(np.arange(count), 2)
+    side = np.tile([0, 1], count)
     neighbours = np.clip(np.searchsorted(grid, root)[:, None] + [-1, 0], 0, last)
     candidates = neighbours[s]
     log, budget = [(np.zeros(0, dtype=np.intp), np.zeros(0))], None
@@ -226,13 +212,14 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
             probe_s, probe_i = np.divmod(keys, size)
             batch = solve_lagrange_batch(_rows_at(a, b, probe_s, grid[probe_i]))
             stats = scale[probe_s] * batch.log_ratio
-            live[probe_s[~batch.converged & batch.hull_ok]] = False
+            _unanswered(probe_s[~batch.converged & batch.hull_ok],
+                        "the dual solve of a probe did not converge")
             log.append((keys, stats))
             _move_brackets(inside, outside, stat_in, stat_out, s, side, candidates,
                            stats[np.searchsorted(keys, wanted)], gamma)
         width = np.abs(outside - inside)
         budget = width if budget is None else (budget + 1) // 2
-        s, side = np.nonzero((live & (inside[:, 0] < size))[:, None] & (width > 1))
+        s, side = np.nonzero((inside[:, 0] < size)[:, None] & (width > 1))
         if not s.size:
             break
         end, far = inside[s, side], outside[s, side]
@@ -265,14 +252,23 @@ def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.nd
     roots[flat] = -np.inf
     stop = np.searchsorted(grid, roots.max(axis=1), side="left")
     edges = np.stack([first - 1, first, stop - 1, stop], axis=1)
-    s, e = np.nonzero(live[:, None] & (edges >= 0) & (edges <= last))
+    s, e = np.nonzero((edges >= 0) & (edges <= last))
     edge = edges[s, e]
     rows = _rows_at(a, b, s, grid[edge])  # the batch solver's hull test on them
     hull_ok = ((rows.max(axis=1) > 0.0) & (rows.min(axis=1) < 0.0)) | ~rows.any(axis=1)
-    live[s[hull_ok != ((first[s] <= edge) & (edge < stop[s]))]] = False
+    _unanswered(s[hull_ok != ((first[s] <= edge) & (edge < stop[s]))],
+                "the grid points next to its hull ends do not confirm the hull count")
     hull_failures = grid.size - np.maximum(0, stop - first)
     return [(probed[bounds[i]:bounds[i + 1]], stats[bounds[i]:bounds[i + 1]],
-             hull_failures[i]) if live[i] else None for i in range(count)]
+             hull_failures[i]) for i in range(count)]
+
+
+def _unanswered(series: np.ndarray, cause: str) -> None:
+    """Raise :class:`NumericalError` for the first of ``series``, indices of
+    a stack whose regions the search cannot answer, naming it and ``cause``."""
+    if series.size:
+        raise NumericalError(f"the region search cannot answer series {series.min()} "
+                             f"of its stack: {cause}")
 
 
 def _rows_at(a: np.ndarray, b: np.ndarray, series: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -711,6 +707,8 @@ class ExperimentConfig:
             raise ValueError("limit_reps must be at least 1000")
         if self.truncation < 1:
             raise ValueError(f"truncation must be at least 1, got {self.truncation}")
+        if self.hill_k is not None and self.hill_k < 1:
+            raise ValueError(f"hill_k must be at least 1, got {self.hill_k}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         for name, allowed in _ALLOWED.items():
@@ -781,7 +779,6 @@ def _fill_record(record: dict, result, theta0: float) -> None:
     if result.el is not None:
         scan = result.el
         record["el_hull_failures"] = scan.hull_failures
-        record["el_solver_failures"] = scan.solver_failures
         record.update(interval_cells(scan.interval, "el_"))
         if scan.interval is None:
             record["el_empty"] = 1
@@ -897,8 +894,12 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     config = replace(config, methods=_methods(config, score))
     if config.alpha_mode == "hill" and score.is_matrix:
         raise ValueError("tail-index estimation is defined for scalar series")
+    # a bad hill_k or grid is the config's error, not a replicate's
+    if config.alpha_mode == "hill" and config.hill_k is not None and config.hill_k >= config.n:
+        raise ValueError(f"hill_k must lie in [1, n - 1] = [1, {config.n - 1}], "
+                         f"got {config.hill_k}")
 
-    if "el" in config.methods:  # a bad grid is the config's error, not a replicate's
+    if "el" in config.methods:
         theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
     theta0 = pivotal_value(spec, score, config.quad_points)
     quantiles = None
@@ -1040,26 +1041,6 @@ def write_csv(path, fieldnames: list[str], rows: list[dict], meta: dict) -> None
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def read_records_csv(path) -> list[dict]:
-    """Read back a records CSV (numbers parsed, comments skipped)."""
-    with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    records = []
-    for row in reader:
-        parsed = {}
-        for key, value in row.items():
-            try:
-                parsed[key] = int(value)
-            except (TypeError, ValueError):
-                try:
-                    parsed[key] = float(value)
-                except (TypeError, ValueError):
-                    parsed[key] = value
-        records.append(parsed)
-    return records
 
 
 def _fields(text: str) -> list[str]:

@@ -240,23 +240,19 @@ def simulate_vector_linear(spec: VectorProcessSpec, n: int,
 def transfer_matrix(spec: VectorProcessSpec, omega) -> np.ndarray:
     """Evaluate the matrix transfer function ``Psi(omega)`` on a frequency grid.
 
-    Returns an array of shape ``(len(omega), d, d)`` (the leading axis is
-    squeezed for scalar input).
+    Returns an array of shape ``(len(omega), d, d)``.
     """
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    omega = np.asarray(omega, dtype=float)
     j = np.arange(spec.coeffs.shape[0])
     phases = np.exp(1j * np.outer(omega, j))
-    values = np.tensordot(phases, spec.coeffs, axes=(1, 0))
-    return values[0] if scalar else values
+    return np.tensordot(phases, spec.coeffs, axes=(1, 0))
 
 
 def power_transfer_matrix(spec: VectorProcessSpec, omega) -> np.ndarray:
-    """Power transfer ``g(omega) = Psi(omega) Psi(omega)*`` (Hermitian PSD)."""
-    psi = transfer_matrix(spec, np.atleast_1d(omega))
-    g = psi @ np.conj(np.swapaxes(psi, -1, -2))
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    return g[0] if scalar else g
+    """Power transfer ``g(omega) = Psi(omega) Psi(omega)*`` (Hermitian PSD) on
+    a frequency grid, of shape ``(len(omega), d, d)``."""
+    psi = transfer_matrix(spec, omega)
+    return psi @ np.conj(np.swapaxes(psi, -1, -2))
 
 
 def theoretical_acf(spec: LinearProcessSpec, lag: int) -> float:

@@ -90,24 +90,21 @@ def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> np.ndarray:
     return d[:, :, None] * np.conj(d[:, None, :])
 
 
-def sample_acf(x: np.ndarray, lag) -> np.ndarray:
-    """Self-normalized sample autocorrelation(s) without mean centering.
+def sample_acf(x: np.ndarray, lag: int) -> np.ndarray:
+    """Self-normalized sample autocorrelation without mean centering.
 
     ``rho_hat(h) = sum_{t=1}^{n-h} x[t] x[t+h] / sum_t x[t]**2``, matching the
     normalization of the self-normalized periodogram.
     """
     x = _validated(x)
     n = x.shape[-1]
-    scalar = np.isscalar(lag)
-    lags = np.atleast_1d(lag).astype(int)
-    if np.any(lags < 0) or np.any(lags >= n):
-        raise ValueError("lags must lie in [0, n)")
+    h = int(lag)
+    if not 0 <= h < n:
+        raise ValueError(f"lag must lie in [0, n) = [0, {n}), got {h}")
     denom = _row_dot(x, x)
     if np.any(denom <= 0.0):
         raise DegenerateSeriesError("series is identically zero")
-    out = np.stack([_row_dot(x[..., :n - h], x[..., h:]) / denom if h
-                    else np.ones_like(denom) for h in lags], axis=-1)
-    return out[..., 0] if scalar else out
+    return _row_dot(x[..., :n - h], x[..., h:]) / denom if h else np.ones_like(denom)
 
 
 def acf_sequence(x: np.ndarray) -> np.ndarray:
@@ -139,8 +136,9 @@ class SmoothedTransfer:
     """Smoothed self-normalized periodogram as an estimate of g-tilde.
 
     Averaging the self-normalized periodogram over ``2 m + 1`` Fourier
-    frequencies ``2 pi / n`` apart multiplies its h-th autocorrelation
-    coefficient by a Dirichlet factor, so the estimate is the cosine series
+    frequencies ``2 pi / n`` apart, ``m = floor(sqrt(n))``, multiplies its
+    h-th autocorrelation coefficient by a Dirichlet factor, so the estimate
+    is the cosine series
 
         J(omega) = 1 + 2 * sum_{h>=1} rho_hat(h) D_h cos(h omega),
 
@@ -152,14 +150,14 @@ class SmoothedTransfer:
     only one series can be evaluated.
     """
 
-    def __init__(self, x: np.ndarray, bandwidth: int | None = None):
+    def __init__(self, x: np.ndarray):
         x = _validated(x)
         n = x.shape[-1]
-        m = int(np.sqrt(n)) if bandwidth is None else int(bandwidth)
-        if m < 0 or 2 * m + 1 > n:
-            raise ValueError(f"bandwidth m={m} out of range for n={n}")
+        m = int(np.sqrt(n))
+        if 2 * m + 1 > n:
+            raise ValueError(f"smoothing over 2 m + 1 = {2 * m + 1} frequencies needs "
+                             f"that many observations, got n={n}")
         self.n = n
-        self.bandwidth = m
         self.acf = acf_sequence(x)
         self.coeffs = self.acf * _dirichlet_weights(n, 2 * m + 1)
 

@@ -1,14 +1,46 @@
 """Reference evaluations that only the tests use: the periodograms and the
-scalar transfer at arbitrary frequencies, by their direct sums, and the
-region search, cosine fold and batch dual solver as they were before they
-stopped writing a dense (S, G) state, a zero scratch row and fresh arrays
-in every iteration."""
+scalar transfer at arbitrary frequencies, by their direct sums, the EL
+statistic at one theta, a reader of the records CSV, and the region search,
+cosine fold and batch dual solver as they were before they stopped writing
+a dense (S, G) state, a zero scratch row and fresh arrays in every
+iteration."""
+
+import csv
 
 import numpy as np
 
 from elstable import emplik
-from elstable.emplik import BatchSolution, solve_lagrange_batch
+from elstable.emplik import BatchSolution, solve_lagrange_batch, x_n
+from elstable.scores import estimating_function
 from elstable.spectral import _self_normalized, _validated
+
+
+def el_statistic(x: np.ndarray, score, theta, alpha: float) -> float:
+    """The EL statistic ``-2 (x_n^2 / n) log R(theta)`` of a scalar series:
+    +inf when zero is outside the hull of the rows, nan when the dual solve
+    does not converge."""
+    rows = estimating_function(x, score, theta, alpha)[:, 0]
+    n = rows.size
+    return float(-2.0 * x_n(n, alpha) ** 2 / n * solve_lagrange_batch(rows[None]).log_ratio[0])
+
+
+def read_records_csv(path) -> list[dict]:
+    """Read back a records CSV (numbers parsed, comments skipped)."""
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    records = []
+    for row in csv.DictReader(lines):
+        parsed = {}
+        for key, value in row.items():
+            try:
+                parsed[key] = int(value)
+            except (TypeError, ValueError):
+                try:
+                    parsed[key] = float(value)
+                except (TypeError, ValueError):
+                    parsed[key] = value
+        records.append(parsed)
+    return records
 
 
 def self_normalized_periodogram(x: np.ndarray, omega) -> np.ndarray:

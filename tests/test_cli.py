@@ -22,11 +22,11 @@ import elstable
 from elstable import cli, harness, limitlaw, processes
 from elstable.cli import build_parser, main
 from elstable.emplik import x_n
-from elstable.errors import NumericalError, SolverError
-from elstable.harness import read_records_csv
+from elstable.errors import NumericalError
 from elstable.limitlaw import LimitLawConfig
 from elstable.processes import simulate_vector_linear, vma_table_spec
 from elstable.scores import acf_score, estimating_function
+from oracles import read_records_csv
 
 
 def run_cli(*args):
@@ -174,9 +174,11 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
      "grid [5, 6] is not inside the domain (-1, 1) of score 'acf_lag2'"),
     (None, {"grid_min": -1.5},
      "grid [-1.5, 0.999] is not inside the domain (-1, 1) of score 'acf_lag2'"),
+    (None, {"hill_k": 0}, "hill_k must be at least 1, got 0"),
 ], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
         "zero-truncation", "process-without-psi", "one-scale-multiplier", "number-scale",
-        "number-score", "list-score", "grid-outside-domain", "grid-below-domain"])
+        "number-score", "list-score", "grid-outside-domain", "grid-below-domain",
+        "zero-hill-k"])
 def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
                                                   series, config, message):
     path = series_csv
@@ -440,7 +442,12 @@ _LIMITED = ("import resource, sys\n"
     (["coverage"], {"process": {"kind": "vma", "alpha": 1.5,
                                 "coeffs": {"kind": "table", "b": 0.3, "order": 10**9}}},
      "coeffs shorthand order must lie in"),
-], ids=["grid-step", "replicates", "psi-order", "coeffs-order"])
+    # a Hill k outside [1, n - 1] is refused before any replicate is simulated
+    (["coverage", "--n", "64", "--replicates", "100"], {"alpha_mode": "hill", "hill_k": 0},
+     "hill_k must be at least 1, got 0"),
+    (["coverage", "--n", "64", "--replicates", "100"], {"alpha_mode": "hill", "hill_k": 64},
+     "hill_k must lie in [1, n - 1] = [1, 63], got 64"),
+], ids=["grid-step", "replicates", "psi-order", "coeffs-order", "zero-hill-k", "hill-k-of-n"])
 def test_absurd_in_range_sizes_are_refused_before_allocating(tmp_path, series_csv, args,
                                                              config, message):
     if args[0] == "ci":
@@ -632,7 +639,7 @@ def test_fuzzed_wrong_typed_config_values_exit_2_with_one_error_line(series_csv,
 
 
 @settings(max_examples=20, deadline=None)
-@given(failure=st.sampled_from([NumericalError("forced"), SolverError("forced"),
+@given(failure=st.sampled_from([NumericalError("forced"), RuntimeError("forced"),
                                 FloatingPointError("forced"), ZeroDivisionError("forced"),
                                 OverflowError("forced"), np.linalg.LinAlgError("forced")]),
        command=st.sampled_from([["ci", "--alpha", 1.5], ["table", "--id", 5],

@@ -13,9 +13,9 @@ from elstable import harness
 from elstable.harness import (DEFAULT_SEED, SCHEMA_VERSION, ConfidenceInterval,
                               ExperimentConfig, analyze_series, coverage_experiment,
                               coverage_summary, el_confidence_region, ingest_csv,
-                              pivotal_value, read_records_csv, render_csv, run_table,
-                              theta_grid, whittle_point, write_csv, _format_cell)
-from elstable.emplik import log_el_ratio, solve_lagrange_batch, x_n
+                              pivotal_value, render_csv, run_table, theta_grid,
+                              whittle_point, write_csv, _format_cell)
+from elstable.emplik import solve_lagrange_batch, x_n
 from elstable.errors import NumericalError
 from elstable.limitlaw import prepare_limit, sample_stable_ratio
 from elstable.processes import (LinearProcessSpec, StableParams, ma_polynomial_spec,
@@ -25,6 +25,7 @@ from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score,
                              estimating_function, estimating_function_mv)
 from elstable.spectral import acf_sequence, sample_acf, self_normalized_grid
 import oracles
+from oracles import el_statistic, read_records_csv
 
 PROC_HALF = {"kind": "ma", "alpha": 1.5, "psi": {"kind": "exp_over_j", "b": 0.5}}
 
@@ -63,10 +64,10 @@ def test_region_scan_matches_pointwise_statistics(series_half):
     gamma = 2.5
     scan = el_confidence_region(series_half, score, grid, gamma, 1.5)
     for theta, stat, accepted in zip(scan.thetas, scan.stats, scan.accepted):
-        single = log_el_ratio(series_half, score, theta, 1.5)
+        single = el_statistic(series_half, score, theta, 1.5)
         if math.isfinite(stat):
-            assert abs(stat - single.statistic) < 1e-8
-        assert accepted == (single.statistic < gamma)
+            assert abs(stat - single) < 1e-8
+        assert accepted == (single < gamma)
     inside = scan.thetas[scan.accepted]
     assert scan.interval.lower == pytest.approx(inside[0])
     assert scan.interval.upper == pytest.approx(inside[-1])
@@ -76,14 +77,14 @@ def test_region_scan_empty_when_threshold_is_zero(series_half):
     score = acf_score(2)
     grid = theta_grid(score, step=0.05, lo=-0.4, hi=0.6)
     scan = el_confidence_region(series_half, score, grid, 0.0, 1.5)
-    assert scan.is_empty and scan.interval is None
+    assert scan.interval is None and not scan.accepted.any()
 
 
 def full_scan(x, score, grid, gamma, alpha):
     """Oracle: the batch statistic on every grid point.
 
-    Returns ``(interval, hull failures, solver failures)`` with the interval
-    as the first and last accepted grid point.
+    Returns ``(interval, hull failures)`` with the interval as the first and
+    last accepted grid point.
     """
     builder = estimating_function_mv if score.is_matrix else estimating_function
     rows = np.array([builder(x, score, theta, alpha)[:, 0] for theta in grid])
@@ -91,8 +92,7 @@ def full_scan(x, score, grid, gamma, alpha):
     stats = -2.0 * x_n(rows.shape[1], alpha) ** 2 / rows.shape[1] * batch.log_ratio
     inside = grid[stats < gamma]
     interval = (float(inside[0]), float(inside[-1])) if inside.size else None
-    return (interval, int(np.sum(~batch.hull_ok)),
-            int(np.sum(~batch.converged & batch.hull_ok)))
+    return interval, int(np.sum(~batch.hull_ok))
 
 
 def same(one, other) -> bool:
@@ -128,8 +128,7 @@ def searched(x, score, grid, gamma, alpha):
     if interval is not None:
         assert (scan.thetas[0] == interval[0]) == (interval[0] == grid[0])
         assert (scan.thetas[-1] == interval[1]) == (interval[1] == grid[-1])
-    return ((interval, scan.hull_failures, scan.solver_failures),
-            scan.thetas.size, len(calls))
+    return (interval, scan.hull_failures), scan.thetas.size, len(calls)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,9 +235,9 @@ def test_region_search_of_the_var1_score_matches_full_scan(seed, b, n, gamma, st
 def test_stacked_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step):
     # A stack of series shares one batch solve per search round; each probe
     # is still solved on its own row, and only once, so every scan is
-    # bitwise the one its series gets alone, and an unconverged probe sends
-    # only its own series to the full scan.  Each series has its own index,
-    # so its own statistic scale.
+    # bitwise the one its series gets alone, and an unconverged probe raises
+    # for its own series.  Each series has its own index, so its own
+    # statistic scale.
     rng = np.random.default_rng(seed)
     spec = ma_polynomial_spec(0.5)
     series = [(simulate_linear(spec, n, rng), acf_score(lag), gamma, alpha)
@@ -261,22 +260,10 @@ def test_stacked_regions_equal_one_series_at_a_time(seed, n, lags, gammas, step)
     assert len(calls) <= math.ceil(math.log2(grid.size)) + 2
     assert sum(calls) == sum(scan.thetas.size for scan in together)
 
-    def flaky(m):
-        # the first row of the first round is the first probe of series 0
-        batch = solve_lagrange_batch(m)
-        if not calls:
-            calls.append(len(m))
-            batch = replace(batch, converged=np.r_[False, batch.converged[1:]],
-                            hull_ok=np.r_[True, batch.hull_ok[1:]])
-        return batch
-
-    calls.clear()
-    fallback, *rest = stack(flaky)
-    full = solve_lagrange_batch(a[0] + grid[:, None] * b[0])
-    assert fallback.thetas.tobytes() == grid.tobytes()
-    assert fallback.stats.tobytes() == (-2.0 * x_n(n, alpha[0]) ** 2 / n
-                                        * full.log_ratio).tobytes()
-    assert all(same(*pair) for pair in zip(rest, alone[1:]))
+    # the first row of the first round is the first probe of series 0
+    with pytest.raises(NumericalError, match="cannot answer series 0 of its stack: "
+                                             "the dual solve of a probe did not converge"):
+        stack(_flaky_solver())
 
 
 def _oracle_stack(case, count=12):
@@ -301,63 +288,66 @@ def _oracle_stack(case, count=12):
     return a, b, theta_grid(score, step=step), gamma, scale
 
 
-def _search_and_oracle(a, b, grid, gamma, scale, make_solver=lambda: solve_lagrange_batch):
-    """The region search and the dense-state search it replaced, each with
-    the rows of every batch-solver call it made and its own solver."""
-    runs = []
-    for module in (harness, oracles):
-        calls, solver = [], make_solver()
+def _recorded_search(module, a, b, grid, gamma, scale, solver=solve_lagrange_batch):
+    """``module._search_regions`` with ``solver``, and the rows of every
+    batch-solver call it made."""
+    calls = []
 
-        def recording(m, calls=calls, solver=solver):
-            calls.append(m.tobytes())
-            return solver(m)
+    def recording(m):
+        calls.append(m.tobytes())
+        return solver(m)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(module, "solve_lagrange_batch", recording)
-            runs.append((module._search_regions(a, b, grid, gamma, scale), calls))
-    return runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "solve_lagrange_batch", recording)
+        return module._search_regions(a, b, grid, gamma, scale), calls
+
+
+def _flaky_solver():
+    """The batch solver, but the first row of its first call does not converge."""
+    calls = []
+
+    def solver(m):
+        batch = solve_lagrange_batch(m)
+        if not calls:
+            batch = replace(batch, converged=np.r_[False, batch.converged[1:]],
+                            hull_ok=np.r_[True, batch.hull_ok[1:]])
+        calls.append(len(m))
+        return batch
+    return solver
 
 
 @pytest.mark.parametrize("case", ["known", "hill", "var1", "step-0.01", "two-signed",
                                   "unconverged"])
 def test_region_search_equals_the_dense_state_oracle(case):
-    # The (S, 2) brackets request today's probes in today's rounds and give
-    # the same probed indices, bitwise statistics, hull counts and the same
-    # series handed back to the full scan as the (S, G) state they replace.
+    # The (S, 2) brackets request the probes of the (S, G) state they
+    # replace, in its rounds, and give the same probed indices, bitwise
+    # statistics and hull counts.  The series the oracle hands back (a
+    # two-signed slope; an unconverged probe, the first row of the first
+    # call being the first probe of series 0) make the search raise, naming
+    # the first of them; without them the stack's other series get the
+    # oracle's results bit for bit.
     a, b, grid, gamma, scale = _oracle_stack(case)
-
-    def flaky():
-        calls = []
-
-        def solver(m):
-            # the first row of the first call is the first probe of series 0
-            batch = solve_lagrange_batch(m)
-            if not calls:
-                batch = replace(batch, converged=np.r_[False, batch.converged[1:]],
-                                hull_ok=np.r_[True, batch.hull_ok[1:]])
-            calls.append(len(m))
-            return batch
-        return solver
-
-    (new, new_calls), (old, old_calls) = _search_and_oracle(
-        a, b, grid, gamma, scale, *([flaky] if case == "unconverged" else []))
-    assert new_calls == old_calls
-    assert [r is None for r in new] == [r is None for r in old]
-    for mine, theirs in zip(new, old):
-        if mine is not None:
-            assert mine[0].tobytes() == theirs[0].tobytes()
-            assert mine[1].tobytes() == theirs[1].tobytes()
-            assert mine[2] == theirs[2]
-    handed_back = {i for i, r in enumerate(new) if r is None}
-    reached = [r for r in new if r is not None and r[0].size
-               and r[0][-1] == grid.size - 1]
-    assert reached, "no region reaches the grid end"
-    if case == "two-signed":
-        assert handed_back == {1, 5}
-    elif case == "unconverged":
-        assert handed_back == {0}
-    else:
-        assert not handed_back
+    failing, cause = {"two-signed": ([1, 5], "its slope is zero or takes both signs"),
+                      "unconverged": ([0], "the dual solve of a probe did not converge"),
+                      }.get(case, ([], None))
+    solver = _flaky_solver() if case == "unconverged" else solve_lagrange_batch
+    old, old_calls = _recorded_search(oracles, a, b, grid, gamma, scale, solver)
+    assert [i for i, r in enumerate(old) if r is None] == failing
+    if failing:
+        solver = _flaky_solver() if case == "unconverged" else solve_lagrange_batch
+        with pytest.raises(NumericalError, match=f"series {failing[0]} of its stack: {cause}"):
+            _recorded_search(harness, a, b, grid, gamma, scale, solver)
+    keep = np.setdiff1d(np.arange(len(a)), failing)
+    new, new_calls = _recorded_search(harness, a[keep], b[keep], grid, gamma[keep],
+                                      scale[keep])
+    if case != "unconverged":  # there the oracle also solved series 0's first probes
+        assert new_calls == old_calls
+    for mine, theirs in zip(new, [old[i] for i in keep]):
+        assert mine[0].tobytes() == theirs[0].tobytes()
+        assert mine[1].tobytes() == theirs[1].tobytes()
+        assert mine[2] == theirs[2]
+    assert any(r[0].size and r[0][-1] == grid.size - 1 for r in new), \
+        "no region reaches the grid end"
 
 
 @pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
@@ -590,8 +580,7 @@ def test_analyze_series_consistency(series_half, rng):
     assert result.el.interval.lower <= result.theta_ref <= result.el.interval.upper
     # re-evaluating the statistic at the interval bounds stays below gamma
     for theta in (result.el.interval.lower, result.el.interval.upper):
-        assert log_el_ratio(series_half, acf_score(2), theta, 1.5).statistic \
-            < result.gamma
+        assert el_statistic(series_half, acf_score(2), theta, 1.5) < result.gamma
     assert result.sac.method == "sac"
 
 
@@ -728,6 +717,7 @@ def test_experiment_config_validation():
     ({"replicates": "5"}, "replicates must be an integer, got '5'"),
     ({"methods": "el"}, "methods must be a list of method names, got 'el'"),
     ({"truncation": 0}, "truncation must be at least 1, got 0"),
+    ({"hill_k": 0}, "hill_k must be at least 1, got 0"),
 ])
 def test_experiment_config_rejects_wrong_typed_values(fields, message):
     with pytest.raises(ValueError) as info:

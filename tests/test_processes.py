@@ -196,7 +196,7 @@ def test_transfer_matrix_shapes_and_hermitian_power(spec_half):
     np.testing.assert_allclose(g, np.conj(np.swapaxes(g, -1, -2)), atol=1e-12)
     eigs = np.linalg.eigvalsh(g)
     assert np.all(eigs > -1e-12)
-    single = transfer_matrix(vspec, 0.3)
+    (single,) = transfer_matrix(vspec, [0.3])
     np.testing.assert_allclose(single, psi_at(vspec, 0.3), atol=1e-12)
 
 

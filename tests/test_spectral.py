@@ -87,7 +87,7 @@ def test_sample_acf_definition(x):
 def test_acf_sequence_matches_sample_acf(x):
     seq = acf_sequence(x)
     lags = np.arange(x.size)
-    np.testing.assert_allclose(seq, sample_acf(x, lags), atol=1e-10)
+    np.testing.assert_allclose(seq, [sample_acf(x, h) for h in lags], atol=1e-10)
 
 
 def test_sample_acf_rejects_bad_lags(x):
@@ -131,13 +131,17 @@ def test_stacked_series_give_each_series_its_own_values(rng):
 # --------------------------------------------------------------------------
 # smoothed transfer estimate
 
-def test_smoothing_with_zero_bandwidth_is_the_periodogram(x):
-    # Averaging a single frequency leaves the cosine-series coefficients
-    # untouched, so the smoother reduces to the periodogram everywhere.
-    smoother = SmoothedTransfer(x, bandwidth=0)
+@pytest.mark.parametrize("n", [64, 300])
+def test_smoothing_averages_the_periodogram_over_the_shipped_band(rng, n):
+    # The smoother is the mean of the periodogram over the 2 m + 1 Fourier
+    # neighbours omega + 2 pi k / n, |k| <= m, with m = floor(sqrt(n)).
+    x = rng.standard_t(df=3, size=n)
+    m = math.isqrt(n)
     omega = np.array([0.0, 0.4, 1.3, 3.0])
-    np.testing.assert_allclose(smoother(omega),
-                               self_normalized_periodogram(x, omega), atol=1e-8)
+    shifts = 2.0 * np.pi * np.arange(-m, m + 1) / n
+    mean = self_normalized_periodogram(x, np.add.outer(omega, shifts).ravel())
+    np.testing.assert_allclose(SmoothedTransfer(x)(omega),
+                               mean.reshape(omega.size, -1).mean(axis=1), atol=1e-8)
 
 
 def test_smoothed_transfer_integrates_to_one(x):
@@ -149,17 +153,19 @@ def test_smoothed_transfer_integrates_to_one(x):
 
 
 def test_smoothing_shrinks_high_lag_coefficients(x):
-    plain = SmoothedTransfer(x, bandwidth=0).coeffs
-    smooth = SmoothedTransfer(x, bandwidth=8).coeffs
-    h = np.arange(x.size)
-    far = h > 16
-    assert np.all(np.abs(smooth[far]) <= np.abs(plain[far]) + 1e-12)
+    smoother = SmoothedTransfer(x)
+    far = np.arange(x.size) > 2 * math.isqrt(x.size)
+    assert np.all(np.abs(smoother.coeffs[far]) <= np.abs(smoother.acf[far]) + 1e-12)
 
 
 def test_smoothed_default_bandwidth_is_sqrt_n(x):
-    assert SmoothedTransfer(x).bandwidth == int(math.sqrt(x.size))
-    with pytest.raises(ValueError):
-        SmoothedTransfer(x, bandwidth=x.size)
+    # m = floor(sqrt(n)): the coefficients take the Dirichlet factor of 2 m + 1
+    # frequencies, and a series shorter than 2 m + 1 is refused.
+    smoother = SmoothedTransfer(x)
+    weights = _dirichlet_weights(x.size, 2 * math.isqrt(x.size) + 1)
+    assert smoother.coeffs.tobytes() == (smoother.acf * weights).tobytes()
+    with pytest.raises(ValueError, match="2 m \\+ 1 = 3"):
+        SmoothedTransfer(x[:2])
 
 
 # ids: the smoother's Fourier spacing, n and N
