@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--replicates", type=int, help="number of replicates")
     p.add_argument("--n", type=int, help="series length")
-    p.add_argument("--workers", type=int, help="parallel worker processes")
+    p.add_argument("--workers", type=int, help="worker processes, the calling one included")
 
     p = sub.add_parser("hill-plot", help="tail-index estimates over a k range")
     _add_output(p)

@@ -12,13 +12,13 @@ schema-version header.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -476,10 +476,18 @@ def _ratio_quantiles(alpha: float, config: "ExperimentConfig", rng: np.random.Ge
     return float(np.quantile(draws, config.level, overwrite_input=True)), abs_q
 
 
+def _check_hill_k(k: int | None, n: int) -> None:
+    """Refuse a config's ``hill_k`` outside ``[1, n - 1]`` for series of length ``n``."""
+    if k is not None and not 1 <= k <= n - 1:
+        raise ValueError(f"hill_k must lie in [1, n - 1] = [1, {n - 1}], got {k}")
+
+
 def hill_alpha(x: np.ndarray, k: int | None = None) -> tuple:
     """``(estimate, clipped)``: the Hill estimate of the tail index of ``x``
-    and its value clipped into ``[1, 1.99]``, the range the inference admits;
-    a clipped estimate signals a misspecified tail."""
+    from its top ``k`` order statistics (the config's ``hill_k``), and its
+    value clipped into ``[1, 1.99]``, the range the inference admits; a
+    clipped estimate signals a misspecified tail."""
+    _check_hill_k(k, len(x))
     estimate = hill_estimator(x, k)
     return estimate, float(np.clip(estimate, 1.0, 1.99))
 
@@ -884,8 +892,10 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     chunks of ``ceil(replicates / workers)`` replicates, at most 100, are
     each analyzed as one stack (:func:`_coverage_chunk`): one batch solve
     per search round for the chunk, with the decision of one replicate at a
-    time.  The chunks run on a pool of at most ``min(workers, chunks, CPUs)``
-    processes, serially when that is 1.
+    time.  ``workers`` counts processes, the calling one included: the
+    chunks run on ``P = min(workers, chunks, CPUs)`` of them, the caller
+    running every P-th chunk (0, P, 2P, ...) and a pool of P - 1 forked
+    workers the rest, or all in the caller when P is 1.
     """
     if config.replicates < 100:
         raise ValueError("coverage experiments need at least 100 replicates")
@@ -895,9 +905,8 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     if config.alpha_mode == "hill" and score.is_matrix:
         raise ValueError("tail-index estimation is defined for scalar series")
     # a bad hill_k or grid is the config's error, not a replicate's
-    if config.alpha_mode == "hill" and config.hill_k is not None and config.hill_k >= config.n:
-        raise ValueError(f"hill_k must lie in [1, n - 1] = [1, {config.n - 1}], "
-                         f"got {config.hill_k}")
+    if config.alpha_mode == "hill":
+        _check_hill_k(config.hill_k, config.n)
 
     if "el" in config.methods:
         theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
@@ -922,8 +931,13 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     if processes <= 1:
         parts = map(run, chunks)
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(run, chunks))
+        # The caller is one of the processes: it runs chunks 0, P, 2P, ...
+        # while the pool's P - 1 workers run the others.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes - 1) as pool:
+            futures = {i: pool.submit(run, chunks[i])
+                       for i in range(len(chunks)) if i % processes}
+            own = {i: run(chunks[i]) for i in range(0, len(chunks), processes)}
+        parts = [own[i] if i in own else futures[i].result() for i in range(len(chunks))]
     records = [record for part in parts for record in part]
     summary = coverage_summary(records, config.level)
     return CoverageResult(config=config, records=records, summary=summary)

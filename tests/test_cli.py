@@ -276,6 +276,8 @@ def test_table_rejects_unknown_id(capsys):
     assert info.value.code == 2
 
 
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
 def test_coverage_writes_records_and_summary(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid_step": 0.01, "limit_reps": 2000,
@@ -447,7 +449,11 @@ _LIMITED = ("import resource, sys\n"
      "hill_k must be at least 1, got 0"),
     (["coverage", "--n", "64", "--replicates", "100"], {"alpha_mode": "hill", "hill_k": 64},
      "hill_k must lie in [1, n - 1] = [1, 63], got 64"),
-], ids=["grid-step", "replicates", "psi-order", "coeffs-order", "zero-hill-k", "hill-k-of-n"])
+    # ci states the same contract in the same words
+    (["ci", "--hill", "--hill-k", "300"], None,
+     "hill_k must lie in [1, n - 1] = [1, 299], got 300"),
+], ids=["grid-step", "replicates", "psi-order", "coeffs-order", "zero-hill-k", "hill-k-of-n",
+        "ci-hill-k-of-n"])
 def test_absurd_in_range_sizes_are_refused_before_allocating(tmp_path, series_csv, args,
                                                              config, message):
     if args[0] == "ci":

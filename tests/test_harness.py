@@ -1,5 +1,6 @@
 """Interval construction, experiment configs, coverage runs, and CSV plumbing."""
 
+import concurrent.futures
 import json
 import math
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -823,7 +824,12 @@ def test_coverage_records_do_not_depend_on_uneven_chunks():
 
 class _PoolSizes(list):
     """A stand-in for ``ProcessPoolExecutor`` that records the pool size it
-    is asked for and maps the chunks in this process."""
+    is asked for and the chunks submitted to it, and runs each chunk in this
+    process when it is submitted."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
 
     def __call__(self, max_workers):
         self.append(max_workers)
@@ -835,31 +841,41 @@ class _PoolSizes(list):
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, chunks):
-        return list(map(fn, chunks))
+    def submit(self, fn, chunk):
+        self.chunks.append(chunk)
+        future = concurrent.futures.Future()
+        future.set_result(fn(chunk))
+        return future
 
 
 # the deliberately short limit series of the small design warns, by design
 @pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
 @pytest.mark.parametrize("workers, cpus, started", [
-    (1000, 4, [4]),     # 100 one-replicate chunks, capped by the CPUs
-    (1000, 500, [100]),  # capped by the chunks
-    (2, 8, [2]),
+    (1000, 4, [3]),     # 100 one-replicate chunks, capped by the CPUs
+    (1000, 500, [99]),  # capped by the chunks
+    (2, 8, [1]),
     (3, 1, []),         # one CPU: the chunks run serially
 ])
 def test_worker_pool_is_capped_by_chunks_and_cpus(workers, cpus, started):
     # The requested worker count still sets the chunking; only the number of
-    # processes is capped.  The fake pool starts no process, so the extreme
-    # worker counts are safe to try.
+    # processes is capped, and the caller is one of them: the pool gets one
+    # process fewer and every chunk whose index is not a multiple of the
+    # process count.  The fake pool starts no process, so the extreme worker
+    # counts are safe to try.
     serial = _record_lines(coverage_experiment(
         ExperimentConfig(workers=1, seed=37, **SMALL)).records)
     sizes = _PoolSizes()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "ProcessPoolExecutor", sizes)
+        patch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", sizes)
         patch.setattr(harness.os, "cpu_count", lambda: cpus)
         records = coverage_experiment(
             ExperimentConfig(workers=workers, seed=37, **SMALL)).records
     assert sizes == started
+    size = -(-SMALL["replicates"] // workers)
+    chunks = [range(start, min(start + size, SMALL["replicates"]))
+              for start in range(0, SMALL["replicates"], size)]
+    processes = started[0] + 1 if started else 1
+    assert sizes.chunks == [chunk for i, chunk in enumerate(chunks) if i % processes]
     assert _record_lines(records) == serial
 
 
@@ -1059,6 +1075,8 @@ def test_ingest_csv_reads_simulate_output_and_columns_bitwise(tmp_path, monkeypa
     assert expected[1].tobytes() == x.tobytes()
 
 
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
 def test_coverage_csv_roundtrip_preserves_summary(tmp_path):
     cfg = ExperimentConfig(workers=2, seed=17, **SMALL)
     result = coverage_experiment(cfg)
