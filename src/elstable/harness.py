@@ -312,7 +312,7 @@ def theta_grid(score: ScoreFunction, step: float = 0.001,
     explicit ends ``lo`` and ``hi`` must keep it strictly inside the domain."""
     if step <= 0.0:
         raise ValueError("grid step must be positive")
-    dlo, dhi = score.domain[0]
+    dlo, dhi = score.domain
     lo = max(dlo + step, -0.999) if lo is None else float(lo)
     hi = min(dhi - step, 0.999) if hi is None else float(hi)
     if not lo < hi:
@@ -340,7 +340,7 @@ def _affine(fun: Callable, score: ScoreFunction):
     wrong for a score that is not affine in theta.  Values with a leading
     axis are rows checked one by one.
     """
-    lo, hi = np.clip(score.domain[0], -8.0, 8.0)
+    lo, hi = np.clip(score.domain, -8.0, 8.0)
     mid, upper, lower = lo + (hi - lo) * np.array([0.5, 0.75, 0.25])
     at_mid, at_upper = np.asarray(fun(mid)), np.asarray(fun(upper))
     b = (at_upper - at_mid) / (upper - mid)
@@ -360,7 +360,7 @@ def _affine(fun: Callable, score: ScoreFunction):
 def _affine_root(a, b, score: ScoreFunction, what: str):
     """Root ``-a / b`` of ``a + theta b``, which must lie in the score domain;
     one root per row for arrays, a float otherwise."""
-    lo, hi = score.domain[0]
+    lo, hi = score.domain
     with np.errstate(divide="ignore", invalid="ignore"):
         root = -np.asarray(a) / b + 0.0  # + 0.0 turns -0.0 into 0.0
     outside = ~((lo < root) & (root < hi))
@@ -391,7 +391,7 @@ def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha):
     builder = estimating_function_mv if score.is_matrix else estimating_function
 
     def rows(theta):
-        return builder(x, score, theta, alpha, periodogram=periodogram)[..., 0]
+        return builder(x, score, theta, alpha, periodogram=periodogram)
 
     return _affine(rows, score)
 
@@ -421,7 +421,7 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
     g = power_transfer_matrix(spec, grid)
 
     def disparity(theta):
-        grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta)))[0]
+        grad = np.asarray(score.grad_inv(grid, theta))
         return _trapezoid(np.einsum("tab,tba->t", grad, g).real, grid)
 
     return _affine_root(*_affine(disparity, score), score, "pivotal value")
@@ -538,14 +538,14 @@ def _methods(config: "ExperimentConfig", score: ScoreFunction) -> tuple:
 
 def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
                    config: "ExperimentConfig", *, rng: np.random.Generator,
-                   process=None, theta_ref: float | None = None) -> AnalysisResult:
+                   process=None) -> AnalysisResult:
     """Confidence intervals for one series by the EL and/or SAC methods.
 
     ``config`` supplies the level, the methods, the theta grid and the
     limit-law and transfer settings; its ``process``, ``score``, ``n`` and
     replication fields are not read.  The EL threshold is the level-quantile
-    of the limit law evaluated at ``theta_ref`` (default: the plug-in point
-    from the estimating equation) with the transfer function either smoothed
+    of the limit law evaluated at the plug-in point ``theta_ref`` of the
+    estimating equation, with the transfer function either smoothed
     from the data or taken exactly from ``process``; the SAC interval
     targets the lag the score records, with the autocorrelations of
     ``process`` when it is known and the sample ones otherwise.  The stable
@@ -554,10 +554,10 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     """
     quantiles = _ratio_quantiles(alpha, config, rng, "sac" in _methods(config, score))
     return _analyze_stack([x], [alpha], [quantiles], score=score, config=config,
-                          process=process, theta_ref=theta_ref)[0]
+                          process=process)[0]
 
 
-def _analyze_stack(x, alpha, quantiles, *, score, config, process, theta_ref=None) -> list:
+def _analyze_stack(x, alpha, quantiles, *, score, config, process) -> list:
     """The :class:`AnalysisResult` of each series of the stack ``x``, (B, n)
     or (B, n, d), computed in one pass.
 
@@ -594,9 +594,7 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process, theta_ref=Non
     alphas = alpha.tolist()  # the per-series scalars, as floats
     sq_q, abs_q = np.array(quantiles, dtype=float).T.tolist()
     a, b = _affine_rows(x, score, alpha)
-    if theta_ref is None:
-        theta_ref = _affine_root(a.sum(axis=-1), b.sum(axis=-1), score, "plug-in point")
-    theta_ref = np.broadcast_to(np.asarray(theta_ref, dtype=float), (count,))
+    theta_ref = _affine_root(a.sum(axis=-1), b.sum(axis=-1), score, "plug-in point")
 
     if mv or config.transfer_mode == "exact":
         if process is None:
@@ -608,7 +606,7 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process, theta_ref=Non
         transfer = SmoothedTransfer(x)
 
     law = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
-    closure, w_inv = law["closure"], law["w_inv"][:, 0, 0]
+    closure, w_inv = law["closure"], law["w_inv"]
     # each threshold and half-width is a product of scalars, as for one series
     gamma = [q * float(c) ** 2 * w for q, c, w in zip(sq_q, closure, w_inv)]
 
@@ -706,6 +704,8 @@ class ExperimentConfig:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if self.n < MIN_SERIES_LENGTH:
             raise ValueError(f"series length must be at least {MIN_SERIES_LENGTH}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 1 <= self.replicates <= MAX_REPLICATES:
             raise ValueError(f"replicates must lie in [1, {MAX_REPLICATES}], "
                              f"got {self.replicates}")

@@ -9,7 +9,7 @@ against one positive ``alpha/2``-stable variable ``S_0``:
     c_t = (1/pi) * integral  d(1/f)/d theta |_(theta_0) g(omega) cos(t omega) d omega,
     W = (1/2pi) * integral  (d(1/f)/d theta)**2 2 g(omega)**2 d omega.
 
-``W`` is kept as a 1 x 1 matrix.  For a d-dimensional process both come
+``W`` is a positive number.  For a d-dimensional process both come
 from one matrix function ``F = Psi* G Psi``, with ``Psi`` the transfer
 matrices and ``G = d(1/f)/d theta``; ``c`` is indexed by lag and innovation
 coordinates:
@@ -160,7 +160,7 @@ def _f_matrix(score: ScoreFunction, theta0, psi: np.ndarray,
     """``F = Psi* G Psi`` on ``grid`` as ``(N, d, d)``, from the transfer
     matrices ``psi`` sampled there and the score's ``G = d(1/f)/d theta`` at
     ``theta0``."""
-    grad = np.asarray(score.grad_inv(grid, score.check_theta(theta0)))[0]
+    grad = np.asarray(score.grad_inv(grid, score.check_theta(theta0)))
     return np.conj(np.swapaxes(psi, -1, -2)) @ grad @ psi
 
 
@@ -175,7 +175,7 @@ def compute_W(score: ScoreFunction, theta0, transfer: Callable,
     theta0 = score.check_theta(theta0)
 
     def integrand(grid):
-        grad = np.asarray(score.grad_inv(grid, theta0))[0]
+        grad = np.asarray(score.grad_inv(grid, theta0))
         return grad * grad * (2.0 * np.asarray(transfer(grid)) ** 2)
 
     values = integrand(_uniform_grid(quad_points))
@@ -183,8 +183,8 @@ def compute_W(score: ScoreFunction, theta0, transfer: Callable,
     return np.reshape(_trapezoid_checked(values, coarse) / (2.0 * np.pi), (1, 1))
 
 
-def compute_W_mv(f: np.ndarray) -> np.ndarray:
-    """Vector-process curvature ``W``, as a 1 x 1 matrix.
+def compute_W_mv(f: np.ndarray) -> float:
+    """Vector-process curvature ``W``.
 
     ``f`` is ``F = Psi* G Psi`` sampled on ``_uniform_grid(N)``, N even, as
     ``(N + 1, d, d)`` (:func:`_f_matrix`); the integrand is
@@ -194,7 +194,7 @@ def compute_W_mv(f: np.ndarray) -> np.ndarray:
     d = f.shape[-1]
     trace = np.einsum("taa->t", f)
     values = (np.einsum("tab,tba->t", f, f) + trace * trace).real
-    return np.reshape(_trapezoid_checked(values) / (2.0 * np.pi * d * d), (1, 1))
+    return float(_trapezoid_checked(values) / (2.0 * np.pi * d * d))
 
 
 def _check_tail_decay(norms: np.ndarray, what: str, alpha=1.0,
@@ -221,16 +221,17 @@ def _check_tail_decay(norms: np.ndarray, what: str, alpha=1.0,
 def compute_V_coeffs(score: ScoreFunction, theta0, transfer: Callable,
                      truncation: int = 200, quad_points: int = 4096,
                      alpha: float = 1.0) -> np.ndarray:
-    """Coefficients ``c[t, 0]`` of the stable series in ``V`` (t = 1..T).
+    """Coefficients ``c_t`` of the stable series in ``V`` (t = 1..T), as a
+    (T,) array.
 
     ``alpha`` only tunes the truncation diagnostic (the coefficients enter
     the limit series through ``sum |c_t|^alpha``).
     """
     theta0 = score.check_theta(theta0)
     grid = _uniform_grid(quad_points)
-    grad = np.asarray(score.grad_inv(grid, theta0))[0]
-    coeffs = _cosine_moments(grad * np.asarray(transfer(grid)), truncation)[:, None]
-    _check_tail_decay(np.abs(coeffs[:, 0]), "limit-series", alpha)
+    grad = np.asarray(score.grad_inv(grid, theta0))
+    coeffs = _cosine_moments(grad * np.asarray(transfer(grid)), truncation)
+    _check_tail_decay(np.abs(coeffs), "limit-series", alpha)
     return coeffs
 
 
@@ -245,31 +246,28 @@ def compute_V_coeffs_mv(f: np.ndarray, truncation: int = 200,
     return coeffs
 
 
-def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: int,
-               truncation: int, alpha):
+def _acf_limit(score: ScoreFunction, theta: np.ndarray, transfer: np.ndarray,
+               quad_points: int, truncation: int, alpha):
     """``W`` and ``c_t`` of an autocorrelation score by the finite sums of
     the module docstring: the N-point rule of :func:`compute_W` and
     :func:`compute_V_coeffs`, with its half-resolution check, without a grid.
-    ``transfer`` holds the cosine coefficients ``r_0..r_H``.  A stack of
-    laws has ``theta0`` of shape (B, 1), with one ``alpha`` or one per row
-    and one transfer or one row of them per law; ``W`` and ``c_t`` then
-    gain that leading axis.
+    ``theta`` holds the checked evaluation points, 0-d for one law and (B,)
+    for a stack, with one ``alpha`` or one per law and one transfer or one
+    row of them per law.  ``transfer`` holds the cosine coefficients
+    ``r_0..r_H``.  ``W`` has the shape of ``theta``, and ``c_t`` gains a
+    last axis of length T.
     """
     if score.lag is None:
         raise ValueError(f"the scalar limit law needs an autocorrelation score, "
                          f"got {score.name!r}")
     if quad_points < 32:
         raise ValueError("quad_points too small")
-    theta0 = np.atleast_1d(theta0)
-    theta = np.array([score.check_theta(row)[0]
-                      for row in theta0.reshape(-1, theta0.shape[-1])])
-    theta = theta.reshape(theta0.shape[:-1] + (1,))
     lag, size = score.lag, transfer.shape[-1]
     k = np.arange(size + lag)
     r = np.zeros(transfer.shape[:-1] + (size + 2 * lag,))  # r_k, k = 0..H + 2 lag
     r[..., 0] = 1.0                              # the transfer is normalized
     r[..., 1:size] = transfer[..., 1:]
-    unfolded = 2.0 * theta * r[..., k] - r[..., np.abs(k - lag)] - r[..., k + lag]
+    unfolded = 2.0 * theta[..., None] * r[..., k] - r[..., np.abs(k - lag)] - r[..., k + lag]
     rows = unfolded.reshape(-1, k.size)
     lags = np.arange(1, truncation + 1)
     uu, picked = np.empty(len(rows)), np.empty((len(rows), truncation))
@@ -296,29 +294,27 @@ def _acf_limit(score: ScoreFunction, theta0, transfer: np.ndarray, quad_points: 
     scale = 2.0 * _grid_step(quad_points) * quad_points / (2.0 * np.pi)
     sign = np.where(lags % 2 == 1, -scale, scale)
     # contiguous rows, so that the sums over lags add as for one series
-    coeffs = (sign * picked).reshape(unfolded.shape[:-1] + (truncation, 1))
-    _check_tail_decay(np.abs(coeffs[..., 0]), "limit-series", alpha)
-    return (scale * uu.reshape(unfolded.shape[:-1]))[..., None, None], coeffs
+    coeffs = (sign * picked).reshape(unfolded.shape[:-1] + (truncation,))
+    _check_tail_decay(np.abs(coeffs), "limit-series", alpha)
+    return scale * uu.reshape(unfolded.shape[:-1]), coeffs
 
 
-def _matrix_limit(config: "LimitLawConfig"):
-    """``W`` and ``c[t, i, j]`` of each matrix law of ``config`` from one
-    sample of ``Psi`` on the grid: each law reads its own ``F = Psi* G Psi``
-    (:func:`compute_W_mv`, :func:`compute_V_coeffs_mv`).  A stack of laws
-    gains a leading axis, as in :func:`_acf_limit`.
+def _matrix_limit(config: "LimitLawConfig", theta: np.ndarray):
+    """``W`` and ``c[t, i, j]`` of each matrix law of ``config`` at the
+    checked points ``theta`` from one sample of ``Psi`` on the grid: each
+    law reads its own ``F = Psi* G Psi`` (:func:`compute_W_mv`,
+    :func:`compute_V_coeffs_mv`).  ``W`` has the shape of ``theta``, as in
+    :func:`_acf_limit`.
     """
     grid = _uniform_grid(config.quad_points)
     psi = np.asarray(config.psi_matrix(grid))
-    theta0 = np.atleast_1d(config.theta0)
-    thetas = theta0.reshape(-1, 1)
     w, coeffs = [], []
-    for theta, alpha in zip(thetas, np.broadcast_to(config.alpha, len(thetas)).tolist()):
-        f = _f_matrix(config.score, theta, psi, grid)
+    for value, alpha in zip(theta.reshape(-1).tolist(),
+                            np.broadcast_to(config.alpha, theta.size).tolist()):
+        f = _f_matrix(config.score, value, psi, grid)
         w.append(compute_W_mv(f))
         coeffs.append(compute_V_coeffs_mv(f, config.truncation, alpha))
-    lead = theta0.shape[:-1]
-    return (np.reshape(w, lead + w[0].shape),
-            np.reshape(coeffs, lead + coeffs[0].shape))
+    return np.reshape(w, theta.shape), np.reshape(coeffs, theta.shape + coeffs[0].shape)
 
 
 @dataclass(frozen=True)
@@ -335,13 +331,14 @@ class Quantile:
 class LimitLawConfig:
     """Everything needed to sample the limit statistic ``V**2 / W``.
 
-    ``score`` has one parameter, so ``W`` is 1 x 1 and ``V`` a scalar
-    series; ``theta0`` is the one-element evaluation point.  ``transfer``
-    is the scalar normalized power transfer as the 1-d array of its cosine
-    coefficients ``r_0..r_H``; for vector processes supply ``psi_matrix``
-    instead, which maps a frequency array to the ``(N, d, d)`` transfer
-    matrices ``Psi`` (the power transfer is then ``Psi Psi*``), and the
-    matrix series draws one SaS variable per (lag, i, j).
+    ``score`` has one parameter, so ``W`` is a number and ``V`` a scalar
+    series; ``theta0`` is the one-element array of the evaluation point.
+    ``transfer`` is the scalar normalized power transfer as the 1-d array of
+    its cosine coefficients ``r_0..r_H``; for vector processes supply
+    ``psi_matrix`` instead, which maps a frequency array to the
+    ``(N, d, d)`` transfer matrices ``Psi`` (the power transfer is then
+    ``Psi Psi*``), and the matrix series draws one SaS variable per
+    (lag, i, j).
 
     A config may also hold a stack of B laws, which only
     :func:`prepare_limit` reads: ``theta0`` of shape (B, 1), ``alpha``
@@ -378,37 +375,44 @@ class LimitLawConfig:
 def prepare_limit(config: LimitLawConfig) -> dict:
     """Curvature, mixing coefficients, and the closure constant.
 
-    Results are cached on the config; keys: ``w`` and ``w_inv`` (1 x 1;
-    a zero ``w`` warns and takes the pseudo-inverse 0), ``coeffs``,
-    ``mixing``, and ``closure`` (the l^alpha norm of the mixing weights,
-    the exact SaS scale of the series part of V).  A scalar score must be
-    an autocorrelation score, whose law is computed in closed form (module
-    docstring); others raise ``ValueError``.  A stack of B laws gives every
-    value a leading axis of length B, and ``closure`` as an array.
+    Results are cached on the config; keys: ``w`` and ``w_inv`` (numbers;
+    a zero ``w`` warns and takes the pseudo-inverse 0), ``coeffs`` ((T,) for
+    a scalar score, (T, d, d) for a matrix one), ``mixing`` (the
+    coefficients as one weight per SaS draw), and ``closure`` (the l^alpha
+    norm of the mixing weights, the exact SaS scale of the series part of
+    V).  A scalar score must be an autocorrelation score, whose law is
+    computed in closed form (module docstring); others raise
+    ``ValueError``.  A stack of B laws gives every value a leading axis of
+    length B, and ``w``, ``w_inv`` and ``closure`` as (B,) arrays.
     """
     if config._prepared is not None:
         return config._prepared
     score = config.score
+    theta0 = np.atleast_1d(config.theta0)
+    lead = theta0.shape[:-1]                              # () for one law
+    theta = np.reshape([score.check_theta(row)
+                        for row in theta0.reshape(-1, theta0.shape[-1])], lead)
     if score.is_matrix:
-        w, coeffs = _matrix_limit(config)
+        w, coeffs = _matrix_limit(config, theta)
     else:
-        w, coeffs = _acf_limit(score, config.theta0, config.transfer,
+        w, coeffs = _acf_limit(score, theta, config.transfer,
                                config.quad_points, config.truncation, config.alpha)
-    lead = w.shape[:-2]                                   # () for one law
-    mixing = coeffs.reshape(lead + (-1, 1))               # one row per SaS draw
-    # The 1 x 1 W has condition number 1 unless it is 0, and LAPACK's
-    # inverse of it is 1 / w; the pseudo-inverse of 0 is 0.
+    mixing = coeffs.reshape(lead + (-1,))                 # one weight per SaS draw
+    # the pseudo-inverse of a zero W is 0
     for _ in np.flatnonzero(w == 0.0):
         warnings.warn("W matrix is ill-conditioned (cond inf); using a "
                       "pseudo-inverse", RuntimeWarning, stacklevel=3)
     with np.errstate(divide="ignore"):
         w_inv = np.where(w == 0.0, 0.0, 1.0 / w)
-    sums = np.sum(np.abs(mixing) ** np.asarray(config.alpha)[..., None, None], axis=-2)
+    sums = np.sum(np.abs(mixing) ** np.asarray(config.alpha)[..., None], axis=-1)
     # the root of each law is a scalar power, as for one law
     closure = np.array([float(total ** (1.0 / alpha)) for total, alpha in
                         zip(sums.reshape(-1), np.broadcast_to(config.alpha, sums.size))])
+    closure = closure.reshape(lead)
+    if not lead:
+        w, w_inv, closure = float(w), float(w_inv), float(closure)
     prepared = {"w": w, "w_inv": w_inv, "coeffs": coeffs, "mixing": mixing,
-                "closure": closure.reshape(lead) if lead else float(closure[0])}
+                "closure": closure}
     config._prepared = prepared
     return prepared
 
@@ -417,8 +421,8 @@ def _draw_ratio_series(config, prepared, rng, size) -> np.ndarray:
     """Draw ``size`` realizations of V via the full stable series."""
     s_mult, s0_mult = scale_multipliers(config.alpha, config.scale_convention)
     mixing = prepared["mixing"]
-    n_terms, q = mixing.shape
-    out = np.empty((size, q))
+    n_terms = mixing.size
+    out = np.empty(size)
     params = StableParams(alpha=config.alpha)
     done = 0
     while done < size:
@@ -426,18 +430,18 @@ def _draw_ratio_series(config, prepared, rng, size) -> np.ndarray:
         s0 = s0_mult * sample_positive_stable(config.alpha / 2.0, block, rng)
         series = s_mult * sample_sas(params, block * n_terms, rng)
         series = series.reshape(block, n_terms)
-        out[done:done + block] = (series @ mixing) / s0[:, None]
+        out[done:done + block] = (series @ mixing) / s0
         done += block
     return out
 
 
 def sample_limit_stat(config: LimitLawConfig, rng: np.random.Generator,
                       size: int | None = None) -> np.ndarray:
-    """Draw realizations of the limit statistic ``V' W^-1 V``."""
+    """Draw realizations of the limit statistic ``V**2 / W``."""
     prepared = prepare_limit(config)
     n = config.reps if size is None else int(size)
     v = _draw_ratio_series(config, prepared, rng, n)
-    return np.einsum("rj,jk,rk->r", v, prepared["w_inv"], v)
+    return v * prepared["w_inv"] * v
 
 
 def sample_limit_stat_simplified(config: LimitLawConfig, rng: np.random.Generator,
@@ -452,7 +456,7 @@ def sample_limit_stat_simplified(config: LimitLawConfig, rng: np.random.Generato
     prepared = prepare_limit(config)
     n = config.reps if size is None else int(size)
     ratio = sample_stable_ratio(config.alpha, n, rng, config.scale_convention)
-    return ratio ** 2 * prepared["closure"] ** 2 * prepared["w_inv"][0, 0]
+    return ratio ** 2 * prepared["closure"] ** 2 * prepared["w_inv"]
 
 
 def _bootstrap_quantile_stderr(sorted_draws: np.ndarray, p: float,

@@ -33,10 +33,9 @@ class ScoreFunction:
 
     ``f(omega, theta)`` maps a frequency array of shape (N,) to values of
     shape (N,) (scalar kind) or (N, d, d) complex Hermitian (matrix kind).
-    ``grad_inv(omega, theta)`` returns the derivative of ``1/f`` (or of the
-    matrix inverse) with a leading parameter axis of length one: (1, N) or
-    (1, N, d, d).  ``domain`` holds the one open interval ``(lo, hi)`` of
-    theta.
+    ``grad_inv(omega, theta)`` returns the theta-derivative of ``1/f`` (or
+    of the matrix inverse), shaped as the values of ``f``.  ``theta`` is a
+    float, and ``domain`` its open interval ``(lo, hi)``.
     ``lag`` is the autocorrelation lag an autocorrelation score targets, so
     the competing sample-autocorrelation interval can read it; None for
     other scores.
@@ -53,15 +52,16 @@ class ScoreFunction:
     def is_matrix(self) -> bool:
         return self.dim > 1
 
-    def check_theta(self, theta) -> np.ndarray:
-        """A scalar or one-element ``theta`` in the domain, as shape (1,)."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (1,):
+    def check_theta(self, theta) -> float:
+        """A scalar or one-element ``theta`` in the domain, as a float."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.size != 1:
             raise DomainError(f"score {self.name!r} takes one parameter, "
                               f"got shape {theta.shape}")
-        lo, hi = self.domain[0]
-        if not lo < theta[0] < hi:
-            raise DomainError(f"theta[0]={theta[0]} outside open interval "
+        theta = theta.item()
+        lo, hi = self.domain
+        if not lo < theta < hi:
+            raise DomainError(f"theta={theta} outside open interval "
                               f"({lo}, {hi}) for score {self.name!r}")
         return theta
 
@@ -75,15 +75,15 @@ def check_gradient(score: ScoreFunction, rng: np.random.Generator | None = None,
     """
     rng = np.random.default_rng(0) if rng is None else rng
     omega = (rng.random(n_points) * 2.0 - 1.0) * np.pi
-    lo, hi = score.domain[0]
+    lo, hi = score.domain
     # keep theta and the difference stencil strictly inside the domain
-    theta = lo + (0.1 + 0.8 * rng.random(1)) * (hi - lo)
+    theta = lo + (0.1 + 0.8 * rng.random()) * (hi - lo)
 
     def inv_f(th):
         val = score.f(omega, th)
         return np.linalg.inv(val) if score.is_matrix else 1.0 / val
 
-    grad = np.asarray(score.grad_inv(omega, theta))[0]
+    grad = np.asarray(score.grad_inv(omega, theta))
     scale = np.max(np.abs(grad)) + 1.0
     diff = (inv_f(theta + step) - inv_f(theta - step)) / (2.0 * step)
     err = np.max(np.abs(diff - grad))
@@ -105,15 +105,13 @@ def acf_score(lag: int) -> ScoreFunction:
         raise ValueError("lag must be a positive integer")
 
     def f(omega, theta):
-        th = float(np.atleast_1d(theta)[0])
-        return 1.0 / (1.0 - 2.0 * th * np.cos(lag * np.asarray(omega)) + th * th)
+        return 1.0 / (1.0 - 2.0 * theta * np.cos(lag * np.asarray(omega)) + theta * theta)
 
     def grad_inv(omega, theta):
-        th = float(np.atleast_1d(theta)[0])
-        return (-2.0 * np.cos(lag * np.asarray(omega)) + 2.0 * th)[None, :]
+        return -2.0 * np.cos(lag * np.asarray(omega)) + 2.0 * theta
 
     score = ScoreFunction(name=f"acf_lag{lag}", dim=1,
-                          domain=((-1.0, 1.0),), f=f, grad_inv=grad_inv, lag=lag)
+                          domain=(-1.0, 1.0), f=f, grad_inv=grad_inv, lag=lag)
     check_gradient(score)
     return score
 
@@ -154,12 +152,11 @@ def var1_score(template) -> ScoreFunction:
     d = mask.shape[0]
 
     def coupling(theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        b = base + th[0] * mask
+        b = base + theta * mask
         radius = np.max(np.abs(np.linalg.eigvals(b)))
         if radius >= 1.0:
             raise DomainError(f"coupling matrix has spectral radius {radius:.4f} >= 1 "
-                              f"at theta={th.tolist()}")
+                              f"at theta={theta}")
         return b
 
     def a_matrices(omega, theta):
@@ -176,9 +173,9 @@ def var1_score(template) -> ScoreFunction:
         a = a_matrices(omega, theta)
         phases = np.exp(1j * np.asarray(omega, dtype=float))
         term = np.conj(np.swapaxes(a, -1, -2)) @ (phases[:, None, None] * mask)
-        return -(np.conj(np.swapaxes(term, -1, -2)) + term)[None]
+        return -(np.conj(np.swapaxes(term, -1, -2)) + term)
 
-    score = ScoreFunction(name="var1", dim=d, domain=((-1.0, 1.0),),
+    score = ScoreFunction(name="var1", dim=d, domain=(-1.0, 1.0),
                           f=f, grad_inv=grad_inv)
     check_gradient(score)
     return score
@@ -215,8 +212,8 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
                         periodogram: np.ndarray | None = None) -> np.ndarray:
     """Estimating-function rows ``m(lambda_t; theta)`` for a scalar series.
 
-    Returns an (n, 1) array; a stack of series (B, n), with one ``alpha``
-    or one per series, gives (B, n, 1).  ``periodogram`` may carry
+    Returns an (n,) array; a stack of series (B, n), with one ``alpha``
+    or one per series, gives (B, n).  ``periodogram`` may carry
     precomputed self-normalized periodogram values on the full frequency
     grid, so that grid scans over theta pay for the FFT once.
     """
@@ -228,14 +225,14 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
     values = self_normalized_grid(x) if periodogram is None else periodogram
     freqs = fourier_frequencies(values.shape[-1])
     grad = np.asarray(score.grad_inv(freqs, theta))
-    return values[..., None] * grad.T
+    return values * grad
 
 
 def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: float,
                            periodogram: np.ndarray | None = None) -> np.ndarray:
     """Estimating-function rows ``tr{ d f^-1/d theta * I(lambda_t) }``.
 
-    Returns an (n, 1) array of real values; a non-negligible imaginary part
+    Returns an (n,) array of real values; a non-negligible imaginary part
     indicates a non-Hermitian score or periodogram and raises.
     """
     alpha = check_alpha(alpha)
@@ -244,7 +241,7 @@ def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: fl
         periodogram = periodogram_matrix_grid(np.asarray(x, dtype=float), alpha)
     freqs = fourier_frequencies(periodogram.shape[0])
     grad = np.asarray(score.grad_inv(freqs, theta))
-    rows = np.einsum("qtab,tba->tq", grad, periodogram)
+    rows = np.einsum("tab,tba->t", grad, periodogram)
     scale = np.max(np.abs(rows.real)) + 1.0
     if np.max(np.abs(rows.imag)) > 1e-8 * scale:
         raise NumericalError("estimating function has a non-negligible imaginary part; "

@@ -19,7 +19,7 @@ def el_statistic(x: np.ndarray, score, theta, alpha: float) -> float:
     """The EL statistic ``-2 (x_n^2 / n) log R(theta)`` of a scalar series:
     +inf when zero is outside the hull of the rows, nan when the dual solve
     does not converge."""
-    rows = estimating_function(x, score, theta, alpha)[:, 0]
+    rows = estimating_function(x, score, theta, alpha)
     n = rows.size
     return float(-2.0 * x_n(n, alpha) ** 2 / n * solve_lagrange_batch(rows[None]).log_ratio[0])
 

@@ -175,10 +175,12 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
     (None, {"grid_min": -1.5},
      "grid [-1.5, 0.999] is not inside the domain (-1, 1) of score 'acf_lag2'"),
     (None, {"hill_k": 0}, "hill_k must be at least 1, got 0"),
+    # numpy's SeedSequence would refuse it without naming the field
+    (None, {"seed": -1}, "seed must be a non-negative integer, got -1"),
 ], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
         "zero-truncation", "process-without-psi", "one-scale-multiplier", "number-scale",
         "number-score", "list-score", "grid-outside-domain", "grid-below-domain",
-        "zero-hill-k"])
+        "zero-hill-k", "negative-seed"])
 def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
                                                   series, config, message):
     path = series_csv
@@ -203,6 +205,27 @@ def test_limit_quantiles_structure(tmp_path):
     assert [r["p"] for r in records] == [0.8, 0.9]
     assert records[0]["gamma_p"] < records[1]["gamma_p"]
     assert all(r["stderr"] > 0 for r in records)
+
+
+@pytest.mark.parametrize("config, gamma_p, stderr", [
+    (None, [2.277947391, 6.200238768], [0.2004439371, 0.7814981778]),
+    ({"process": {"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}},
+      "score": {"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]}},
+     [22.0807474, 45.33598334], [1.945752201, 4.456373034]),
+], ids=["acf", "var1"])
+def test_limit_quantiles_are_pinned(tmp_path, config, gamma_p, stderr):
+    # The full series sampler of the scalar and the matrix law at a fixed
+    # seed: its draws, the quantiles and their bootstrap errors.
+    args = ["limit", "--levels", "0.9,0.95", "--limit-reps", 2000, "--seed", 2,
+            "--output", tmp_path / "limit.csv"]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args += ["--config", tmp_path / "config.json"]
+    assert run_cli(*args) == 0
+    records = read_records_csv(tmp_path / "limit.csv")
+    assert [r["reps"] for r in records] == [2000, 2000]
+    assert [r["gamma_p"] for r in records] == pytest.approx(gamma_p, rel=1e-9)
+    assert [r["stderr"] for r in records] == pytest.approx(stderr, rel=1e-9)
 
 
 def test_table_smoke(tmp_path):

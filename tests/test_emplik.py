@@ -161,12 +161,12 @@ def test_el_ratio_statistic_scaling(series_half):
     scan = el_confidence_region(series_half, score, grid, 2.5, 1.5)
     for theta, stat in zip(scan.thetas, scan.stats):
         m = estimating_function(series_half, score, theta, 1.5)
-        sol = solve_lagrange(m)
+        sol = solve_lagrange(m[:, None])
         if not sol.hull_ok[0]:
             assert stat == np.inf
             continue
         assert sol.converged[0]
-        w = 1.0 / (n * (1.0 + sol.phi[0] * m[:, 0]))
+        w = 1.0 / (n * (1.0 + sol.phi[0] * m))
         assert abs(w.sum() - 1.0) < 1e-8
         assert abs(stat - -2.0 * x_n(n, 1.5) ** 2 / n * np.sum(np.log(n * w))) < 1e-8
 

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elstable import harness
@@ -88,7 +88,7 @@ def full_scan(x, score, grid, gamma, alpha):
     last accepted grid point.
     """
     builder = estimating_function_mv if score.is_matrix else estimating_function
-    rows = np.array([builder(x, score, theta, alpha)[:, 0] for theta in grid])
+    rows = np.array([builder(x, score, theta, alpha) for theta in grid])
     batch = solve_lagrange_batch(rows)
     stats = -2.0 * x_n(rows.shape[1], alpha) ** 2 / rows.shape[1] * batch.log_ratio
     inside = grid[stats < gamma]
@@ -412,13 +412,15 @@ def test_stacked_var1_analysis_takes_one_law_call(seed, b, n, count):
     # call with one sample of Psi, and one region search, and every series
     # gets bitwise what it gets alone.
     rng = np.random.default_rng(seed)
-    spec = vma_table_spec(b)
+    spec, score = vma_table_spec(b), coupling_var1_score()
     x = np.stack([simulate_vector_linear(spec, n, rng) for _ in range(count)])
-    theta_ref = rng.uniform(-0.5, 0.5, count)
+    # about one series in 200 has no plug-in point in the domain (-1, 1)
+    intercept, slope = harness._affine_rows(x, score, 1.5)
+    assume(np.all(np.abs(intercept.sum(axis=1) / slope.sum(axis=1)) < 1.0))
     alpha = np.full(count, 1.5)
     # the EL method only: the quantile of the absolute ratio law is not read
     quantiles = np.stack([rng.uniform(1.0, 20.0, count), np.full(count, np.nan)], axis=1)
-    shared = dict(score=coupling_var1_score(), process=spec,
+    shared = dict(score=score, process=spec,
                   config=ExperimentConfig(grid_step=0.01, methods=("el",)))
     laws, psi = [], []
     with pytest.MonkeyPatch.context() as patch:
@@ -426,11 +428,11 @@ def test_stacked_var1_analysis_takes_one_law_call(seed, b, n, count):
                       lambda law: laws.append(law) or prepare_limit(law))
         patch.setattr(harness, "transfer_matrix",
                       lambda *args: psi.append(args) or transfer_matrix(*args))
-        stacked = harness._analyze_stack(x, alpha, quantiles, theta_ref=theta_ref, **shared)
+        stacked = harness._analyze_stack(x, alpha, quantiles, **shared)
     assert len(laws) == len(psi) == 1
     for i, result in enumerate(stacked):
         alone = harness._analyze_stack(x[i:i + 1], alpha[i:i + 1], quantiles[i:i + 1],
-                                       theta_ref=theta_ref[i:i + 1], **shared)[0]
+                                       **shared)[0]
         assert same(result, alone)
 
 
@@ -503,10 +505,9 @@ def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
     # that is quadratic in theta, so it is refused, not solved; the scalar
     # pivotal value is rho(lag) and needs an autocorrelation score.
     def grad_inv(omega, theta):
-        th = float(np.atleast_1d(theta)[0])
-        return (-2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * th + th * th)[None, :]
+        return -2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * theta + theta * theta
 
-    score = ScoreFunction(name="quadratic", dim=1, domain=((-1.0, 1.0),),
+    score = ScoreFunction(name="quadratic", dim=1, domain=(-1.0, 1.0),
                           f=lambda omega, theta: np.ones_like(omega),
                           grad_inv=grad_inv)
     with pytest.raises(NumericalError, match="not affine"):
@@ -556,7 +557,7 @@ def test_sac_interval_is_centred_on_the_sample_acf(seed, n, lag, plugin):
     spec = ma_polynomial_spec(0.5)
     x = simulate_linear(spec, n, rng)
     ci = analyze_series(x, acf_score(lag), 1.5, replace(SAC_ONLY, limit_reps=2000),
-                        rng=rng, process=None if plugin else spec, theta_ref=0.0).sac
+                        rng=rng, process=None if plugin else spec).sac
     assert abs(0.5 * (ci.lower + ci.upper) - sample_acf(x, lag)) < 1e-12
 
 
@@ -668,10 +669,10 @@ def test_analyze_series_runs_el_only_on_matrix_scores():
     # The SAC interval is defined for scalar series, so a matrix score drops
     # it from the configured methods instead of failing.
     spec = vma_table_spec(0.3)
-    x = simulate_vector_linear(spec, 120, np.random.default_rng(5))
+    x = simulate_vector_linear(spec, 120, np.random.default_rng(6))
     config = ExperimentConfig(grid_step=0.05, grid_min=-0.5, grid_max=0.5)
     result = analyze_series(x, coupling_var1_score(), 1.5, config, process=spec,
-                            theta_ref=0.0, rng=np.random.default_rng(7))
+                            rng=np.random.default_rng(7))
     assert result.sac is None
     assert result.el.interval.lower >= -0.5 and result.el.interval.upper <= 0.5
 

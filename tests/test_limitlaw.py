@@ -67,9 +67,9 @@ def test_curvature_flat_transfer_closed_form():
 def test_series_coefficients_flat_transfer_closed_form():
     # c_t = (1/pi) integral (-2 cos(l w)) cos(t w) dw = -2 at t = l, else 0.
     coeffs = compute_V_coeffs(acf_score(2), 0.0, flat_transfer, truncation=10)
-    assert coeffs.shape == (10, 1)
-    assert abs(coeffs[1, 0] + 2.0) < 1e-8
-    others = np.delete(coeffs[:, 0], 1)
+    assert coeffs.shape == (10,)
+    assert abs(coeffs[1] + 2.0) < 1e-8
+    others = np.delete(coeffs, 1)
     assert np.max(np.abs(others)) < 1e-8
 
 
@@ -78,15 +78,15 @@ def test_closure_constant_flat_transfer():
                             transfer=FLAT, truncation=10)
     prepared = prepare_limit(config)
     assert abs(prepared["closure"] - 2.0) < 1e-8
-    assert abs(prepared["w_inv"][0, 0] - 0.25) < 1e-8
+    assert abs(prepared["w_inv"] - 0.25) < 1e-8
 
 
 def dense_series_coefficients(score, theta0, transfer, truncation, quad_points):
     """Oracle: the (T x N) cosine-matrix trapezoid rule."""
     grid = np.linspace(-np.pi, np.pi, quad_points + 1)
-    weight = np.asarray(score.grad_inv(grid, np.atleast_1d(theta0))) * transfer(grid)
+    weight = np.asarray(score.grad_inv(grid, theta0)) * transfer(grid)
     cosines = np.cos(np.outer(np.arange(1, truncation + 1), grid))
-    values = cosines[:, None, :] * weight[None, :, :]
+    values = cosines * weight
     ends = 0.5 * (values[..., 0] + values[..., -1])
     return (grid[1] - grid[0]) * (values.sum(axis=-1) - ends) / np.pi
 
@@ -150,7 +150,7 @@ def test_closed_form_limit_law_matches_the_grid_rule(spec_half):
                 truncation=truncation, quad_points=points))
             w = compute_W(score, theta, oracle, points)
             coeffs = compute_V_coeffs(score, theta, oracle, truncation, points)
-            assert abs(prepared["w"][0, 0] - w[0, 0]) <= 1e-12 * w[0, 0], name
+            assert abs(prepared["w"] - w[0, 0]) <= 1e-12 * w[0, 0], name
             np.testing.assert_allclose(prepared["coeffs"], coeffs, rtol=0.0,
                                        atol=1e-12 * np.abs(coeffs).max(), err_msg=name)
 
@@ -217,20 +217,23 @@ def test_stacked_scalar_laws_equal_one_law_at_a_time(spec_half, n):
 
     stacked, warned = law(thetas, transfers)
     assert warned == (11 if n == 10_000 else 0)
+    assert stacked["w"].shape == stacked["w_inv"].shape == stacked["closure"].shape == (11,)
     for i, (theta, transfer) in enumerate(zip(thetas, transfers)):
         one, _ = law(theta, transfer)
         for key in ("w", "coeffs"):
-            assert stacked[key][i].tobytes() == one[key].tobytes(), key
+            assert stacked[key][i].tobytes() == np.asarray(one[key]).tobytes(), key
 
 
 def test_single_parameter_w_is_inverted_without_lapack(spec_half):
-    # 1 / w is LAPACK's inverse of a 1 x 1 matrix bit for bit; W = 0 still
-    # takes the pseudo-inverse with the ill-conditioning warning.
+    # W and 1 / W are numbers, and 1 / w is LAPACK's inverse of the 1 x 1
+    # matrix [w] bit for bit; W = 0 still takes the pseudo-inverse with the
+    # ill-conditioning warning.
     for transfer in (FLAT, SmoothedTransfer(simulate_linear(
             spec_half, 300, np.random.default_rng(3))).coeffs):
         prepared = prepare_limit(LimitLawConfig(
             score=acf_score(2), theta0=np.array([0.3]), alpha=1.5, transfer=transfer))
-        assert prepared["w_inv"].tobytes() == np.linalg.inv(prepared["w"]).tobytes()
+        assert type(prepared["w"]) is float and type(prepared["w_inv"]) is float
+        assert prepared["w_inv"] == np.linalg.inv([[prepared["w"]]])[0, 0]
     # 1 + 2 r_N cos(N omega) with r_N = -1/2 vanishes at every point of the
     # N = 4096 grid, so the rule's W is exactly 0
     vanishing = np.zeros(4097)
@@ -238,7 +241,7 @@ def test_single_parameter_w_is_inverted_without_lapack(spec_half):
     zero = LimitLawConfig(score=acf_score(2), theta0=np.array([0.3]), alpha=1.5,
                           transfer=vanishing)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        assert prepare_limit(zero)["w_inv"][0, 0] == 0.0
+        assert prepare_limit(zero)["w_inv"] == 0.0
 
 
 def test_scalar_limit_law_needs_an_autocorrelation_score():
@@ -301,11 +304,11 @@ def test_dimension_one_matrix_path_matches_scalar(spec_half):
 
     w_mv = compute_W_mv(f)
     w_sc = compute_W(score_sc, theta0, transfer_sc)
-    assert abs(w_mv[0, 0] - w_sc[0, 0]) < 1e-8 * abs(w_sc[0, 0])
+    assert abs(w_mv - w_sc[0, 0]) < 1e-8 * abs(w_sc[0, 0])
 
     c_mv = compute_V_coeffs_mv(f, truncation=50)
     c_sc = compute_V_coeffs(score_sc, theta0, transfer_sc, truncation=50)
-    np.testing.assert_allclose(c_mv[:, 0, 0], c_sc[:, 0], atol=1e-8)
+    np.testing.assert_allclose(c_mv[:, 0, 0], c_sc, atol=1e-8)
 
 
 def _reference_matrix_law(score, theta0, spec, truncation=200, quad_points=4096):
@@ -319,7 +322,7 @@ def _reference_matrix_law(score, theta0, spec, truncation=200, quad_points=4096)
     def trapezoid(values):
         return step * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
-    grad = np.asarray(score.grad_inv(grid, np.atleast_1d(theta0)))[0]  # (N, d, d)
+    grad = np.asarray(score.grad_inv(grid, theta0))  # (N, d, d)
     psi = transfer_matrix(spec, grid)
     psi_h = np.conj(np.swapaxes(psi, -1, -2))
     g_grad = (psi @ psi_h) @ grad
@@ -343,8 +346,8 @@ def test_matrix_limit_law_matches_the_written_out_formulas(b):
     grid = _uniform_grid(4096)
     f = _f_matrix(score, theta0, transfer_matrix(spec, grid), grid)
     w, c = compute_W_mv(f), compute_V_coeffs_mv(f)
-    assert w.shape == (1, 1) and c.shape == c_ref.shape == (200, 2, 2)
-    assert abs(w[0, 0] - w_ref) <= 1e-12 * abs(w_ref)
+    assert type(w) is float and c.shape == c_ref.shape == (200, 2, 2)
+    assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
     assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
 
 
@@ -373,7 +376,7 @@ def test_stacked_matrix_law_equals_one_law_at_a_time(b, thetas, hill):
     for i, theta in enumerate(thetas):
         one = law(np.array([theta]), np.broadcast_to(alphas, len(thetas))[i])
         for key in ("w", "w_inv", "coeffs"):
-            assert stacked[key][i].tobytes() == one[key].tobytes(), key
+            assert stacked[key][i].tobytes() == np.asarray(one[key]).tobytes(), key
         assert stacked["closure"][i] == one["closure"]
 
 
@@ -395,6 +398,7 @@ def test_limit_draws_reproducible_and_positive():
                             transfer=FLAT, truncation=10, reps=2000)
     a = sample_limit_stat(config, np.random.default_rng(42))
     b = sample_limit_stat(config, np.random.default_rng(42))
+    assert a.shape == (2000,)
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0.0) and np.all(np.isfinite(a))
 

@@ -21,7 +21,7 @@ def test_acf_score_closed_forms():
     expect = 1.0 / (1.0 - 2.0 * theta * np.cos(2.0 * omega) + theta * theta)
     np.testing.assert_allclose(f, expect, rtol=1e-14)
     grad = score.grad_inv(omega, theta)
-    np.testing.assert_allclose(grad[0], -2.0 * np.cos(2.0 * omega) + 2.0 * theta,
+    np.testing.assert_allclose(grad, -2.0 * np.cos(2.0 * omega) + 2.0 * theta,
                                rtol=1e-14)
 
 
@@ -29,9 +29,14 @@ def test_acf_score_metadata_and_domain():
     score = acf_score(3)
     assert (score.dim, score.is_matrix) == (1, False)
     assert score.name == "acf_lag3"
-    with pytest.raises(DomainError):
+    assert score.domain == (-1.0, 1.0)
+    # a scalar or any one-element array is the one parameter, as a float
+    for theta in (0.25, [0.25], np.array([[0.25]])):
+        checked = score.check_theta(theta)
+        assert type(checked) is float and checked == 0.25
+    with pytest.raises(DomainError, match=r"^theta=1\.0 outside open interval \(-1\.0, 1\.0\)"):
         score.check_theta(1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="takes one parameter"):
         score.check_theta([0.1, 0.2])
     with pytest.raises(ValueError):
         acf_score(0)
@@ -41,9 +46,9 @@ def test_gradient_self_check_catches_wrong_derivative():
     omega_fn = lambda omega, theta: 1.0 / (1.0 + 0.0 * np.asarray(omega))
 
     def bad_grad(omega, theta):
-        return np.ones((1, np.asarray(omega).size))  # derivative of 1/f is 0
+        return np.ones(np.asarray(omega).size)  # derivative of 1/f is 0
 
-    bad = ScoreFunction(name="broken", dim=1, domain=((-1.0, 1.0),),
+    bad = ScoreFunction(name="broken", dim=1, domain=(-1.0, 1.0),
                         f=omega_fn, grad_inv=bad_grad)
     with pytest.raises(NumericalError):
         check_gradient(bad)
@@ -73,7 +78,7 @@ def test_var1_template_parsing_errors():
 def test_var1_stability_domain_enforced():
     score = var1_score([["theta"]])
     with pytest.raises(DomainError):
-        score.f(np.array([0.1]), np.array([1.0]))
+        score.f(np.array([0.1]), 1.0)
 
 
 def test_var1_dimension_one_equals_acf_lag_one():
@@ -82,17 +87,18 @@ def test_var1_dimension_one_equals_acf_lag_one():
     sc = acf_score(1)
     omega = np.linspace(-np.pi, np.pi, 17)
     theta = 0.4
-    f_mv = mv.f(omega, np.array([theta]))[:, 0, 0]
+    f_mv = mv.f(omega, theta)[:, 0, 0]
     np.testing.assert_allclose(f_mv.real, sc.f(omega, theta), rtol=1e-12)
     np.testing.assert_allclose(f_mv.imag, 0.0, atol=1e-12)
-    g_mv = mv.grad_inv(omega, np.array([theta]))[0][:, 0, 0]
-    np.testing.assert_allclose(g_mv.real, sc.grad_inv(omega, theta)[0], rtol=1e-12)
+    g_mv = mv.grad_inv(omega, theta)
+    assert g_mv.shape == (omega.size, 1, 1)
+    np.testing.assert_allclose(g_mv[:, 0, 0].real, sc.grad_inv(omega, theta), rtol=1e-12)
 
 
 def test_coupling_score_shape():
     score = coupling_var1_score()
     assert (score.dim, score.is_matrix) == (2, True)
-    f = score.f(np.array([0.0]), np.array([0.2]))
+    f = score.f(np.array([0.0]), 0.2)
     b = np.array([[0.5, 0.2], [0.4, 0.2]])
     inv = np.linalg.inv(np.eye(2) - b)
     np.testing.assert_allclose(f[0], inv @ inv.conj().T, atol=1e-12)
@@ -117,8 +123,13 @@ def test_estimating_function_closed_form(series_half):
     values = self_normalized_grid(series_half)
     freqs = fourier_frequencies(series_half.size)
     expect = (-2.0 * np.cos(2.0 * freqs) + 2.0 * theta) * values
-    np.testing.assert_allclose(rows[:, 0], expect, rtol=1e-12)
-    assert rows.shape == (series_half.size, 1)
+    np.testing.assert_allclose(rows, expect, rtol=1e-12)
+    assert rows.shape == series_half.shape
+    # a stack of series gives one row of values per series
+    stack = np.stack([series_half, series_half[::-1]])
+    stacked = estimating_function(stack, score, theta, 1.5)
+    assert stacked.shape == stack.shape
+    assert stacked[0].tobytes() == rows.tobytes()
 
 
 def test_estimating_function_mean_has_acf_root(series_half):
@@ -141,7 +152,7 @@ def test_estimating_function_rejects_mismatched_kinds(series_half, rng):
 def test_estimating_function_mv_real_and_shaped(rng):
     x = rng.standard_normal((48, 2))
     rows = estimating_function_mv(x, coupling_var1_score(), 0.1, 1.5)
-    assert rows.shape == (48, 1)
+    assert rows.shape == (48,)
     assert rows.dtype == np.float64
 
 
