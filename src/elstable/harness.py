@@ -12,7 +12,6 @@ schema-version header.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -28,7 +27,7 @@ import numpy as np
 from .emplik import solve_lagrange_batch, x_n
 from .errors import NumericalError
 from .limitlaw import (LimitLawConfig, _trapezoid, _uniform_grid, prepare_limit,
-                       sac_series_constant, sample_stable_ratio)
+                       ratio_quantiles, sac_series_constant)
 from .processes import (LinearProcessSpec, _is_finite_real, check_number, ma_polynomial_spec,
                         power_transfer_matrix, simulate_linear, simulate_vector_linear,
                         spec_from_dict, theoretical_acf, transfer_matrix, vma_table_spec)
@@ -456,25 +455,7 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# the stable ratio law and the tail index behind both intervals
-
-def _ratio_quantiles(alpha: float, config: "ExperimentConfig", rng: np.random.Generator,
-                     sac: bool) -> tuple:
-    """The level-quantiles of ``config.limit_reps`` stable ratio draws from
-    ``rng``: of their squares (the EL threshold's) and of their absolute
-    values (the SAC half-width's), nan when the SAC interval is not run.
-
-    Both come from the one array of draws, reordered by the first quantile
-    and squared in place between the two: a quantile reads only the values.
-    """
-    draws = sample_stable_ratio(alpha, config.limit_reps, rng, config.scale_convention)
-    abs_q = math.nan
-    if sac:
-        np.abs(draws, out=draws)
-        abs_q = float(np.quantile(draws, config.level, overwrite_input=True))
-    draws **= 2
-    return float(np.quantile(draws, config.level, overwrite_input=True)), abs_q
-
+# the tail index behind both intervals
 
 def _check_hill_k(k: int | None, n: int) -> None:
     """Refuse a config's ``hill_k`` outside ``[1, n - 1]`` for series of length ``n``."""
@@ -552,7 +533,8 @@ def analyze_series(x: np.ndarray, score: ScoreFunction, alpha: float,
     ratio law is drawn from ``rng``.  This is the one-series case of the
     stacked analysis (:func:`_analyze_stack`).
     """
-    quantiles = _ratio_quantiles(alpha, config, rng, "sac" in _methods(config, score))
+    quantiles = ratio_quantiles(alpha, config.level, config.limit_reps, rng,
+                                config.scale_convention)
     return _analyze_stack([x], [alpha], [quantiles], score=score, config=config,
                           process=process)[0]
 
@@ -562,7 +544,7 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process) -> list:
     or (B, n, d), computed in one pass.
 
     ``alpha`` holds one value per series, and ``quantiles`` one pair of
-    ratio-law quantiles (:func:`_ratio_quantiles`) per series: the squared
+    ratio-law quantiles (:func:`ratio_quantiles`) per series: the squared
     one scales into the EL threshold ``q closure^2 / W``, the absolute one
     into the SAC half-width ``q K / x_n`` (Davis & Resnick 1986).  ``K``
     takes the series' sample autocorrelations, or with ``process`` known
@@ -823,8 +805,8 @@ def _coverage_chunk(config: ExperimentConfig, theta0: float, quantiles: tuple | 
             alpha = spec.noise.alpha if known else hill_alpha(x, config.hill_k)[1]
             record["alpha"] = alpha
             # the shared ratio law with a known index, else this series' own
-            drawn.append((record, x, alpha, quantiles if known else _ratio_quantiles(
-                alpha, config, rng, "sac" in config.methods)))
+            drawn.append((record, x, alpha, quantiles if known else ratio_quantiles(
+                alpha, config.level, config.limit_reps, rng, config.scale_convention)))
         except (ValueError, RuntimeError) as exc:
             _fill_record(record, exc, theta0)
     if drawn:
@@ -914,7 +896,8 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     quantiles = None
     if config.alpha_mode == "known":
         rng0 = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
-        quantiles = _ratio_quantiles(spec.noise.alpha, config, rng0, "sac" in config.methods)
+        quantiles = ratio_quantiles(spec.noise.alpha, config.level, config.limit_reps, rng0,
+                                    config.scale_convention)
 
     workers = config.workers
     if workers is None:
@@ -933,6 +916,8 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     else:
         # The caller is one of the processes: it runs chunks 0, P, 2P, ...
         # while the pool's P - 1 workers run the others.
+        import concurrent.futures  # here, so that a run without a pool does not load it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes - 1) as pool:
             futures = {i: pool.submit(run, chunks[i])
                        for i in range(len(chunks)) if i % processes}

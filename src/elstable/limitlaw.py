@@ -495,6 +495,27 @@ def sample_stable_ratio(alpha: float, reps: int, rng: np.random.Generator,
     return s1
 
 
+def ratio_quantiles(alpha: float, level: float, reps: int, rng: np.random.Generator,
+                    scale_convention) -> tuple[float, float]:
+    """The ``level``-quantiles of ``reps`` stable ratio draws from ``rng``:
+    of their squares (the EL threshold's) and of their absolute values (the
+    SAC half-width's).
+
+    Both interpolate, as :func:`numpy.quantile` does, between the same two
+    order statistics of the absolute draws, the k-th and the next with
+    ``k = floor(level (reps - 1))``: one partition finds both, and squaring
+    keeps their order.  ``reps`` is at least 2 and ``level`` in [0, 1).
+    """
+    draws = sample_stable_ratio(alpha, reps, rng, scale_convention)
+    np.abs(draws, out=draws)
+    position = (reps - 1) * level
+    k = int(position)
+    draws.partition(k)
+    pair = np.array([draws[k], draws[k + 1:].min()])
+    weight = position - k
+    return float(np.quantile(pair ** 2, weight)), float(np.quantile(pair, weight))
+
+
 def sac_series_constant(rho: Callable | np.ndarray, l: int, alpha: float,
                         truncation: int = 200) -> float:
     """Aggregated scale of the sample-autocorrelation limit law.

@@ -10,9 +10,10 @@ frequency grid:
 
 with the self-normalized periodogram in the scalar case and the trace form
 ``tr{ d f^-1 / d theta * I(lambda_t) }`` in the matrix case.  Every score
-has one parameter ``theta``.  Every factory checks ``grad_inv`` against
-finite differences of ``1/f`` before returning, so a mistyped derivative
-cannot propagate silently.
+has one parameter ``theta``.  Neither the estimating function nor its limit
+law reads ``f`` itself, so a score carries only the closed-form gradient
+``grad_inv``; the tests check each one against finite differences of the
+inverse density written out there.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .spectral import fourier_frequencies, periodogram_matrix_grid, self_normali
 
 @dataclass(frozen=True)
 class ScoreFunction:
-    """One-parameter score ``f`` with the analytic gradient of its inverse.
+    """One-parameter score ``f``, held as the analytic gradient of its inverse.
 
-    ``f(omega, theta)`` maps a frequency array of shape (N,) to values of
-    shape (N,) (scalar kind) or (N, d, d) complex Hermitian (matrix kind).
-    ``grad_inv(omega, theta)`` returns the theta-derivative of ``1/f`` (or
-    of the matrix inverse), shaped as the values of ``f``.  ``theta`` is a
-    float, and ``domain`` its open interval ``(lo, hi)``.
+    ``grad_inv(omega, theta)`` maps a frequency array of shape (N,) to the
+    theta-derivative of ``1/f``, shape (N,) (scalar kind), or of the matrix
+    inverse, shape (N, d, d) complex Hermitian (matrix kind).  ``theta`` is
+    a float, and ``domain`` its open interval ``(lo, hi)``.
     ``lag`` is the autocorrelation lag an autocorrelation score targets, so
     the competing sample-autocorrelation interval can read it; None for
     other scores.
@@ -44,7 +44,6 @@ class ScoreFunction:
     name: str
     dim: int
     domain: tuple
-    f: Callable = field(repr=False)
     grad_inv: Callable = field(repr=False)
     lag: int | None = None
 
@@ -66,33 +65,6 @@ class ScoreFunction:
         return theta
 
 
-def check_gradient(score: ScoreFunction, rng: np.random.Generator | None = None,
-                   n_points: int = 100, step: float = 1e-5, rtol: float = 1e-6) -> None:
-    """Verify ``grad_inv`` against central finite differences of ``1/f``.
-
-    Raises :class:`NumericalError` if any of ``n_points`` random (omega,
-    theta) pairs disagrees beyond ``rtol`` relative to the gradient scale.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    omega = (rng.random(n_points) * 2.0 - 1.0) * np.pi
-    lo, hi = score.domain
-    # keep theta and the difference stencil strictly inside the domain
-    theta = lo + (0.1 + 0.8 * rng.random()) * (hi - lo)
-
-    def inv_f(th):
-        val = score.f(omega, th)
-        return np.linalg.inv(val) if score.is_matrix else 1.0 / val
-
-    grad = np.asarray(score.grad_inv(omega, theta))
-    scale = np.max(np.abs(grad)) + 1.0
-    diff = (inv_f(theta + step) - inv_f(theta - step)) / (2.0 * step)
-    err = np.max(np.abs(diff - grad))
-    if err > rtol * scale:
-        raise NumericalError(
-            f"grad_inv of score {score.name!r} disagrees with finite "
-            f"differences: max error {err:.3e} vs scale {scale:.3e}")
-
-
 def acf_score(lag: int) -> ScoreFunction:
     """Score ``f(omega; theta) = |1 - theta e^(i lag omega)|**-2``.
 
@@ -104,16 +76,11 @@ def acf_score(lag: int) -> ScoreFunction:
     if lag < 1:
         raise ValueError("lag must be a positive integer")
 
-    def f(omega, theta):
-        return 1.0 / (1.0 - 2.0 * theta * np.cos(lag * np.asarray(omega)) + theta * theta)
-
     def grad_inv(omega, theta):
         return -2.0 * np.cos(lag * np.asarray(omega)) + 2.0 * theta
 
-    score = ScoreFunction(name=f"acf_lag{lag}", dim=1,
-                          domain=(-1.0, 1.0), f=f, grad_inv=grad_inv, lag=lag)
-    check_gradient(score)
-    return score
+    return ScoreFunction(name=f"acf_lag{lag}", dim=1, domain=(-1.0, 1.0),
+                         grad_inv=grad_inv, lag=lag)
 
 
 def _parse_template(template) -> tuple[np.ndarray, np.ndarray]:
@@ -151,34 +118,18 @@ def var1_score(template) -> ScoreFunction:
     base, mask = _parse_template(template)
     d = mask.shape[0]
 
-    def coupling(theta):
+    def grad_inv(omega, theta):
         b = base + theta * mask
         radius = np.max(np.abs(np.linalg.eigvals(b)))
         if radius >= 1.0:
             raise DomainError(f"coupling matrix has spectral radius {radius:.4f} >= 1 "
                               f"at theta={theta}")
-        return b
-
-    def a_matrices(omega, theta):
-        b = coupling(theta)
-        phases = np.exp(1j * np.asarray(omega, dtype=float))
-        return np.eye(d) - phases[:, None, None] * b
-
-    def f(omega, theta):
-        a = a_matrices(omega, theta)
-        inv = np.linalg.inv(a)
-        return inv @ np.conj(np.swapaxes(inv, -1, -2))
-
-    def grad_inv(omega, theta):
-        a = a_matrices(omega, theta)
-        phases = np.exp(1j * np.asarray(omega, dtype=float))
-        term = np.conj(np.swapaxes(a, -1, -2)) @ (phases[:, None, None] * mask)
+        phases = np.exp(1j * np.asarray(omega, dtype=float))[:, None, None]
+        a = np.eye(d) - phases * b
+        term = np.conj(np.swapaxes(a, -1, -2)) @ (phases * mask)
         return -(np.conj(np.swapaxes(term, -1, -2)) + term)
 
-    score = ScoreFunction(name="var1", dim=d, domain=(-1.0, 1.0),
-                          f=f, grad_inv=grad_inv)
-    check_gradient(score)
-    return score
+    return ScoreFunction(name="var1", dim=d, domain=(-1.0, 1.0), grad_inv=grad_inv)
 
 
 def coupling_var1_score() -> ScoreFunction:

@@ -228,6 +228,19 @@ def test_limit_quantiles_are_pinned(tmp_path, config, gamma_p, stderr):
     assert [r["stderr"] for r in records] == pytest.approx(stderr, rel=1e-9)
 
 
+def test_limit_at_a_stable_point_of_an_off_zero_template(tmp_path):
+    # B(theta) = [[1.02, theta], [-1, 0]] has spectral radius 0.548 at
+    # theta = 0.3 but 1.02 at 0: building the score evaluates nothing, and
+    # the law is evaluated only at the point asked for.
+    config = {"process": {"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}},
+              "score": {"name": "var1", "template": [[1.02, "theta"], [-1.0, 0.0]]}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run_cli("limit", "--config", tmp_path / "config.json", "--theta", 0.3,
+                   "--limit-reps", 2000, "--output", tmp_path / "limit.csv") == 0
+    [record] = read_records_csv(tmp_path / "limit.csv")
+    assert record["p"] == 0.9 and record["gamma_p"] > 0.0
+
+
 def test_table_smoke(tmp_path):
     out = tmp_path / "table3.csv"
     code = run_cli("table", "--id", 3, "--seed", 1, "--limit-reps", 2000,
@@ -431,6 +444,27 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_start_up_loads_nothing_its_output_does_not_read():
+    # Importing the CLI and building the default score and process draws no
+    # random numbers and starts no pool, so neither numpy.random nor
+    # concurrent.futures (which brings logging) is loaded; a module a bare
+    # numpy import loads already is no cost of the package.
+    src = str(Path(elstable.__file__).resolve().parents[1])
+    code = ("import json, sys, numpy\n"
+            "watched = [m for m in ('numpy.random', 'concurrent.futures', 'logging')\n"
+            "           if m not in sys.modules]\n"
+            "import elstable.cli\n"
+            "from elstable.harness import ExperimentConfig\n"
+            "config = ExperimentConfig()\n"
+            "config.build_score(), config.build_process()\n"
+            "print(json.dumps([watched, [m for m in watched if m in sys.modules]]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    watched, loaded = json.loads(out.stdout)
+    assert watched, "a bare numpy import loads every watched module"
+    assert loaded == []
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -507,9 +507,7 @@ def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
     def grad_inv(omega, theta):
         return -2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * theta + theta * theta
 
-    score = ScoreFunction(name="quadratic", dim=1, domain=(-1.0, 1.0),
-                          f=lambda omega, theta: np.ones_like(omega),
-                          grad_inv=grad_inv)
+    score = ScoreFunction(name="quadratic", dim=1, domain=(-1.0, 1.0), grad_inv=grad_inv)
     with pytest.raises(NumericalError, match="not affine"):
         whittle_point(series_half, score, 1.5)
     with pytest.raises(NumericalError, match="not affine"):
@@ -867,7 +865,7 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(workers, cpus, started):
         ExperimentConfig(workers=1, seed=37, **SMALL)).records)
     sizes = _PoolSizes()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", sizes)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", sizes)
         patch.setattr(harness.os, "cpu_count", lambda: cpus)
         records = coverage_experiment(
             ExperimentConfig(workers=workers, seed=37, **SMALL)).records

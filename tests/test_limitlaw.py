@@ -1,6 +1,7 @@
 """Curvature matrices, limit-series coefficients, and threshold sampling."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
+import elstable.limitlaw
 from elstable.harness import ExperimentConfig, limit_law, pivotal_value
 
 from elstable.limitlaw import (LimitLawConfig, Quantile, _f_matrix, _uniform_grid,
                                compute_V_coeffs, compute_V_coeffs_mv, compute_W,
-                               compute_W_mv, mc_quantile, prepare_limit, sac_series_constant,
-                               sample_limit_stat, sample_limit_stat_simplified,
-                               sample_stable_ratio, scale_multipliers, tail_constant)
+                               compute_W_mv, mc_quantile, prepare_limit, ratio_quantiles,
+                               sac_series_constant, sample_limit_stat,
+                               sample_limit_stat_simplified, sample_stable_ratio,
+                               scale_multipliers, tail_constant)
 from elstable.processes import (ma_polynomial_spec, simulate_linear, theoretical_acf,
                                 transfer_matrix, vma_table_spec)
 from elstable.scores import ScoreFunction, acf_score, coupling_var1_score, var1_score
@@ -247,7 +250,7 @@ def test_single_parameter_w_is_inverted_without_lapack(spec_half):
 def test_scalar_limit_law_needs_an_autocorrelation_score():
     score = acf_score(2)
     plain = ScoreFunction(name="plain", dim=1, domain=score.domain,
-                          f=score.f, grad_inv=score.grad_inv)
+                          grad_inv=score.grad_inv)
     config = LimitLawConfig(score=plain, theta0=np.array([0.1]), alpha=1.5,
                             transfer=FLAT)
     with pytest.raises(ValueError, match="autocorrelation score"):
@@ -430,6 +433,31 @@ def test_scale_convention_is_a_pure_ratio_rescale():
     s, s0 = scale_multipliers(1.9, "davis-resnick")
     scaled = sample_stable_ratio(1.9, 5000, rng2, (1.6 * s, s0))
     np.testing.assert_allclose(scaled, 1.6 * base, rtol=1e-12)
+
+
+_DRAW = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws=st.lists(_DRAW, min_size=2, max_size=40),
+       level=st.floats(0.0, 1.0, exclude_max=True))
+def test_ratio_quantiles_equal_numpy_quantiles(draws, level):
+    # One partition and the pair above it give np.quantile's two values to
+    # the bit, inf draws (a zero S_0 divides to inf) included; a nan draw
+    # gives nan, whatever its payload.
+    draws = np.array(draws)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expect = (float(np.quantile(np.abs(draws) ** 2, level)),
+                  float(np.quantile(np.abs(draws), level)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(elstable.limitlaw, "sample_stable_ratio",
+                          lambda alpha, reps, rng, convention: draws.copy())
+            got = ratio_quantiles(1.5, level, draws.size, None, "davis-resnick")
+    for value, reference in zip(got, expect):
+        assert (math.isnan(value) and math.isnan(reference)
+                or struct.pack("d", value) == struct.pack("d", reference)), (got, expect)
 
 
 def test_mc_quantile_reports_uncertainty():

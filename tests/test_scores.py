@@ -3,11 +3,73 @@
 import numpy as np
 import pytest
 
-from elstable.errors import DomainError, NumericalError
-from elstable.scores import (ScoreFunction, acf_score, check_gradient,
-                             coupling_var1_score, estimating_function,
+from elstable.errors import DomainError
+from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score, estimating_function,
                              estimating_function_mv, score_from_config, var1_score)
 from elstable.spectral import fourier_frequencies, sample_acf, self_normalized_grid
+
+
+# --------------------------------------------------------------------------
+# the densities the scores stand for, written out, and the gradient check
+
+def acf_inverse_density(lag):
+    """``1/f = |1 - theta e^(i lag omega)|^2`` of the lag-``lag`` score."""
+    return lambda omega, theta: np.abs(1.0 - theta * np.exp(1j * lag * omega)) ** 2
+
+
+def var1_density(template):
+    """``f = (I - B e^(i omega))^-1 (...)^-*`` with ``theta`` in ``B``'s
+    marked cells."""
+    def f(omega, theta):
+        b = np.array([[theta if cell == "theta" else cell for cell in row]
+                      for row in template], dtype=float)
+        a = np.eye(len(b)) - np.exp(1j * omega)[:, None, None] * b
+        inv = np.linalg.inv(a)
+        return inv @ np.conj(np.swapaxes(inv, -1, -2))
+    return f
+
+
+def check_gradient(score, inverse_density, theta, step=1e-5, rtol=1e-6):
+    """Assert that ``grad_inv`` matches central finite differences of
+    ``inverse_density`` at 100 random frequencies, to ``rtol`` of its scale."""
+    omega = (np.random.default_rng(0).random(100) * 2.0 - 1.0) * np.pi
+    grad = np.asarray(score.grad_inv(omega, theta))
+    diff = (inverse_density(omega, theta + step)
+            - inverse_density(omega, theta - step)) / (2.0 * step)
+    np.testing.assert_allclose(diff, grad, rtol=0.0,
+                               atol=rtol * (np.max(np.abs(grad)) + 1.0))
+
+
+def matrix_inverse(density):
+    return lambda omega, theta: np.linalg.inv(density(omega, theta))
+
+
+def test_gradient_check_passes_for_builtin_scores():
+    # each shipped score against its density; the off-zero template is
+    # stable at 0.3 (radius 0.548) but not near 0, so it is checked at 0.3.
+    # The acf gradient is a polynomial in theta, so it meets a tighter bound.
+    for score, inverse_density, theta, rtol in [
+            (acf_score(1), acf_inverse_density(1), 0.3, 1e-7),
+            (acf_score(2), acf_inverse_density(2), -0.6, 1e-7),
+            (coupling_var1_score(),
+             matrix_inverse(var1_density([[0.5, "theta"], [0.4, 0.2]])), 0.2, 1e-6),
+            (var1_score([[1.02, "theta"], [-1.0, 0.0]]),
+             matrix_inverse(var1_density([[1.02, "theta"], [-1.0, 0.0]])), 0.3, 1e-6),
+            (var1_score([["theta", 0.1], [0.2, "theta"]]),
+             matrix_inverse(var1_density([["theta", 0.1], [0.2, "theta"]])), -0.4, 1e-6)]:
+        check_gradient(score, inverse_density, theta, rtol=rtol)
+
+
+def test_gradient_self_check_catches_wrong_derivative():
+    def bad_grad(omega, theta):
+        return np.ones(np.asarray(omega).size)  # the derivative of a flat 1/f is 0
+
+    bad = ScoreFunction(name="broken", dim=1, domain=(-1.0, 1.0), grad_inv=bad_grad)
+    with pytest.raises(AssertionError):
+        check_gradient(bad, lambda omega, theta: np.ones_like(omega), 0.1)
+    # a true gradient checked against another score's density is refused too
+    with pytest.raises(AssertionError):
+        check_gradient(acf_score(2), acf_inverse_density(1), 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -17,9 +79,6 @@ def test_acf_score_closed_forms():
     score = acf_score(2)
     omega = np.linspace(-np.pi, np.pi, 21)
     theta = 0.3
-    f = score.f(omega, theta)
-    expect = 1.0 / (1.0 - 2.0 * theta * np.cos(2.0 * omega) + theta * theta)
-    np.testing.assert_allclose(f, expect, rtol=1e-14)
     grad = score.grad_inv(omega, theta)
     np.testing.assert_allclose(grad, -2.0 * np.cos(2.0 * omega) + 2.0 * theta,
                                rtol=1e-14)
@@ -42,23 +101,6 @@ def test_acf_score_metadata_and_domain():
         acf_score(0)
 
 
-def test_gradient_self_check_catches_wrong_derivative():
-    omega_fn = lambda omega, theta: 1.0 / (1.0 + 0.0 * np.asarray(omega))
-
-    def bad_grad(omega, theta):
-        return np.ones(np.asarray(omega).size)  # derivative of 1/f is 0
-
-    bad = ScoreFunction(name="broken", dim=1, domain=(-1.0, 1.0),
-                        f=omega_fn, grad_inv=bad_grad)
-    with pytest.raises(NumericalError):
-        check_gradient(bad)
-
-
-def test_gradient_check_passes_for_builtin_scores():
-    check_gradient(acf_score(1), rtol=1e-7)
-    check_gradient(coupling_var1_score(), rtol=1e-6)
-
-
 # --------------------------------------------------------------------------
 # the matrix score family
 
@@ -77,8 +119,14 @@ def test_var1_template_parsing_errors():
 
 def test_var1_stability_domain_enforced():
     score = var1_score([["theta"]])
-    with pytest.raises(DomainError):
-        score.f(np.array([0.1]), 1.0)
+    with pytest.raises(DomainError, match="spectral radius 1.0000 >= 1 at theta=1.0"):
+        score.grad_inv(np.array([0.1]), 1.0)
+    # building a score evaluates nothing: a template unstable near theta = 0
+    # is a valid score where its coupling matrix is stable
+    off_zero = var1_score([[1.02, "theta"], [-1.0, 0.0]])
+    with pytest.raises(DomainError, match="spectral radius 1.0200 >= 1 at theta=0.0"):
+        off_zero.grad_inv(np.array([0.1]), 0.0)
+    assert np.all(np.isfinite(off_zero.grad_inv(np.array([0.1]), 0.3)))
 
 
 def test_var1_dimension_one_equals_acf_lag_one():
@@ -87,21 +135,21 @@ def test_var1_dimension_one_equals_acf_lag_one():
     sc = acf_score(1)
     omega = np.linspace(-np.pi, np.pi, 17)
     theta = 0.4
-    f_mv = mv.f(omega, theta)[:, 0, 0]
-    np.testing.assert_allclose(f_mv.real, sc.f(omega, theta), rtol=1e-12)
-    np.testing.assert_allclose(f_mv.imag, 0.0, atol=1e-12)
     g_mv = mv.grad_inv(omega, theta)
     assert g_mv.shape == (omega.size, 1, 1)
     np.testing.assert_allclose(g_mv[:, 0, 0].real, sc.grad_inv(omega, theta), rtol=1e-12)
 
 
 def test_coupling_score_shape():
+    # at omega = 0 the gradient of (I - B)' (I - B) is -(E' (I - B) + (I - B)' E),
+    # with E the 0/1 mask of the theta cell
     score = coupling_var1_score()
     assert (score.dim, score.is_matrix) == (2, True)
-    f = score.f(np.array([0.0]), 0.2)
-    b = np.array([[0.5, 0.2], [0.4, 0.2]])
-    inv = np.linalg.inv(np.eye(2) - b)
-    np.testing.assert_allclose(f[0], inv @ inv.conj().T, atol=1e-12)
+    grad = score.grad_inv(np.array([0.0]), 0.2)
+    assert grad.shape == (1, 2, 2)
+    a = np.eye(2) - np.array([[0.5, 0.2], [0.4, 0.2]])
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_allclose(grad[0], -(e.T @ a + a.T @ e), atol=1e-12)
 
 
 def test_score_from_config_dispatch():
