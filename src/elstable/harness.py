@@ -823,6 +823,10 @@ def coverage_summary(records: list[dict], level: float) -> dict:
 
     The error is ``|misses/replicates - (1 - level)|`` over the replicates
     that completed; failed replicates are counted separately and excluded.
+    Each miss rate ``p`` carries its binomial standard error ``sqrt(p (1 -
+    p) / used)`` and each mean length the standard error of a mean, the
+    sample standard deviation over the root of the count (nan for fewer
+    than two lengths).
     """
     ok = [r for r in records if r["status"] == "ok"]
     summary = {"replicates": len(records), "failures": len(records) - len(ok)}
@@ -834,12 +838,16 @@ def coverage_summary(records: list[dict], level: float) -> dict:
         misses = sum(1 - r[f"{method}_covered"] for r in rows)
         lengths = [r[f"{method}_length"] for r in rows
                    if not math.isnan(r[f"{method}_length"])]
+        rate = misses / len(rows)
         entry = {
             "used": len(rows),
             "misses": misses,
-            "miss_rate": misses / len(rows),
-            "coverage_error": abs(misses / len(rows) - (1.0 - level)),
+            "miss_rate": rate,
+            "miss_rate_se": math.sqrt(rate * (1.0 - rate) / len(rows)),
+            "coverage_error": abs(rate - (1.0 - level)),
             "mean_length": float(np.mean(lengths)) if lengths else math.nan,
+            "mean_length_se": (float(np.std(lengths, ddof=1)) / math.sqrt(len(lengths))
+                               if len(lengths) > 1 else math.nan),
         }
         if method == "el":
             entry["empty_regions"] = sum(r["el_empty"] for r in rows)

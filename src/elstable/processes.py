@@ -125,31 +125,38 @@ def sample_sas(params: StableParams, n: int, rng: np.random.Generator) -> np.nda
     """Draw ``n`` i.i.d. SaS variates by the Chambers-Mallows-Stuck method."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    alpha = params.alpha
     phi = rng.random(n)
+    w = None if params.alpha == 1.0 else rng.standard_exponential(n)
+    x = _cms(params.alpha, phi, w)
+    x *= params.scale ** (1.0 / params.alpha)
+    return x
+
+
+def _cms(alpha: float, phi: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Unit-scale SaS variates from uniforms ``phi`` on [0, 1) and unit
+    exponentials ``w`` (``None`` when ``alpha == 1``), overwriting both.
+
+    ``sin(alpha phi) / cos(phi)**(1/alpha) * (cos((1 - alpha) phi) /
+    w)**(1/alpha - 1)`` for ``phi`` uniform on (-pi/2, pi/2), in three
+    buffers.  Every value is computed elementwise in one fixed order, so any
+    subset of the draws gives the same values bit for bit.
+    """
     phi -= 0.5
     phi *= np.pi  # uniform on (-pi/2, pi/2)
     if alpha == 1.0:
-        x = np.tan(phi)
-    elif alpha == 2.0:
-        w = rng.exponential(1.0, n)
-        x = 2.0 * np.sin(phi) * np.sqrt(w)
-    else:
-        # sin(a phi) / cos(phi)**(1/a) * (cos((1 - a) phi) / w)**(1/a - 1),
-        # evaluated in the same order in three buffers; the exponential
-        # draws (exponential(1.0) to the bit) are the next ones either way
-        x = np.multiply(alpha, phi)
-        np.sin(x, out=x)
-        w = np.cos(phi)
-        w **= 1.0 / alpha
-        x /= w
-        rng.standard_exponential(out=w)
-        phi *= 1.0 - alpha
-        np.cos(phi, out=phi)
-        phi /= w
-        phi **= 1.0 / alpha - 1.0
-        x *= phi
-    x *= params.scale ** (1.0 / alpha)
+        return np.tan(phi)
+    if alpha == 2.0:
+        return 2.0 * np.sin(phi) * np.sqrt(w)
+    x = np.multiply(1.0 - alpha, phi)
+    np.cos(x, out=x)
+    np.divide(x, w, out=w)
+    w **= 1.0 / alpha - 1.0
+    np.multiply(alpha, phi, out=x)
+    np.sin(x, out=x)
+    np.cos(phi, out=phi)
+    phi **= 1.0 / alpha
+    x /= phi
+    x *= w
     return x
 
 
@@ -164,23 +171,29 @@ def sample_positive_stable(alpha_half: float, n: int, rng: np.random.Generator) 
         raise ValueError(f"alpha_half must lie in (0, 1), got {alpha_half}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    a = alpha_half
     u = rng.random(n)
+    return _kanter(alpha_half, u, rng.standard_exponential(n))
+
+
+def _kanter(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positive ``a``-stable variates from uniforms ``u`` on [0, 1) and unit
+    exponentials ``w``, overwriting both.
+
+    ``sin(a u) / sin(u)**(1/a) * (sin((1 - a) u) / w)**((1 - a) / a)`` for
+    ``u`` uniform on (0, pi), in three buffers and in a fixed order per
+    factor, as in :func:`_cms`.
+    """
     u *= np.pi  # uniform on (0, pi)
-    # sin(a u) / sin(u)**(1/a) * (sin((1 - a) u) / w)**((1 - a) / a), evaluated
-    # in the same order in three buffers; the exponential draws
-    # (exponential(1.0) to the bit) are the next ones either way
-    x = np.multiply(a, u)
+    x = np.multiply(1.0 - a, u)
     np.sin(x, out=x)
-    w = np.sin(u)
-    w **= 1.0 / a
-    x /= w
-    rng.standard_exponential(out=w)
-    u *= 1.0 - a
+    np.divide(x, w, out=w)
+    w **= (1.0 - a) / a
+    np.multiply(a, u, out=x)
+    np.sin(x, out=x)
     np.sin(u, out=u)
-    u /= w
-    u **= (1.0 - a) / a
-    x *= u
+    u **= 1.0 / a
+    x /= u
+    x *= w
     return x
 
 

@@ -753,6 +753,12 @@ def test_coverage_summary_arithmetic():
     assert summary["el"]["empty_regions"] == 1
     assert summary["el"]["mean_length"] == pytest.approx(0.2)
     assert summary["sac"]["misses"] == 1
+    # sqrt(p (1 - p) / used), and the sample deviation over sqrt(count)
+    assert summary["el"]["miss_rate_se"] == pytest.approx(math.sqrt(0.25 / 2))
+    assert math.isnan(summary["el"]["mean_length_se"])  # one length
+    assert summary["sac"]["miss_rate_se"] == pytest.approx(math.sqrt(0.25 / 2))
+    assert summary["sac"]["mean_length"] == pytest.approx(0.15)
+    assert summary["sac"]["mean_length_se"] == pytest.approx(0.05)
 
 
 # the deliberately short limit series of the small design warns, by design

@@ -433,31 +433,212 @@ def test_scale_convention_is_a_pure_ratio_rescale():
     s, s0 = scale_multipliers(1.9, "davis-resnick")
     scaled = sample_stable_ratio(1.9, 5000, rng2, (1.6 * s, s0))
     np.testing.assert_allclose(scaled, 1.6 * base, rtol=1e-12)
+    # an explicit pair does not check alpha, the draws do
+    for alpha in (0.0, 2.0, 2.5):
+        with pytest.raises(ValueError, match="alpha in"):
+            sample_stable_ratio(alpha, 10, rng1, (1.0, 1.0))
+        with pytest.raises(ValueError, match="alpha in"):
+            ratio_quantiles(alpha, 0.9, 10, rng1, (1.0, 1.0))
 
 
 _DRAW = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
                   st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
 
 
+def _same(got, expect):
+    return all(math.isnan(value) and math.isnan(reference)
+               or struct.pack("d", value) == struct.pack("d", reference)
+               for value, reference in zip(got, expect))
+
+
 @settings(max_examples=300, deadline=None)
 @given(draws=st.lists(_DRAW, min_size=2, max_size=40),
        level=st.floats(0.0, 1.0, exclude_max=True))
 def test_ratio_quantiles_equal_numpy_quantiles(draws, level):
-    # One partition and the pair above it give np.quantile's two values to
-    # the bit, inf draws (a zero S_0 divides to inf) included; a nan draw
-    # gives nan, whatever its payload.
+    # The window, its check and the pair above the k-th value give
+    # np.quantile's two values to the bit, inf draws (a zero S_0 divides to
+    # inf) included; a nan draw gives nan, whatever its payload.  Draw i
+    # stands for the value draws[i], whose estimate is its float32 log.
     draws = np.array(draws)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)
         expect = (float(np.quantile(np.abs(draws) ** 2, level)),
                   float(np.quantile(np.abs(draws), level)))
+        estimates = np.log(np.abs(draws)).astype(np.float32)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(elstable.limitlaw, "sample_stable_ratio",
-                          lambda alpha, reps, rng, convention: draws.copy())
+            patch.setattr(elstable.limitlaw, "_ratio_draws", lambda alpha, reps, rng: (
+                np.arange(reps, dtype=float), None, None, None))
+            patch.setattr(elstable.limitlaw, "_ratio", lambda alpha, multipliers, index: (
+                draws[index[0].astype(int)]))
+            patch.setattr(elstable.limitlaw, "_ratio_logs", lambda alpha, index, shift, limit: (
+                iter([(0, estimates.copy())])))
             got = ratio_quantiles(1.5, level, draws.size, None, "davis-resnick")
-    for value, reference in zip(got, expect):
-        assert (math.isnan(value) and math.isnan(reference)
-                or struct.pack("d", value) == struct.pack("d", reference)), (got, expect)
+    assert _same(got, expect), (got, expect)
+
+
+def _numpy_ratio_quantiles(alpha, level, reps, rng, convention):
+    draws = np.abs(sample_stable_ratio(alpha, reps, rng, convention))
+    return float(np.quantile(draws ** 2, level)), float(np.quantile(draws, level))
+
+
+def _windows(patch):
+    """Record what each call of ``_window_pair`` returns: ``None`` when
+    the window's check failed and every draw was computed."""
+    windows, window_pair = [], elstable.limitlaw._window_pair
+    patch.setattr(elstable.limitlaw, "_window_pair",
+                  lambda *args: windows.append(window_pair(*args)) or windows[-1])
+    return windows
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.99])
+def test_ratio_quantiles_equal_the_quantiles_of_all_draws(alpha):
+    # The prefilter's window gives the quantiles of all the float64 draws
+    # to the bit, and leaves the generator where drawing them all would.
+    with pytest.MonkeyPatch.context() as patch:
+        windows = _windows(patch)
+        for reps, seeds in ((1000, range(4)), (1001, range(4)), (100_000, range(2))):
+            for level in (0.5, 0.9, 0.95, 0.99):
+                for convention in ("davis-resnick", (1.3, 0.7)):
+                    for seed in seeds:
+                        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                        got = ratio_quantiles(alpha, level, reps, rng, convention)
+                        expect = _numpy_ratio_quantiles(alpha, level, reps, oracle,
+                                                        convention)
+                        assert _same(got, expect), (alpha, reps, level, convention, seed)
+                        assert rng.random() == oracle.random()
+    # no draws but the window's were computed
+    assert all(pair is not None for pair in windows)
+
+
+class _FakeRng:
+    """Plays back fixed uniform and exponential draws, in call order."""
+
+    def __init__(self, streams):
+        self.streams = list(streams)
+
+    def random(self, out):
+        out[...] = self.streams.pop(0)[:out.size]
+        return out
+
+    standard_exponential = random
+
+
+def _edge_draws(alpha, reps, seed, kanter_zero=False):
+    """Uniforms and exponentials of which a third are edge values: the
+    angles next to 0, pi/2 and pi (and exactly -pi/2), exponentials of 0 and
+    next to it, and huge ones."""
+    rng = np.random.default_rng(seed)
+    tiny, a = 2.0 ** -53, alpha / 2.0
+    u0_edge = [tiny, 1.0 - tiny, 0.5 / a, 0.5 / a - tiny, 0.5 / (1.0 - a)]
+    u1_edge = [0.0, tiny, 1.0 - tiny, 0.5, 0.5 + tiny, 0.5 - tiny, 0.5 + 0.5 / alpha,
+               0.5 - 0.5 / alpha]
+    # below alpha = 1 an exponential of 0 or next to it overflows either
+    # stable draw to inf, and their ratio to nan
+    w_edge = [0.0, 5e-324, 1e-300, tiny, 700.0] if alpha >= 1.0 else [tiny, 700.0]
+    streams = []
+    for edge in (u0_edge, w_edge, u1_edge, w_edge):
+        values = rng.random(reps) if edge is not w_edge else rng.standard_exponential(reps)
+        pick = rng.random(reps) < 1.0 / 3.0
+        values[pick] = rng.choice([e for e in edge if 0.0 <= e < 1.0 or edge is w_edge],
+                                  pick.sum())
+        streams.append(values)
+    if kanter_zero:
+        streams[0][reps // 2] = 0.0  # sin(0) / sin(0)**(1/a): a nan draw
+    return streams if alpha != 1.0 else streams[:3]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.99])
+def test_ratio_quantiles_place_edge_draws(alpha):
+    # Uniforms of 0 and next to the edges of the angles' ranges and
+    # exponentials of 0 and next to it, a third of all draws, are placed by
+    # the prefilter or computed up front, and the window holds the pair; a
+    # uniform of 0 in Kanter's draws gives a nan, and all draws are computed.
+    with warnings.catch_warnings(), np.errstate(all="ignore"), \
+            pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("ignore", RuntimeWarning)
+        windows = _windows(patch)
+        for reps, seed in ((1000, 0), (10_000, 1), (10_000, 2)):
+            streams = _edge_draws(alpha, reps, seed)
+            for level in (0.5, 0.9, 0.99):
+                got = ratio_quantiles(alpha, level, reps, _FakeRng(streams), "davis-resnick")
+                expect = _numpy_ratio_quantiles(alpha, level, reps, _FakeRng(streams),
+                                                "davis-resnick")
+                assert _same(got, expect), (reps, seed, level, got, expect)
+                assert math.isfinite(got[0]) and windows[-1] is not None
+        streams = _edge_draws(alpha, 10_000, 3, kanter_zero=True)
+        got = ratio_quantiles(alpha, 0.9, 10_000, _FakeRng(streams), "davis-resnick")
+        assert math.isnan(got[0]) and math.isnan(got[1]) and windows[-1] is None
+
+
+def test_ratio_quantiles_fall_back_to_all_draws():
+    # With no margin the window's check cannot pass, and every draw is
+    # computed: still the same quantiles, to the bit.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elstable.limitlaw, "_MARGIN", 0.0)
+        windows = _windows(patch)
+        for alpha, reps, seed in ((1.5, 1001, 0), (1.0, 100_000, 1), (1.9, 100_000, 2)):
+            got = ratio_quantiles(alpha, 0.9, reps, np.random.default_rng(seed),
+                                  "davis-resnick")
+            expect = _numpy_ratio_quantiles(alpha, 0.9, reps, np.random.default_rng(seed),
+                                            "davis-resnick")
+            assert _same(got, expect)
+    assert len(windows) == 3 and all(pair is None for pair in windows)
+
+
+def test_ratio_quantiles_with_multipliers_past_the_float64_range():
+    # Multipliers that underflow the ratios leave no room for the prefilter,
+    # which is skipped, and ones that nearly do shrink its limit.
+    estimated = []
+    ratio_logs = elstable.limitlaw._ratio_logs
+    with pytest.MonkeyPatch.context() as patch:
+        windows = _windows(patch)
+        patch.setattr(elstable.limitlaw, "_ratio_logs",
+                      lambda *args: estimated.append(args[-1]) or ratio_logs(*args))
+        for convention in ((1e-300, 1e300), (1e-120, 1e120)):
+            got = ratio_quantiles(1.5, 0.9, 1001, np.random.default_rng(4), convention)
+            expect = _numpy_ratio_quantiles(1.5, 0.9, 1001, np.random.default_rng(4),
+                                            convention)
+            assert _same(got, expect)
+    assert windows[0] is None and windows[1] is not None
+    assert len(estimated) == 1 and 0.0 < estimated[0] < 44.0  # the limit L
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.99])
+def test_ratio_estimates_are_within_the_error_bound(alpha):
+    # Every finite float32 estimate, of ordinary draws and of draws next to
+    # the edges of the angles' ranges, is within the documented bound of
+    # the log of the float64 draw; measured errors sit far below it.
+    limitlaw = elstable.limitlaw
+    multipliers = scale_multipliers(alpha)
+    shift, limit, bound = limitlaw._prefilter_bounds(alpha, multipliers)
+    draws = [limitlaw._ratio_draws(alpha, 50_000, np.random.default_rng(7)),
+             tuple(_edge_draws(alpha, 20_000, 8)) + ((None,) if alpha == 1.0 else ())]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for sample in draws:
+            estimates = np.concatenate([z.copy() for _, z in
+                                        limitlaw._ratio_logs(alpha, sample, shift, limit)])
+            exact = np.log(np.abs(limitlaw._ratio(alpha, multipliers, sample)))
+            placed = ~np.isnan(estimates)
+            assert placed.mean() > 0.3
+            assert np.max(np.abs(estimates[placed] - exact[placed])) < bound
+    assert bound < 3e-4
+
+
+def test_ratio_of_a_subset_is_the_subset_of_the_ratio():
+    # The window recomputes a few draws; each must get the bits it gets
+    # among all of them, whatever its place in the array.
+    rng = np.random.default_rng(5)
+    for alpha in (0.5, 1.0, 1.5, 1.99):
+        multipliers = scale_multipliers(alpha)
+        draws = elstable.limitlaw._ratio_draws(alpha, 5000, rng)
+        copy = tuple(None if d is None else d.copy() for d in draws)
+        full = elstable.limitlaw._ratio(alpha, multipliers, copy)
+        for index in (np.array([4999]), rng.choice(5000, 37, replace=False),
+                      np.arange(1, 5000, 2)):
+            subset = elstable.limitlaw._subset(draws, index)
+            part = elstable.limitlaw._ratio(alpha, multipliers, subset)
+            assert part.tobytes() == full[index].tobytes()
 
 
 def test_mc_quantile_reports_uncertainty():
