@@ -20,7 +20,6 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -90,23 +89,22 @@ def el_confidence_region(x: np.ndarray, score: ScoreFunction, grid: np.ndarray,
     Hull failures enter as ``+inf`` statistics (the point is rejected).  The
     reported interval is the hull of the accepted grid points, ``None`` when
     the region is empty.
-    The rows at every grid point come from the affine decomposition
-    ``a + theta b`` of the score (:func:`_affine_rows`), so a score that is
-    not affine in theta raises :class:`NumericalError`.
+    The rows at every grid point are ``a + theta b`` (:func:`_affine_rows`),
+    with ``b`` the periodogram weighted by the score's constant slope.
 
     With a one-signed slope ``b`` the region is an interval (Owen 1990,
     Monti 1997).  The autocorrelation scores have one, and so does the var1
-    score: ``grad_inv`` moves with theta by ``2 M^T M``, M the mask of the
-    theta cells, so ``b_t = tr{2 M^T M I(lambda_t)} >= 0`` (Owen 2001, sec.
-    3.14).  The first and last accepted grid points are then found by a
-    secant search on the square root of the statistic, safeguarded by
-    bisection over grid indices (:func:`_search_regions`): about 3 batch
-    solves of about 9 grid points in all, each with the decision a full
-    scan makes there.  ``thetas``, ``stats`` and ``accepted`` hold only the
-    probed points: the smallest (largest) of them is the interval's lower
-    (upper) end exactly when that end is the grid end.  ``hull_failures``
-    counts the whole grid.  A slope that is zero or takes both signs, a
-    probe whose solve does not converge and an unconfirmed hull count raise
+    score: its slope is ``2 M^T M``, M the mask of the theta cells, so
+    ``b_t = tr{2 M^T M I(lambda_t)} >= 0`` (Owen 2001, sec. 3.14).  The
+    first and last accepted grid points are then found by a secant search
+    on the square root of the statistic, safeguarded by bisection over grid
+    indices (:func:`_search_regions`): about 3 batch solves of about 9 grid
+    points in all, each with the decision a full scan makes there.
+    ``thetas``, ``stats`` and ``accepted`` hold only the probed points: the
+    smallest (largest) of them is the interval's lower (upper) end exactly
+    when that end is the grid end.  ``hull_failures`` counts the whole
+    grid.  A slope that is zero or takes both signs, a probe whose solve
+    does not converge and an unconfirmed hull count raise
     :class:`NumericalError`.  This is the one-series case of
     :func:`_region_scans`.
     """
@@ -329,33 +327,6 @@ def theta_grid(score: ScoreFunction, step: float = 0.001,
 # --------------------------------------------------------------------------
 # affine scores: rows, plug-in points and pivotal values in closed form
 
-def _affine(fun: Callable, score: ScoreFunction):
-    """Intercept and slope ``(a, b)`` of ``fun(theta) = a + theta b``.
-
-    ``fun`` is evaluated at the midpoint and the upper quarter point of the
-    score domain (clipped to +/-8) and checked at the lower quarter point.
-    A residual above 1e-9 of the evaluated values raises
-    :class:`NumericalError`: the closed forms built on ``(a, b)`` would be
-    wrong for a score that is not affine in theta.  Values with a leading
-    axis are rows checked one by one.
-    """
-    lo, hi = np.clip(score.domain, -8.0, 8.0)
-    mid, upper, lower = lo + (hi - lo) * np.array([0.5, 0.75, 0.25])
-    at_mid, at_upper = np.asarray(fun(mid)), np.asarray(fun(upper))
-    b = (at_upper - at_mid) / (upper - mid)
-    a = at_mid - mid * b
-
-    def row_max(values):
-        return values.max(axis=-1) if values.ndim else values
-
-    residual = row_max(np.abs(fun(lower) - (a + lower * b)))
-    bad = residual > 1e-9 * row_max(np.maximum(np.abs(at_mid), np.abs(at_upper)))
-    if np.any(bad):
-        raise NumericalError(f"score {score.name!r} is not affine in theta: "
-                             f"residual {np.max(residual[bad]):.3e} at theta={lower:g}")
-    return a, b
-
-
 def _affine_root(a, b, score: ScoreFunction, what: str):
     """Root ``-a / b`` of ``a + theta b``, which must lie in the score domain;
     one root per row for arrays, a float otherwise."""
@@ -372,27 +343,26 @@ def _affine_root(a, b, score: ScoreFunction, what: str):
 def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha):
     """Estimating-function rows ``m_t(theta) = a_t + theta b_t`` as ``(a, b)``.
 
-    Both shipped scores are affine in theta: the autocorrelation rows are
-    ``(-2 cos(l lambda_t) + 2 theta) I_t`` and the coupling matrix
-    ``B(theta)`` of the var1 score enters ``grad_inv`` linearly.  This is the
-    one place that picks the row builder; the periodogram is computed once
-    for the three evaluations of :func:`_affine`.  A stack of scalar series
-    (B, n), with one ``alpha`` or B of them, gives (B, n) rows in one pass;
-    a stack of vector series (B, n, d) is decomposed one series at a time.
+    ``a`` is the rows at theta = 0, and ``b`` the periodogram weighted by
+    the score's constant ``slope``: ``slope * I_t`` for a scalar score and
+    ``tr{slope I(lambda_t)}`` for a matrix score.  This is the one place
+    that picks the row builder, which runs once on one periodogram.  A
+    stack of scalar series (B, n), with one ``alpha`` or B of them, gives
+    (B, n) rows in one pass; a stack of vector series (B, n, d) is
+    decomposed one series at a time.
     """
     x = np.asarray(x, dtype=float)
     if score.is_matrix and x.ndim == 3:
         pairs = [_affine_rows(series, score, value)
                  for series, value in zip(x, np.broadcast_to(alpha, len(x)).tolist())]
         return tuple(np.array(part) for part in zip(*pairs))
-    periodogram = (periodogram_matrix_grid(x, alpha) if score.is_matrix
-                   else self_normalized_grid(x))
-    builder = estimating_function_mv if score.is_matrix else estimating_function
-
-    def rows(theta):
-        return builder(x, score, theta, alpha, periodogram=periodogram)
-
-    return _affine(rows, score)
+    if score.is_matrix:
+        periodogram = periodogram_matrix_grid(x, alpha)
+        a = estimating_function_mv(x, score, 0.0, alpha, periodogram=periodogram)
+        return a, np.einsum("ab,tba->t", score.slope, periodogram).real
+    periodogram = self_normalized_grid(x)
+    a = estimating_function(x, score, 0.0, alpha, periodogram=periodogram)
+    return a, periodogram * score.slope
 
 
 def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
@@ -404,9 +374,11 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
     ``2 theta - 2 cos(l omega)``, the root is the model autocorrelation
     ``rho(l)`` in closed form; other scalar scores raise ``ValueError``.
     For a matrix score the ``quad_points`` trapezoid rule of the integral is
-    affine in theta, ``A + theta B``, like the rows, so the value is
-    ``-A / B``.  :class:`NumericalError` when the score is not affine or the
-    value falls outside the score domain.
+    affine in theta, ``A + theta B``, like the rows, with ``A`` and ``B``
+    the rules of ``tr{intercept g}`` and ``tr{slope g}``, so the value is
+    ``-A / B``.  :class:`NumericalError` when the value falls outside the
+    score domain; the score's ``check`` raises where it is not a valid
+    coupling value.
     """
     if not score.is_matrix:
         if score.lag is None:
@@ -418,12 +390,12 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
 
     grid = _uniform_grid(quad_points)
     g = power_transfer_matrix(spec, grid)
-
-    def disparity(theta):
-        grad = np.asarray(score.grad_inv(grid, theta))
-        return _trapezoid(np.einsum("tab,tba->t", grad, g).real, grid)
-
-    return _affine_root(*_affine(disparity, score), score, "pivotal value")
+    intercept = _trapezoid(np.einsum("tab,tba->t", score.intercept(grid), g).real, grid)
+    slope = _trapezoid(np.einsum("ab,tba->t", score.slope, g).real, grid)
+    root = _affine_root(intercept, slope, score, "pivotal value")
+    if score.check is not None:
+        score.check(root)
+    return root
 
 
 def _model_acf(spec: LinearProcessSpec) -> np.ndarray:
@@ -448,7 +420,7 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
     region contracts to; for the autocorrelation score it is within O(1/n)
     of the sample autocorrelation.  With the rows ``a + theta b`` of
     :func:`_affine_rows` it is ``-sum(a) / sum(b)``; :class:`NumericalError`
-    when the score is not affine or the root falls outside the score domain.
+    when the root falls outside the score domain.
     """
     a, b = _affine_rows(x, score, alpha)
     return _affine_root(a.sum(axis=-1), b.sum(axis=-1), score, "plug-in point")

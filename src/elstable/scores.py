@@ -10,10 +10,13 @@ frequency grid:
 
 with the self-normalized periodogram in the scalar case and the trace form
 ``tr{ d f^-1 / d theta * I(lambda_t) }`` in the matrix case.  Every score
-has one parameter ``theta``.  Neither the estimating function nor its limit
-law reads ``f`` itself, so a score carries only the closed-form gradient
-``grad_inv``; the tests check each one against finite differences of the
-inverse density written out there.
+has one parameter ``theta``, and ``1/f`` of every shipped score is
+quadratic in it, so its gradient is affine: a score carries the gradient
+as ``intercept(omega) + theta * slope``, and the rows are ``a + theta b``
+with ``b`` the periodogram weighted by the constant ``slope``.  Neither the
+estimating function nor its limit law reads ``f`` itself; the tests check
+each gradient against finite differences of the inverse density written
+out there.
 """
 
 from __future__ import annotations
@@ -30,26 +33,39 @@ from .spectral import fourier_frequencies, periodogram_matrix_grid, self_normali
 
 @dataclass(frozen=True)
 class ScoreFunction:
-    """One-parameter score ``f``, held as the analytic gradient of its inverse.
+    """One-parameter score ``f``, held as the analytic gradient of its
+    inverse, which is affine in theta.
 
-    ``grad_inv(omega, theta)`` maps a frequency array of shape (N,) to the
-    theta-derivative of ``1/f``, shape (N,) (scalar kind), or of the matrix
-    inverse, shape (N, d, d) complex Hermitian (matrix kind).  ``theta`` is
-    a float, and ``domain`` its open interval ``(lo, hi)``.
-    ``lag`` is the autocorrelation lag an autocorrelation score targets, so
-    the competing sample-autocorrelation interval can read it; None for
-    other scores.
+    ``intercept(omega)`` maps a frequency array of shape (N,) to the
+    theta-derivative of ``1/f`` at theta = 0, shape (N,) (scalar kind), or
+    of the matrix inverse, shape (N, d, d) complex Hermitian (matrix kind).
+    ``slope`` is the constant second derivative: a float, or a real
+    symmetric (d, d) array.  ``theta`` is a float, and ``domain`` its open
+    interval ``(lo, hi)``.  ``check(theta)``, when set, raises
+    :class:`DomainError` where theta is not a valid value of the density
+    itself, though the gradient is defined there.  ``lag`` is the
+    autocorrelation lag an autocorrelation score targets, so the competing
+    sample-autocorrelation interval can read it; None for other scores.
     """
 
     name: str
     dim: int
     domain: tuple
-    grad_inv: Callable = field(repr=False)
+    intercept: Callable = field(repr=False)
+    slope: float | np.ndarray = field(repr=False)
     lag: int | None = None
+    check: Callable | None = field(default=None, repr=False)
 
     @property
     def is_matrix(self) -> bool:
         return self.dim > 1
+
+    def grad_inv(self, omega, theta):
+        """The theta-derivative of ``1/f`` at ``theta``: ``intercept(omega)
+        + theta * slope``, after ``check``."""
+        if self.check is not None:
+            self.check(theta)
+        return self.intercept(omega) + theta * self.slope
 
     def check_theta(self, theta) -> float:
         """A scalar or one-element ``theta`` in the domain, as a float."""
@@ -76,11 +92,11 @@ def acf_score(lag: int) -> ScoreFunction:
     if lag < 1:
         raise ValueError("lag must be a positive integer")
 
-    def grad_inv(omega, theta):
-        return -2.0 * np.cos(lag * np.asarray(omega)) + 2.0 * theta
+    def intercept(omega):
+        return -2.0 * np.cos(lag * np.asarray(omega))
 
     return ScoreFunction(name=f"acf_lag{lag}", dim=1, domain=(-1.0, 1.0),
-                         grad_inv=grad_inv, lag=lag)
+                         intercept=intercept, slope=2.0, lag=lag)
 
 
 def _parse_template(template) -> tuple[np.ndarray, np.ndarray]:
@@ -111,25 +127,27 @@ def var1_score(template) -> ScoreFunction:
     parameter label ``"theta"``, which may fill several cells, e.g.
     ``[[0.5, "theta"], [0.4, 0.2]]``; ``B(theta)`` is the template with
     theta in those cells.  The inverse has the closed form
-    ``f^-1 = (I - B e^(i omega))* (I - B e^(i omega))``, so its gradient is
-    available analytically.  ``B(theta)`` must have spectral radius < 1;
-    the domain of theta is (-1, 1).
+    ``f^-1 = (I - B e^(i omega))* (I - B e^(i omega))``, quadratic in theta
+    with the constant second derivative ``2 M^T M``, M the 0/1 mask of the
+    theta cells.  ``B(theta)`` must have spectral radius < 1 wherever theta
+    is used as a coupling value (``check``); the domain of theta is (-1, 1).
     """
     base, mask = _parse_template(template)
     d = mask.shape[0]
 
-    def grad_inv(omega, theta):
-        b = base + theta * mask
-        radius = np.max(np.abs(np.linalg.eigvals(b)))
+    def intercept(omega):
+        phases = np.exp(1j * np.asarray(omega, dtype=float))[:, None, None]
+        term = np.conj(np.swapaxes(np.eye(d) - phases * base, -1, -2)) @ (phases * mask)
+        return -(np.conj(np.swapaxes(term, -1, -2)) + term)
+
+    def check(theta):
+        radius = np.max(np.abs(np.linalg.eigvals(base + theta * mask)))
         if radius >= 1.0:
             raise DomainError(f"coupling matrix has spectral radius {radius:.4f} >= 1 "
                               f"at theta={theta}")
-        phases = np.exp(1j * np.asarray(omega, dtype=float))[:, None, None]
-        a = np.eye(d) - phases * b
-        term = np.conj(np.swapaxes(a, -1, -2)) @ (phases * mask)
-        return -(np.conj(np.swapaxes(term, -1, -2)) + term)
 
-    return ScoreFunction(name="var1", dim=d, domain=(-1.0, 1.0), grad_inv=grad_inv)
+    return ScoreFunction(name="var1", dim=d, domain=(-1.0, 1.0), intercept=intercept,
+                         slope=2.0 * mask.T @ mask, check=check)
 
 
 def coupling_var1_score() -> ScoreFunction:
@@ -175,8 +193,7 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
     x = np.asarray(x, dtype=float)
     values = self_normalized_grid(x) if periodogram is None else periodogram
     freqs = fourier_frequencies(values.shape[-1])
-    grad = np.asarray(score.grad_inv(freqs, theta))
-    return values * grad
+    return values * (score.intercept(freqs) + theta * score.slope)
 
 
 def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: float,
@@ -191,7 +208,7 @@ def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: fl
     if periodogram is None:
         periodogram = periodogram_matrix_grid(np.asarray(x, dtype=float), alpha)
     freqs = fourier_frequencies(periodogram.shape[0])
-    grad = np.asarray(score.grad_inv(freqs, theta))
+    grad = score.intercept(freqs) + theta * score.slope
     rows = np.einsum("tab,tba->t", grad, periodogram)
     scale = np.max(np.abs(rows.real)) + 1.0
     if np.max(np.abs(rows.imag)) > 1e-8 * scale:

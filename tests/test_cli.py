@@ -228,17 +228,52 @@ def test_limit_quantiles_are_pinned(tmp_path, config, gamma_p, stderr):
     assert [r["stderr"] for r in records] == pytest.approx(stderr, rel=1e-9)
 
 
+# B(theta) = [[1.02, theta], [-1, 0]] has spectral radius 0.548 at theta = 0.3
+# but 1.02 at 0, and is stable exactly for theta in (0.02, 1)
+OFF_ZERO = {"process": {"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}},
+            "score": {"name": "var1", "template": [[1.02, "theta"], [-1.0, 0.0]]}}
+
+
 def test_limit_at_a_stable_point_of_an_off_zero_template(tmp_path):
-    # B(theta) = [[1.02, theta], [-1, 0]] has spectral radius 0.548 at
-    # theta = 0.3 but 1.02 at 0: building the score evaluates nothing, and
-    # the law is evaluated only at the point asked for.
-    config = {"process": {"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}},
-              "score": {"name": "var1", "template": [[1.02, "theta"], [-1.0, 0.0]]}}
-    (tmp_path / "config.json").write_text(json.dumps(config))
+    # building the score evaluates nothing, and the law is evaluated only at
+    # the point asked for
+    (tmp_path / "config.json").write_text(json.dumps(OFF_ZERO))
     assert run_cli("limit", "--config", tmp_path / "config.json", "--theta", 0.3,
                    "--limit-reps", 2000, "--output", tmp_path / "limit.csv") == 0
     [record] = read_records_csv(tmp_path / "limit.csv")
     assert record["p"] == 0.9 and record["gamma_p"] > 0.0
+
+
+def test_ci_and_limit_on_an_off_zero_template(tmp_path, capsys):
+    # the rows, the plug-in point and the pivotal value never evaluate the
+    # coupling matrix at theta = 0; only a coupling value is checked
+    config, series = tmp_path / "config.json", tmp_path / "v.csv"
+    config.write_text(json.dumps(OFF_ZERO))
+    assert run_cli("simulate", "--config", config, "--n", 300, "--output", series) == 0
+    assert run_cli("ci", "-i", series, "--config", config, "--alpha", 1.5,
+                   "--limit-reps", 2000, "--output", tmp_path / "ci.csv") == 0
+    [el] = read_records_csv(tmp_path / "ci.csv")
+    assert el["method"] == "el" and el["lower"] < el["upper"]
+    # without --theta the law is taken at the pivotal value, a stable point
+    assert run_cli("limit", "--config", config, "--limit-reps", 2000,
+                   "--output", tmp_path / "limit.csv") == 0
+    capsys.readouterr()
+    assert run_cli("limit", "--config", config, "--theta", 0.01, "--limit-reps", 2000) == 2
+    assert "spectral radius 1.0101 >= 1 at theta=0.01" in capsys.readouterr().err
+
+
+def test_off_zero_coverage_records_each_unstable_plugin_point(tmp_path):
+    # a replicate whose plug-in point is not a stable coupling value gets its
+    # own error record; the other replicates are answered
+    config = dict(OFF_ZERO, limit_reps=1000, grid_step=0.01)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run_cli("coverage", "--config", tmp_path / "config.json", "--replicates", 100,
+                   "--workers", 1, "--output", tmp_path / "cov.csv") == 0
+    statuses = [r["status"] for r in read_records_csv(tmp_path / "cov.csv")]
+    errors = [s for s in statuses if s != "ok"]
+    assert len(errors) == 5
+    assert all(s.startswith("error: DomainError: coupling matrix has spectral radius ")
+               for s in errors)
 
 
 def test_table_smoke(tmp_path):

@@ -215,9 +215,9 @@ def test_region_search_on_narrow_and_short_grids(seed, gamma, lo, width, size,
        gamma=st.sampled_from([0.0, 0.3, 2.0, 8.0, 1e6]) | st.floats(0.0, 50.0),
        step=st.sampled_from([0.001, 0.0137, 0.2]))
 def test_region_search_of_the_var1_score_matches_full_scan(seed, b, n, gamma, step):
-    # grad_inv of the var1 score moves with theta by 2 M^T M, M the mask of
-    # the theta cell, so the slope of the coupling rows is b_t = 2 I_11 >= 0
-    # and the region is an interval, found by the scalar search.
+    # the slope of the var1 score is 2 M^T M, M the mask of the theta cell,
+    # so the slope of the coupling rows is b_t = 2 I_11 >= 0 and the region
+    # is an interval, found by the scalar search.
     x = simulate_vector_linear(vma_table_spec(b), n, np.random.default_rng(seed))
     score = coupling_var1_score()
     assert np.all(harness._affine_rows(x, score, 1.5)[1] >= 0.0)
@@ -500,20 +500,14 @@ def test_whittle_point_closed_form(series_half):
         assert abs(root - expect) < 1e-12
 
 
-def test_closed_forms_reject_a_score_that_is_not_affine(series_half, spec_half):
-    # -sum(a)/sum(b) and the rows a + theta b would be wrong for a gradient
-    # that is quadratic in theta, so it is refused, not solved; the scalar
-    # pivotal value is rho(lag) and needs an autocorrelation score.
-    def grad_inv(omega, theta):
-        return -2.0 * np.cos(2 * np.asarray(omega)) + 2.0 * theta + theta * theta
-
-    score = ScoreFunction(name="quadratic", dim=1, domain=(-1.0, 1.0), grad_inv=grad_inv)
-    with pytest.raises(NumericalError, match="not affine"):
-        whittle_point(series_half, score, 1.5)
-    with pytest.raises(NumericalError, match="not affine"):
-        el_confidence_region(series_half, score, theta_grid(score, 0.01), 2.0, 1.5)
+def test_scalar_pivotal_value_needs_an_autocorrelation_score(spec_half):
+    # the scalar pivotal value is rho(lag), which a score without a lag
+    # does not name
+    score = acf_score(2)
+    plain = ScoreFunction(name="plain", dim=1, domain=score.domain,
+                          intercept=score.intercept, slope=score.slope)
     with pytest.raises(ValueError, match="autocorrelation score"):
-        pivotal_value(spec_half, score)
+        pivotal_value(spec_half, plain)
 
 
 def test_pivotal_value_zero_is_not_negative_zero():

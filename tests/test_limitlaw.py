@@ -250,7 +250,7 @@ def test_single_parameter_w_is_inverted_without_lapack(spec_half):
 def test_scalar_limit_law_needs_an_autocorrelation_score():
     score = acf_score(2)
     plain = ScoreFunction(name="plain", dim=1, domain=score.domain,
-                          grad_inv=score.grad_inv)
+                          intercept=score.intercept, slope=score.slope)
     config = LimitLawConfig(score=plain, theta0=np.array([0.1]), alpha=1.5,
                             transfer=FLAT)
     with pytest.raises(ValueError, match="autocorrelation score"):

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elstable import harness
 from elstable.errors import DomainError
+from elstable.processes import simulate_vector_linear, vma_table_spec
 from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score, estimating_function,
                              estimating_function_mv, score_from_config, var1_score)
 from elstable.spectral import fourier_frequencies, sample_acf, self_normalized_grid
@@ -61,10 +65,11 @@ def test_gradient_check_passes_for_builtin_scores():
 
 
 def test_gradient_self_check_catches_wrong_derivative():
-    def bad_grad(omega, theta):
+    def bad_intercept(omega):
         return np.ones(np.asarray(omega).size)  # the derivative of a flat 1/f is 0
 
-    bad = ScoreFunction(name="broken", dim=1, domain=(-1.0, 1.0), grad_inv=bad_grad)
+    bad = ScoreFunction(name="broken", dim=1, domain=(-1.0, 1.0), intercept=bad_intercept,
+                        slope=0.0)
     with pytest.raises(AssertionError):
         check_gradient(bad, lambda omega, theta: np.ones_like(omega), 0.1)
     # a true gradient checked against another score's density is refused too
@@ -213,3 +218,50 @@ def test_estimating_function_mv_dimension_one_reduction(rng):
     sc_rows = estimating_function(x, acf_score(1), 0.3, alpha)
     gamma2 = x.size ** (-2.0 / alpha) * float(x @ x)
     np.testing.assert_allclose(mv_rows, gamma2 * sc_rows, atol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# the rows are affine in theta by construction
+
+def check_affine_rows(x, score, theta, builder):
+    """Assert that the rows at ``theta`` are ``a + theta b`` for the
+    ``(a, b)`` the harness takes, with ``a`` the rows at 0 to the bit and a
+    non-negative slope ``b``."""
+    a, b = harness._affine_rows(x, score, 1.5)
+    rows = builder(x, score, theta, 1.5)
+    np.testing.assert_allclose(a + theta * b, rows, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(rows)))
+    assert a.tobytes() == builder(x, score, 0.0, 1.5).tobytes()
+    assert np.all(b >= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(-0.99, 0.99), lag=st.integers(1, 3))
+def test_acf_rows_are_affine_in_theta(series_half, theta, lag):
+    check_affine_rows(series_half, acf_score(lag), theta, estimating_function)
+
+
+VAR1_TEMPLATES = {
+    # template and an interval of theta where B(theta) is stable
+    "shipped": ([[0.5, "theta"], [0.4, 0.2]], (-0.9, 0.9)),
+    "off-zero": ([[1.02, "theta"], [-1.0, 0.0]], (0.03, 0.99)),
+    "two-cells": ([["theta", 0.1], [0.2, "theta"]], (-0.85, 0.85)),
+}
+
+
+@pytest.fixture(scope="module")
+def vector_series():
+    return simulate_vector_linear(vma_table_spec(0.3), 120, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("name", sorted(VAR1_TEMPLATES))
+@settings(max_examples=15, deadline=None)
+@given(share=st.floats(0.0, 1.0))
+def test_var1_rows_are_affine_in_theta(vector_series, name, share):
+    template, (lo, hi) = VAR1_TEMPLATES[name]
+    score = var1_score(template)
+    theta = lo + share * (hi - lo)
+    score.grad_inv(np.array([0.1]), theta)  # a stable coupling value
+    mask = np.array([[cell == "theta" for cell in row] for row in template], dtype=float)
+    assert np.array_equal(score.slope, 2.0 * mask.T @ mask)
+    check_affine_rows(vector_series, score, theta, estimating_function_mv)
