@@ -25,12 +25,12 @@ import numpy as np
 
 from .emplik import solve_lagrange_batch, x_n
 from .errors import NumericalError
-from .limitlaw import (LimitLawConfig, _trapezoid, _uniform_grid, prepare_limit,
+from .limitlaw import (LimitLawConfig, _f_parts, _trapezoid, _uniform_grid, prepare_limit,
                        ratio_quantiles, sac_series_constant)
 from .processes import (LinearProcessSpec, _is_finite_real, check_number, ma_polynomial_spec,
-                        power_transfer_matrix, simulate_linear, simulate_vector_linear,
-                        spec_from_dict, theoretical_acf, transfer_matrix, vma_table_spec)
-from .scores import (ScoreFunction, acf_score, coupling_var1_score,
+                        simulate_linear, simulate_vector_linear, spec_from_dict,
+                        theoretical_acf, transfer_matrix, vma_table_spec)
+from .scores import (ScoreFunction, _trace_rows, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv, score_from_config)
 from .spectral import (SmoothedTransfer, hill_estimator,
                        periodogram_matrix_grid, sample_acf, self_normalized_grid)
@@ -346,20 +346,14 @@ def _affine_rows(x: np.ndarray, score: ScoreFunction, alpha):
     ``a`` is the rows at theta = 0, and ``b`` the periodogram weighted by
     the score's constant ``slope``: ``slope * I_t`` for a scalar score and
     ``tr{slope I(lambda_t)}`` for a matrix score.  This is the one place
-    that picks the row builder, which runs once on one periodogram.  A
-    stack of scalar series (B, n), with one ``alpha`` or B of them, gives
-    (B, n) rows in one pass; a stack of vector series (B, n, d) is
-    decomposed one series at a time.
+    that picks the row builder, which runs once on one periodogram, also
+    for a stack (B, n) or (B, n, d) with one ``alpha`` or B: rows (B, n).
     """
     x = np.asarray(x, dtype=float)
-    if score.is_matrix and x.ndim == 3:
-        pairs = [_affine_rows(series, score, value)
-                 for series, value in zip(x, np.broadcast_to(alpha, len(x)).tolist())]
-        return tuple(np.array(part) for part in zip(*pairs))
     if score.is_matrix:
         periodogram = periodogram_matrix_grid(x, alpha)
         a = estimating_function_mv(x, score, 0.0, alpha, periodogram=periodogram)
-        return a, np.einsum("ab,tba->t", score.slope, periodogram).real
+        return a, _trace_rows(score.slope, periodogram)
     periodogram = self_normalized_grid(x)
     a = estimating_function(x, score, 0.0, alpha, periodogram=periodogram)
     return a, periodogram * score.slope
@@ -375,10 +369,10 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
     ``rho(l)`` in closed form; other scalar scores raise ``ValueError``.
     For a matrix score the ``quad_points`` trapezoid rule of the integral is
     affine in theta, ``A + theta B``, like the rows, with ``A`` and ``B``
-    the rules of ``tr{intercept g}`` and ``tr{slope g}``, so the value is
-    ``-A / B``.  :class:`NumericalError` when the value falls outside the
-    score domain; the score's ``check`` raises where it is not a valid
-    coupling value.
+    the rules of ``tr F_0`` and ``tr F_1`` (``tr{G g} = tr F``, the limit
+    law's ``F = F_0 + theta F_1``), so the value is ``-A / B``.
+    :class:`NumericalError` when the value falls outside the score domain;
+    the score's ``check`` raises where it is not a valid coupling value.
     """
     if not score.is_matrix:
         if score.lag is None:
@@ -389,12 +383,10 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
                             "pivotal value")
 
     grid = _uniform_grid(quad_points)
-    g = power_transfer_matrix(spec, grid)
-    intercept = _trapezoid(np.einsum("tab,tba->t", score.intercept(grid), g).real, grid)
-    slope = _trapezoid(np.einsum("ab,tba->t", score.slope, g).real, grid)
+    intercept, slope = (_trapezoid(np.einsum("taa->t", f).real, grid)
+                        for f in _f_parts(score, transfer_matrix(spec, grid), grid))
     root = _affine_root(intercept, slope, score, "pivotal value")
-    if score.check is not None:
-        score.check(root)
+    score.check(root)
     return root
 
 

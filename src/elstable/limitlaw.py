@@ -9,10 +9,10 @@ against one positive ``alpha/2``-stable variable ``S_0``:
     c_t = (1/pi) * integral  d(1/f)/d theta |_(theta_0) g(omega) cos(t omega) d omega,
     W = (1/2pi) * integral  (d(1/f)/d theta)**2 2 g(omega)**2 d omega.
 
-``W`` is a positive number.  For a d-dimensional process both come
-from one matrix function ``F = Psi* G Psi``, with ``Psi`` the transfer
-matrices and ``G = d(1/f)/d theta``; ``c`` is indexed by lag and innovation
-coordinates:
+``W`` is a positive number.  For a d-dimensional process both come from
+one matrix function ``F = Psi* G Psi = F_0 + theta F_1`` (:func:`_f_parts`),
+with ``Psi`` the transfer matrices and ``G = d(1/f)/d theta = intercept +
+theta slope``; ``c`` is indexed by lag and innovation coordinates:
 
     c[t, i, j] = (1/pi) * integral Re{ F(omega)_(ij) e^(i t omega) } d omega,
     W = (1/(2 pi d**2)) * integral tr[F F] + tr[F]**2 d omega,
@@ -209,13 +209,11 @@ def _cosine_moments(weight: np.ndarray, truncation: int) -> np.ndarray:
     return _grid_step(points) * sums / np.pi
 
 
-def _f_matrix(score: ScoreFunction, theta0, psi: np.ndarray,
-              grid: np.ndarray) -> np.ndarray:
-    """``F = Psi* G Psi`` on ``grid`` as ``(N, d, d)``, from the transfer
-    matrices ``psi`` sampled there and the score's ``G = d(1/f)/d theta`` at
-    ``theta0``."""
-    grad = np.asarray(score.grad_inv(grid, score.check_theta(theta0)))
-    return np.conj(np.swapaxes(psi, -1, -2)) @ grad @ psi
+def _f_parts(score: ScoreFunction, psi: np.ndarray, grid: np.ndarray) -> tuple:
+    """``(F_0, F_1) = (Psi* intercept Psi, Psi* slope Psi)`` on ``grid``, each
+    ``(N, d, d)``, from the transfer matrices ``psi`` sampled there."""
+    psi_h = np.conj(np.swapaxes(psi, -1, -2))
+    return psi_h @ score.intercept(grid) @ psi, psi_h @ score.slope @ psi
 
 
 def compute_W(score: ScoreFunction, theta0, transfer: Callable,
@@ -241,7 +239,7 @@ def compute_W_mv(f: np.ndarray) -> float:
     """Vector-process curvature ``W``.
 
     ``f`` is ``F = Psi* G Psi`` sampled on ``_uniform_grid(N)``, N even, as
-    ``(N + 1, d, d)`` (:func:`_f_matrix`); the integrand is
+    ``(N + 1, d, d)`` (:func:`_f_parts`); the integrand is
     ``tr[F F] + tr[F]**2`` (module docstring), and the result is divided by
     ``2 pi d**2``.
     """
@@ -355,17 +353,17 @@ def _acf_limit(score: ScoreFunction, theta: np.ndarray, transfer: np.ndarray,
 
 def _matrix_limit(config: "LimitLawConfig", theta: np.ndarray):
     """``W`` and ``c[t, i, j]`` of each matrix law of ``config`` at the
-    checked points ``theta`` from one sample of ``Psi`` on the grid: each
-    law reads its own ``F = Psi* G Psi`` (:func:`compute_W_mv`,
-    :func:`compute_V_coeffs_mv`).  ``W`` has the shape of ``theta``, as in
-    :func:`_acf_limit`.
-    """
-    grid = _uniform_grid(config.quad_points)
-    psi = np.asarray(config.psi_matrix(grid))
+    checked points ``theta``: each passes the score's ``check`` and forms
+    its ``F = F_0 + theta F_1`` from one :func:`_f_parts` for
+    :func:`compute_W_mv` and :func:`compute_V_coeffs_mv`.  ``W`` has the
+    shape of ``theta``, as in :func:`_acf_limit`."""
+    score, grid = config.score, _uniform_grid(config.quad_points)
+    f0, f1 = _f_parts(score, np.asarray(config.psi_matrix(grid)), grid)
     w, coeffs = [], []
     for value, alpha in zip(theta.reshape(-1).tolist(),
                             np.broadcast_to(config.alpha, theta.size).tolist()):
-        f = _f_matrix(config.score, value, psi, grid)
+        score.check(value)
+        f = f0 + value * f1
         w.append(compute_W_mv(f))
         coeffs.append(compute_V_coeffs_mv(f, config.truncation, alpha))
     return np.reshape(w, theta.shape), np.reshape(coeffs, theta.shape + coeffs[0].shape)

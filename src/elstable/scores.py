@@ -41,9 +41,9 @@ class ScoreFunction:
     of the matrix inverse, shape (N, d, d) complex Hermitian (matrix kind).
     ``slope`` is the constant second derivative: a float, or a real
     symmetric (d, d) array.  ``theta`` is a float, and ``domain`` its open
-    interval ``(lo, hi)``.  ``check(theta)``, when set, raises
-    :class:`DomainError` where theta is not a valid value of the density
-    itself, though the gradient is defined there.  ``lag`` is the
+    interval ``(lo, hi)``.  ``check(theta)`` raises :class:`DomainError`
+    where theta is not a valid value of the density itself, though the
+    gradient is defined there (by default nowhere).  ``lag`` is the
     autocorrelation lag an autocorrelation score targets, so the competing
     sample-autocorrelation interval can read it; None for other scores.
     """
@@ -54,7 +54,7 @@ class ScoreFunction:
     intercept: Callable = field(repr=False)
     slope: float | np.ndarray = field(repr=False)
     lag: int | None = None
-    check: Callable | None = field(default=None, repr=False)
+    check: Callable = field(default=lambda theta: None, repr=False)
 
     @property
     def is_matrix(self) -> bool:
@@ -63,8 +63,7 @@ class ScoreFunction:
     def grad_inv(self, omega, theta):
         """The theta-derivative of ``1/f`` at ``theta``: ``intercept(omega)
         + theta * slope``, after ``check``."""
-        if self.check is not None:
-            self.check(theta)
+        self.check(theta)
         return self.intercept(omega) + theta * self.slope
 
     def check_theta(self, theta) -> float:
@@ -196,22 +195,30 @@ def estimating_function(x: np.ndarray, score: ScoreFunction, theta, alpha: float
     return values * (score.intercept(freqs) + theta * score.slope)
 
 
-def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha: float,
+def _trace_rows(matrix: np.ndarray, periodogram: np.ndarray) -> np.ndarray:
+    """Contiguous real rows ``tr{matrix I(lambda_t)}`` of a periodogram
+    (..., n, d, d), ``matrix`` (d, d) or (n, d, d).  A stack is laid out as
+    one series, so each gets bitwise its rows alone (``einsum`` sums by layout)."""
+    flat = periodogram.reshape((-1,) + periodogram.shape[-2:])
+    matrix = np.broadcast_to(matrix, periodogram.shape).reshape(flat.shape)
+    rows = np.einsum("tab,tba->t", matrix, flat).reshape(periodogram.shape[:-2])
+    if np.any(np.max(np.abs(rows.imag), -1) > 1e-8 * (np.max(np.abs(rows.real), -1) + 1.0)):
+        raise NumericalError("estimating function has a non-negligible imaginary part; "
+                             "score or periodogram is not Hermitian")
+    return np.ascontiguousarray(rows.real)
+
+
+def estimating_function_mv(x: np.ndarray, score: ScoreFunction, theta, alpha,
                            periodogram: np.ndarray | None = None) -> np.ndarray:
     """Estimating-function rows ``tr{ d f^-1/d theta * I(lambda_t) }``.
 
-    Returns an (n,) array of real values; a non-negligible imaginary part
-    indicates a non-Hermitian score or periodogram and raises.
+    Returns (n,) real rows, or (B, n) for a stack (B, n, d) with one
+    ``alpha`` or B of them; a non-negligible imaginary part indicates a
+    non-Hermitian score or periodogram and raises.
     """
     alpha = check_alpha(alpha)
     theta = score.check_theta(theta)
     if periodogram is None:
         periodogram = periodogram_matrix_grid(np.asarray(x, dtype=float), alpha)
-    freqs = fourier_frequencies(periodogram.shape[0])
-    grad = score.intercept(freqs) + theta * score.slope
-    rows = np.einsum("tab,tba->t", grad, periodogram)
-    scale = np.max(np.abs(rows.real)) + 1.0
-    if np.max(np.abs(rows.imag)) > 1e-8 * scale:
-        raise NumericalError("estimating function has a non-negligible imaginary part; "
-                             "score or periodogram is not Hermitian")
-    return np.ascontiguousarray(rows.real)
+    freqs = fourier_frequencies(periodogram.shape[-3])
+    return _trace_rows(score.intercept(freqs) + theta * score.slope, periodogram)

@@ -8,9 +8,9 @@ which stays integrable even when the innovations have infinite variance.  On
 the natural frequency grid ``lambda_t = 2 pi t / n`` (t = 1..n, wrapped into
 (-pi, pi]) it is computed by FFT; arbitrary frequencies use the direct sum.
 
-The grid periodogram, the sample autocorrelations and the smoothed transfer
-also take a stack of series, shape (B, n), and treat each row as one series:
-every row's values are bitwise those of the row alone.
+The grid periodograms, the sample autocorrelations and the smoothed transfer
+also take a stack of series, shape (B, n) or (B, n, d), and treat each row
+as one series: every row's values are bitwise those of the row alone.
 """
 
 from __future__ import annotations
@@ -77,17 +77,19 @@ def self_normalized_grid(x: np.ndarray) -> np.ndarray:
     return np.roll(power, -1, axis=-1)
 
 
-def periodogram_matrix_grid(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Matrix periodogram ``(n, d, d)`` at :func:`fourier_frequencies`, via
-    one FFT per column."""
+def periodogram_matrix_grid(x: np.ndarray, alpha) -> np.ndarray:
+    """Matrix periodogram ``(..., n, d, d)`` of ``(..., n, d)`` series, one
+    ``alpha`` or one per series, at :func:`fourier_frequencies` by FFT."""
     x = _validated(x)
-    if x.ndim != 2:
-        raise ValueError("vector series must have shape (n, d)")
-    n = x.shape[0]
-    idx = np.arange(1, n + 1) % n
-    # fft computes sum_t x[t] e^(-2 pi i t k / n); conjugate gives the +i sign.
-    d = np.conj(np.fft.fft(x, axis=0))[idx] * n ** (-1.0 / alpha)
-    return d[:, :, None] * np.conj(d[:, None, :])
+    if x.ndim not in (2, 3):
+        raise ValueError("vector series must have shape (n, d) or (B, n, d)")
+    n = x.shape[-2]
+    # scalar powers: numpy's power of an array may round differently
+    scale = np.reshape([n ** (-1.0 / value) for value in np.ravel(alpha).tolist()],
+                       np.shape(alpha) + (1, 1))
+    # conj(fft) gives the sign of e^(+i t omega); the roll puts t = n last
+    d = np.roll(np.conj(np.fft.fft(x, axis=-2)), -1, axis=-2) * scale
+    return d[..., :, None] * np.conj(d[..., None, :])
 
 
 def sample_acf(x: np.ndarray, lag: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import math
 import struct
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,16 +13,17 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 import elstable.limitlaw
+from elstable.errors import DomainError
 from elstable.harness import ExperimentConfig, limit_law, pivotal_value
 
-from elstable.limitlaw import (LimitLawConfig, Quantile, _f_matrix, _uniform_grid,
+from elstable.limitlaw import (LimitLawConfig, Quantile, _f_parts, _uniform_grid,
                                compute_V_coeffs, compute_V_coeffs_mv, compute_W,
                                compute_W_mv, mc_quantile, prepare_limit, ratio_quantiles,
                                sac_series_constant, sample_limit_stat,
                                sample_limit_stat_simplified, sample_stable_ratio,
                                scale_multipliers, tail_constant)
-from elstable.processes import (ma_polynomial_spec, simulate_linear, theoretical_acf,
-                                transfer_matrix, vma_table_spec)
+from elstable.processes import (ma_polynomial_spec, power_transfer_matrix, simulate_linear,
+                                theoretical_acf, transfer_matrix, vma_table_spec)
 from elstable.scores import ScoreFunction, acf_score, coupling_var1_score, var1_score
 from elstable.spectral import SmoothedTransfer
 from oracles import normalized_transfer
@@ -300,7 +302,8 @@ def test_dimension_one_matrix_path_matches_scalar(spec_half):
     theta0 = 0.3603
     grid = _uniform_grid(4096)
     psi = transfer_matrix(vspec, grid) / math.sqrt(np.sum(spec_half.psi ** 2))
-    f = _f_matrix(score_mv, theta0, psi, grid)
+    f0, f1 = _f_parts(score_mv, psi, grid)
+    f = f0 + theta0 * f1
 
     def transfer_sc(w):
         return normalized_transfer(spec_half, w)
@@ -347,11 +350,68 @@ def test_matrix_limit_law_matches_the_written_out_formulas(b):
     theta0 = pivotal_value(spec, score)
     w_ref, c_ref = _reference_matrix_law(score, theta0, spec)
     grid = _uniform_grid(4096)
-    f = _f_matrix(score, theta0, transfer_matrix(spec, grid), grid)
+    f0, f1 = _f_parts(score, transfer_matrix(spec, grid), grid)
+    f = f0 + theta0 * f1
     w, c = compute_W_mv(f), compute_V_coeffs_mv(f)
     assert type(w) is float and c.shape == c_ref.shape == (200, 2, 2)
     assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
     assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+
+MATRIX_TEMPLATES = {
+    # template and points of a stack where its coupling matrix is stable
+    "shipped": ([[0.5, "theta"], [0.4, 0.2]], [-0.6, 0.0, 0.1755, 0.85]),
+    "off-zero": ([[1.02, "theta"], [-1.0, 0.0]], [0.05, 0.3, 0.7]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@pytest.mark.parametrize("b", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(MATRIX_TEMPLATES))
+def test_stacked_matrix_laws_match_the_written_out_formulas(name, b):
+    # prepare_limit on a stack of laws, through F = F_0 + theta F_1 built
+    # once, against each law's W and c_t from G g and the phase tensor.
+    template, thetas = MATRIX_TEMPLATES[name]
+    spec, score = vma_table_spec(b), var1_score(template)
+    law = prepare_limit(LimitLawConfig(score=score, theta0=np.array(thetas)[:, None],
+                                       alpha=1.5, psi_matrix=partial(transfer_matrix, spec),
+                                       truncation=60))
+    assert law["w"].shape == (len(thetas),) and law["coeffs"].shape == (len(thetas), 60, 2, 2)
+    for i, theta in enumerate(thetas):
+        w_ref, c_ref = _reference_matrix_law(score, theta, spec, truncation=60)
+        assert abs(law["w"][i] - w_ref) <= 1e-12 * abs(w_ref)
+        assert np.max(np.abs(law["coeffs"][i] - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+
+def test_an_unstable_point_of_a_matrix_stack_raises():
+    # each law of a stack passes the score's check, at its own theta
+    config = LimitLawConfig(score=var1_score(MATRIX_TEMPLATES["off-zero"][0]),
+                            theta0=np.array([[0.3], [-0.2], [0.5]]), alpha=1.5,
+                            psi_matrix=partial(transfer_matrix, vma_table_spec(0.3)))
+    with pytest.raises(DomainError, match=r"spectral radius 1\.\d+ >= 1 at theta=-0\.2$"):
+        prepare_limit(config)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("name", sorted(MATRIX_TEMPLATES))
+def test_matrix_pivotal_value_matches_the_power_transfer_route(name, b):
+    # The root of the trapezoid rule of tr{G g}, g = Psi Psi*, written out:
+    # pivotal_value reads the same rule as tr F_0 + theta tr F_1.
+    spec, score = vma_table_spec(b), var1_score(MATRIX_TEMPLATES[name][0])
+    grid = _uniform_grid(4096)
+    g = power_transfer_matrix(spec, grid)
+    step = grid[1] - grid[0]
+    rules = [step * (v.sum() - 0.5 * (v[0] + v[-1])) for v in
+             (np.einsum("tab,tba->t", score.intercept(grid), g).real,
+              np.einsum("ab,tba->t", score.slope, g).real)]
+    root = -rules[0] / rules[1]
+    try:
+        score.check(root)
+    except DomainError:  # the off-zero template at b = 0, whose root is 0
+        with pytest.raises(DomainError, match="spectral radius"):
+            pivotal_value(spec, score)
+        return
+    assert abs(pivotal_value(spec, score) - root) <= 1e-14
 
 
 @pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")

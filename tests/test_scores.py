@@ -10,7 +10,8 @@ from elstable.errors import DomainError
 from elstable.processes import simulate_vector_linear, vma_table_spec
 from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score, estimating_function,
                              estimating_function_mv, score_from_config, var1_score)
-from elstable.spectral import fourier_frequencies, sample_acf, self_normalized_grid
+from elstable.spectral import (fourier_frequencies, periodogram_matrix_grid, sample_acf,
+                               self_normalized_grid)
 
 
 # --------------------------------------------------------------------------
@@ -265,3 +266,31 @@ def test_var1_rows_are_affine_in_theta(vector_series, name, share):
     mask = np.array([[cell == "theta" for cell in row] for row in template], dtype=float)
     assert np.array_equal(score.slope, 2.0 * mask.T @ mask)
     check_affine_rows(vector_series, score, theta, estimating_function_mv)
+
+
+@pytest.mark.parametrize("name", sorted(VAR1_TEMPLATES))
+@pytest.mark.parametrize("n", [24, 300])
+def test_stacked_vector_rows_equal_each_series_alone(name, n):
+    # A stack of vector series takes one periodogram and one rows call, and
+    # each series gets bitwise what it gets alone, with one alpha or one
+    # per series; the two-cells template has no zero cell in its gradient,
+    # where the order of the trace's products shows.
+    rng = np.random.default_rng(n)
+    score = var1_score(VAR1_TEMPLATES[name][0])
+    x = np.stack([simulate_vector_linear(vma_table_spec(0.3), n, rng) for _ in range(6)])
+    for alpha in (1.5, np.linspace(1.1, 1.9, len(x))):
+        alphas = np.broadcast_to(alpha, len(x)).tolist()
+        periodogram = periodogram_matrix_grid(x, alpha)
+        rows = estimating_function_mv(x, score, 0.2, alpha)
+        a, b = harness._affine_rows(x, score, alpha)
+        assert periodogram.shape == (6, n, 2, 2) and rows.shape == a.shape == (6, n)
+        for i, value in enumerate(alphas):
+            alone = periodogram_matrix_grid(x[i], value)
+            assert periodogram[i].tobytes() == alone.tobytes()
+            assert rows[i].tobytes() == estimating_function_mv(x[i], score, 0.2, value).tobytes()
+            one_a, one_b = harness._affine_rows(x[i], score, value)
+            assert a[i].tobytes() == one_a.tobytes() and b[i].tobytes() == one_b.tobytes()
+    with pytest.raises(ValueError, match="vector series must have shape"):
+        periodogram_matrix_grid(x[0, :, 0], 1.5)
+    with pytest.raises(ValueError, match="vector series must have shape"):
+        estimating_function_mv(x[0, :, 0], score, 0.2, 1.5)
