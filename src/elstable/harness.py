@@ -18,6 +18,8 @@ import json
 import math
 import os
 import sys
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -836,6 +838,93 @@ class CoverageResult:
         write_csv(path, _COVERAGE_FIELDS, self.records, meta)
 
 
+# This process's coverage worker pool, kept across calls, or None, as
+# ((size, state its workers inherited), executor, its shutdown finalizer);
+# and the lock that lets one pooled call at a time use it
+_kept_pool = None
+_pool_lock = threading.Lock()
+
+
+def _pool(size: int):
+    """This process's worker pool of ``size`` processes, and whether an earlier call made it.
+
+    A kept pool is reused only if it has that size and its workers inherited
+    the caller's current warning filters and numpy error settings, on which
+    a chunk's warnings and failures depend; otherwise it is shut down and a
+    new one forked.  Each pool's shutdown is a multiprocessing exit
+    finalizer, so it runs at interpreter exit and, in a multiprocessing
+    child, before the child waits for its own children.
+    """
+    global _kept_pool
+    key = (size, (tuple(warnings.filters), tuple(sorted(np.geterr().items()))))
+    if _kept_pool is not None and _kept_pool[0] == key:
+        return _kept_pool[1], True
+    _release_pool()
+    import concurrent.futures  # here, so that a run without a pool does not load it
+    from multiprocessing import util
+
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=size)
+    # above the priority 10 at which multiprocessing closes the queues that
+    # must still carry the workers' stop signals
+    shutdown = util.Finalize(None, pool.shutdown, kwargs={"cancel_futures": True},
+                             exitpriority=20)
+    _kept_pool = (key, pool, shutdown)
+    return pool, False
+
+
+def _release_pool() -> None:
+    """Shut the kept worker pool down, cancelling what it has not started, and forget it."""
+    global _kept_pool
+    if _kept_pool is not None:
+        shutdown, _kept_pool = _kept_pool[2], None
+        shutdown()
+
+
+def _forget_pool() -> None:
+    # A forked child inherits a copy of the kept executor whose threads and
+    # workers belong to the parent, and perhaps a lock another thread held
+    # at the fork; it must make its own.
+    global _kept_pool, _pool_lock
+    _kept_pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has nothing to forget
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pooled_parts(run, chunks: list, processes: int) -> list:
+    """``run`` of each chunk, in chunk order, on the caller and the kept pool.
+
+    The caller runs chunks 0, P, 2P, ... for ``P = processes`` while the
+    pool's P - 1 workers run the others.  A kept pool that broke since an
+    earlier call, say because its idle worker was killed, is replaced once
+    and its chunks rerun; a broken fresh pool fails the call.  Any failure,
+    an interrupt included, shuts the pool down, so the next call neither
+    queues behind this one's futures nor reuses a broken pool.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    theirs = {i: chunk for i, chunk in enumerate(chunks) if i % processes}
+    own = None
+    with _pool_lock:
+        try:
+            while True:
+                pool, kept = _pool(processes - 1)
+                try:
+                    futures = {i: pool.submit(run, chunk) for i, chunk in theirs.items()}
+                    if own is None:
+                        own = {i: run(chunks[i]) for i in range(0, len(chunks), processes)}
+                    return [own[i] if i in own else futures[i].result()
+                            for i in range(len(chunks))]
+                except BrokenProcessPool:
+                    if not kept:
+                        raise
+                    _release_pool()
+        except BaseException:
+            _release_pool()
+            raise
+
+
 def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     """Replicated interval construction and empirical coverage errors.
 
@@ -850,6 +939,16 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     chunks run on ``P = min(workers, chunks, CPUs)`` of them, the caller
     running every P-th chunk (0, P, 2P, ...) and a pool of P - 1 forked
     workers the rest, or all in the caller when P is 1.
+
+    The pool is kept for the life of the process (:func:`_pool`): later
+    calls with the same P, warning filters and numpy error settings reuse
+    its warm workers, a call with another of these forks a new pool in its
+    place, and calls from several threads take turns.  A call that raises,
+    an interrupt included, shuts the pool down, so the next call forks
+    afresh; a kept pool found broken is replaced once within the call
+    (:func:`_pooled_parts`); process exit shuts it down too.  The workers
+    run the package as it was when they were forked: a monkeypatch or a
+    module reload made later reaches them only after :func:`_release_pool`.
     """
     if config.replicates < 100:
         raise ValueError("coverage experiments need at least 100 replicates")
@@ -886,15 +985,7 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     if processes <= 1:
         parts = map(run, chunks)
     else:
-        # The caller is one of the processes: it runs chunks 0, P, 2P, ...
-        # while the pool's P - 1 workers run the others.
-        import concurrent.futures  # here, so that a run without a pool does not load it
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes - 1) as pool:
-            futures = {i: pool.submit(run, chunks[i])
-                       for i in range(len(chunks)) if i % processes}
-            own = {i: run(chunks[i]) for i in range(0, len(chunks), processes)}
-        parts = [own[i] if i in own else futures[i].result() for i in range(len(chunks))]
+        parts = _pooled_parts(run, chunks, processes)
     records = [record for part in parts for record in part]
     summary = coverage_summary(records, config.level)
     return CoverageResult(config=config, records=records, summary=summary)

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
+from elstable import harness
 from elstable.processes import ma_polynomial_spec
+
+
+@pytest.fixture(autouse=True)
+def _release_coverage_pool():
+    """Shut down the coverage worker pool a test kept, so that no patched or
+    fake worker outlives its test."""
+    yield
+    harness._release_pool()
 
 
 @pytest.fixture

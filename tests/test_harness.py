@@ -3,7 +3,15 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -803,6 +811,8 @@ def test_a_failing_replicate_leaves_the_rest_of_its_chunk_alone(workers, stage):
                 return search(a, b, *args)
 
             patch.setattr(harness, "_search_regions", failing)
+        # the kept pool was forked without the patch
+        harness._release_pool()
         records = coverage_experiment(cfg).records
     assert records[bad]["status"].startswith("error: ")
     assert records[bad]["status"].endswith(": boom")
@@ -834,11 +844,8 @@ class _PoolSizes(list):
         self.append(max_workers)
         return self
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
     def submit(self, fn, chunk):
         self.chunks.append(chunk)
@@ -864,6 +871,7 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(workers, cpus, started):
     serial = _record_lines(coverage_experiment(
         ExperimentConfig(workers=1, seed=37, **SMALL)).records)
     sizes = _PoolSizes()
+    harness._release_pool()  # a pool kept from an earlier call is not the fake
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", sizes)
         patch.setattr(harness.os, "cpu_count", lambda: cpus)
@@ -876,6 +884,264 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(workers, cpus, started):
     processes = started[0] + 1 if started else 1
     assert sizes.chunks == [chunk for i, chunk in enumerate(chunks) if i % processes]
     assert _record_lines(records) == serial
+
+
+# The CI smoke's var1 design: a matrix score on bivariate series.
+VAR1 = dict(process={"kind": "vma", "alpha": 1.5, "coeffs": {"kind": "table", "b": 0.3}},
+            score={"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]},
+            methods=("el",), n=64, replicates=100, limit_reps=1000, grid_step=0.01)
+
+
+def _kept_worker():
+    """The kept pool and the pid of its one worker."""
+    pool = harness._kept_pool[1]
+    return pool, pool.submit(os.getpid).result(timeout=30)
+
+
+def _serial_lines(design, seed):
+    return _record_lines(coverage_experiment(
+        ExperimentConfig(workers=1, seed=seed, **design)).records)
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_a_kept_pool_serves_every_call_without_state_of_its_own(monkeypatch):
+    # Two calls on two processes share one pool and its one worker, and so
+    # do four designs after them; every call gets its 1-worker records.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = _serial_lines(SMALL, 41)
+    calls = []
+    for _ in range(2):
+        records = coverage_experiment(ExperimentConfig(workers=2, seed=41, **SMALL)).records
+        calls.append((_record_lines(records), _kept_worker()))
+    (first, kept), (second, again) = calls
+    assert first == second == serial
+    assert again == kept
+    for design in (SMALL, dict(SMALL, transfer_mode="exact"), VAR1,
+                   dict(SMALL, alpha_mode="hill")):
+        records = coverage_experiment(ExperimentConfig(workers=2, seed=43, **design)).records
+        assert _record_lines(records) == _serial_lines(design, 43)
+        assert _kept_worker() == kept
+
+
+def _gone(pid, timeout=30.0):
+    """Whether process ``pid`` was reaped within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_a_killed_worker_is_replaced_by_the_next_call(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = _serial_lines(SMALL, 47)
+    cfg = ExperimentConfig(workers=2, seed=47, **SMALL)
+    coverage_experiment(cfg)
+    pool, pid = _kept_worker()
+    os.kill(pid, signal.SIGKILL)
+    # the pool reaps the worker once it has marked itself broken
+    assert _gone(pid)
+    assert _record_lines(coverage_experiment(cfg).records) == serial
+    fresh, fresh_pid = _kept_worker()
+    assert fresh is not pool and fresh_pid != pid
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_a_worker_killed_during_a_call_is_replaced_once(monkeypatch):
+    # The kept worker is stopped, so the call's submission succeeds and its
+    # chunk waits; killed while the caller runs or waits, it breaks the pool
+    # under the call, which reruns the pool's chunks on a fresh pool.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = _serial_lines(SMALL, 71)
+    cfg = ExperimentConfig(workers=2, seed=71, **SMALL)
+    coverage_experiment(cfg)
+    pool, pid = _kept_worker()
+    os.kill(pid, signal.SIGSTOP)
+    killer = threading.Timer(0.5, os.kill, (pid, signal.SIGKILL))
+    killer.start()
+    try:
+        lines = _record_lines(coverage_experiment(cfg).records)
+    finally:
+        killer.join()
+    assert lines == serial
+    assert _gone(pid)
+    fresh, fresh_pid = _kept_worker()
+    assert fresh is not pool and fresh_pid != pid
+
+
+def _warning_filters():
+    return warnings.filters
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_a_changed_warning_filter_or_error_setting_forks_a_new_pool(monkeypatch):
+    # A chunk's failures depend on the warning filters and numpy's error
+    # settings its process has, so a worker must have the caller's: a call
+    # made under other ones than the kept workers inherited forks anew.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = _serial_lines(SMALL, 73)
+    cfg = ExperimentConfig(workers=2, seed=73, **SMALL)
+
+    def call():
+        assert _record_lines(coverage_experiment(cfg).records) == serial
+        pool, pid = _kept_worker()
+        assert pool.submit(_warning_filters).result(timeout=30) == warnings.filters
+        assert pool.submit(np.geterr).result(timeout=30) == np.geterr()
+        return pid
+
+    pids = [call(), call()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pids.append(call())
+    with np.errstate(all="ignore"):
+        pids.append(call())
+    pids.append(call())
+    assert pids[0] == pids[1]
+    assert len(set(pids)) == 4
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_an_interrupted_call_releases_the_kept_pool(monkeypatch):
+    # An interrupt in the caller's own chunk shuts the pool down, so the
+    # next call forks afresh instead of queueing behind the dead call.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = _serial_lines(SMALL, 67)
+    cfg = ExperimentConfig(workers=2, seed=67, **SMALL)
+    coverage_experiment(cfg)
+    pool, pid = _kept_worker()
+
+    def interrupted(spec, n, rng):
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as patch:
+        # the kept worker was forked without the patch: only the caller stops
+        patch.setattr(harness, "simulate_linear", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            coverage_experiment(cfg)
+    assert harness._kept_pool is None
+    assert _gone(pid)
+    assert _record_lines(coverage_experiment(cfg).records) == serial
+    assert _kept_worker()[1] != pid
+
+
+def _child_pids() -> set:
+    pids = set()
+    for task in Path(f"/proc/{os.getpid()}/task").iterdir():
+        try:
+            pids.update((task / "children").read_text().split())
+        except OSError:
+            continue
+    return pids
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(),
+                    reason="counts child processes through /proc")
+def test_a_new_worker_count_replaces_the_pool(monkeypatch):
+    # On 4 CPUs, 3 workers keep a pool of 2 and 2 workers a pool of 1; each
+    # change shuts the old pool down before the new one forks.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    serial = _serial_lines(SMALL, 53)
+    peak, stop = [0], threading.Event()
+
+    def watch():
+        while not stop.is_set():
+            peak[0] = max(peak[0], len(_child_pids()))
+            stop.wait(0.002)
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    pools = []
+    watcher.start()
+    try:
+        for workers in (3, 2, 3):
+            records = coverage_experiment(
+                ExperimentConfig(workers=workers, seed=53, **SMALL)).records
+            assert _record_lines(records) == serial
+            pools.append(harness._kept_pool)
+    finally:
+        stop.set()
+        watcher.join(timeout=10)
+    assert not watcher.is_alive()
+    assert [key[0] for key, _, _ in pools] == [2, 1, 2]
+    assert len({id(pool) for _, pool, _ in pools}) == 3
+    assert 1 <= peak[0] <= 2
+
+
+def _pooled_lines_to(queue, seed):
+    queue.put(_record_lines(coverage_experiment(
+        ExperimentConfig(workers=2, seed=seed, **SMALL)).records))
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_a_forked_child_makes_its_own_pool_and_exits(monkeypatch):
+    # The child inherits the parent's kept pool, whose workers and threads
+    # it cannot use, and as a multiprocessing child it joins its own
+    # children before exiting: its pooled call must neither hang on the
+    # parent's pool nor leave its own behind.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = _serial_lines(SMALL, 59)
+    coverage_experiment(ExperimentConfig(workers=2, seed=59, **SMALL))
+    kept = _kept_worker()
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_pooled_lines_to, args=(queue, 59))
+    child.start()
+    try:
+        lines = queue.get(timeout=60)
+        child.join(timeout=30)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert lines == serial
+    assert _kept_worker() == kept
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_threads_take_turns_with_the_kept_pool(monkeypatch):
+    # Three threads on a 4-CPU host ask for pools of 1 and 2 workers at the
+    # same time; no call may cancel or replace the pool another is using.
+    # Six chunks leave each pool more than it runs at once, so a pool shut
+    # down under a call would cancel one of them.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    design = dict(SMALL, replicates=600)
+    serial = _serial_lines(design, 61)
+    results, errors = [], []
+
+    def call(workers):
+        try:
+            for _ in range(3):
+                results.append(_record_lines(coverage_experiment(
+                    ExperimentConfig(workers=workers, seed=61, **design)).records))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(workers,)) for workers in (2, 3, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [serial] * 9
 
 
 def test_coverage_rejects_tiny_runs():
