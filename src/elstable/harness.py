@@ -663,6 +663,10 @@ class ExperimentConfig:
             raise ValueError("limit_reps must be at least 1000")
         if self.truncation < 1:
             raise ValueError(f"truncation must be at least 1, got {self.truncation}")
+        # the matrix law's grid, checked at half resolution on its even points
+        if self.quad_points < 16 or self.quad_points % 2:
+            raise ValueError(f"quad_points must be an even integer of at least 16, "
+                             f"got {self.quad_points}")
         if self.hill_k is not None and self.hill_k < 1:
             raise ValueError(f"hill_k must be at least 1, got {self.hill_k}")
         if self.workers is not None and self.workers < 1:

@@ -24,25 +24,22 @@ rule is one DFT of the sampled ``F``, as in :func:`compute_V_coeffs`.
 Scalar law in closed form.  For the autocorrelation score at lag ``l``,
 ``d(1/f)/d theta = 2 theta - 2 cos(l omega)``, and the normalized transfer
 is a cosine series ``g = sum_k r_|k| e^(i k omega)`` with ``r_0 = 1``, so
-both integrands are trigonometric polynomials and the trapezoid rule on the
-periodic ``N = quad_points`` grid starting at ``-pi`` is a finite sum of
-cosine coefficients (Parseval).  With
+``d(1/f)/d theta g = sum_k u_k e^(i k omega)`` is a trigonometric
+polynomial with the symmetric coefficients
 
-    u_k = 2 theta r_|k| - r_|k-l| - r_|k+l|,    k in Z,
+    u_k = 2 theta r_|k| - r_|k-l| - r_|k+l|,    |k| <= H + l,
 
-folded modulo N with the sign ``(-1)**k`` of the shifted grid into the
-periodic sequence ``u~_m = sum_{k = m mod N} (-1)**k u_k``,
+and Parseval (Brockwell & Davis 1991, section 4.3) gives both integrals
+exactly:
 
-    W = 2 sum_{m<N} u~_m**2,    c_t = 2 (-1)**t u~_(t mod N),
+    W = 2 sum_k u_k**2 = 2 (u_0**2 + 2 sum_{k>=1} u_k**2),    c_t = 2 u_t,
 
-and the half-resolution check is the same sum folded modulo N/2.
-:func:`prepare_limit` computes these sums directly: ``O(n + N)`` work with
-no grid, equal to the N-point rule in exact arithmetic (:func:`compute_W`
-and :func:`compute_V_coeffs` keep the grid rules).  The fold keeps the
-rule's aliasing: a smoothed transfer of ``n`` observations has lags up to
-``n - 1``, which wrap once ``n`` exceeds about N/2, and the check then
-warns.  Removing that aliasing changes the thresholds of long series, so
-it is left to a change that moves those outputs.
+``c_t`` vanishing for ``t > H + l``.
+
+:func:`prepare_limit` computes these sums: ``O(n)`` work with no grid and
+no aliasing, however long the series.  :func:`compute_W` and
+:func:`compute_V_coeffs` keep the grid rules, which equal the sums once
+``N >= 2 (H + l + 1)`` and alias below that.
 
 Scale convention.  The limit theory fixes only the stability indices of
 ``S_t`` and ``S_0``; their scales are pinned here by matching the classical
@@ -121,7 +118,7 @@ import numpy as np
 from .errors import TruncationWarning
 from .processes import StableParams, _cms, _kanter, sample_positive_stable, sample_sas
 from .scores import ScoreFunction, check_alpha
-from .spectral import _row_dot, folded_cosine_coeffs
+from .spectral import _row_dot
 
 _SAMPLE_BLOCK = 20_000  # stable draws are generated in blocks of this many reps
 
@@ -250,11 +247,13 @@ def compute_W_mv(f: np.ndarray) -> float:
 
 
 def _check_tail_decay(norms: np.ndarray, what: str, alpha=1.0,
-                      advice: str = "increase the truncation order") -> None:
+                      advice: str = "increase the truncation order", theta=None) -> None:
     # The series constant is (sum |c_t|^alpha)^(1/alpha), so the relevant
     # truncation error is the share of that mass sitting in the last decile
     # of retained lags; tiny non-decaying ripples are harmless.  Leading
-    # axes of ``norms`` (and of ``alpha``) are series checked one by one.
+    # axes of ``norms`` (and of ``alpha`` and ``theta``) are series checked
+    # one by one; with ``theta`` each warning names its law by alpha and
+    # theta, as a record's cells print them.
     t = norms.shape[-1]
     if t < 20:
         return
@@ -264,9 +263,12 @@ def _check_tail_decay(norms: np.ndarray, what: str, alpha=1.0,
     tail_share = np.sum(powered[..., -decile:], axis=-1) / mass
     last = norms[..., -decile:].max(axis=-1)
     prev = norms[..., -2 * decile:-decile].max(axis=-1)
-    for share in tail_share[(tail_share > 0.01) & (last >= prev)]:
-        warnings.warn(f"{what} coefficients are not decaying at the truncation "
-                      f"point (last decile holds {share:.2%} of the "
+    alpha = np.broadcast_to(alpha, tail_share.shape)
+    for index in map(tuple, np.argwhere((tail_share > 0.01) & (last >= prev))):
+        law = ("" if theta is None else f" at alpha={float(alpha[index]):.10g}, "
+               f"theta={float(theta[index]):.10g}")
+        warnings.warn(f"{what} coefficients{law} are not decaying at the truncation "
+                      f"point (last decile holds {tail_share[index]:.2%} of the "
                       f"series mass); {advice}", TruncationWarning, stacklevel=3)
 
 
@@ -299,56 +301,31 @@ def compute_V_coeffs_mv(f: np.ndarray, truncation: int = 200,
 
 
 def _acf_limit(score: ScoreFunction, theta: np.ndarray, transfer: np.ndarray,
-               quad_points: int, truncation: int, alpha):
-    """``W`` and ``c_t`` of an autocorrelation score by the finite sums of
-    the module docstring: the N-point rule of :func:`compute_W` and
-    :func:`compute_V_coeffs`, with its half-resolution check, without a grid.
-    ``theta`` holds the checked evaluation points, 0-d for one law and (B,)
-    for a stack, with one ``alpha`` or one per law and one transfer or one
-    row of them per law.  ``transfer`` holds the cosine coefficients
-    ``r_0..r_H``.  ``W`` has the shape of ``theta``, and ``c_t`` gains a
-    last axis of length T.
+               truncation: int, alpha):
+    """``W`` and ``c_t`` of an autocorrelation score by the exact sums of the
+    module docstring, without a grid.  ``theta`` holds the checked
+    evaluation points, 0-d for one law and (B,) for a stack, with one
+    ``alpha`` or one per law and one transfer or one row of them per law.
+    ``transfer`` holds the cosine coefficients ``r_0..r_H``.  ``W`` has the
+    shape of ``theta``, and ``c_t`` gains a last axis of length T.
     """
     if score.lag is None:
         raise ValueError(f"the scalar limit law needs an autocorrelation score, "
                          f"got {score.name!r}")
-    if quad_points < 32:
-        raise ValueError("quad_points too small")
     lag, size = score.lag, transfer.shape[-1]
-    k = np.arange(size + lag)
+    k = np.arange(size + lag)                    # u_k is 0 beyond k = H + lag
     r = np.zeros(transfer.shape[:-1] + (size + 2 * lag,))  # r_k, k = 0..H + 2 lag
     r[..., 0] = 1.0                              # the transfer is normalized
     r[..., 1:size] = transfer[..., 1:]
-    unfolded = 2.0 * theta[..., None] * r[..., k] - r[..., np.abs(k - lag)] - r[..., k + lag]
-    rows = unfolded.reshape(-1, k.size)
-    lags = np.arange(1, truncation + 1)
-    uu, picked = np.empty(len(rows)), np.empty((len(rows), truncation))
-    # The laws are folded a few at a time into one buffer of about 256 KB,
-    # so a stack never writes all of its N-wide rows at once.
-    step = max(1, 2**15 // quad_points)
-    fine = np.empty((min(step, len(rows)), quad_points))
-    for start in range(0, len(rows), step):
-        part = rows[start:start + step]
-        u = folded_cosine_coeffs(part, quad_points, out=fine[:len(part)])
-        part_uu = uu[start:start + step] = _row_dot(u, u)
-        picked[start:start + step] = u[:, lags % quad_points]
-        # With every lag below N/4 no slot of either fold takes two lags:
-        # both hold the same squares, and the check can only see rounding.
-        if 2 * (k.size - 1) >= quad_points // 2:
-            coarse = folded_cosine_coeffs(part, quad_points // 2)
-            for _ in np.flatnonzero(np.abs(part_uu - _row_dot(coarse, coarse))
-                                    > 1e-6 * part_uu):
-                warnings.warn("quadrature for W not converged at the requested grid; "
-                              "increase quad_points", RuntimeWarning, stacklevel=2)
-    # The rule's step, linspace's grid[1] - grid[0], is 2 pi / N only to
-    # about 1e-13 relative; scaling by the ratio keeps W and c_t, and so
-    # every threshold, equal to the rule's to rounding.
-    scale = 2.0 * _grid_step(quad_points) * quad_points / (2.0 * np.pi)
-    sign = np.where(lags % 2 == 1, -scale, scale)
-    # contiguous rows, so that the sums over lags add as for one series
-    coeffs = (sign * picked).reshape(unfolded.shape[:-1] + (truncation,))
-    _check_tail_decay(np.abs(coeffs), "limit-series", alpha)
-    return scale * uu.reshape(unfolded.shape[:-1]), coeffs
+    u = 2.0 * theta[..., None] * r[..., k] - r[..., np.abs(k - lag)] - r[..., k + lag]
+    # a contiguous copy, so that each law of a stack sums as it does alone
+    tail = u[..., 1:].copy()
+    w = 2.0 * (u[..., 0] * u[..., 0] + 2.0 * _row_dot(tail, tail))
+    coeffs = np.zeros(u.shape[:-1] + (truncation,))
+    top = min(truncation, size + lag - 1)
+    coeffs[..., :top] = 2.0 * tail[..., :top]
+    _check_tail_decay(np.abs(coeffs), "limit-series", alpha, theta=theta)
+    return w, coeffs
 
 
 def _matrix_limit(config: "LimitLawConfig", theta: np.ndarray):
@@ -390,7 +367,8 @@ class LimitLawConfig:
     ``psi_matrix`` instead, which maps a frequency array to the
     ``(N, d, d)`` transfer matrices ``Psi`` (the power transfer is then
     ``Psi Psi*``), and the matrix series draws one SaS variable per
-    (lag, i, j).
+    (lag, i, j).  ``quad_points`` is the grid of the matrix law only; the
+    scalar law is an exact sum (module docstring).
 
     A config may also hold a stack of B laws, which only
     :func:`prepare_limit` reads: ``theta0`` of shape (B, 1), ``alpha``
@@ -433,9 +411,10 @@ def prepare_limit(config: LimitLawConfig) -> dict:
     coefficients as one weight per SaS draw), and ``closure`` (the l^alpha
     norm of the mixing weights, the exact SaS scale of the series part of
     V).  A scalar score must be an autocorrelation score, whose law is
-    computed in closed form (module docstring); others raise
-    ``ValueError``.  A stack of B laws gives every value a leading axis of
-    length B, and ``w``, ``w_inv`` and ``closure`` as (B,) arrays.
+    the exact sum of the module docstring, with no grid and no quadrature
+    warning; others raise ``ValueError``.  A stack of B laws gives every
+    value a leading axis of length B, and ``w``, ``w_inv`` and ``closure``
+    as (B,) arrays.
     """
     if config._prepared is not None:
         return config._prepared
@@ -447,8 +426,8 @@ def prepare_limit(config: LimitLawConfig) -> dict:
     if score.is_matrix:
         w, coeffs = _matrix_limit(config, theta)
     else:
-        w, coeffs = _acf_limit(score, theta, config.transfer,
-                               config.quad_points, config.truncation, config.alpha)
+        w, coeffs = _acf_limit(score, theta, config.transfer, config.truncation,
+                               config.alpha)
     mixing = coeffs.reshape(lead + (-1,))                 # one weight per SaS draw
     # the pseudo-inverse of a zero W is 0
     for _ in np.flatnonzero(w == 0.0):

@@ -180,7 +180,7 @@ class SmoothedTransfer:
         return float(values[0]) if scalar else values
 
 
-def folded_cosine_coeffs(coeffs, points: int, out: np.ndarray | None = None) -> np.ndarray:
+def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
     """The cosine series ``coeffs[0] + 2 sum_{h>=1} coeffs[h] cos(h omega)``
     folded onto the periodic grid ``omega_j = -pi + 2 pi j / points``.
 
@@ -192,12 +192,12 @@ def folded_cosine_coeffs(coeffs, points: int, out: np.ndarray | None = None) -> 
     ``coeffs`` are rows folded one by one, each into one row of the result:
     the one-sided sums are written there, and when the lags stay below
     ``points / 2`` each slot and its mirror hold a sum and a zero, so the
-    mirror is a copy.  ``out``, when given, is the float array of the
-    result's shape that the fold is written into.
+    mirror is a copy.  The fold is the grid's aliasing: on ``points`` samples
+    a lag ``h`` and a lag ``h + points`` are the same wave.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     size = coeffs.shape[-1]
-    folded = np.empty(coeffs.shape[:-1] + (points,)) if out is None else out
+    folded = np.empty(coeffs.shape[:-1] + (points,))
     for start in range(0, size, points):
         width = min(points, size - start)
         block, lags = folded[..., :width], coeffs[..., start:start + width]

@@ -340,6 +340,31 @@ def test_ci_rejects_a_removed_config_field(series_csv, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_coverage_checks_quad_points_at_the_config(tmp_path):
+    # An odd grid or one below 16 is refused before any replicate, with one
+    # message, for a scalar and a matrix score alike.  The scalar law has no
+    # grid, so an even value of at least 16 leaves every scalar record as it is.
+    path, out = tmp_path / "config.json", tmp_path / "o.csv"
+    var1 = {"process": _VMA, "methods": ["el"], "limit_reps": 1000, "grid_step": 0.01,
+            "score": {"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]}}
+    for config in ({"quad_points": 4095}, {"quad_points": 14},
+                   dict(var1, quad_points=4095)):
+        path.write_text(json.dumps(config))
+        _exits_with_one_line(["coverage", "--config", path, "--n", 64, "--replicates",
+                              100, "--workers", 1, "--output", out], 2,
+                             f"error: quad_points must be an even integer of at least "
+                             f"16, got {config['quad_points']}")
+    rows = []
+    for config in ({"quad_points": 20}, {}):
+        path.write_text(json.dumps(config))
+        assert run_cli("coverage", "--config", path, "--n", 64, "--replicates", 100,
+                       "--workers", 1, "--output", out) == 0
+        rows.append([line for line in out.read_text().splitlines()
+                     if not line.startswith("#")])
+    assert rows[0] == rows[1]
+    assert all(record["status"] == "ok" for record in read_records_csv(out))
+
+
 def test_table_rejects_unknown_id(capsys):
     # argparse enforces the valid table ids directly
     with pytest.raises(SystemExit) as info:

@@ -13,7 +13,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 import elstable.limitlaw
-from elstable.errors import DomainError
+from elstable.errors import DomainError, TruncationWarning
 from elstable.harness import ExperimentConfig, limit_law, pivotal_value
 
 from elstable.limitlaw import (LimitLawConfig, Quantile, _f_parts, _uniform_grid,
@@ -129,16 +129,20 @@ def exact_coeffs(spec):
 
 
 def _closed_form_cases(spec_half):
-    """(name, coefficients handed to the law, grid oracle of them, truncation, N)."""
+    """(name, coefficients handed to the law, grid oracle of them, truncation, N).
+
+    The grid rule is exact once N >= 2 (H + lag + 1) for the largest lag of
+    the transfer H and the score's lag (3 here); below that it aliases.
+    """
     short = SmoothedTransfer(simulate_linear(spec_half, 300, np.random.default_rng(300)))
     long = SmoothedTransfer(simulate_linear(spec_half, 10_000,
                                             np.random.default_rng(10_000)))
     exact = lambda w: normalized_transfer(spec_half, w)
     return [("smoothed n=300", short.coeffs, short, 200, 4096),
-            ("smoothed n=10000, aliased", long.coeffs, long, 200, 4096),
+            ("smoothed n=10000", long.coeffs, long, 200, 2 * (9999 + 3 + 1)),
             ("exact MA(100) coefficients", exact_coeffs(spec_half), exact, 200, 4096),
             ("flat", FLAT, flat_transfer, 200, 4096),
-            ("T=100 > N=64, lags alias", short.coeffs, short, 100, 64),
+            ("T=400 > H + lag, c_t = 0 beyond", short.coeffs, short, 400, 1024),
             ("odd N, grids not nested", short.coeffs, short, 200, 4095)]
 
 
@@ -146,13 +150,14 @@ def _closed_form_cases(spec_half):
 @pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
 def test_closed_form_limit_law_matches_the_grid_rule(spec_half):
     # prepare_limit sums cosine coefficients; compute_W and compute_V_coeffs
-    # run the trapezoid rule on the grid.  They are the same sums.
+    # run the trapezoid rule on a grid fine enough not to alias.  They are
+    # the same sums.
     for name, transfer, oracle, truncation, points in _closed_form_cases(spec_half):
         for lag, theta in ((2, 0.1168), (2, -0.6), (1, 0.36), (3, 0.9)):
             score = acf_score(lag)
             prepared = prepare_limit(LimitLawConfig(
                 score=score, theta0=np.array([theta]), alpha=1.5, transfer=transfer,
-                truncation=truncation, quad_points=points))
+                truncation=truncation))
             w = compute_W(score, theta, oracle, points)
             coeffs = compute_V_coeffs(score, theta, oracle, truncation, points)
             assert abs(prepared["w"] - w[0, 0]) <= 1e-12 * w[0, 0], name
@@ -160,9 +165,29 @@ def test_closed_form_limit_law_matches_the_grid_rule(spec_half):
                                        atol=1e-12 * np.abs(coeffs).max(), err_msg=name)
 
 
-def test_prepare_limit_warns_when_the_grid_rule_does(spec_half):
-    # The n = 10 000 smoothed transfer aliases on the 4096-point grid; the
-    # closed form keeps the rule's half-resolution check and its warning.
+@pytest.mark.filterwarnings("ignore:quadrature for W:RuntimeWarning")
+def test_long_series_law_equals_the_grid_rule_at_a_fine_grid(spec_half):
+    # The smoothed transfer of n = 10 000 has lags up to 9999: the 4096-point
+    # rule aliases them, the exact sums do not, and at N = 32 768 the rule
+    # is exact and agrees.
+    transfer = SmoothedTransfer(simulate_linear(spec_half, 10_000,
+                                                np.random.default_rng(10_000)))
+    score = acf_score(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prepared = prepare_limit(LimitLawConfig(
+            score=score, theta0=np.array([0.1168]), alpha=1.5, transfer=transfer.coeffs))
+    w = compute_W(score, 0.1168, transfer, 32_768)[0, 0]
+    coeffs = compute_V_coeffs(score, 0.1168, transfer, 200, 32_768)
+    assert abs(prepared["w"] - w) <= 1e-12 * w
+    np.testing.assert_allclose(prepared["coeffs"], coeffs, rtol=0.0,
+                               atol=1e-12 * np.abs(coeffs).max())
+    assert abs(prepared["w"] - compute_W(score, 0.1168, transfer)[0, 0]) > 1e-6 * w
+
+
+def test_prepare_limit_never_warns_where_the_grid_rule_does(spec_half):
+    # The n = 10 000 smoothed transfer aliases on the 4096-point grid, and
+    # the rule's half-resolution check warns; the exact sums have no grid.
     for n, warns in ((300, False), (10_000, True)):
         transfer = SmoothedTransfer(simulate_linear(spec_half, n,
                                                     np.random.default_rng(n)))
@@ -176,15 +201,14 @@ def test_prepare_limit_warns_when_the_grid_rule_does(spec_half):
                 compute()
             found.append(any("quadrature for W not converged" in str(w.message)
                              for w in caught))
-        assert found == [warns, warns]
+        assert found == [warns, False]
 
 
 @pytest.mark.parametrize("top", [14, 15, 16, 22, 31, 33])
 def test_half_resolution_check_starts_where_a_lag_reaches_a_quarter(top):
-    # At N = 64 the half-resolution fold has 32 slots, and a lag h of the
-    # unfolded row shares its slot with lag 32 - h once h reaches 16: the
-    # check warns from there on, as the grid rule's does, and is skipped
-    # below, where both folds hold the same squares.
+    # At N = 64 the half-resolution grid has 32 points, and a lag h of the
+    # integrand shares its wave with lag 32 - h once h reaches 16: the grid
+    # rule's check warns from there on.  The exact sums never do.
     r = 0.5 ** np.arange(top - 1)  # r_0..r_H; the score's lag 2 adds 2
     r[-1] = 0.3
 
@@ -200,15 +224,13 @@ def test_half_resolution_check_starts_where_a_lag_reaches_a_quarter(top):
             warnings.simplefilter("always")
             compute()
         found.append(any("quadrature for W" in str(w.message) for w in caught))
-    assert found == [top >= 16] * 2
+    assert found == [top >= 16, False]
 
 
 @pytest.mark.parametrize("n", [300, 10_000])
 def test_stacked_scalar_laws_equal_one_law_at_a_time(spec_half, n):
-    # The laws of a stack are folded a few at a time into one buffer (eight
-    # at N = 4096, so eleven laws take two blocks); each law gets bitwise
-    # what it gets alone, and the half-resolution check warns once for each
-    # aliased law (every law of n = 10 000, none of n = 300).
+    # Each law of a stack sums its own contiguous row and gets bitwise what
+    # it gets alone; no law warns, however long its series.
     transfers = np.stack([SmoothedTransfer(simulate_linear(
         spec_half, n, np.random.default_rng(seed))).coeffs for seed in range(11)])
     thetas = np.linspace(-0.5, 0.5, 11)[:, None]
@@ -218,10 +240,10 @@ def test_stacked_scalar_laws_equal_one_law_at_a_time(spec_half, n):
             warnings.simplefilter("always")
             prepared = prepare_limit(LimitLawConfig(score=acf_score(2), theta0=theta,
                                                     alpha=1.5, transfer=transfer))
-        return prepared, sum("quadrature for W" in str(w.message) for w in caught)
+        return prepared, len(caught)
 
     stacked, warned = law(thetas, transfers)
-    assert warned == (11 if n == 10_000 else 0)
+    assert warned == 0
     assert stacked["w"].shape == stacked["w_inv"].shape == stacked["closure"].shape == (11,)
     for i, (theta, transfer) in enumerate(zip(thetas, transfers)):
         one, _ = law(theta, transfer)
@@ -239,14 +261,34 @@ def test_single_parameter_w_is_inverted_without_lapack(spec_half):
             score=acf_score(2), theta0=np.array([0.3]), alpha=1.5, transfer=transfer))
         assert type(prepared["w"]) is float and type(prepared["w_inv"]) is float
         assert prepared["w_inv"] == np.linalg.inv([[prepared["w"]]])[0, 0]
-    # 1 + 2 r_N cos(N omega) with r_N = -1/2 vanishes at every point of the
-    # N = 4096 grid, so the rule's W is exactly 0
-    vanishing = np.zeros(4097)
-    vanishing[[0, 4096]] = 1.0, -0.5
-    zero = LimitLawConfig(score=acf_score(2), theta0=np.array([0.3]), alpha=1.5,
-                          transfer=vanishing)
+    # a matrix score whose gradient vanishes has F = 0, so W is exactly 0
+    still = ScoreFunction(name="still", dim=2, domain=(-1.0, 1.0),
+                          intercept=lambda omega: np.zeros((len(omega), 2, 2), complex),
+                          slope=np.zeros((2, 2)))
+    spec = vma_table_spec(0.3)
+    zero = LimitLawConfig(score=still, theta0=np.array([0.3]), alpha=1.5,
+                          psi_matrix=lambda w: transfer_matrix(spec, w))
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        assert prepare_limit(zero)["w_inv"] == 0.0
+        prepared = prepare_limit(zero)
+    assert prepared["w"] == prepared["w_inv"] == prepared["closure"] == 0.0
+
+
+def test_scalar_truncation_warning_names_the_law_it_fires_for():
+    # Of a stack of two laws only the second has a transfer whose
+    # coefficients do not decay by lag 20; its warning names its alpha and
+    # theta as a record prints them, and the first law gives none.
+    slow = np.concatenate([[1.0], np.full(30, 0.2)])
+    transfers = np.stack([np.concatenate([[1.0, 0.3], np.zeros(29)]), slow])
+    config = LimitLawConfig(score=acf_score(2), theta0=np.array([[0.1], [0.2345678912345]]),
+                            alpha=np.array([1.5, 1.2345678912345]), transfer=transfers,
+                            truncation=20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prepare_limit(config)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and all(w.category is TruncationWarning for w in caught)
+    assert messages[0].startswith("limit-series coefficients at alpha=1.234567891, "
+                                  "theta=0.2345678912 are not decaying")
 
 
 def test_scalar_limit_law_needs_an_autocorrelation_score():

@@ -190,19 +190,16 @@ def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points):
 @pytest.mark.parametrize("points", [4096, 4095, 33])
 def test_folded_cosine_coeffs_match_the_scratch_row_fold(rng, size, points):
     # The fold writes each row's one-sided sums and their mirror into one
-    # N-wide row, fresh or a reused buffer holding anything; the scratch-row
-    # fold it replaced is the oracle, bit for bit, zeros of both signs (odd
-    # lags of a zero turn into -0.0) included.
+    # N-wide row; the scratch-row fold it replaced is the oracle, bit for
+    # bit, zeros of both signs (odd lags of a zero turn into -0.0) included.
     coeffs = rng.normal(size=(3, size))
     coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
     coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
     for rows in (coeffs, coeffs[0]):
         oracle = oracles.folded_cosine_coeffs(rows, points)
-        buffer = np.full(oracle.shape, np.nan)
-        for folded in (folded_cosine_coeffs(rows, points),
-                       folded_cosine_coeffs(rows, points, out=buffer)):
-            assert folded.shape == oracle.shape
-            assert folded.tobytes() == oracle.tobytes()
+        folded = folded_cosine_coeffs(rows, points)
+        assert folded.shape == oracle.shape
+        assert folded.tobytes() == oracle.tobytes()
 
 
 # --------------------------------------------------------------------------
