@@ -27,8 +27,8 @@ import numpy as np
 
 from .emplik import solve_lagrange_batch, x_n
 from .errors import NumericalError
-from .limitlaw import (LimitLawConfig, _f_parts, _trapezoid, _uniform_grid, prepare_limit,
-                       ratio_quantiles, sac_series_constant)
+from .limitlaw import (LimitLawConfig, check_quad_points, prepare_limit, ratio_quantiles,
+                       sac_series_constant, trace_rules)
 from .processes import (LinearProcessSpec, _is_finite_real, check_number, ma_polynomial_spec,
                         simulate_linear, simulate_vector_linear, spec_from_dict,
                         theoretical_acf, transfer_matrix, vma_table_spec)
@@ -384,9 +384,7 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
         return _affine_root(-theoretical_acf(spec, score.lag), 1.0, score,
                             "pivotal value")
 
-    grid = _uniform_grid(quad_points)
-    intercept, slope = (_trapezoid(np.einsum("taa->t", f).real, grid)
-                        for f in _f_parts(score, transfer_matrix(spec, grid), grid))
+    intercept, slope = trace_rules(score, partial(transfer_matrix, spec), quad_points)
     root = _affine_root(intercept, slope, score, "pivotal value")
     score.check(root)
     return root
@@ -663,10 +661,7 @@ class ExperimentConfig:
             raise ValueError("limit_reps must be at least 1000")
         if self.truncation < 1:
             raise ValueError(f"truncation must be at least 1, got {self.truncation}")
-        # the matrix law's grid, checked at half resolution on its even points
-        if self.quad_points < 16 or self.quad_points % 2:
-            raise ValueError(f"quad_points must be an even integer of at least 16, "
-                             f"got {self.quad_points}")
+        check_quad_points(self.quad_points)  # the matrix law's grid
         if self.hill_k is not None and self.hill_k < 1:
             raise ValueError(f"hill_k must be at least 1, got {self.hill_k}")
         if self.workers is not None and self.workers < 1:

@@ -18,8 +18,9 @@ theta slope``; ``c`` is indexed by lag and innovation coordinates:
     W = (1/(2 pi d**2)) * integral tr[F F] + tr[F]**2 d omega,
 
 where ``tr[F F] = tr[g G g G]`` and ``tr F = tr[g G]`` for ``g = Psi Psi*``
-(cyclicity of the trace).  Both are N-point trapezoid rules; for ``c`` the
-rule is one DFT of the sampled ``F``, as in :func:`compute_V_coeffs`.
+(cyclicity of the trace).  Both are trapezoid rules on the grid of an
+even number N of steps (``quad_points``); for ``c`` the rule is one DFT of
+the sampled ``F`` (:func:`_cosine_moments`).
 
 Scalar law in closed form.  For the autocorrelation score at lag ``l``,
 ``d(1/f)/d theta = 2 theta - 2 cos(l omega)``, and the normalized transfer
@@ -38,7 +39,8 @@ exactly:
 
 :func:`prepare_limit` computes these sums: ``O(n)`` work with no grid and
 no aliasing, however long the series.  :func:`compute_W` and
-:func:`compute_V_coeffs` keep the grid rules, which equal the sums once
+:func:`compute_V_coeffs` keep the grid rules, as the 1 x 1 case of the
+matrix rules on ``F = d(1/f)/d theta g``; they equal the sums once
 ``N >= 2 (H + l + 1)`` and alias below that.
 
 Scale convention.  The limit theory fixes only the stability indices of
@@ -107,7 +109,6 @@ as the samplers would.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -149,16 +150,17 @@ def scale_multipliers(alpha: float, convention="davis-resnick") -> tuple[float, 
     return s_mult, s0_mult
 
 
+def check_quad_points(quad_points: int) -> None:
+    """Refuse a grid size the grid rules cannot take: their half-resolution
+    check reads the even-indexed samples, so N must be even."""
+    if quad_points < 16 or quad_points % 2:
+        raise ValueError(f"quad_points must be an even integer of at least 16, "
+                         f"got {quad_points}")
+
+
 def _uniform_grid(quad_points: int) -> np.ndarray:
-    if quad_points < 16:
-        raise ValueError("quad_points too small")
+    check_quad_points(quad_points)
     return np.linspace(-np.pi, np.pi, quad_points + 1)
-
-
-@functools.lru_cache
-def _grid_step(quad_points: int) -> float:
-    grid = _uniform_grid(quad_points)
-    return float(grid[1] - grid[0])
 
 
 def _trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -166,23 +168,16 @@ def _trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
-def _trapezoid_checked(values: np.ndarray, coarse: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid rule of ``values`` sampled on ``_uniform_grid(N)`` along the
-    last axis.
+def _trapezoid_checked(values: np.ndarray) -> np.ndarray:
+    """Trapezoid rule of ``values`` sampled on ``_uniform_grid(N)``, N even,
+    along the last axis.
 
-    The result is cross-checked at half resolution against ``coarse``, the
-    integrand sampled on ``_uniform_grid(N // 2)``.  For an even N that grid
-    is the even-indexed subgrid bit for bit, and ``coarse`` defaults to
-    those samples; an odd N needs ``coarse``.
+    The result is cross-checked at half resolution on the even-indexed
+    samples, whose grid is ``_uniform_grid(N // 2)`` bit for bit.
     """
-    points = values.shape[-1] - 1
-    if coarse is None:
-        if points % 2:
-            raise ValueError(f"the matrix limit law needs an even quad_points, "
-                             f"got {points}")
-        coarse = values[..., ::2]
-    total = _trapezoid(values, _uniform_grid(points))
-    check = _trapezoid(coarse, _uniform_grid(points // 2))
+    grid = _uniform_grid(values.shape[-1] - 1)
+    total = _trapezoid(values, grid)
+    check = _trapezoid(values[..., ::2], grid[::2])
     scale = np.max(np.abs(total)) + 1e-300
     if np.max(np.abs(total - check)) > 1e-6 * scale:
         warnings.warn("quadrature for W not converged at the requested grid; "
@@ -198,12 +193,13 @@ def _cosine_moments(weight: np.ndarray, truncation: int) -> np.ndarray:
     fft(conj w)[t]``, the first sample carrying the mean of both end weights.
     """
     points = weight.shape[0] - 1
+    grid = _uniform_grid(points)
     periodic = np.conj(weight[:-1])
     periodic[0] = np.conj(0.5 * (weight[0] + weight[-1]))
     lags = np.arange(1, truncation + 1)
     sums = np.fft.fft(periodic, axis=0).real[lags % points]
     sums[lags % 2 == 1] *= -1.0
-    return _grid_step(points) * sums / np.pi
+    return (grid[1] - grid[0]) * sums / np.pi
 
 
 def _f_parts(score: ScoreFunction, psi: np.ndarray, grid: np.ndarray) -> tuple:
@@ -213,29 +209,44 @@ def _f_parts(score: ScoreFunction, psi: np.ndarray, grid: np.ndarray) -> tuple:
     return psi_h @ score.intercept(grid) @ psi, psi_h @ score.slope @ psi
 
 
+def trace_rules(score: ScoreFunction, psi_matrix: Callable, quad_points: int) -> tuple:
+    """Trapezoid rules ``(A, B)`` of ``tr F_0`` and ``tr F_1`` on
+    ``_uniform_grid(quad_points)``, ``psi_matrix`` mapping it to the transfer
+    matrices: ``A + theta B`` is the rule of ``tr F``."""
+    grid = _uniform_grid(quad_points)
+    return tuple(_trapezoid(np.einsum("taa->t", f).real, grid)
+                 for f in _f_parts(score, psi_matrix(grid), grid))
+
+
+def _scalar_f(score: ScoreFunction, theta0, transfer: Callable,
+              quad_points: int) -> np.ndarray:
+    """``F = d(1/f)/d theta g`` of a scalar score at ``theta0``, sampled on
+    ``_uniform_grid(quad_points)`` as the ``(N + 1, 1, 1)`` input of the
+    matrix rules."""
+    theta0 = score.check_theta(theta0)
+    grid = _uniform_grid(quad_points)
+    f = np.asarray(score.grad_inv(grid, theta0)) * np.asarray(transfer(grid))
+    return f.reshape(-1, 1, 1)
+
+
 def compute_W(score: ScoreFunction, theta0, transfer: Callable,
               quad_points: int = 4096) -> np.ndarray:
-    """Scalar-process curvature ``W`` at ``theta0``, as a 1 x 1 matrix.
+    """Scalar-process curvature ``W`` at ``theta0``, as a 1 x 1 matrix: the
+    rule of :func:`compute_W_mv` on the 1 x 1 ``F`` of :func:`_scalar_f`.
 
-    ``transfer`` maps a frequency array to normalized power-transfer values.
-    The trapezoid rule on a uniform grid is spectrally accurate for these
-    periodic integrands; the result is cross-checked at half resolution.
+    ``transfer`` maps a frequency array to normalized power-transfer values,
+    and ``quad_points`` is an even N of at least 16.  The trapezoid rule on
+    a uniform grid is spectrally accurate for these periodic integrands; the
+    result is cross-checked at half resolution.
     """
-    theta0 = score.check_theta(theta0)
-
-    def integrand(grid):
-        grad = np.asarray(score.grad_inv(grid, theta0))
-        return grad * grad * (2.0 * np.asarray(transfer(grid)) ** 2)
-
-    values = integrand(_uniform_grid(quad_points))
-    coarse = integrand(_uniform_grid(quad_points // 2)) if quad_points % 2 else None
-    return np.reshape(_trapezoid_checked(values, coarse) / (2.0 * np.pi), (1, 1))
+    return np.reshape(compute_W_mv(_scalar_f(score, theta0, transfer, quad_points)),
+                      (1, 1))
 
 
 def compute_W_mv(f: np.ndarray) -> float:
     """Vector-process curvature ``W``.
 
-    ``f`` is ``F = Psi* G Psi`` sampled on ``_uniform_grid(N)``, N even, as
+    ``f`` is ``F = Psi* G Psi`` sampled on ``_uniform_grid(N)`` as
     ``(N + 1, d, d)`` (:func:`_f_parts`); the integrand is
     ``tr[F F] + tr[F]**2`` (module docstring), and the result is divided by
     ``2 pi d**2``.
@@ -276,17 +287,14 @@ def compute_V_coeffs(score: ScoreFunction, theta0, transfer: Callable,
                      truncation: int = 200, quad_points: int = 4096,
                      alpha: float = 1.0) -> np.ndarray:
     """Coefficients ``c_t`` of the stable series in ``V`` (t = 1..T), as a
-    (T,) array.
+    (T,) array: the rule of :func:`compute_V_coeffs_mv` on the 1 x 1 ``F``
+    of :func:`_scalar_f`, with ``quad_points`` an even N of at least 16.
 
     ``alpha`` only tunes the truncation diagnostic (the coefficients enter
     the limit series through ``sum |c_t|^alpha``).
     """
-    theta0 = score.check_theta(theta0)
-    grid = _uniform_grid(quad_points)
-    grad = np.asarray(score.grad_inv(grid, theta0))
-    coeffs = _cosine_moments(grad * np.asarray(transfer(grid)), truncation)
-    _check_tail_decay(np.abs(coeffs), "limit-series", alpha)
-    return coeffs
+    f = _scalar_f(score, theta0, transfer, quad_points)
+    return compute_V_coeffs_mv(f, truncation, alpha)[:, 0, 0]
 
 
 def compute_V_coeffs_mv(f: np.ndarray, truncation: int = 200,

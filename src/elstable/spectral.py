@@ -146,7 +146,7 @@ class SmoothedTransfer:
 
     evaluated here for arbitrary ``omega``.  On the quadrature grid
     ``linspace(-pi, pi, N + 1)`` the series is one length-N FFT of its
-    coefficients folded by :func:`folded_cosine_coeffs`.  ``acf`` keeps the
+    coefficients summed modulo N, the grid's aliasing.  ``acf`` keeps the
     sample autocorrelations ``rho_hat(0..n-1)`` and ``coeffs`` the smoothed
     ones; a stack of series (B, n) gives one row of each per series, and
     only one series can be evaluated.
@@ -170,61 +170,18 @@ class SmoothedTransfer:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         points = omega.size - 1
         if points >= 1 and np.array_equal(omega, np.linspace(-np.pi, np.pi, points + 1)):
-            r = self.coeffs.copy()
-            r[0] = 1.0  # the transfer is normalized
-            values = np.fft.fft(folded_cosine_coeffs(r, points)).real
+            # cos(h omega_j) = (-1)**h cos(2 pi h j / N): lag h lands in slot
+            # h mod N with sign (-1)**h, and the series is fft(slots).real
+            c = 2.0 * self.coeffs
+            c[0] = 1.0  # the transfer is normalized
+            c[1::2] *= -1.0
+            slots = np.arange(c.size) % points
+            values = np.fft.fft(np.bincount(slots, c, minlength=points)).real
             values = values[np.arange(points + 1) % points]
         else:
             h = np.arange(1, self.n)
             values = 1.0 + 2.0 * (np.cos(np.outer(omega, h)) @ self.coeffs[1:])
         return float(values[0]) if scalar else values
-
-
-def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
-    """The cosine series ``coeffs[0] + 2 sum_{h>=1} coeffs[h] cos(h omega)``
-    folded onto the periodic grid ``omega_j = -pi + 2 pi j / points``.
-
-    ``e^(i h omega_j) = (-1)**h e^(2 pi i h j / points)``, so lags ``+h`` and
-    ``-h`` land in slots ``+h`` and ``-h mod points`` with sign ``(-1)**h``,
-    and the series takes the values ``fft(folded).real`` on the grid.  The
-    lags of one slot are added in increasing order, starting from zero, and
-    slot ``m`` then adds the one-sided sum of slot ``-m``.  Leading axes of
-    ``coeffs`` are rows folded one by one, each into one row of the result:
-    the one-sided sums are written there, and when the lags stay below
-    ``points / 2`` each slot and its mirror hold a sum and a zero, so the
-    mirror is a copy.  The fold is the grid's aliasing: on ``points`` samples
-    a lag ``h`` and a lag ``h + points`` are the same wave.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    size = coeffs.shape[-1]
-    folded = np.empty(coeffs.shape[:-1] + (points,))
-    for start in range(0, size, points):
-        width = min(points, size - start)
-        block, lags = folded[..., :width], coeffs[..., start:start + width]
-        # slots whose lag is even take +coeffs, the others -coeffs; x - c is
-        # x + (-c) to the bit, and the first block adds to zero
-        first_even = start % 2
-        if start:
-            block[..., first_even::2] += lags[..., first_even::2]
-            block[..., 1 - first_even::2] -= lags[..., 1 - first_even::2]
-        else:
-            np.add(0.0, lags[..., ::2], out=block[..., ::2])
-            np.subtract(0.0, lags[..., 1::2], out=block[..., 1::2])
-            folded[..., 0] = 0.0  # lag 0 is not part of the one-sided sum
-            folded[..., width:] = 0.0
-    filled = min(size, points)
-    if 2 * filled <= points + 1:
-        # slot m < filled and its mirror points - m >= filled do not meet
-        folded[..., :points - filled:-1] = folded[..., 1:filled]
-    else:
-        half = (points + 1) // 2
-        pairs = folded[..., 1:half] + folded[..., :points - half:-1]
-        folded[..., 1:half] = pairs
-        folded[..., :points - half:-1] = pairs
-        if points % 2 == 0:
-            folded[..., half] += folded[..., half]
-    folded[..., 0] = coeffs[..., 0] + 2.0 * folded[..., 0]
-    return folded
 
 
 def hill_estimator(x: np.ndarray, k: int | None = None) -> float:

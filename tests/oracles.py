@@ -1,9 +1,8 @@
 """Reference evaluations that only the tests use: the periodograms and the
 scalar transfer at arbitrary frequencies, by their direct sums, the EL
-statistic at one theta, a reader of the records CSV, and the region search,
-cosine fold and batch dual solver as they were before they stopped writing
-a dense (S, G) state, a zero scratch row and fresh arrays in every
-iteration."""
+statistic at one theta, a reader of the records CSV, and the region search
+and batch dual solver as they were before they stopped writing a dense
+(S, G) state and fresh arrays in every iteration."""
 
 import csv
 
@@ -182,30 +181,6 @@ def _first(mask: np.ndarray) -> np.ndarray:
     on the reversed view ``G - 1`` minus it is the last, -1 when none."""
     first = mask.argmax(axis=1)
     return np.where(mask[np.arange(len(mask)), first], first, mask.shape[1])
-
-
-def folded_cosine_coeffs(coeffs, points: int) -> np.ndarray:
-    """The cosine series ``coeffs[0] + 2 sum_{h>=1} coeffs[h] cos(h omega)``
-    folded onto the periodic grid ``omega_j = -pi + 2 pi j / points``.
-
-    ``e^(i h omega_j) = (-1)**h e^(2 pi i h j / points)``, so lags ``+h`` and
-    ``-h`` land in slots ``+h`` and ``-h mod points`` with sign ``(-1)**h``,
-    and the series takes the values ``fft(folded).real`` on the grid.  The
-    lags of one slot are added in increasing order, starting from zero.
-    Leading axes of ``coeffs`` are rows folded one by one.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    h = np.arange(coeffs.shape[-1])
-    signed = np.where(h % 2 == 1, -coeffs, coeffs)
-    signed[..., 0] = 0.0  # lag 0 is not part of the one-sided sum
-    one_sided = np.zeros(coeffs.shape[:-1] + (points,))
-    for start in range(0, h.size, points):
-        block = signed[..., start:start + points]
-        one_sided[..., :block.shape[-1]] += block
-    folded = one_sided.copy()
-    folded[..., 1:] += one_sided[..., :0:-1]
-    folded[..., 0] = coeffs[..., 0] + 2.0 * one_sided[..., 0]
-    return folded
 
 
 def solve_lagrange_batch_fresh(m: np.ndarray) -> BatchSolution:

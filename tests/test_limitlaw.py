@@ -142,8 +142,7 @@ def _closed_form_cases(spec_half):
             ("smoothed n=10000", long.coeffs, long, 200, 2 * (9999 + 3 + 1)),
             ("exact MA(100) coefficients", exact_coeffs(spec_half), exact, 200, 4096),
             ("flat", FLAT, flat_transfer, 200, 4096),
-            ("T=400 > H + lag, c_t = 0 beyond", short.coeffs, short, 400, 1024),
-            ("odd N, grids not nested", short.coeffs, short, 200, 4095)]
+            ("T=400 > H + lag, c_t = 0 beyond", short.coeffs, short, 400, 1024)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -485,14 +484,39 @@ def test_stacked_matrix_law_equals_one_law_at_a_time(b, thetas, hill):
         assert stacked["closure"][i] == one["closure"]
 
 
+def _matrix_law(quad_points, truncation=200):
+    return LimitLawConfig(score=coupling_var1_score(), theta0=np.array([0.1755]),
+                          alpha=1.5, psi_matrix=partial(transfer_matrix, vma_table_spec(0.3)),
+                          truncation=truncation, quad_points=quad_points)
+
+
+@pytest.mark.filterwarnings("ignore:quadrature for W:RuntimeWarning")
 def test_matrix_law_needs_an_even_grid():
-    # its half-resolution check reads the even-indexed samples of F
-    vspec = vma_table_spec(0.3)
-    config = LimitLawConfig(score=coupling_var1_score(), theta0=np.array([0.1755]),
-                            alpha=1.5, psi_matrix=lambda w: transfer_matrix(vspec, w),
-                            quad_points=4095)
-    with pytest.raises(ValueError, match="even quad_points, got 4095"):
-        prepare_limit(config)
+    # its half-resolution check reads the even-indexed samples of F, so an
+    # odd N is refused, and the smallest N the rule admits runs: the check's
+    # 8-step grid is the even-indexed subgrid, not a grid of its own
+    with pytest.raises(ValueError, match="even integer of at least 16, got 4095"):
+        prepare_limit(_matrix_law(4095))
+    law = prepare_limit(_matrix_law(16, truncation=10))
+    assert np.isfinite(law["w"]) and law["coeffs"].shape == (10, 2, 2)
+
+
+GRID_ENTRY_POINTS = {
+    "compute_W": lambda n: compute_W(acf_score(2), 0.1, flat_transfer, n),
+    "compute_V_coeffs": lambda n: compute_V_coeffs(acf_score(2), 0.1, flat_transfer, 10, n),
+    "compute_W_mv": lambda n: compute_W_mv(np.ones((n + 1, 2, 2))),
+    "prepare_limit_matrix": lambda n: prepare_limit(_matrix_law(n)),
+    "ExperimentConfig": lambda n: ExperimentConfig(quad_points=n),
+}
+
+
+@pytest.mark.parametrize("points", [14, 4095])
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_every_grid_entry_point_refuses_a_bad_size_with_one_message(entry, points):
+    # one rule, N even and at least 16, and one message, wherever N enters
+    with pytest.raises(ValueError, match=f"^quad_points must be an even integer of "
+                                         f"at least 16, got {points}$"):
+        GRID_ENTRY_POINTS[entry](points)
 
 
 # --------------------------------------------------------------------------

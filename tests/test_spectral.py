@@ -7,10 +7,8 @@ import pytest
 
 from elstable.errors import DegenerateSeriesError
 from elstable.spectral import (SmoothedTransfer, _dirichlet_weights, acf_sequence,
-                               folded_cosine_coeffs, fourier_frequencies, hill_curve,
-                               hill_estimator, periodogram_matrix_grid, sample_acf,
-                               self_normalized_grid)
-import oracles
+                               fourier_frequencies, hill_curve, hill_estimator,
+                               periodogram_matrix_grid, sample_acf, self_normalized_grid)
 from oracles import periodogram_matrix, self_normalized_periodogram
 
 
@@ -168,12 +166,16 @@ def test_smoothed_default_bandwidth_is_sqrt_n(x):
         SmoothedTransfer(x[:2])
 
 
-# ids: the smoother's Fourier spacing, n and N
-@pytest.mark.parametrize("n, points", [(64, 256), (300, 64)],
-                         ids=["fourier-64-256", "fourier-300-64"])
+# ids: the smoother's Fourier spacing, n and N; the largest lag is H = n - 1
+@pytest.mark.parametrize("n, points", [(64, 256), (300, 64), (300, 33), (129, 256),
+                                       (65, 64)],
+                         ids=["fourier-64-256", "fourier-300-64", "fourier-300-33",
+                              "fourier-129-256", "fourier-65-64"])
 def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points):
-    # On linspace(-pi, pi, N + 1) the series is evaluated by one FFT; with
-    # n > N the lags fold modulo N.  The dense cosine sum is the oracle.
+    # On linspace(-pi, pi, N + 1) the series is evaluated by one FFT of its
+    # lags summed modulo N: with n > N they fold (9 times at N = 33, an odd
+    # N), at H = N / 2 the top lag is its own mirror, and at H = N it lands
+    # in slot 0.  The dense cosine sum is the oracle.
     smoother = SmoothedTransfer(rng.standard_t(df=3, size=n))
     omega = np.linspace(-np.pi, np.pi, points + 1)
     direct = 1.0 + 2.0 * (np.cos(np.outer(omega, np.arange(1, n)))
@@ -181,25 +183,6 @@ def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points):
     values = smoother(omega)
     np.testing.assert_allclose(values, direct, rtol=0.0, atol=1e-13)
     assert values[0] == values[-1]
-
-
-# ids: the largest lag H against the N = 4096 slots (and N = 4095, 33)
-@pytest.mark.parametrize("size", [1, 2, 302, 1025, 2049, 2050, 4097, 10_002],
-                         ids=["H=0", "H<N/4", "H=301<N/4", "N/4<=H<N/2", "H=N/2",
-                              "H>N/2", "H=N", "H>=N,n=10000"])
-@pytest.mark.parametrize("points", [4096, 4095, 33])
-def test_folded_cosine_coeffs_match_the_scratch_row_fold(rng, size, points):
-    # The fold writes each row's one-sided sums and their mirror into one
-    # N-wide row; the scratch-row fold it replaced is the oracle, bit for
-    # bit, zeros of both signs (odd lags of a zero turn into -0.0) included.
-    coeffs = rng.normal(size=(3, size))
-    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
-    coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
-    for rows in (coeffs, coeffs[0]):
-        oracle = oracles.folded_cosine_coeffs(rows, points)
-        folded = folded_cosine_coeffs(rows, points)
-        assert folded.shape == oracle.shape
-        assert folded.tobytes() == oracle.tobytes()
 
 
 # --------------------------------------------------------------------------
