@@ -31,7 +31,7 @@ from .scores import (ScoreFunction, acf_score, coupling_var1_score,
                      score_from_config, var1_score)
 from .spectral import (SmoothedTransfer, acf_sequence, fourier_frequencies,
                        hill_curve, hill_estimator, periodogram_matrix_grid,
-                       sample_acf, self_normalized_grid)
+                       sample_acf, self_normalized_grid, stable_index)
 
 __version__ = "0.1.0"
 
@@ -62,4 +62,5 @@ __all__ = [
     # spectral
     "SmoothedTransfer", "acf_sequence", "fourier_frequencies", "hill_curve",
     "hill_estimator", "periodogram_matrix_grid", "sample_acf", "self_normalized_grid",
+    "stable_index",
 ]

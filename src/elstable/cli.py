@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .harness import (ExperimentConfig, analyze_series, coverage_experiment, hill_alpha,
-                      ingest_csv, interval_cells, limit_law, pivotal_value, run_table,
-                      write_csv)
+from .harness import (ExperimentConfig, analyze_series, coverage_experiment,
+                      estimated_alpha, ingest_csv, interval_cells, limit_law, pivotal_value,
+                      run_table, write_csv)
 from .limitlaw import mc_quantile
 from .processes import simulate_linear, simulate_vector_linear
 from .scores import check_alpha
@@ -58,10 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, help="confidence level in (0, 1)")
     p.add_argument("--alpha", type=float,
                    help="known stability index in [1, 2)")
-    p.add_argument("--hill", action="store_true",
+    p.add_argument("--estimate-alpha", action="store_true",
                    help="estimate the stability index from the data")
-    p.add_argument("--hill-k", type=int, metavar="K",
-                   help="tail order statistics for --hill (default n^0.6)")
     def lag(text: str) -> dict:  # argparse names the type in its messages
         return {"name": "acf_lag", "lag": int(text)}
 
@@ -147,20 +145,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve_alpha(args, config: ExperimentConfig, x: np.ndarray) -> float:
-    if args.alpha is not None and args.hill:
-        raise ValueError("supply either --alpha or --hill, not both")
+def _resolve_alpha(args, x: np.ndarray) -> float:
+    if args.alpha is not None and args.estimate_alpha:
+        raise ValueError("supply either --alpha or --estimate-alpha, not both")
     if args.alpha is not None:
         return check_alpha(args.alpha)
-    if args.hill:
+    if args.estimate_alpha:
         if x.ndim != 1:
-            raise ValueError("--hill needs a scalar series")
-        estimate, alpha = hill_alpha(x, config.hill_k)
+            raise ValueError("--estimate-alpha needs a scalar series")
+        estimate, alpha = estimated_alpha(x)
         if alpha != estimate:
-            print(f"note: Hill estimate {estimate:.2f} clipped to {alpha:g}",
+            print(f"note: estimated alpha {estimate:.2f} clipped to {alpha:g}",
                   file=sys.stderr)
         return alpha
-    raise ValueError("supply --alpha (known index) or --hill (estimate it)")
+    raise ValueError("supply --alpha (known index) or --estimate-alpha (estimate it)")
 
 
 def _cmd_ci(args) -> int:
@@ -170,7 +168,7 @@ def _cmd_ci(args) -> int:
     if score.is_matrix and not process_given:
         raise ValueError("vector data needs a process spec in the config "
                          "(the transfer matrix cannot be smoothed)")
-    alpha = _resolve_alpha(args, config, x)
+    alpha = _resolve_alpha(args, x)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     # The process of a scalar data series is unknown: its transfer is
     # smoothed from the data and the SAC interval uses sample autocorrelations.

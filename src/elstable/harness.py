@@ -34,8 +34,8 @@ from .processes import (LinearProcessSpec, _is_finite_real, check_number, ma_pol
                         theoretical_acf, transfer_matrix, vma_table_spec)
 from .scores import (ScoreFunction, _trace_rows, acf_score, coupling_var1_score,
                      estimating_function, estimating_function_mv, score_from_config)
-from .spectral import (SmoothedTransfer, hill_estimator,
-                       periodogram_matrix_grid, sample_acf, self_normalized_grid)
+from .spectral import (SmoothedTransfer, periodogram_matrix_grid, sample_acf,
+                       self_normalized_grid, stable_index)
 
 SCHEMA_VERSION = "elstable-csv 1"
 DEFAULT_SEED = 20140214
@@ -305,25 +305,21 @@ def _move_brackets(inside, outside, stat_in, stat_out, s, side, candidates, stat
     stat_out[s, side] = np.where(moved, stats[rows, pick], stat_out[s, side])
 
 
-def theta_grid(score: ScoreFunction, step: float = 0.001,
-               lo: float | None = None, hi: float | None = None) -> np.ndarray:
-    """Uniform parameter grid over the score domain, clipped to ``+/-0.999``;
-    explicit ends ``lo`` and ``hi`` must keep it strictly inside the domain."""
+def theta_grid(score: ScoreFunction, step: float = 0.001) -> np.ndarray:
+    """Uniform parameter grid over the score domain ``(lo, hi)``, from
+    ``max(lo + step, -0.999)`` to ``min(hi - step, 0.999)``; rounding the
+    number of steps moves the last point by at most half a step, so every
+    point lies inside the domain."""
     if step <= 0.0:
         raise ValueError("grid step must be positive")
     dlo, dhi = score.domain
-    lo = max(dlo + step, -0.999) if lo is None else float(lo)
-    hi = min(dhi - step, 0.999) if hi is None else float(hi)
+    lo, hi = max(dlo + step, -0.999), min(dhi - step, 0.999)
     if not lo < hi:
         raise ValueError(f"empty grid: [{lo}, {hi}]")
     if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
         raise ValueError(f"grid step {step:g} over [{lo:g}, {hi:g}] gives more than "
                          f"{MAX_GRID_POINTS} grid points")
-    grid = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-    if not (dlo < grid[0] and grid[-1] < dhi):
-        raise ValueError(f"grid [{grid[0]:g}, {grid[-1]:g}] is not inside the domain "
-                         f"({dlo:g}, {dhi:g}) of score {score.name!r}")
-    return grid
+    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -421,19 +417,12 @@ def whittle_point(x: np.ndarray, score: ScoreFunction, alpha: float) -> float:
 # --------------------------------------------------------------------------
 # the tail index behind both intervals
 
-def _check_hill_k(k: int | None, n: int) -> None:
-    """Refuse a config's ``hill_k`` outside ``[1, n - 1]`` for series of length ``n``."""
-    if k is not None and not 1 <= k <= n - 1:
-        raise ValueError(f"hill_k must lie in [1, n - 1] = [1, {n - 1}], got {k}")
-
-
-def hill_alpha(x: np.ndarray, k: int | None = None) -> tuple:
-    """``(estimate, clipped)``: the Hill estimate of the tail index of ``x``
-    from its top ``k`` order statistics (the config's ``hill_k``), and its
-    value clipped into ``[1, 1.99]``, the range the inference admits; a
-    clipped estimate signals a misspecified tail."""
-    _check_hill_k(k, len(x))
-    estimate = hill_estimator(x, k)
+def estimated_alpha(x: np.ndarray) -> tuple:
+    """``(estimate, clipped)``: the stability index of ``x`` from its
+    characteristic function (:func:`stable_index`), and its value clipped
+    into ``[1, 1.99]``, the range the inference admits; a clipped estimate
+    signals a misspecified tail."""
+    estimate = stable_index(x)
     return estimate, float(np.clip(estimate, 1.0, 1.99))
 
 
@@ -534,8 +523,7 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process) -> list:
     methods = _methods(config, score)
     if "sac" in methods and score.lag is None:
         raise ValueError("the SAC method needs an autocorrelation score")
-    grid = (theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
-            if "el" in methods else None)
+    grid = theta_grid(score, config.grid_step) if "el" in methods else None
     alpha = np.array(alpha, dtype=float)
     alphas = alpha.tolist()  # the per-series scalars, as floats
     sq_q, abs_q = np.array(quantiles, dtype=float).T.tolist()
@@ -601,12 +589,12 @@ def _stack_results(x, alpha, quantiles, **shared) -> list:
 # experiment configuration
 
 _ALLOWED = {
-    "alpha_mode": {"known", "hill"},
+    "alpha_mode": {"known", "estimated"},
     "transfer_mode": {"smoothed", "exact"},
 }
 
 # The declared types of the numeric fields of ExperimentConfig.
-_NUMBER_TYPES = {"int", "int | None", "float", "float | None"}
+_NUMBER_TYPES = {"int", "int | None", "float"}
 
 
 @dataclass(frozen=True)
@@ -627,10 +615,7 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     methods: tuple = ("el", "sac")
     alpha_mode: str = "known"
-    hill_k: int | None = None
     transfer_mode: str = "smoothed"
-    grid_min: float | None = None
-    grid_max: float | None = None
     grid_step: float = 0.001
     limit_reps: int = 100_000
     truncation: int = 200
@@ -662,8 +647,6 @@ class ExperimentConfig:
         if self.truncation < 1:
             raise ValueError(f"truncation must be at least 1, got {self.truncation}")
         check_quad_points(self.quad_points)  # the matrix law's grid
-        if self.hill_k is not None and self.hill_k < 1:
-            raise ValueError(f"hill_k must be at least 1, got {self.hill_k}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         for name, allowed in _ALLOWED.items():
@@ -767,7 +750,7 @@ def _coverage_chunk(config: ExperimentConfig, theta0: float, quantiles: tuple | 
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1 + index)))
             x = simulate(spec, config.n, rng)
             known = config.alpha_mode == "known"
-            alpha = spec.noise.alpha if known else hill_alpha(x, config.hill_k)[1]
+            alpha = spec.noise.alpha if known else estimated_alpha(x)[1]
             record["alpha"] = alpha
             # the shared ratio law with a known index, else this series' own
             drawn.append((record, x, alpha, quantiles if known else ratio_quantiles(
@@ -954,14 +937,11 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     score = config.build_score()
     spec = config.build_process()
     config = replace(config, methods=_methods(config, score))
-    if config.alpha_mode == "hill" and score.is_matrix:
+    if config.alpha_mode == "estimated" and score.is_matrix:
         raise ValueError("tail-index estimation is defined for scalar series")
-    # a bad hill_k or grid is the config's error, not a replicate's
-    if config.alpha_mode == "hill":
-        _check_hill_k(config.hill_k, config.n)
-
+    # a bad grid is the config's error, not a replicate's
     if "el" in config.methods:
-        theta_grid(score, config.grid_step, config.grid_min, config.grid_max)
+        theta_grid(score, config.grid_step)
     theta0 = pivotal_value(spec, score, config.quad_points)
     quantiles = None
     if config.alpha_mode == "known":

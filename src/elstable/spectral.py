@@ -1,4 +1,4 @@
-"""Periodograms, smoothing, sample autocorrelations, and tail-index estimation.
+"""Periodograms, smoothing, sample autocorrelations, and tail-index estimates.
 
 The self-normalized periodogram of a series ``x`` of length ``n`` is
 
@@ -182,6 +182,43 @@ class SmoothedTransfer:
             h = np.arange(1, self.n)
             values = 1.0 + 2.0 * (np.cos(np.outer(omega, h)) @ self.coeffs[1:])
         return float(values[0]) if scalar else values
+
+
+# the points u of the characteristic-function regression, for a series
+# scaled to unit half interquartile range
+_ECF_POINTS = np.arange(1, 11) / 10.0
+
+
+def stable_index(x: np.ndarray) -> float:
+    """Stability index of a SaS series from its empirical characteristic function.
+
+    A SaS variable of scale ``sigma`` has ``|phi(u)| = exp(-(sigma u)**alpha)``,
+    so ``log(-log|phi(u)|) = alpha log u + alpha log sigma`` exactly
+    (Press 1972; Koutrouvelis 1980).  Every marginal of a SaS linear process
+    ``X_t = sum_j psi_j Z_{t-j}`` is SaS with the innovations' ``alpha``, so
+    the identity holds for each ``x_t``.  The series is divided by half its
+    interquartile range (order statistics ``k`` and ``n - 1 - k``, ``k = n // 4``),
+    and the estimate is the least-squares slope of ``log(-log|phi_hat(u)|)``
+    on ``log u`` at ``u = 0.1, 0.2, ..., 1.0``.  It takes no tuning value and
+    is invariant under ``x -> c x``: bitwise for ``c = -1`` and powers of two.
+    :class:`DegenerateSeriesError` when the interquartile range is 0 or a
+    logarithm is not finite.
+    """
+    x = _validated(x).ravel()
+    order = np.sort(x)  # x keeps its order, so x -> -x only flips the sines' signs
+    k = x.size // 4
+    half_iqr = (order[x.size - 1 - k] - order[k]) / 2.0
+    if not half_iqr > 0.0:
+        raise DegenerateSeriesError("series has a zero interquartile range")
+    arg = np.outer(_ECF_POINTS, x / half_iqr)
+    modulus = np.hypot(np.cos(arg).mean(axis=1), np.sin(arg).mean(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(-np.log(modulus))
+    if not np.all(np.isfinite(y)):
+        raise DegenerateSeriesError("empirical characteristic function gives a "
+                                    "non-finite log(-log|phi|)")
+    log_u = np.log(_ECF_POINTS) - np.log(_ECF_POINTS).mean()
+    return float(log_u @ (y - y.mean()) / (log_u @ log_u))
 
 
 def hill_estimator(x: np.ndarray, k: int | None = None) -> float:

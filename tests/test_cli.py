@@ -76,7 +76,7 @@ def test_ci_known_alpha(series_csv, tmp_path, capsys):
 def test_ci_requires_exactly_one_alpha_source(series_csv, capsys):
     assert run_cli("ci", "--input", series_csv) == 2
     assert "alpha" in capsys.readouterr().err
-    assert run_cli("ci", "--input", series_csv, "--alpha", 1.5, "--hill") == 2
+    assert run_cli("ci", "--input", series_csv, "--alpha", 1.5, "--estimate-alpha") == 2
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.5])
@@ -95,29 +95,33 @@ def test_ci_rejects_alpha_outside_inference_range(series_csv, capsys, alpha):
         assert str(info.value) == message
 
 
-def test_ci_hill_estimates_the_index(series_csv, tmp_path):
-    out = tmp_path / "hill_ci.csv"
-    code = run_cli("ci", "--input", series_csv, "--hill", "--seed", 1,
+def test_ci_estimates_the_index(series_csv, tmp_path, capsys):
+    # the demo series is the alpha = 1.5 design
+    out = tmp_path / "estimated_ci.csv"
+    code = run_cli("ci", "--input", series_csv, "--estimate-alpha", "--seed", 1,
                    "--limit-reps", 2000, "--grid-step", 0.01, "--output", out)
     assert code == 0
+    assert "note:" not in capsys.readouterr().err
     meta = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
                 if line.startswith("# ") and "=" in line)
-    assert 1.0 <= float(meta["alpha"]) <= 1.99
+    assert abs(float(meta["alpha"]) - 1.5) <= 0.25
 
 
-def test_ci_hill_reports_a_clipped_estimate(series_csv, tmp_path, capsys):
-    # The demo series' Hill estimate is 2.59, past the largest index the
-    # inference admits: it is clipped to 1.99 as before, and now says so.
-    hill, known = tmp_path / "hill.csv", tmp_path / "known.csv"
-    common = ["ci", "--input", series_csv, "--limit-reps", 2000,
-              "--grid-step", 0.01]
-    assert run_cli(*common, "--hill", "--output", hill) == 0
+def test_ci_reports_a_clipped_estimate(tmp_path, capsys):
+    # Uniform noise has light tails: its estimate, 2.06, lies past the
+    # largest index the inference admits, so it is clipped to 1.99 and says so.
+    series = tmp_path / "uniform.csv"
+    series.write_text("".join(f"{value:.17g}\n" for value in
+                              np.random.default_rng(0).uniform(-1.0, 1.0, 300)))
+    estimated, known = tmp_path / "estimated.csv", tmp_path / "known.csv"
+    common = ["ci", "--input", series, "--limit-reps", 2000, "--grid-step", 0.01]
+    assert run_cli(*common, "--estimate-alpha", "--output", estimated) == 0
     notes = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("note:")]
-    assert notes == ["note: Hill estimate 2.59 clipped to 1.99"]
+    assert notes == ["note: estimated alpha 2.06 clipped to 1.99"]
     assert run_cli(*common, "--alpha", 1.99, "--output", known) == 0
     assert "note:" not in capsys.readouterr().err
-    assert hill.read_bytes() == known.read_bytes()
+    assert estimated.read_bytes() == known.read_bytes()
 
 
 def test_ci_sample_acf_warning_names_the_noise_floor(tmp_path):
@@ -152,44 +156,48 @@ def test_ci_rejects_non_finite_series(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("series, config, message", [
-    ("0.1\n-0.5\n0.3\n", {}, "series length must be at least 8, got 3"),
-    ("1 # note\n" + "2\n" * 9, {}, "malformed row 1: '1 # note'"),
-    ("1,2\n3\n", {}, "inconsistent column counts [1, 2] in "),
-    (None, {"n": "abc"}, "n must be an integer, got 'abc'"),
-    (None, {"methods": "el"}, "methods must be a list of method names, got 'el'"),
-    (None, {"truncation": 0}, "truncation must be at least 1, got 0"),
+_KNOWN, _ESTIMATED = ["--alpha", 1.5], ["--estimate-alpha"]
+
+
+@pytest.mark.parametrize("series, config, source, message", [
+    ("0.1\n-0.5\n0.3\n", {}, _KNOWN, "series length must be at least 8, got 3"),
+    ("1 # note\n" + "2\n" * 9, {}, _KNOWN, "malformed row 1: '1 # note'"),
+    ("1,2\n3\n", {}, _KNOWN, "inconsistent column counts [1, 2] in "),
+    (None, {"n": "abc"}, _KNOWN, "n must be an integer, got 'abc'"),
+    (None, {"methods": "el"}, _KNOWN, "methods must be a list of method names, got 'el'"),
+    (None, {"truncation": 0}, _KNOWN, "truncation must be at least 1, got 0"),
     # vector data reads its process from the config
     (None, {"process": {"kind": "ma", "alpha": 1.5},
             "score": {"name": "var1", "template": [[0.5, "theta"], [0.4, 0.2]]}},
-     "an 'ma' process spec has no 'psi' entry"),
-    (None, {"scale_convention": [1]}, "scale_convention must be 'davis-resnick' or a "
-     "pair of finite positive numbers, got [1]"),
-    (None, {"scale_convention": 3}, "scale_convention must be 'davis-resnick' or a "
-     "pair of finite positive numbers, got 3"),
-    (None, {"score": 5}, "score must be a JSON object, got 5"),
-    (None, {"score": ["acf_lag"]}, "score must be a JSON object, got ['acf_lag']"),
-    # an explicit grid must lie strictly inside the score domain
-    (None, {"grid_min": 5, "grid_max": 6},
-     "grid [5, 6] is not inside the domain (-1, 1) of score 'acf_lag2'"),
-    (None, {"grid_min": -1.5},
-     "grid [-1.5, 0.999] is not inside the domain (-1, 1) of score 'acf_lag2'"),
-    (None, {"hill_k": 0}, "hill_k must be at least 1, got 0"),
+     _KNOWN, "an 'ma' process spec has no 'psi' entry"),
+    (None, {"scale_convention": [1]}, _KNOWN, "scale_convention must be 'davis-resnick' "
+     "or a pair of finite positive numbers, got [1]"),
+    (None, {"scale_convention": 3}, _KNOWN, "scale_convention must be 'davis-resnick' "
+     "or a pair of finite positive numbers, got 3"),
+    (None, {"score": 5}, _KNOWN, "score must be a JSON object, got 5"),
+    (None, {"score": ["acf_lag"]}, _KNOWN, "score must be a JSON object, got ['acf_lag']"),
     # numpy's SeedSequence would refuse it without naming the field
-    (None, {"seed": -1}, "seed must be a non-negative integer, got -1"),
+    (None, {"seed": -1}, _KNOWN, "seed must be a non-negative integer, got -1"),
+    # a field the config no longer has is unknown, not ignored
+    (None, {"hill_k": 30, "grid_min": 0.0}, _KNOWN,
+     "unknown config fields: ['grid_min', 'hill_k']"),
+    # the estimated index needs a spread: a constant series and one whose
+    # quartiles coincide have none
+    ("2.5\n" * 40, {}, _ESTIMATED, "series has a zero interquartile range"),
+    ("0\n" * 40 + "1\n2\n3\n", {}, _ESTIMATED, "series has a zero interquartile range"),
 ], ids=["short-series", "number-in-first-row", "ragged", "string-n", "string-methods",
         "zero-truncation", "process-without-psi", "one-scale-multiplier", "number-scale",
-        "number-score", "list-score", "grid-outside-domain", "grid-below-domain",
-        "zero-hill-k", "negative-seed"])
+        "number-score", "list-score", "negative-seed", "removed-fields", "constant-series",
+        "zero-iqr-series"])
 def test_ci_bad_input_exits_2_with_one_error_line(series_csv, tmp_path, capsys,
-                                                  series, config, message):
+                                                  series, config, source, message):
     path = series_csv
     if series is not None:
         path = tmp_path / "series.csv"
         path.write_text(series)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
-    assert run_cli("ci", "--input", path, "--alpha", 1.5, "--config", config_path) == 2
+    assert run_cli("ci", "--input", path, *source, "--config", config_path) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
@@ -296,27 +304,6 @@ def test_table_reads_its_config_file(tmp_path):
                    "--output", from_flags) == 0
     assert from_file.read_bytes() == from_flags.read_bytes()
     assert "# seed=1\n" in from_file.read_text()
-
-
-def test_ci_reads_grid_bounds_from_config(series_csv, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid_min": 0.0, "grid_max": 0.05}))
-    out = tmp_path / "ci.csv"
-    assert run_cli("ci", "--input", series_csv, "--alpha", 1.5, "--config", config,
-                   "--limit-reps", 2000, "--methods", "el", "--output", out) == 0
-    (el,) = read_records_csv(out)
-    assert 0.0 <= el["lower"] <= el["upper"] <= 0.05
-
-
-def test_ci_hill_reads_k_from_config(series_csv, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"hill_k": 140}))
-    common = ["ci", "--input", series_csv, "--hill", "--methods", "el",
-              "--limit-reps", 2000, "--grid-step", 0.01]
-    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
-    assert run_cli(*common, "--config", config, "--output", from_file) == 0
-    assert run_cli(*common, "--hill-k", 140, "--output", from_flag) == 0
-    assert from_file.read_bytes() == from_flag.read_bytes()
 
 
 def test_ci_exact_transfer_needs_a_process(series_csv, tmp_path, capsys):
@@ -427,8 +414,8 @@ def test_simulate_rejects_a_process_that_is_not_an_object(tmp_path, capsys):
 
 def test_back_to_back_calls_print_what_separate_calls_print(series_csv, capsys):
     # main() parses every call with one parser, so no flag of one call may
-    # reach the next: --hill then --alpha, and a coverage run then a table.
-    calls = [("ci", "--input", series_csv, "--hill", "--limit-reps", 2000),
+    # reach the next: --estimate-alpha then --alpha, and a coverage run then a table.
+    calls = [("ci", "--input", series_csv, "--estimate-alpha", "--limit-reps", 2000),
              ("ci", "--input", series_csv, "--alpha", 1.5, "--limit-reps", 2000),
              ("coverage", "--n", 64, "--replicates", 100, "--workers", 1),
              ("table", "--id", 1, "--limit-reps", 2000)]
@@ -561,16 +548,7 @@ _LIMITED = ("import resource, sys\n"
     (["coverage"], {"process": {"kind": "vma", "alpha": 1.5,
                                 "coeffs": {"kind": "table", "b": 0.3, "order": 10**9}}},
      "coeffs shorthand order must lie in"),
-    # a Hill k outside [1, n - 1] is refused before any replicate is simulated
-    (["coverage", "--n", "64", "--replicates", "100"], {"alpha_mode": "hill", "hill_k": 0},
-     "hill_k must be at least 1, got 0"),
-    (["coverage", "--n", "64", "--replicates", "100"], {"alpha_mode": "hill", "hill_k": 64},
-     "hill_k must lie in [1, n - 1] = [1, 63], got 64"),
-    # ci states the same contract in the same words
-    (["ci", "--hill", "--hill-k", "300"], None,
-     "hill_k must lie in [1, n - 1] = [1, 299], got 300"),
-], ids=["grid-step", "replicates", "psi-order", "coeffs-order", "zero-hill-k", "hill-k-of-n",
-        "ci-hill-k-of-n"])
+], ids=["grid-step", "replicates", "psi-order", "coeffs-order"])
 def test_absurd_in_range_sizes_are_refused_before_allocating(tmp_path, series_csv, args,
                                                              config, message):
     if args[0] == "ci":
@@ -660,8 +638,6 @@ _BAD_FLAGS = st.one_of(
     st.tuples(st.just(["ci", "--alpha", 1.5, "--limit-reps"]), st.integers(max_value=999)),
     st.tuples(st.just(["ci", "--alpha", 1.5, "--lag"]),
               st.integers(max_value=0) | st.integers(min_value=300)),
-    st.tuples(st.just(["ci", "--hill", "--hill-k"]),
-              st.integers(max_value=0) | st.integers(min_value=300)),
     st.tuples(st.just(["simulate", "--n"]), st.integers(max_value=7)),
     st.tuples(st.just(["limit", "--limit-reps", 1000, "--levels"]), _BAD_LEVELS),
     st.tuples(st.just(["limit", "--limit-reps", 1000, "--theta"]),
@@ -716,12 +692,9 @@ _WRONG_CONFIGS = st.one_of(
         _junk() | st.none() | st.floats()),
     st.builds(lambda k, v: {k: v}, st.sampled_from(["level", "grid_step"]),
               _junk() | st.none() | _NON_FINITE),
-    st.builds(lambda k, v: {k: v}, st.sampled_from(["hill_k", "workers"]),
-              _junk() | st.floats()),
-    st.builds(lambda k, v: {k: v}, st.sampled_from(["grid_min", "grid_max"]),
-              _junk() | _NON_FINITE),
+    st.builds(lambda v: {"workers": v}, _junk() | st.floats()),
     st.builds(lambda k, v: {k: v}, st.sampled_from(["alpha_mode", "transfer_mode"]),
-              _junk("known", "hill", "smoothed", "exact") | st.none()),
+              _junk("known", "estimated", "smoothed", "exact") | st.none()),
     st.builds(lambda v: {"methods": v}, st.text(max_size=4) | st.none() | st.booleans()
               | st.lists(st.integers(), min_size=1, max_size=2)),
     st.builds(lambda v: {"scale_convention": v}, st.none() | st.booleans() | st.floats()

@@ -11,7 +11,7 @@ from elstable import emplik
 from elstable import harness
 from elstable.emplik import solve_lagrange, solve_lagrange_batch, x_n
 from elstable.harness import (ExperimentConfig, el_confidence_region, pivotal_value,
-                              theta_grid, whittle_point)
+                              whittle_point)
 from elstable.processes import ma_polynomial_spec, simulate_linear
 from elstable.scores import acf_score, estimating_function
 import oracles
@@ -157,7 +157,7 @@ def test_el_ratio_statistic_scaling(series_half):
     # statistic at each probed point, rebuilt from the weights.
     score = acf_score(2)
     n = series_half.size
-    grid = theta_grid(score, step=0.05, lo=-0.4, hi=0.6)
+    grid = np.linspace(-0.4, 0.6, 21)
     scan = el_confidence_region(series_half, score, grid, 2.5, 1.5)
     for theta, stat in zip(scan.thetas, scan.stats):
         m = estimating_function(series_half, score, theta, 1.5)

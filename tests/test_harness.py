@@ -54,22 +54,25 @@ def test_theta_grid_respects_domain_and_step():
     grid = theta_grid(acf_score(2), step=0.01)
     assert grid[0] >= -0.999 and grid[-1] <= 0.999
     np.testing.assert_allclose(np.diff(grid), 0.01, rtol=1e-9)
-    narrow = theta_grid(acf_score(2), step=0.1, lo=-0.2, hi=0.2)
-    assert narrow[0] == pytest.approx(-0.2) and narrow[-1] == pytest.approx(0.2)
+    # the ends derive from the domain (-1, 1): one step inside it, clipped
+    # to +/-0.999, and the last point within half a step of its end
+    for step in (0.3, 0.07, 0.001, 0.0004, 1e-5):
+        grid = theta_grid(acf_score(2), step=step)
+        lo, hi = max(-1.0 + step, -0.999), min(1.0 - step, 0.999)
+        assert grid[0] == lo and abs(grid[-1] - hi) <= step / 2 and grid[-1] < 1.0
     with pytest.raises(ValueError):
         theta_grid(acf_score(2), step=-0.1)
-    # explicit ends keep the grid strictly inside the open domain (-1, 1),
-    # and a coverage run refuses such a grid before any replicate
-    for lo, hi in ((5.0, 6.0), (-1.5, None), (-0.5, 1.0), (-0.5, 0.9996)):
-        with pytest.raises(ValueError, match="not inside the domain"):
-            theta_grid(acf_score(2), lo=lo, hi=hi)
-    with pytest.raises(ValueError, match="not inside the domain"):
-        coverage_experiment(ExperimentConfig(grid_min=5.0, grid_max=6.0))
+    # a step that leaves no point inside the domain is refused, by a coverage
+    # run before any replicate
+    with pytest.raises(ValueError, match="empty grid"):
+        theta_grid(acf_score(2), step=1.0)
+    with pytest.raises(ValueError, match="empty grid"):
+        coverage_experiment(ExperimentConfig(grid_step=1.0))
 
 
 def test_region_scan_matches_pointwise_statistics(series_half):
     score = acf_score(2)
-    grid = theta_grid(score, step=0.05, lo=-0.4, hi=0.6)
+    grid = np.linspace(-0.4, 0.6, 21)
     gamma = 2.5
     scan = el_confidence_region(series_half, score, grid, gamma, 1.5)
     for theta, stat, accepted in zip(scan.thetas, scan.stats, scan.accepted):
@@ -84,7 +87,7 @@ def test_region_scan_matches_pointwise_statistics(series_half):
 
 def test_region_scan_empty_when_threshold_is_zero(series_half):
     score = acf_score(2)
-    grid = theta_grid(score, step=0.05, lo=-0.4, hi=0.6)
+    grid = np.linspace(-0.4, 0.6, 21)
     scan = el_confidence_region(series_half, score, grid, 0.0, 1.5)
     assert scan.interval is None and not scan.accepted.any()
 
@@ -670,11 +673,11 @@ def test_analyze_series_runs_el_only_on_matrix_scores():
     # it from the configured methods instead of failing.
     spec = vma_table_spec(0.3)
     x = simulate_vector_linear(spec, 120, np.random.default_rng(6))
-    config = ExperimentConfig(grid_step=0.05, grid_min=-0.5, grid_max=0.5)
+    config = ExperimentConfig(grid_step=0.05)
     result = analyze_series(x, coupling_var1_score(), 1.5, config, process=spec,
                             rng=np.random.default_rng(7))
     assert result.sac is None
-    assert result.el.interval.lower >= -0.5 and result.el.interval.upper <= 0.5
+    assert -1.0 < result.el.interval.lower <= result.el.interval.upper < 1.0
 
 
 # --------------------------------------------------------------------------
@@ -719,7 +722,6 @@ def test_experiment_config_validation():
     ({"replicates": "5"}, "replicates must be an integer, got '5'"),
     ({"methods": "el"}, "methods must be a list of method names, got 'el'"),
     ({"truncation": 0}, "truncation must be at least 1, got 0"),
-    ({"hill_k": 0}, "hill_k must be at least 1, got 0"),
 ])
 def test_experiment_config_rejects_wrong_typed_values(fields, message):
     with pytest.raises(ValueError) as info:
@@ -822,6 +824,30 @@ def test_a_failing_replicate_leaves_the_rest_of_its_chunk_alone(workers, stage):
 
 # the deliberately short limit series of the small design warns, by design
 @pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
+def test_a_series_with_no_estimated_index_is_an_error_record():
+    # Replicate 12 draws a series whose quartiles coincide: its index cannot
+    # be estimated, and only its own record says so.
+    cfg = ExperimentConfig(workers=1, seed=23, **dict(SMALL, alpha_mode="estimated"))
+    clean = coverage_experiment(cfg).records
+    bad = 12
+
+    def flat(spec, n, rng):
+        x = simulate_linear(spec, n, rng)
+        if rng.bit_generator.seed_seq.entropy == (cfg.seed, 1 + bad):
+            x[: n - 3] = 0.0
+        return x
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "simulate_linear", flat)
+        records = coverage_experiment(cfg).records
+    assert records[bad]["status"] == ("error: DegenerateSeriesError: "
+                                      "series has a zero interquartile range")
+    assert (_record_lines(records[:bad] + records[bad + 1:])
+            == _record_lines(clean[:bad] + clean[bad + 1:]))
+
+
+# the deliberately short limit series of the small design warns, by design
+@pytest.mark.filterwarnings("ignore::elstable.errors.TruncationWarning")
 def test_coverage_records_do_not_depend_on_uneven_chunks():
     # 101 replicates split into chunks of 100 + 1, 51 + 50 and 34 + 34 + 33.
     design = dict(SMALL, replicates=101)
@@ -918,7 +944,7 @@ def test_a_kept_pool_serves_every_call_without_state_of_its_own(monkeypatch):
     assert first == second == serial
     assert again == kept
     for design in (SMALL, dict(SMALL, transfer_mode="exact"), VAR1,
-                   dict(SMALL, alpha_mode="hill")):
+                   dict(SMALL, alpha_mode="estimated")):
         records = coverage_experiment(ExperimentConfig(workers=2, seed=43, **design)).records
         assert _record_lines(records) == _serial_lines(design, 43)
         assert _kept_worker() == kept

@@ -1,4 +1,4 @@
-"""Periodograms, smoothing, sample autocorrelations, and the Hill estimator."""
+"""Periodograms, smoothing, sample autocorrelations, and the tail-index estimates."""
 
 import math
 
@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from elstable.errors import DegenerateSeriesError
+from elstable.processes import StableParams, sample_sas
 from elstable.spectral import (SmoothedTransfer, _dirichlet_weights, acf_sequence,
                                fourier_frequencies, hill_curve, hill_estimator,
-                               periodogram_matrix_grid, sample_acf, self_normalized_grid)
+                               periodogram_matrix_grid, sample_acf, self_normalized_grid,
+                               stable_index)
 from oracles import periodogram_matrix, self_normalized_periodogram
 
 
@@ -183,6 +185,19 @@ def test_smoothed_transfer_fft_matches_cosine_sum(rng, n, points):
     values = smoother(omega)
     np.testing.assert_allclose(values, direct, rtol=0.0, atol=1e-13)
     assert values[0] == values[-1]
+
+
+# --------------------------------------------------------------------------
+# the stability index from the characteristic function
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_stable_index_recovers_alpha_at_any_scale(alpha):
+    x = sample_sas(StableParams(alpha), 10_000, np.random.default_rng(12345))
+    estimate = stable_index(x)
+    assert abs(estimate - alpha) <= 0.05
+    # powers of two and the sign change no bit; another scale only rounds
+    assert stable_index(2.0 * x) == estimate and stable_index(-x) == estimate
+    assert abs(stable_index(3.7 * x) - estimate) <= 1e-12
 
 
 # --------------------------------------------------------------------------
