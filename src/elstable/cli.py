@@ -239,7 +239,9 @@ def _cmd_hill_plot(args) -> int:
                          f"[{args.kmin}, {kmax}] with n={x.size}")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    ks = np.unique(np.linspace(args.kmin, kmax, args.points).astype(int))
+    # past one point per integer k every k is already hit: the same ks
+    points = min(args.points, kmax - args.kmin + 1)
+    ks = np.unique(np.linspace(args.kmin, kmax, points).astype(int))
     alphas = hill_curve(x, ks)
     rows = [{"k": int(k), "alpha_hat": float(a)} for k, a in zip(ks, alphas)]
     write_csv(args.output, ["k", "alpha_hat"], rows,

@@ -1136,6 +1136,24 @@ def _parse_rows(lines, path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _data_start(text: str):
+    """The number of lines of ``text`` before its first data row, and that
+    row stripped: leading blank and comment lines and a header come before
+    it, as :func:`_parse_rows` reads them.  ``None`` when there is no data
+    row or a ``#`` follows its start."""
+    skip, start, first = 0, 0, True
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        row = text[start:end].strip()
+        if row and row[0] != "#":
+            if not (first and _is_header(_fields(row))):
+                return None if text.find("#", start) >= 0 else (skip, row)
+            first = False
+        skip, start = skip + 1, end + 1
+    return None
+
+
 def ingest_csv(path, dim: int | None = None) -> np.ndarray:
     """Load a series from a CSV/whitespace table of finite reals.
 
@@ -1146,24 +1164,27 @@ def ingest_csv(path, dim: int | None = None) -> np.ndarray:
     Malformed rows and non-finite entries are rejected with their (1-based,
     physical) row number.
 
-    numpy's C reader parses the data rows; when it refuses them or reads a
-    non-finite value, the line parser :func:`_parse_rows` reads the lines
-    again and returns the same array or raises the row's error.
+    When no ``#`` follows the first data row, numpy's C reader reads the
+    file from that row on, split at commas when that row has one; the text
+    read here serves only to find the row, and no list of lines is built.
+    In every other case, and when the C reader refuses a row, cannot open
+    the file (numpy opens names ending in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma`` as archives) or reads a non-finite value, the line parser
+    :func:`_parse_rows` reads the text and returns the same array or raises
+    the row's error.
     """
     with open(path) as fh:
-        lines = fh.read().split("\n")
-    rows = [text for line in lines if (text := line.strip()) and text[0] != "#"]
-    if rows and _is_header(_fields(rows[0])):
-        del rows[0]
-    data = None
-    if rows:
+        text = fh.read()
+    start, data = _data_start(text), None
+    if start is not None:
+        skip, row = start
         try:
-            data = np.loadtxt(rows, delimiter="," if "," in rows[0] else None,
-                              comments=None, ndmin=2)
-        except ValueError:
+            data = np.loadtxt(path, delimiter="," if "," in row else None,
+                              skiprows=skip, comments=None, ndmin=2)
+        except (ValueError, OSError):
             pass
     if data is None or not np.isfinite(data).all():
-        data = _parse_rows(lines, path)
+        data = _parse_rows(text.split("\n"), path)
     if dim is not None and data.shape[1] != dim:
         raise ValueError(f"expected {dim} column(s), found {data.shape[1]}")
     return data[:, 0] if data.shape[1] == 1 else data

@@ -567,6 +567,26 @@ def test_absurd_in_range_sizes_are_refused_before_allocating(tmp_path, series_cs
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
+def test_hill_plot_caps_its_points_at_one_per_k(tmp_path, series_csv):
+    # more points than integer k in [kmin, kmax] give the same ks, so a huge
+    # --points neither allocates its linspace nor changes the output
+    src = str(Path(elstable.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    outputs = []
+    for points in (10**12, 46):
+        out = subprocess.run([sys.executable, "-c", _LIMITED, "hill-plot", "-i",
+                              str(series_csv), "--kmin", "5", "--kmax", "50",
+                              "--points", str(points)],
+                             capture_output=True, text=True, cwd=tmp_path, env=env,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert [row.split(",")[0] for row in outputs[0].splitlines()[-46:]] == \
+        [str(k) for k in range(5, 51)]
+
+
 # --------------------------------------------------------------------------
 # exit-code contract under fuzzed input
 

@@ -1243,6 +1243,11 @@ def test_ingest_csv_variants(tmp_path):
     path.write_text("x1,x2\n1.0,2.0\n3.0,4.0\n")
     assert ingest_csv(path, dim=2).shape == (2, 2)
 
+    # numpy opens this name as a gzip archive; the line parser reads it
+    path = tmp_path / "series.gz"
+    path.write_text("1.0\n2.5\n")
+    assert ingest_csv(path).tolist() == [1.0, 2.5]
+
 
 def test_ingest_csv_rejections(tmp_path):
     path = tmp_path / "bad.csv"
@@ -1330,6 +1335,8 @@ def _table_texts(draw):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
+# a numpy warning, such as loadtxt's "input contained no data", fails it
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(text=_table_texts())
 def test_ingest_csv_matches_the_line_parser(tmp_path_factory, text):
@@ -1356,14 +1363,22 @@ def test_ingest_csv_reads_simulate_output_and_columns_bitwise(tmp_path, monkeypa
     columns = tmp_path / "columns.txt"
     x = np.random.default_rng(11).standard_cauchy((500, 2))
     columns.write_text("".join(f"{a!r}\t {b:.17g}\n" for a, b in x.tolist()))
-    expected = [_read_lines(series), _read_lines(columns)]
+    crlf, headed, commas = (tmp_path / f"{name}.csv" for name in ("crlf", "headed", "commas"))
+    crlf.write_bytes("".join(f"{a!r}\r\n" for a in x[:, 0].tolist()).encode())
+    headed.write_text("\n \n\t\nx\n" + "".join(f"{a!r}\n" for a in x[:, 1].tolist()))
+    commas.write_text("".join(f"{a!r}, {b!r}\n" for a, b in x.tolist()))
+    paths = (series, columns, crlf, headed, commas)
+    expected = [_read_lines(path) for path in paths]
     # numpy's reader alone must give the line parser's bits
     monkeypatch.setattr(harness, "_parse_rows", None)
-    for path, want in zip((series, columns), expected):
+    for path, want in zip(paths, expected):
         got = ingest_csv(path)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert expected[0].shape == (10_000,)
-    assert expected[1].tobytes() == x.tobytes()
+    for want in expected[1], expected[4]:
+        assert want.tobytes() == x.tobytes()
+    assert expected[2].tobytes() == x[:, 0].tobytes()
+    assert expected[3].tobytes() == x[:, 1].tobytes()
 
 
 # the deliberately short limit series of the small design warns, by design

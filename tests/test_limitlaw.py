@@ -636,6 +636,27 @@ def test_ratio_quantiles_equal_the_quantiles_of_all_draws(alpha):
     assert all(pair is not None for pair in windows)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.99])
+def test_ratio_quantiles_do_not_depend_on_the_prefilter_block(alpha):
+    # The block size sets only the first block's bracket, i.e. how many
+    # estimates are kept; the window's check makes the pair exact whatever
+    # it is, below reps, at reps or above it.
+    with pytest.MonkeyPatch.context() as patch:
+        windows = _windows(patch)
+        for reps in (1001, 100_000):
+            for level in (0.5, 0.99):
+                for convention in ("davis-resnick", (1.3, 0.7)):
+                    results = []
+                    for block in (1000, 4096, 16_384, 100_000):
+                        patch.setattr(elstable.limitlaw, "_PREFILTER_BLOCK", block)
+                        rng = np.random.default_rng(7)
+                        results.append(ratio_quantiles(alpha, level, reps, rng, convention)
+                                       + (rng.random(),))
+                    assert all(_same(got, results[0]) for got in results[1:]), \
+                        (reps, level, convention, results)
+    assert len(windows) == 32 and all(pair is not None for pair in windows)
+
+
 class _FakeRng:
     """Plays back fixed uniform and exponential draws, in call order."""
 
