@@ -370,7 +370,8 @@ def pivotal_value(spec, score: ScoreFunction, quad_points: int = 4096) -> float:
     the rules of ``tr F_0`` and ``tr F_1`` (``tr{G g} = tr F``, the limit
     law's ``F = F_0 + theta F_1``), so the value is ``-A / B``.
     :class:`NumericalError` when the value falls outside the score domain;
-    the score's ``check`` raises where it is not a valid coupling value.
+    the score's ``check`` raises where it is not a valid coupling value (no
+    other caller runs it: the rows and the limit law exist at every theta).
     """
     if not score.is_matrix:
         if score.lag is None:
@@ -444,11 +445,11 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta,
 
     ``transfer`` is a process spec, whose exact transfer enters the law
     (for a scalar score as its cosine coefficients, the model
-    autocorrelations), or for a scalar score a :class:`SmoothedTransfer`
-    estimated from the data, which hands over its cosine coefficients, or
-    those coefficients themselves.  ``theta`` and ``alpha`` may hold one
-    value per series of a stack, with the smoothed transfer of that stack or
-    the one process spec: the config then holds a stack of laws
+    autocorrelations), or for a scalar score the cosine coefficients
+    themselves, such as the ``coeffs`` of a :class:`SmoothedTransfer`
+    estimated from the data.  ``theta`` and ``alpha`` may hold one value per
+    series of a stack, with one row of coefficients per series or the one
+    process spec: the config then holds a stack of laws
     (:func:`prepare_limit`).
     """
     psi = None
@@ -456,8 +457,6 @@ def limit_law(config: "ExperimentConfig", score: ScoreFunction, theta,
         transfer, psi = None, partial(transfer_matrix, transfer)
     elif isinstance(transfer, LinearProcessSpec):
         transfer = _model_acf(transfer)
-    elif isinstance(transfer, SmoothedTransfer):
-        transfer = transfer.coeffs
     return LimitLawConfig(score=score, theta0=np.asarray(theta, dtype=float)[..., None],
                           alpha=alpha, transfer=transfer, psi_matrix=psi,
                           truncation=config.truncation,
@@ -537,7 +536,8 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process) -> list:
         # a scalar score's exact law and SAC constant share the model autocorrelations
         transfer = process if mv else _model_acf(process)
     else:
-        transfer = SmoothedTransfer(x)
+        smoothed = SmoothedTransfer(x)
+        transfer = smoothed.coeffs
 
     law = prepare_limit(limit_law(config, score, theta_ref, alpha, transfer))
     closure, w_inv = law["closure"], law["w_inv"]
@@ -548,7 +548,7 @@ def _analyze_stack(x, alpha, quantiles, *, score, config, process) -> list:
     if "sac" in methods:
         if process is None:
             constants = [sac_series_constant(rho, score.lag, value, config.truncation)
-                         for rho, value in zip(transfer.acf, alphas)]
+                         for rho, value in zip(smoothed.acf, alphas)]
         else:
             rho = transfer if config.transfer_mode == "exact" else _model_acf(process)
             by_alpha = {value: sac_series_constant(rho, score.lag, value, config.truncation)
@@ -1140,7 +1140,11 @@ def _data_start(text: str):
     """The number of lines of ``text`` before its first data row, and that
     row stripped: leading blank and comment lines and a header come before
     it, as :func:`_parse_rows` reads them.  ``None`` when there is no data
-    row or a ``#`` follows its start."""
+    row, a ``#`` follows its start, or the text holds one of the ASCII
+    separators FS, GS, RS and US (``\\x1c``-``\\x1f``): numpy's reader reads
+    a number next to one, where ``float`` refuses it."""
+    if any(separator in text for separator in "\x1c\x1d\x1e\x1f"):
+        return None
     skip, start, first = 0, 0, True
     while start < len(text):
         end = text.find("\n", start)

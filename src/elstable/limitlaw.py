@@ -112,7 +112,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -226,7 +226,7 @@ def _scalar_f(score: ScoreFunction, theta0, transfer: Callable,
     matrix rules."""
     theta0 = score.check_theta(theta0)
     grid = _uniform_grid(quad_points)
-    f = np.asarray(score.grad_inv(grid, theta0)) * np.asarray(transfer(grid))
+    f = (score.intercept(grid) + theta0 * score.slope) * np.asarray(transfer(grid))
     return f.reshape(-1, 1, 1)
 
 
@@ -339,16 +339,16 @@ def _acf_limit(score: ScoreFunction, theta: np.ndarray, transfer: np.ndarray,
 
 def _matrix_limit(config: "LimitLawConfig", theta: np.ndarray):
     """``W`` and ``c[t, i, j]`` of each matrix law of ``config`` at the
-    checked points ``theta``: each passes the score's ``check`` and forms
-    its ``F = F_0 + theta F_1`` from one :func:`_f_parts` for
-    :func:`compute_W_mv` and :func:`compute_V_coeffs_mv`.  ``W`` has the
-    shape of ``theta``, as in :func:`_acf_limit`."""
+    points ``theta``, in the score's domain: each forms its ``F = F_0 +
+    theta F_1`` from one :func:`_f_parts` for :func:`compute_W_mv` and
+    :func:`compute_V_coeffs_mv`.  Both are polynomials in theta, defined at
+    every point, so the score's ``check`` is not run.  ``W`` has the shape
+    of ``theta``, as in :func:`_acf_limit`."""
     score, grid = config.score, _uniform_grid(config.quad_points)
     f0, f1 = _f_parts(score, np.asarray(config.psi_matrix(grid)), grid)
     w, coeffs = [], []
     for value, alpha in zip(theta.reshape(-1).tolist(),
                             np.broadcast_to(config.alpha, theta.size).tolist()):
-        score.check(value)
         f = f0 + value * f1
         w.append(compute_W_mv(f))
         coeffs.append(compute_V_coeffs_mv(f, config.truncation, alpha))
@@ -383,6 +383,7 @@ class LimitLawConfig:
     :func:`prepare_limit` reads: ``theta0`` of shape (B, 1), ``alpha``
     one value or B of them, and for a scalar score one transfer or a
     (B, H + 1) array; the laws of a matrix score share ``psi_matrix``.
+    Each :func:`prepare_limit` reads the fields as they are then.
     """
 
     score: ScoreFunction
@@ -394,7 +395,6 @@ class LimitLawConfig:
     quad_points: int = 4096
     reps: int = 100_000
     scale_convention: object = "davis-resnick"
-    _prepared: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -403,7 +403,7 @@ class LimitLawConfig:
                 raise ValueError("matrix scores need psi_matrix in the limit config")
         elif self.transfer is None:
             raise ValueError("scalar scores need transfer in the limit config")
-        elif callable(self.transfer) or not 1 <= np.ndim(self.transfer) <= max(
+        elif not 1 <= np.ndim(self.transfer) <= max(
                 np.ndim(self.theta0), 1):  # a stack of laws may have one each
             raise ValueError("transfer must be the 1-d array of its cosine "
                              "coefficients r_0..r_H")
@@ -412,21 +412,19 @@ class LimitLawConfig:
 
 
 def prepare_limit(config: LimitLawConfig) -> dict:
-    """Curvature, mixing coefficients, and the closure constant.
+    """Curvature, mixing coefficients, and the closure constant of the law
+    that ``config`` describes when called; nothing is kept between calls.
 
-    Results are cached on the config; keys: ``w`` and ``w_inv`` (numbers;
-    a zero ``w`` warns and takes the pseudo-inverse 0), ``coeffs`` ((T,) for
-    a scalar score, (T, d, d) for a matrix one), ``mixing`` (the
-    coefficients as one weight per SaS draw), and ``closure`` (the l^alpha
-    norm of the mixing weights, the exact SaS scale of the series part of
-    V).  A scalar score must be an autocorrelation score, whose law is
-    the exact sum of the module docstring, with no grid and no quadrature
-    warning; others raise ``ValueError``.  A stack of B laws gives every
-    value a leading axis of length B, and ``w``, ``w_inv`` and ``closure``
-    as (B,) arrays.
+    Keys: ``w`` and ``w_inv`` (numbers; a zero ``w`` warns and takes the
+    pseudo-inverse 0), ``coeffs`` ((T,) for a scalar score, (T, d, d) for a
+    matrix one, one weight per SaS draw of the series once flattened), and
+    ``closure`` (the l^alpha norm of those weights, the exact SaS scale of
+    the series part of V).  A scalar score must be an autocorrelation
+    score, whose law is the exact sum of the module docstring, with no grid
+    and no quadrature warning; others raise ``ValueError``.  A stack of B
+    laws gives every value a leading axis of length B, and ``w``, ``w_inv``
+    and ``closure`` as (B,) arrays.
     """
-    if config._prepared is not None:
-        return config._prepared
     score = config.score
     theta0 = np.atleast_1d(config.theta0)
     lead = theta0.shape[:-1]                              # () for one law
@@ -437,31 +435,28 @@ def prepare_limit(config: LimitLawConfig) -> dict:
     else:
         w, coeffs = _acf_limit(score, theta, config.transfer, config.truncation,
                                config.alpha)
-    mixing = coeffs.reshape(lead + (-1,))                 # one weight per SaS draw
     # the pseudo-inverse of a zero W is 0
     for _ in np.flatnonzero(w == 0.0):
         warnings.warn("W matrix is ill-conditioned (cond inf); using a "
                       "pseudo-inverse", RuntimeWarning, stacklevel=3)
     with np.errstate(divide="ignore"):
         w_inv = np.where(w == 0.0, 0.0, 1.0 / w)
-    sums = np.sum(np.abs(mixing) ** np.asarray(config.alpha)[..., None], axis=-1)
+    weights = coeffs.reshape(lead + (-1,))                # one weight per SaS draw
+    sums = np.sum(np.abs(weights) ** np.asarray(config.alpha)[..., None], axis=-1)
     # the root of each law is a scalar power, as for one law
     closure = np.array([float(total ** (1.0 / alpha)) for total, alpha in
                         zip(sums.reshape(-1), np.broadcast_to(config.alpha, sums.size))])
     closure = closure.reshape(lead)
     if not lead:
         w, w_inv, closure = float(w), float(w_inv), float(closure)
-    prepared = {"w": w, "w_inv": w_inv, "coeffs": coeffs, "mixing": mixing,
-                "closure": closure}
-    config._prepared = prepared
-    return prepared
+    return {"w": w, "w_inv": w_inv, "coeffs": coeffs, "closure": closure}
 
 
 def _draw_ratio_series(config, prepared, rng, size) -> np.ndarray:
     """Draw ``size`` realizations of V via the full stable series."""
     s_mult, s0_mult = scale_multipliers(config.alpha, config.scale_convention)
-    mixing = prepared["mixing"]
-    n_terms = mixing.size
+    weights = prepared["coeffs"].reshape(-1)
+    n_terms = weights.size
     out = np.empty(size)
     params = StableParams(alpha=config.alpha)
     done = 0
@@ -470,7 +465,7 @@ def _draw_ratio_series(config, prepared, rng, size) -> np.ndarray:
         s0 = s0_mult * sample_positive_stable(config.alpha / 2.0, block, rng)
         series = s_mult * sample_sas(params, block * n_terms, rng)
         series = series.reshape(block, n_terms)
-        out[done:done + block] = (series @ mixing) / s0
+        out[done:done + block] = (series @ weights) / s0
         done += block
     return out
 

@@ -134,12 +134,10 @@ def sample_sas(params: StableParams, n: int, rng: np.random.Generator) -> np.nda
 
 def _cms(alpha: float, phi: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Unit-scale SaS variates from uniforms ``phi`` on [0, 1) and unit
-    exponentials ``w`` (``None`` when ``alpha == 1``), overwriting both.
-
-    ``sin(alpha phi) / cos(phi)**(1/alpha) * (cos((1 - alpha) phi) /
-    w)**(1/alpha - 1)`` for ``phi`` uniform on (-pi/2, pi/2), in three
-    buffers.  Every value is computed elementwise in one fixed order, so any
-    subset of the draws gives the same values bit for bit.
+    exponentials ``w`` (``None`` when ``alpha == 1``), overwriting both: the
+    Chambers-Mallows-Stuck transform, :func:`_zolotarev` with the cosine
+    and the power ``1/alpha - 1`` for ``phi`` uniform on (-pi/2, pi/2), a
+    tangent at ``alpha = 1`` and ``2 sin(phi) sqrt(w)`` at ``alpha = 2``.
     """
     phi -= 0.5
     phi *= np.pi  # uniform on (-pi/2, pi/2)
@@ -147,17 +145,7 @@ def _cms(alpha: float, phi: np.ndarray, w: np.ndarray | None) -> np.ndarray:
         return np.tan(phi)
     if alpha == 2.0:
         return 2.0 * np.sin(phi) * np.sqrt(w)
-    x = np.multiply(1.0 - alpha, phi)
-    np.cos(x, out=x)
-    np.divide(x, w, out=w)
-    w **= 1.0 / alpha - 1.0
-    np.multiply(alpha, phi, out=x)
-    np.sin(x, out=x)
-    np.cos(phi, out=phi)
-    phi **= 1.0 / alpha
-    x /= phi
-    x *= w
-    return x
+    return _zolotarev(alpha, phi, w, np.cos, 1.0 / alpha - 1.0)
 
 
 def sample_positive_stable(alpha_half: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,22 +165,27 @@ def sample_positive_stable(alpha_half: float, n: int, rng: np.random.Generator) 
 
 def _kanter(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Positive ``a``-stable variates from uniforms ``u`` on [0, 1) and unit
-    exponentials ``w``, overwriting both.
-
-    ``sin(a u) / sin(u)**(1/a) * (sin((1 - a) u) / w)**((1 - a) / a)`` for
-    ``u`` uniform on (0, pi), in three buffers and in a fixed order per
-    factor, as in :func:`_cms`.
-    """
+    exponentials ``w``, overwriting both: Kanter's transform,
+    :func:`_zolotarev` with the sine and the power ``(1 - a)/a`` for ``u``
+    uniform on (0, pi)."""
     u *= np.pi  # uniform on (0, pi)
-    x = np.multiply(1.0 - a, u)
-    np.sin(x, out=x)
+    return _zolotarev(a, u, w, np.sin, (1.0 - a) / a)
+
+
+def _zolotarev(a: float, t: np.ndarray, w: np.ndarray, trig, power: float) -> np.ndarray:
+    """``sin(a t) / trig(t)**(1/a) * (trig((1 - a) t) / w)**power``, the
+    form of Zolotarev (1986) behind both samplers, overwriting ``t`` and
+    ``w``: three buffers, and every value computed elementwise in one fixed
+    order, so any subset of the draws gives the same values bit for bit."""
+    x = np.multiply(1.0 - a, t)
+    trig(x, out=x)
     np.divide(x, w, out=w)
-    w **= (1.0 - a) / a
-    np.multiply(a, u, out=x)
+    w **= power
+    np.multiply(a, t, out=x)
     np.sin(x, out=x)
-    np.sin(u, out=u)
-    u **= 1.0 / a
-    x /= u
+    trig(t, out=t)
+    t **= 1.0 / a
+    x /= t
     x *= w
     return x
 

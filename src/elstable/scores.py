@@ -6,7 +6,7 @@ estimating function evaluates the theta-gradient of the summand on the full
 frequency grid:
 
     m(lambda_t; theta) = d/d theta [ I(lambda_t) / f(lambda_t; theta) ]
-                       = grad_inv(lambda_t; theta) * I(lambda_t),
+                       = d(1/f)/d theta (lambda_t; theta) * I(lambda_t),
 
 with the self-normalized periodogram in the scalar case and the trace form
 ``tr{ d f^-1 / d theta * I(lambda_t) }`` in the matrix case.  Every score
@@ -40,10 +40,12 @@ class ScoreFunction:
     theta-derivative of ``1/f`` at theta = 0, shape (N,) (scalar kind), or
     of the matrix inverse, shape (N, d, d) complex Hermitian (matrix kind).
     ``slope`` is the constant second derivative: a float, or a real
-    symmetric (d, d) array.  ``theta`` is a float, and ``domain`` its open
-    interval ``(lo, hi)``.  ``check(theta)`` raises :class:`DomainError`
-    where theta is not a valid value of the density itself, though the
-    gradient is defined there (by default nowhere).  ``lag`` is the
+    symmetric (d, d) array, so the gradient at theta is ``intercept(omega)
+    + theta * slope``, defined at every theta.  ``theta`` is a float, and
+    ``domain`` its open interval ``(lo, hi)``.  ``check(theta)`` raises
+    :class:`DomainError` where theta is not a valid value of the density
+    itself (by default nowhere); only :func:`harness.pivotal_value` runs it,
+    as the value it returns is a parameter of the density.  ``lag`` is the
     autocorrelation lag an autocorrelation score targets, so the competing
     sample-autocorrelation interval can read it; None for other scores.
     """
@@ -59,12 +61,6 @@ class ScoreFunction:
     @property
     def is_matrix(self) -> bool:
         return self.dim > 1
-
-    def grad_inv(self, omega, theta):
-        """The theta-derivative of ``1/f`` at ``theta``: ``intercept(omega)
-        + theta * slope``, after ``check``."""
-        self.check(theta)
-        return self.intercept(omega) + theta * self.slope
 
     def check_theta(self, theta) -> float:
         """A scalar or one-element ``theta`` in the domain, as a float."""

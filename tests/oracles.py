@@ -1,8 +1,9 @@
 """Reference evaluations that only the tests use: the periodograms and the
-scalar transfer at arbitrary frequencies, by their direct sums, the EL
-statistic at one theta, a reader of the records CSV, and the region search
-and batch dual solver as they were before they stopped writing a dense
-(S, G) state and fresh arrays in every iteration."""
+scalar transfer at arbitrary frequencies, by their direct sums, a score's
+gradient, the EL statistic at one theta, a reader of the records CSV, the
+two stable transforms as they were before they shared one Zolotarev form,
+and the region search and batch dual solver as they were before they
+stopped writing a dense (S, G) state and fresh arrays in every iteration."""
 
 import csv
 
@@ -12,6 +13,12 @@ from elstable import emplik
 from elstable.emplik import BatchSolution, solve_lagrange_batch, x_n
 from elstable.scores import estimating_function
 from elstable.spectral import _self_normalized, _validated
+
+
+def gradient(score, omega, theta):
+    """The theta-derivative of ``1/f`` of ``score`` at ``theta``:
+    ``intercept(omega) + theta * slope``."""
+    return score.intercept(omega) + theta * score.slope
 
 
 def el_statistic(x: np.ndarray, score, theta, alpha: float) -> float:
@@ -74,6 +81,56 @@ def normalized_transfer(spec, omega) -> np.ndarray:
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
     values = np.abs(transfer_polynomial(spec, omega)) ** 2 / np.sum(spec.psi ** 2)
     return float(values[0]) if scalar else values
+
+
+def cms(alpha: float, phi: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Unit-scale SaS variates from uniforms ``phi`` on [0, 1) and unit
+    exponentials ``w`` (``None`` when ``alpha == 1``), overwriting both.
+
+    ``sin(alpha phi) / cos(phi)**(1/alpha) * (cos((1 - alpha) phi) /
+    w)**(1/alpha - 1)`` for ``phi`` uniform on (-pi/2, pi/2), in three
+    buffers.  Every value is computed elementwise in one fixed order, so any
+    subset of the draws gives the same values bit for bit.
+    """
+    phi -= 0.5
+    phi *= np.pi  # uniform on (-pi/2, pi/2)
+    if alpha == 1.0:
+        return np.tan(phi)
+    if alpha == 2.0:
+        return 2.0 * np.sin(phi) * np.sqrt(w)
+    x = np.multiply(1.0 - alpha, phi)
+    np.cos(x, out=x)
+    np.divide(x, w, out=w)
+    w **= 1.0 / alpha - 1.0
+    np.multiply(alpha, phi, out=x)
+    np.sin(x, out=x)
+    np.cos(phi, out=phi)
+    phi **= 1.0 / alpha
+    x /= phi
+    x *= w
+    return x
+
+
+def kanter(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positive ``a``-stable variates from uniforms ``u`` on [0, 1) and unit
+    exponentials ``w``, overwriting both.
+
+    ``sin(a u) / sin(u)**(1/a) * (sin((1 - a) u) / w)**((1 - a) / a)`` for
+    ``u`` uniform on (0, pi), in three buffers and in a fixed order per
+    factor, as in :func:`cms`.
+    """
+    u *= np.pi  # uniform on (0, pi)
+    x = np.multiply(1.0 - a, u)
+    np.sin(x, out=x)
+    np.divide(x, w, out=w)
+    w **= (1.0 - a) / a
+    np.multiply(a, u, out=x)
+    np.sin(x, out=x)
+    np.sin(u, out=u)
+    u **= 1.0 / a
+    x /= u
+    x *= w
+    return x
 
 
 def _search_regions(a: np.ndarray, b: np.ndarray, grid: np.ndarray, gamma: np.ndarray,

@@ -22,10 +22,10 @@ import elstable
 from elstable import cli, harness, limitlaw, processes
 from elstable.cli import build_parser, main
 from elstable.emplik import x_n
-from elstable.errors import NumericalError
+from elstable.errors import DomainError, NumericalError
 from elstable.limitlaw import LimitLawConfig
 from elstable.processes import simulate_vector_linear, vma_table_spec
-from elstable.scores import acf_score, estimating_function
+from elstable.scores import acf_score, estimating_function, var1_score
 from oracles import read_records_csv
 
 
@@ -254,7 +254,8 @@ def test_limit_at_a_stable_point_of_an_off_zero_template(tmp_path):
 
 def test_ci_and_limit_on_an_off_zero_template(tmp_path, capsys):
     # the rows, the plug-in point and the pivotal value never evaluate the
-    # coupling matrix at theta = 0; only a coupling value is checked
+    # coupling matrix at theta = 0; only the pivotal value is checked as a
+    # coupling value, and the law is defined at every theta
     config, series = tmp_path / "config.json", tmp_path / "v.csv"
     config.write_text(json.dumps(OFF_ZERO))
     assert run_cli("simulate", "--config", config, "--n", 300, "--output", series) == 0
@@ -266,22 +267,34 @@ def test_ci_and_limit_on_an_off_zero_template(tmp_path, capsys):
     assert run_cli("limit", "--config", config, "--limit-reps", 2000,
                    "--output", tmp_path / "limit.csv") == 0
     capsys.readouterr()
-    assert run_cli("limit", "--config", config, "--theta", 0.01, "--limit-reps", 2000) == 2
-    assert "spectral radius 1.0101 >= 1 at theta=0.01" in capsys.readouterr().err
+    assert run_cli("limit", "--config", config, "--theta", 0.01, "--limit-reps", 2000,
+                   "--output", tmp_path / "unstable.csv") == 0
+    assert "spectral radius" not in capsys.readouterr().err
+    [record] = read_records_csv(tmp_path / "unstable.csv")
+    assert record["p"] == 0.9 and record["gamma_p"] > 0.0
+    with pytest.raises(DomainError, match="spectral radius 1.0101 >= 1 at theta=0.01"):
+        var1_score(OFF_ZERO["score"]["template"]).check(0.01)
 
 
 def test_off_zero_coverage_records_each_unstable_plugin_point(tmp_path):
-    # a replicate whose plug-in point is not a stable coupling value gets its
-    # own error record; the other replicates are answered
+    # a replicate whose plug-in point is not a stable coupling value is
+    # answered as the others are: its law is defined there
     config = dict(OFF_ZERO, limit_reps=1000, grid_step=0.01)
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert run_cli("coverage", "--config", tmp_path / "config.json", "--replicates", 100,
                    "--workers", 1, "--output", tmp_path / "cov.csv") == 0
-    statuses = [r["status"] for r in read_records_csv(tmp_path / "cov.csv")]
-    errors = [s for s in statuses if s != "ok"]
-    assert len(errors) == 5
-    assert all(s.startswith("error: DomainError: coupling matrix has spectral radius ")
-               for s in errors)
+    records = read_records_csv(tmp_path / "cov.csv")
+    assert [r["status"] for r in records] == ["ok"] * 100
+    score = var1_score(OFF_ZERO["score"]["template"])
+    unstable = []
+    for record in records:
+        try:
+            score.check(record["theta_ref"])
+        except DomainError as exc:
+            assert str(exc).startswith("coupling matrix has spectral radius ")
+            unstable.append(record)
+    assert len(unstable) == 5
+    assert all(r["el_lower"] < r["el_upper"] and math.isfinite(r["gamma"]) for r in unstable)
 
 
 def test_table_smoke(tmp_path):

@@ -1282,6 +1282,17 @@ def test_ingest_csv_first_row_with_a_number_is_data(tmp_path):
         assert ingest_csv(path).tolist() == expected
 
 
+def test_ingest_csv_refuses_a_number_next_to_an_ascii_separator(tmp_path):
+    # str.strip takes FS, GS, RS and US for whitespace, and numpy's reader
+    # reads a number next to one, but float refuses it: such a file goes to
+    # the line parser, which names the row
+    path = tmp_path / "series.csv"
+    for separator in "\x1c\x1d\x1e\x1f":
+        path.write_text(f"1{separator},1\n2,2\n")
+        with pytest.raises(ValueError, match="malformed row 1: "):
+            ingest_csv(path)
+
+
 def _read_lines(path):
     """The line parser's reading of ``path``: ingest_csv's reference."""
     try:
@@ -1294,7 +1305,9 @@ def _read_lines(path):
 
 _NUMBER_FORMS = (repr, lambda v: format(v, ".17g"), lambda v: format(v, "e"),
                  lambda v: f"  {v!r} ", lambda v: f"{v:>28.17g}")
-_ODD_FIELDS = ("nan", "-inf", "Infinity", "1_0", "abc", "", "#", "1#2", "x")
+# "\x1c"-"\x1f" are whitespace to str.strip but not to float
+_ODD_FIELDS = ("nan", "-inf", "Infinity", "1_0", "abc", "", "#", "1#2", "x",
+               "1\x1c", "\x1d2.5", "\x1e", "-1\x1f")
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import math
 import struct
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,7 @@ from elstable.processes import (ma_polynomial_spec, power_transfer_matrix, simul
                                 theoretical_acf, transfer_matrix, vma_table_spec)
 from elstable.scores import ScoreFunction, acf_score, coupling_var1_score, var1_score
 from elstable.spectral import SmoothedTransfer
-from oracles import normalized_transfer
+from oracles import gradient, normalized_transfer
 
 
 def flat_transfer(omega):
@@ -89,7 +90,7 @@ def test_closure_constant_flat_transfer():
 def dense_series_coefficients(score, theta0, transfer, truncation, quad_points):
     """Oracle: the (T x N) cosine-matrix trapezoid rule."""
     grid = np.linspace(-np.pi, np.pi, quad_points + 1)
-    weight = np.asarray(score.grad_inv(grid, theta0)) * transfer(grid)
+    weight = gradient(score, grid, theta0) * transfer(grid)
     cosines = np.cos(np.outer(np.arange(1, truncation + 1), grid))
     values = cosines * weight
     ends = 0.5 * (values[..., 0] + values[..., -1])
@@ -369,7 +370,7 @@ def _reference_matrix_law(score, theta0, spec, truncation=200, quad_points=4096)
     def trapezoid(values):
         return step * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
-    grad = np.asarray(score.grad_inv(grid, theta0))  # (N, d, d)
+    grad = gradient(score, grid, theta0)  # (N, d, d)
     psi = transfer_matrix(spec, grid)
     psi_h = np.conj(np.swapaxes(psi, -1, -2))
     g_grad = (psi @ psi_h) @ grad
@@ -424,13 +425,44 @@ def test_stacked_matrix_laws_match_the_written_out_formulas(name, b):
         assert np.max(np.abs(law["coeffs"][i] - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
 
 
-def test_an_unstable_point_of_a_matrix_stack_raises():
-    # each law of a stack passes the score's check, at its own theta
-    config = LimitLawConfig(score=var1_score(MATRIX_TEMPLATES["off-zero"][0]),
-                            theta0=np.array([[0.3], [-0.2], [0.5]]), alpha=1.5,
-                            psi_matrix=partial(transfer_matrix, vma_table_spec(0.3)))
+def test_an_unstable_point_of_a_matrix_stack_has_its_law():
+    # W and c_t are polynomials in theta: a point of a stack that is not a
+    # stable coupling value gets its law, that of the point alone, and only
+    # the score's check refuses it as a coupling value
+    score = var1_score(MATRIX_TEMPLATES["off-zero"][0])
+    psi = partial(transfer_matrix, vma_table_spec(0.3))
+    thetas = [0.3, -0.2, 0.5]
+    law = prepare_limit(LimitLawConfig(score=score, theta0=np.array(thetas)[:, None],
+                                       alpha=1.5, psi_matrix=psi))
+    for i, theta in enumerate(thetas):
+        alone = prepare_limit(LimitLawConfig(score=score, theta0=np.array([theta]),
+                                             alpha=1.5, psi_matrix=psi))
+        assert law["w"][i] == alone["w"] and law["closure"][i] == alone["closure"]
+        assert law["coeffs"][i].tobytes() == alone["coeffs"].tobytes()
     with pytest.raises(DomainError, match=r"spectral radius 1\.\d+ >= 1 at theta=-0\.2$"):
-        prepare_limit(config)
+        score.check(-0.2)
+
+
+def test_a_changed_config_gives_the_law_of_its_fields():
+    # prepare_limit keeps nothing on the config: a copy with another point,
+    # and the config after its index changes, give the law of a fresh
+    # config with the same fields
+    spec = ma_polynomial_spec(0.5)
+
+    def fresh(theta, alpha):
+        return limit_law(ExperimentConfig(), acf_score(2), theta, alpha, spec)
+
+    def assert_same(law, want):
+        assert law.keys() == want.keys()
+        for key, value in want.items():
+            assert np.asarray(law[key]).tobytes() == np.asarray(value).tobytes(), key
+
+    config = fresh(0.1, 1.5)
+    prepare_limit(config)
+    assert_same(prepare_limit(replace(config, theta0=np.array([0.4]))),
+                prepare_limit(fresh(0.4, 1.5)))
+    config.alpha = 1.9
+    assert_same(prepare_limit(config), prepare_limit(fresh(0.1, 1.9)))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.6, 0.9])

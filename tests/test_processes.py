@@ -14,7 +14,8 @@ from elstable.processes import (LinearProcessSpec, StableParams, VectorProcessSp
                                 sample_sas, simulate_linear, simulate_vector_linear,
                                 spec_from_dict, theoretical_acf, transfer_matrix,
                                 vector_linear_filter, vma_table_spec)
-from oracles import normalized_transfer, transfer_polynomial
+from elstable.processes import _cms, _kanter
+from oracles import cms, kanter, normalized_transfer, transfer_polynomial
 
 N_LAW = 200_000  # sample size for distributional checks
 
@@ -95,6 +96,26 @@ def test_samplers_are_seed_reproducible():
 
 # --------------------------------------------------------------------------
 # filters and simulators
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+def test_stable_transforms_equal_their_written_out_forms_bitwise(n):
+    # both samplers go through one Zolotarev transform; each gives the bits
+    # of its own form written out, the tangent at alpha = 1 and the Gaussian
+    # at alpha = 2 included
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        u, w = rng.random(n), rng.standard_exponential(n)
+
+        def draws(exponentials=True):
+            return u.copy(), w.copy() if exponentials else None
+
+        for a in (0.05, 0.25, 0.5, 0.75, 0.95, 0.995):
+            assert _kanter(a, *draws()).tobytes() == kanter(a, *draws()).tobytes()
+        for alpha in (0.3, 0.8, 1.0, 1.2, 1.5, 1.9, 1.99, 2.0):
+            exponentials = alpha != 1.0
+            assert (_cms(alpha, *draws(exponentials)).tobytes()
+                    == cms(alpha, *draws(exponentials)).tobytes())
+
 
 def test_linear_filter_orientation():
     # X(t) = Z(t) + 0.5 Z(t-1): the most recent innovation carries psi[0].

@@ -12,6 +12,7 @@ from elstable.scores import (ScoreFunction, acf_score, coupling_var1_score, esti
                              estimating_function_mv, score_from_config, var1_score)
 from elstable.spectral import (fourier_frequencies, periodogram_matrix_grid, sample_acf,
                                self_normalized_grid)
+from oracles import gradient
 
 
 # --------------------------------------------------------------------------
@@ -35,10 +36,12 @@ def var1_density(template):
 
 
 def check_gradient(score, inverse_density, theta, step=1e-5, rtol=1e-6):
-    """Assert that ``grad_inv`` matches central finite differences of
-    ``inverse_density`` at 100 random frequencies, to ``rtol`` of its scale."""
+    """Assert that the gradient ``intercept + theta slope`` matches central
+    finite differences of ``inverse_density`` at 100 random frequencies, to
+    ``rtol`` of its scale; theta must be a valid value of the density."""
+    score.check(theta)
     omega = (np.random.default_rng(0).random(100) * 2.0 - 1.0) * np.pi
-    grad = np.asarray(score.grad_inv(omega, theta))
+    grad = np.asarray(gradient(score, omega, theta))
     diff = (inverse_density(omega, theta + step)
             - inverse_density(omega, theta - step)) / (2.0 * step)
     np.testing.assert_allclose(diff, grad, rtol=0.0,
@@ -85,7 +88,7 @@ def test_acf_score_closed_forms():
     score = acf_score(2)
     omega = np.linspace(-np.pi, np.pi, 21)
     theta = 0.3
-    grad = score.grad_inv(omega, theta)
+    grad = gradient(score, omega, theta)
     np.testing.assert_allclose(grad, -2.0 * np.cos(2.0 * omega) + 2.0 * theta,
                                rtol=1e-14)
 
@@ -126,13 +129,14 @@ def test_var1_template_parsing_errors():
 def test_var1_stability_domain_enforced():
     score = var1_score([["theta"]])
     with pytest.raises(DomainError, match="spectral radius 1.0000 >= 1 at theta=1.0"):
-        score.grad_inv(np.array([0.1]), 1.0)
+        score.check(1.0)
     # building a score evaluates nothing: a template unstable near theta = 0
     # is a valid score where its coupling matrix is stable
     off_zero = var1_score([[1.02, "theta"], [-1.0, 0.0]])
     with pytest.raises(DomainError, match="spectral radius 1.0200 >= 1 at theta=0.0"):
-        off_zero.grad_inv(np.array([0.1]), 0.0)
-    assert np.all(np.isfinite(off_zero.grad_inv(np.array([0.1]), 0.3)))
+        off_zero.check(0.0)
+    off_zero.check(0.3)
+    assert np.all(np.isfinite(gradient(off_zero, np.array([0.1]), 0.3)))
 
 
 def test_var1_dimension_one_equals_acf_lag_one():
@@ -141,9 +145,9 @@ def test_var1_dimension_one_equals_acf_lag_one():
     sc = acf_score(1)
     omega = np.linspace(-np.pi, np.pi, 17)
     theta = 0.4
-    g_mv = mv.grad_inv(omega, theta)
+    g_mv = gradient(mv, omega, theta)
     assert g_mv.shape == (omega.size, 1, 1)
-    np.testing.assert_allclose(g_mv[:, 0, 0].real, sc.grad_inv(omega, theta), rtol=1e-12)
+    np.testing.assert_allclose(g_mv[:, 0, 0].real, gradient(sc, omega, theta), rtol=1e-12)
 
 
 def test_coupling_score_shape():
@@ -151,7 +155,7 @@ def test_coupling_score_shape():
     # with E the 0/1 mask of the theta cell
     score = coupling_var1_score()
     assert (score.dim, score.is_matrix) == (2, True)
-    grad = score.grad_inv(np.array([0.0]), 0.2)
+    grad = gradient(score, np.array([0.0]), 0.2)
     assert grad.shape == (1, 2, 2)
     a = np.eye(2) - np.array([[0.5, 0.2], [0.4, 0.2]])
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -262,7 +266,7 @@ def test_var1_rows_are_affine_in_theta(vector_series, name, share):
     template, (lo, hi) = VAR1_TEMPLATES[name]
     score = var1_score(template)
     theta = lo + share * (hi - lo)
-    score.grad_inv(np.array([0.1]), theta)  # a stable coupling value
+    score.check(theta)  # a stable coupling value
     mask = np.array([[cell == "theta" for cell in row] for row in template], dtype=float)
     assert np.array_equal(score.slope, 2.0 * mask.T @ mask)
     check_affine_rows(vector_series, score, theta, estimating_function_mv)
